@@ -86,6 +86,17 @@ def _fit_json(f):
     return {"x": f.x, "y": f.y, "C": f.coeff_odd, "D": f.coeff_even}
 
 
+def _print_estimate_json(result) -> None:
+    print(json.dumps({
+        "d": result.d,
+        "p_xl": result.p_xl,
+        "p_zl": result.p_zl,
+        "warnings": list(result.warnings),
+        "fit_x": _fit_json(result.fit_x),
+        "fit_z": _fit_json(result.fit_z),
+    }, indent=2))
+
+
 def _open_db(args) -> RateDatabase:
     path = args.db or os.environ.get(DB_ENV_VAR)
     if not path:
@@ -120,14 +131,7 @@ def _cmd_estimate(args) -> int:
     )
     _warn(result.warnings)
     if args.json:
-        print(json.dumps({
-            "d": result.d,
-            "p_xl": result.p_xl,
-            "p_zl": result.p_zl,
-            "warnings": list(result.warnings),
-            "fit_x": _fit_json(result.fit_x),
-            "fit_z": _fit_json(result.fit_z),
-        }, indent=2))
+        _print_estimate_json(result)
     else:
         print(f"p_xl = {result.p_xl!r}")
         print(f"p_zl = {result.p_zl!r}")
@@ -142,14 +146,7 @@ def _cmd_solve(args) -> int:
     )
     _warn(result.warnings)
     if args.json:
-        print(json.dumps({
-            "d": result.d,
-            "p_xl": result.p_xl,
-            "p_zl": result.p_zl,
-            "warnings": list(result.warnings),
-            "fit_x": _fit_json(result.fit_x),
-            "fit_z": _fit_json(result.fit_z),
-        }, indent=2))
+        _print_estimate_json(result)
     else:
         print(result.d)
     return 0

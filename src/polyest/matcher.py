@@ -11,8 +11,9 @@ graph is described by a constant-size table regardless of the round count.
 
 Edge weights are -ln(p) of the accumulated class probability (summed over
 contributing faults, clamped to at most 1).  Each class carries a mask bit,
-the logical flip of its highest-probability contributor, used to turn a
-matching into a correction parity.
+the logical flip shared by all of its contributors (building a graph raises
+RuntimeError if two contributors disagree), used to turn a matching into a
+correction parity.
 
 Decoding a syndrome:
 
@@ -37,7 +38,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import networkx as nx
 import numpy as np
 
 from .surface_sim import FaultEffect, Layout, Rates
@@ -91,21 +91,20 @@ class MatchingGraph:
             raise RuntimeError("graph already finalized")
         if len(events) == 1:
             s, _ = events[0]
-            slot = self._acc_boundary.setdefault(s, [0.0, -1.0, False])
+            slot = self._acc_boundary.setdefault(s, [0.0, flip])
         else:
             (s1, t1), (s2, t2) = events
             if (t1, s1) > (t2, s2):
                 s1, t1, s2, t2 = s2, t2, s1, t1
-            slot = self._acc.setdefault((s1, s2, t2 - t1), [0.0, -1.0, False])
+            slot = self._acc.setdefault((s1, s2, t2 - t1), [0.0, flip])
+        if slot[1] != flip:
+            raise RuntimeError(f"faults with events {events} disagree on the logical flip")
         slot[0] += p
-        if p > slot[1]:
-            slot[1] = p
-            slot[2] = flip
 
     def _finalize(self) -> None:
         for acc, out in ((self._acc, self.edges), (self._acc_boundary, self.boundary)):
             for key in sorted(acc):
-                p_sum, _, mask = acc[key]
+                p_sum, mask = acc[key]
                 p = min(p_sum, 1.0)
                 weight = -math.log(max(p, _P_FLOOR))
                 out[key] = (p, weight, mask)
@@ -242,6 +241,8 @@ def _blossom_cluster(members, W, B, bsum):
     so unpaired virtuals never distort the optimum.  Minimization is mapped
     to networkx's max-weight matching by flipping weights against a constant.
     """
+    import networkx as nx
+
     k = len(members)
     finite: list[float] = []
     for a in range(k):

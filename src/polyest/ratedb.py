@@ -86,6 +86,12 @@ def ladder_values(lo: float, hi: float) -> list[float]:
     return out
 
 
+# The rungs of every axis in AXES, ascending, built once.
+_AXIS_LADDERS: dict[str, tuple[float, ...]] = {
+    axis: tuple(ladder_values(lo, hi)) for axis, (lo, hi) in AXES.items()
+}
+
+
 class LadderBracket(NamedTuple):
     low: float
     high: float
@@ -111,8 +117,7 @@ def ladder_neighbors(value: float, axis: str) -> LadderBracket:
         raise DbError(f"axis value must be a number, got {value!r}")
     if not math.isfinite(value) or value <= 0.0:
         raise DbError(f"axis {axis} value must be positive and finite, got {value!r}")
-    lo, hi = AXES[axis]
-    values = ladder_values(lo, hi)
+    values = _AXIS_LADDERS[axis]
     for v in values:
         if abs(value - v) <= SNAP_RELATIVE * v:
             return LadderBracket(v, v, False)
@@ -334,9 +339,9 @@ class GridSpec:
         """Every ladder point of every axis; the complete published grid."""
         return cls(
             distances=DISTANCES,
-            r0_values=tuple(ladder_values(*AXES["r0"])),
-            r1_values=tuple(ladder_values(*AXES["r1"])),
-            p2_values=tuple(ladder_values(*AXES["p2"])),
+            r0_values=_AXIS_LADDERS["r0"],
+            r1_values=_AXIS_LADDERS["r1"],
+            p2_values=_AXIS_LADDERS["p2"],
         )
 
     @classmethod

@@ -134,19 +134,9 @@ class Layout:
         return tuple(out)
 
 
-def build_layout(d: int) -> Layout:
-    return Layout(d)
-
-
-_layout_cache: dict[int, Layout] = {}
-
-
 def get_layout(d: int) -> Layout:
     """Shared layout instance per distance; layouts are immutable in practice."""
-    layout = _layout_cache.get(d)
-    if layout is None:
-        layout = _layout_cache.setdefault(d, Layout(d))
-    return layout
+    return _compiled(d).layout
 
 
 @dataclass(frozen=True)
@@ -234,10 +224,16 @@ def _check_schedule(layout: Layout, schedule: CycleSchedule) -> None:
 
 
 class _Compiled:
-    """Index arrays extracted from a schedule for the vectorized simulator."""
+    """Everything the simulator keeps per distance, cached by _compiled.
 
-    def __init__(self, layout: Layout, schedule: CycleSchedule):
-        self.layout = layout
+    Holds the layout, the CNOT index arrays extracted from its schedule and,
+    once enumerated, the single-fault table.
+    """
+
+    def __init__(self, d: int):
+        self.layout = layout = Layout(d)
+        schedule = build_schedule(layout)
+        self.faults: tuple[FaultEffect, ...] | None = None
         syn_to_stab = {}
         for idx, coord in enumerate(layout.z_stabs):
             syn_to_stab[layout.qubit_id[coord]] = ("z", idx)
@@ -271,17 +267,13 @@ class _Compiled:
         self.zt = np.array([p[1] in "yz" for p in TWO_QUBIT_PAULIS])
 
 
-_compiled_cache: dict[int, tuple[Layout, CycleSchedule, _Compiled]] = {}
+_cache: dict[int, _Compiled] = {}
 
 
-def _compiled(layout: Layout, schedule: CycleSchedule | None) -> _Compiled:
-    cached = _compiled_cache.get(layout.d)
-    if cached is not None and cached[0] is layout and (schedule is None or cached[1] is schedule):
-        return cached[2]
-    if schedule is None:
-        schedule = build_schedule(layout)
-    comp = _Compiled(layout, schedule)
-    _compiled_cache[layout.d] = (layout, schedule, comp)
+def _compiled(d: int) -> _Compiled:
+    comp = _cache.get(d)
+    if comp is None:
+        comp = _cache.setdefault(d, _Compiled(d))
     return comp
 
 
@@ -319,112 +311,73 @@ class FaultEffect:
         return rates.p0z
 
 
-_fault_cache: dict[int, tuple[FaultEffect, ...]] = {}
-
-
-def enumerate_single_faults(
-    layout: Layout, schedule: CycleSchedule | None = None
-) -> tuple[FaultEffect, ...]:
+def enumerate_single_faults(layout: Layout) -> tuple[FaultEffect, ...]:
     """Propagate every elementary fault of one cycle in isolation.
 
-    Each fault is injected once in an otherwise noiseless run and followed
-    for three cycles; residual data errors are static after the injection
-    cycle, so all detection events land within a one-round offset (checked).
+    Each fault becomes a one-hot noise realization of a single noisy cycle,
+    laid out exactly as _draw_noise lays out Monte Carlo noise, and runs
+    through the Monte Carlo's own simulator followed by two noiseless cycles.
+    Residual data errors are static after the faulty cycle, so all detection
+    events land within a one-round offset (checked).  The table is computed
+    once per distance.
     """
-    cached = _fault_cache.get(layout.d)
-    if cached is not None:
-        return cached
-    comp = _compiled(layout, schedule)
-
-    records: list[dict] = []
-    for slot in range(comp.n_slots):
-        step, stab, idx, direction = comp.slot_meta[slot]
-        k = step - 2
-        pos = slot - comp.slot_offsets[k]
-        c = int(comp.cnot_ctrl[k][pos])
-        t = int(comp.cnot_tgt[k][pos])
+    comp = _compiled(layout.d)
+    if comp.faults is not None:
+        return comp.faults
+    nd, nz, nx, c = layout.n_data, layout.n_z, layout.n_x, comp.n_slots
+    n = 15 * c + 8 * nd + nz + nx
+    noise = {
+        "idle_x": np.zeros((n, 1, 4, nd), dtype=bool),
+        "idle_z": np.zeros((n, 1, 4, nd), dtype=bool),
+        "occ": np.zeros((n, 1, c), dtype=bool),
+        "kk": np.zeros((n, 1, c), dtype=np.uint8),
+        "flip_z": np.zeros((n, 1, nz), dtype=bool),
+        "flip_x": np.zeros((n, 1, nx), dtype=bool),
+    }
+    sites: list[tuple] = []  # (kind, rate_kind, step, site, pauli) per row
+    for slot, (step, stab, idx, direction) in enumerate(comp.slot_meta):
         for pi, pauli in enumerate(TWO_QUBIT_PAULIS):
-            bits = []
-            if comp.xc[pi]:
-                bits.append((c, 0))
-            if comp.zc[pi]:
-                bits.append((c, 1))
-            if comp.xt[pi]:
-                bits.append((t, 0))
-            if comp.zt[pi]:
-                bits.append((t, 1))
-            records.append(dict(
-                kind="cnot", rate_kind="p2", step=step,
-                site=(stab, idx, direction), pauli=pauli, bits=bits, flip=None,
-            ))
+            noise["occ"][len(sites), 0, slot] = True
+            noise["kk"][len(sites), 0, slot] = pi
+            sites.append(("cnot", "p2", step, (stab, idx, direction), pauli))
     for slot_k, step in enumerate(IDLE_STEPS):
-        for di in range(layout.n_data):
-            q = int(layout.data_ids[di])
-            records.append(dict(
-                kind="idle", rate_kind="idle_x", step=step,
-                site=("data", di, slot_k), pauli="x", bits=[(q, 0)], flip=None,
-            ))
-            records.append(dict(
-                kind="idle", rate_kind="idle_z", step=step,
-                site=("data", di, slot_k), pauli="z", bits=[(q, 1)], flip=None,
-            ))
-    for stab, count, rk in (("z", layout.n_z, "flip_x"), ("x", layout.n_x, "flip_z")):
+        for di in range(nd):
+            for pauli in ("x", "z"):
+                noise[f"idle_{pauli}"][len(sites), 0, slot_k, di] = True
+                sites.append(("idle", f"idle_{pauli}", step, ("data", di, slot_k), pauli))
+    # Z-stabilizer outcomes are flipped at rate p0x, X-stabilizer ones at p0z.
+    for stab, count, rate_kind in (("z", nz, "flip_x"), ("x", nx, "flip_z")):
         for idx in range(count):
-            records.append(dict(
-                kind="flip", rate_kind=rk, step=7,
-                site=(stab, idx), pauli="flip", bits=[], flip=(stab, idx),
-            ))
+            noise[f"flip_{stab}"][len(sites), 0, idx] = True
+            sites.append(("flip", rate_kind, 7, (stab, idx), "flip"))
 
-    n = len(records)
-    frames = [np.zeros((n, layout.n_qubits), dtype=bool) for _ in range(2)]
-    inject_by_step: dict[int, list[tuple[int, list]]] = {}
-    for row, rec in enumerate(records):
-        if rec["bits"]:
-            inject_by_step.setdefault(rec["step"], []).append((row, rec["bits"]))
-
-    out_z = np.zeros((n, 3, layout.n_z), dtype=bool)
-    out_x = np.zeros((n, 3, layout.n_x), dtype=bool)
-    for cycle in range(3):
-        _run_cycle(comp, frames[0], frames[1], out_z[:, cycle], out_x[:, cycle],
-                   inject_by_step if cycle == 0 else None)
-    for row, rec in enumerate(records):
-        if rec["flip"] is not None:
-            stab, idx = rec["flip"]
-            (out_z if stab == "z" else out_x)[row, 0, idx] ^= True
-
-    ev_x = out_z.copy()
-    ev_x[:, 1:] ^= out_z[:, :-1]
-    ev_z = out_x.copy()
-    ev_z[:, 1:] ^= out_x[:, :-1]
-
-    flips_x = np.logical_xor.reduce(frames[0][:, layout.logical_z_ids], axis=1)
-    flips_z = np.logical_xor.reduce(frames[1][:, layout.logical_x_ids], axis=1)
-
+    det_x, det_z, flips_x, flips_z = _simulate_batch(comp, noise, tail=2)
     faults = []
-    for row, rec in enumerate(records):
-        evx = tuple((int(s), int(t)) for t, s in np.argwhere(ev_x[row]))
-        evz = tuple((int(s), int(t)) for t, s in np.argwhere(ev_z[row]))
+    for row, (kind, rate_kind, step, site, pauli) in enumerate(sites):
+        evx = tuple((int(s), int(t)) for t, s in np.argwhere(det_x[row]))
+        evz = tuple((int(s), int(t)) for t, s in np.argwhere(det_z[row]))
         for events in (evx, evz):
             if len(events) > 2 or any(t > 1 for _, t in events):
-                raise RuntimeError(f"fault {rec['site']} {rec['pauli']} produced {events}")
+                raise RuntimeError(f"fault {site} {pauli} produced {events}")
         if (flips_x[row] or flips_z[row]) and not (evx or evz):
-            raise RuntimeError(f"undetected logical fault at {rec['site']}")
+            raise RuntimeError(f"undetected logical fault at {site}")
         faults.append(FaultEffect(
-            kind=rec["kind"], rate_kind=rec["rate_kind"], step=rec["step"],
-            site=rec["site"], pauli=rec["pauli"],
+            kind=kind, rate_kind=rate_kind, step=step, site=site, pauli=pauli,
             events_x=evx, events_z=evz,
             flip_x=bool(flips_x[row]), flip_z=bool(flips_z[row]),
         ))
-    result = tuple(faults)
-    _fault_cache[layout.d] = result
-    return result
+    comp.faults = tuple(faults)
+    return comp.faults
 
 
-def _run_cycle(comp, fx, fz, meas_z, meas_x, inject_by_step=None, noise=None, t=None):
-    """Advance frames through one noiseless cycle, recording outcome flips.
+def _run_cycle(comp, fx, fz, meas_z, meas_x, noise, t):
+    """Advance frames through one extraction cycle, recording outcome flips.
 
-    ``inject_by_step`` applies explicit fault bits (enumeration); ``noise``
-    applies pre-drawn random flips (Monte Carlo).  Exactly one may be given.
+    The eight schedule steps run in their fixed order.  With ``noise``
+    (arrays laid out as by _draw_noise), the flips of cycle ``t`` strike
+    after the faulty operation: data idle flips at steps 0, 1, 6 and 7, a
+    two-qubit Pauli after each CNOT, and classical flips on the recorded
+    outcomes.  With ``noise`` None the cycle is noiseless.
     """
     layout = comp.layout
     data = layout.data_ids
@@ -436,12 +389,6 @@ def _run_cycle(comp, fx, fz, meas_z, meas_x, inject_by_step=None, noise=None, t=
             fx[:, data] ^= noise["idle_x"][:, t, slot]
             fz[:, data] ^= noise["idle_z"][:, t, slot]
 
-    def inject(step):
-        if inject_by_step is not None:
-            for row, bits in inject_by_step.get(step, ()):
-                for q, axis in bits:
-                    (fx if axis == 0 else fz)[row, q] ^= True
-
     def swap_had():
         tmp = fx[:, xsyn].copy()
         fx[:, xsyn] = fz[:, xsyn]
@@ -451,11 +398,9 @@ def _run_cycle(comp, fx, fz, meas_z, meas_x, inject_by_step=None, noise=None, t=
     fx[:, syn] = False
     fz[:, syn] = False
     idle(0)
-    inject(0)
     # step 1: Hadamard on X syndromes, data idle slot 1
     swap_had()
     idle(1)
-    inject(1)
     # steps 2..5: CNOT sweeps
     for k in range(4):
         c = comp.cnot_ctrl[k]
@@ -470,14 +415,11 @@ def _run_cycle(comp, fx, fz, meas_z, meas_x, inject_by_step=None, noise=None, t=
             fz[:, c] = fz[:, c] ^ (occ & comp.zc[kk])
             fx[:, tg] = fx[:, tg] ^ (occ & comp.xt[kk])
             fz[:, tg] = fz[:, tg] ^ (occ & comp.zt[kk])
-        inject(2 + k)
     # step 6: second Hadamard, data idle slot 2
     swap_had()
     idle(2)
-    inject(6)
     # step 7: data idle slot 3, measurement
     idle(3)
-    inject(7)
     meas_z[:] = fx[:, layout.zsyn_ids]
     meas_x[:] = fx[:, xsyn]
     if noise is not None:
@@ -554,24 +496,28 @@ def _draw_noise(seed: int, shot_indices: range, R: int, comp: _Compiled, rates: 
     }
 
 
-def _simulate_batch(comp: _Compiled, rates: Rates, R: int, seed: int, shots: range):
-    """Run a batch of shots; returns detection events and actual logical flips."""
+def _simulate_batch(comp: _Compiled, noise: dict, tail: int):
+    """Propagate a batch of noise realizations from clean frames.
+
+    ``noise`` holds one row per realization of R noisy cycles, laid out as
+    by _draw_noise (R is the second axis of each array); ``tail`` noiseless
+    cycles follow, so that every error chain terminates in a detection event
+    or the boundary.  Returns the detection events of each of the R + tail
+    cycles, (row, cycle, site) per graph, and the actual logical flips of
+    the residual frames.
+    """
     layout = comp.layout
-    b = len(shots)
-    noise = _draw_noise(seed, shots, R, comp, rates)
+    b, R = noise["occ"].shape[:2]
     fx = np.zeros((b, layout.n_qubits), dtype=bool)
     fz = np.zeros((b, layout.n_qubits), dtype=bool)
-    det_x = np.zeros((b, R + 1, layout.n_z), dtype=bool)
-    det_z = np.zeros((b, R + 1, layout.n_x), dtype=bool)
+    det_x = np.zeros((b, R + tail, layout.n_z), dtype=bool)
+    det_z = np.zeros((b, R + tail, layout.n_x), dtype=bool)
     prev_z = np.zeros((b, layout.n_z), dtype=bool)
     prev_x = np.zeros((b, layout.n_x), dtype=bool)
     out_z = np.empty_like(prev_z)
     out_x = np.empty_like(prev_x)
-    for t in range(R + 1):
-        if t < R:
-            _run_cycle(comp, fx, fz, out_z, out_x, noise=noise, t=t)
-        else:
-            _run_cycle(comp, fx, fz, out_z, out_x)  # final noiseless readout
+    for t in range(R + tail):
+        _run_cycle(comp, fx, fz, out_z, out_x, noise if t < R else None, t)
         det_x[:, t] = out_z ^ prev_z
         det_z[:, t] = out_x ^ prev_x
         prev_z, out_z = out_z, prev_z
@@ -587,7 +533,6 @@ def run_monte_carlo(
     shots: int,
     rounds: int,
     seed: int,
-    schedule: CycleSchedule | None = None,
     *,
     graphs=None,
     batch_size: int = 256,
@@ -608,7 +553,7 @@ def run_monte_carlo(
         raise ValueError("shots must be >= 0 and rounds >= 1")
     if seed < 0:
         raise ValueError("seed must be a non-negative integer")
-    comp = _compiled(layout, schedule)
+    comp = _compiled(layout.d)
     if graphs is None:
         from . import matcher
 
@@ -625,7 +570,7 @@ def run_monte_carlo(
         b = min(batch_size, shots - done)
         lo = first_shot_index + done
         det_x, det_z, actual_x, actual_z = _simulate_batch(
-            comp, rates, rounds, seed, range(lo, lo + b)
+            comp, _draw_noise(seed, range(lo, lo + b), rounds, comp, rates), tail=1
         )
         for row in range(b):
             for det, graph, actual, which in (

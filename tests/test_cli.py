@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import polyest
 from conftest import build_bench_db
 from polyest.cli import main
 from polyest.error_model import depolarizing_model, load_model, reduce
@@ -370,3 +374,16 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("polyest ")
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    # Only the blossom branch of the decoder needs networkx; queries must not
+    # pay for importing it.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(polyest.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, polyest.cli; print('networkx' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -15,7 +15,7 @@ from polyest.matcher import (
     min_weight_perfect_matching,
     solve_matching,
 )
-from polyest.surface_sim import Rates, enumerate_single_faults, get_layout
+from polyest.surface_sim import FaultEffect, Rates, enumerate_single_faults, get_layout
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +188,19 @@ def test_edge_probabilities_accumulate_across_faults():
         p, w, _ = graph_x.edges[(s, s, 1)]
         assert p > 1e-3
         assert w == -math.log(p)
+
+
+@pytest.mark.parametrize("events", [((0, 0), (1, 0)), ((2, 0),)])
+def test_contributors_disagreeing_on_the_logical_flip_are_rejected(events):
+    # An edge or boundary class has one mask bit, so every fault feeding it
+    # must flip the logical qubit alike.
+    faults = [
+        FaultEffect(kind="idle", rate_kind="idle_x", step=0, site=("data", i, 0),
+                    pauli="x", events_x=events, events_z=(), flip_x=flip, flip_z=False)
+        for i, flip in enumerate((False, True))
+    ]
+    with pytest.raises(RuntimeError):
+        build_graphs(faults, Rates(0, 0, 1e-3, 1e-3, 0), get_layout(3))
 
 
 def test_dump_edge_classes_shape():

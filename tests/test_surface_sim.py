@@ -6,10 +6,10 @@ from polyest.surface_sim import (
     DIRECTIONS,
     IDLE_STEPS,
     STEP_NAMES,
+    Layout,
     LayoutError,
     Rates,
     SimResult,
-    build_layout,
     build_schedule,
     enumerate_single_faults,
     get_layout,
@@ -46,7 +46,7 @@ def test_layout_neighbors_are_data_qubits(d):
 @pytest.mark.parametrize("bad", [2, 1, 0, -3, 3.0, "3", True])
 def test_layout_rejects_bad_distance(bad):
     with pytest.raises(LayoutError):
-        build_layout(bad)
+        Layout(bad)
 
 
 @pytest.mark.parametrize("d", [3, 4])
@@ -103,11 +103,11 @@ def test_fault_probabilities_follow_rate_kinds():
         assert f.probability(rates) == expected[f.rate_kind]
 
 
-@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
 def test_every_single_fault_matches_scalar_oracle(d):
     layout = get_layout(d)
     schedule = build_schedule(layout)
-    for fault in enumerate_single_faults(layout, schedule):
+    for fault in enumerate_single_faults(layout):
         injections, flips = fault_injection(layout, schedule, fault)
         events_x, events_z, flip_x, flip_z = footprint(
             layout, schedule, injections, flips
@@ -124,7 +124,7 @@ def test_multi_fault_footprints_combine_linearly(seed):
     d = 3 if seed % 3 else 4
     layout = get_layout(d)
     schedule = build_schedule(layout)
-    faults = enumerate_single_faults(layout, schedule)
+    faults = enumerate_single_faults(layout)
     picks = rng.choice(len(faults), size=int(rng.integers(2, 7)), replace=False)
 
     injections, flips = [], []
