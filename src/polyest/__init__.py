@@ -8,120 +8,4 @@ rates of this hardware at distance d, and what distance does it need to
 reach a target rate.
 """
 
-from .error_model import (
-    FlipChannel,
-    GateErrorModel,
-    ModelError,
-    ReducedRates,
-    SingleQubitChannel,
-    TwoQubitChannel,
-    depolarizing_model,
-    load_model,
-    model_from_dict,
-    model_to_dict,
-    reduce,
-)
-from .estimator import (
-    AboveThresholdError,
-    ComputationError,
-    Estimate,
-    ExtrapolationFit,
-    MissingEntryError,
-    ScanLimitError,
-    UndefinedRatioError,
-    estimate,
-    evaluate,
-    fit,
-    interpolate,
-    solve_distance,
-)
-from .matcher import (
-    Matching,
-    MatchingError,
-    MatchingGraph,
-    apply_correction,
-    build_graphs,
-    min_weight_perfect_matching,
-    solve_matching,
-)
-from .ratedb import (
-    AXES,
-    DISTANCES,
-    DbEntry,
-    DbError,
-    GridSpec,
-    LadderBracket,
-    RateDatabase,
-    format_value,
-    generate,
-    ladder_neighbors,
-    ladder_values,
-)
-from .surface_sim import (
-    CycleSchedule,
-    FaultEffect,
-    Layout,
-    LayoutError,
-    Rates,
-    SimResult,
-    build_schedule,
-    enumerate_single_faults,
-    get_layout,
-    run_monte_carlo,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AXES",
-    "AboveThresholdError",
-    "ComputationError",
-    "CycleSchedule",
-    "DISTANCES",
-    "DbEntry",
-    "DbError",
-    "Estimate",
-    "ExtrapolationFit",
-    "FaultEffect",
-    "FlipChannel",
-    "GateErrorModel",
-    "GridSpec",
-    "LadderBracket",
-    "Layout",
-    "LayoutError",
-    "Matching",
-    "MatchingError",
-    "MatchingGraph",
-    "MissingEntryError",
-    "ModelError",
-    "RateDatabase",
-    "Rates",
-    "ReducedRates",
-    "ScanLimitError",
-    "SimResult",
-    "SingleQubitChannel",
-    "TwoQubitChannel",
-    "UndefinedRatioError",
-    "apply_correction",
-    "build_graphs",
-    "build_schedule",
-    "depolarizing_model",
-    "enumerate_single_faults",
-    "estimate",
-    "evaluate",
-    "fit",
-    "format_value",
-    "generate",
-    "get_layout",
-    "interpolate",
-    "ladder_neighbors",
-    "ladder_values",
-    "load_model",
-    "min_weight_perfect_matching",
-    "model_from_dict",
-    "model_to_dict",
-    "reduce",
-    "run_monte_carlo",
-    "solve_distance",
-    "solve_matching",
-]

@@ -30,6 +30,7 @@ from .error_model import ModelError, load_model, reduce
 from .estimator import (
     ComputationError,
     MissingEntryError,
+    _KindQuery,
     estimate,
     interpolate,
     solve_distance,
@@ -38,6 +39,7 @@ from .matcher import build_graphs, dump_edge_classes
 from .ratedb import (
     AXES,
     DISTANCES,
+    LOW_CONFIDENCE_FAILS,
     DbError,
     GridSpec,
     RateDatabase,
@@ -51,7 +53,7 @@ DB_ENV_VAR = "POLYEST_DB"
 
 _WARNING_TEXT = {
     "clamped": "query clamped to the database axis range",
-    "low_confidence": "a database entry carries fewer than 100 failures",
+    "low_confidence": f"a database entry carries fewer than {LOW_CONFIDENCE_FAILS} failures",
     "asymmetric_cnot": "cnot channel asymmetry exceeds the threshold; rates were balanced",
     "above_threshold": "rates do not decrease with distance",
 }
@@ -221,16 +223,12 @@ def _cmd_curve(args) -> int:
     if args.model and (args.r0 is not None or args.r1 is not None):
         raise _UsageError("give either --model or explicit --r0/--r1, not both")
     if args.model:
-        rr = reduce(load_model(args.model))
-        p0 = rr.p0x if args.kind == "x" else rr.p0z
-        p1 = rr.p1x if args.kind == "x" else rr.p1z
-        p2 = rr.p2x if args.kind == "x" else rr.p2z
-        if p2 == 0.0:
+        query = _KindQuery(reduce(load_model(args.model)), args.kind)
+        if query.trivial:
             raise ComputationError(
                 "model has zero p2; the ratio axes are undefined for a curve"
             )
-        r0 = p0 / p2
-        r1 = p1 / p2
+        r0, r1 = query.r0, query.r1
     else:
         r0 = args.r0 if args.r0 is not None else 1.0
         r1 = args.r1 if args.r1 is not None else 1.0

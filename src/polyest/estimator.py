@@ -175,7 +175,7 @@ class Estimate:
 
 
 class _KindQuery:
-    """Per-kind ratio bookkeeping shared by estimate and solve_distance."""
+    """Per-kind ratios and rates shared by estimate, solve_distance and curve."""
 
     def __init__(self, rr: ReducedRates, kind: str):
         self.kind = kind
@@ -199,17 +199,13 @@ class _KindQuery:
         self._fit: ExtrapolationFit | None = None
 
     def direct(self, db, d: int, warnings: set[str]) -> float:
-        if self.trivial:
-            return 0.0
         if d not in self._direct:
             self._direct[d] = interpolate(
                 db, d, self.r0, self.r1, self.p2, self.kind, warnings
             )
         return self._direct[d]
 
-    def fitted(self, db, warnings: set[str]) -> ExtrapolationFit | None:
-        if self.trivial:
-            return None
+    def fitted(self, db, warnings: set[str]) -> ExtrapolationFit:
         if self._fit is None:
             self._fit = fit(*(self.direct(db, dd, warnings) for dd in DISTANCES))
         return self._fit
@@ -219,12 +215,36 @@ class _KindQuery:
             return 0.0
         if d <= 6:
             return self.direct(db, d, warnings)
-        f = self.fitted(db, warnings)
-        if f.above_threshold:
-            raise AboveThresholdError(
-                "rates do not decrease with distance (ratio >= 1); cannot extrapolate"
+        return evaluate(self.fitted(db, warnings), d)
+
+
+def _first_meeting(
+    db: RateDatabase,
+    model: GateErrorModel,
+    distances,
+    target: float,
+    asymmetry_threshold: float,
+) -> Estimate | None:
+    """Estimate at the first of ``distances`` whose X and Z rates reach target."""
+    rr = reduce(model, asymmetry_threshold=asymmetry_threshold)
+    warnings: set[str] = set()
+    if rr.asymmetry_warning:
+        warnings.add("asymmetric_cnot")
+    query_x, query_z = _KindQuery(rr, "x"), _KindQuery(rr, "z")
+    for d in distances:
+        p_xl = query_x.at(db, d, warnings)
+        p_zl = query_z.at(db, d, warnings)
+        if p_xl <= target and p_zl <= target:
+            return Estimate(
+                d=d,
+                p_xl=p_xl,
+                p_zl=p_zl,
+                warnings=tuple(sorted(warnings)),
+                rates=rr,
+                fit_x=query_x._fit,
+                fit_z=query_z._fit,
             )
-        return evaluate(f, d)
+    return None
 
 
 def estimate(
@@ -237,21 +257,7 @@ def estimate(
     """Logical X and Z rates of a detailed error model at one distance."""
     if not isinstance(d, int) or isinstance(d, bool) or d < 3:
         raise ValueError(f"distance must be an integer >= 3, got {d!r}")
-    rr = reduce(model, asymmetry_threshold=asymmetry_threshold)
-    warnings: set[str] = set()
-    if rr.asymmetry_warning:
-        warnings.add("asymmetric_cnot")
-    queries = {kind: _KindQuery(rr, kind) for kind in ("x", "z")}
-    values = {kind: q.at(db, d, warnings) for kind, q in queries.items()}
-    return Estimate(
-        d=d,
-        p_xl=values["x"],
-        p_zl=values["z"],
-        warnings=tuple(sorted(warnings)),
-        rates=rr,
-        fit_x=queries["x"]._fit,
-        fit_z=queries["z"]._fit,
-    )
+    return _first_meeting(db, model, (d,), math.inf, asymmetry_threshold)
 
 
 def solve_distance(
@@ -270,23 +276,11 @@ def solve_distance(
     """
     if not isinstance(target, float) or not 0.0 < target < 1.0:
         raise ValueError(f"target rate must be a float in (0, 1), got {target!r}")
-    rr = reduce(model, asymmetry_threshold=asymmetry_threshold)
-    warnings: set[str] = set()
-    if rr.asymmetry_warning:
-        warnings.add("asymmetric_cnot")
-    queries = {kind: _KindQuery(rr, kind) for kind in ("x", "z")}
-    for d in range(3, max_distance + 1):
-        values = {kind: q.at(db, d, warnings) for kind, q in queries.items()}
-        if values["x"] <= target and values["z"] <= target:
-            return Estimate(
-                d=d,
-                p_xl=values["x"],
-                p_zl=values["z"],
-                warnings=tuple(sorted(warnings)),
-                rates=rr,
-                fit_x=queries["x"]._fit,
-                fit_z=queries["z"]._fit,
-            )
-    raise ScanLimitError(
-        f"no distance up to {max_distance} reaches target {target!r}"
+    result = _first_meeting(
+        db, model, range(3, max_distance + 1), target, asymmetry_threshold
     )
+    if result is None:
+        raise ScanLimitError(
+            f"no distance up to {max_distance} reaches target {target!r}"
+        )
+    return result

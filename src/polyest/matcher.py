@@ -19,7 +19,9 @@ Decoding a syndrome:
 
 * pairwise distances come from Dijkstra tables computed once per graph on a
   time-translation-invariant window, giving D[a][b][dt] plus path masks, and
-  per-site boundary distances B[s];
+  per-site boundary distances B[s], shortest paths to any boundary class in
+  the site graph with time offsets dropped (every round reaches the boundary
+  alike, so no window is needed);
 * the effective pair weight is min(direct, B[a] + B[b]); pairs where no
   direct path can beat two boundary routes never need to be matched to each
   other, which splits the events into independent clusters;
@@ -145,29 +147,13 @@ class MatchingGraph:
         return dist, mask
 
     def _compute_boundary(self) -> None:
-        adj = self._adjacency()
-        if not self.boundary:
-            self.B = np.full(self.n_sites, np.inf)
-            self.BM = np.zeros(self.n_sites, dtype=bool)
-            return
-        half = 8
-        while True:
-            rows = 2 * half + 1
-            seeds = []
-            for s in sorted(self.boundary):
-                _, w, m = self.boundary[s]
-                seeds.extend((w, r, s, m) for r in range(rows))
-            dist, mask = self._dijkstra(adj, half, seeds)
-            mid = dist[half]
-            stable = all(
-                np.all((dist[half + off] == mid) | (np.isinf(dist[half + off]) & np.isinf(mid)))
-                for off in (-1, 1)
-            )
-            if stable or half >= 128:
-                self.B = mid.copy()
-                self.BM = mask[half].copy()
-                return
-            half *= 2
+        # The boundary is reachable from every round and the graph is
+        # invariant under shifts in time, so a site's boundary distance is
+        # its shortest path in the site graph with the time offsets dropped.
+        adj = [[(s2, 0, w, m) for s2, _, w, m in row] for row in self._adjacency()]
+        seeds = [(w, 0, s, m) for s, (_, w, m) in sorted(self.boundary.items())]
+        dist, mask = self._dijkstra(adj, 0, seeds)
+        self.B, self.BM = dist[0], mask[0]
 
     def _compute_t_safe(self) -> None:
         w1 = min((w for (_, _, dt), (_, w, _) in self.edges.items() if dt == 1), default=None)

@@ -26,7 +26,13 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .surface_sim import Rates, enumerate_single_faults, get_layout, run_monte_carlo
+from .surface_sim import (
+    LOW_CONFIDENCE_FAILS,
+    Rates,
+    enumerate_single_faults,
+    get_layout,
+    run_monte_carlo,
+)
 
 LADDER_MANTISSAS = (1, 2, 5)
 AXES: dict[str, tuple[float, float]] = {
@@ -35,7 +41,6 @@ AXES: dict[str, tuple[float, float]] = {
     "p2": (1e-4, 0.02),
 }
 DISTANCES = (3, 4, 5, 6)
-LOW_CONFIDENCE_FAILS = 100
 
 CSV_HEADER = "d,r0,r1,p2,shots,rounds,fails_x,fails_z,p_xl,p_zl,low_confidence"
 

@@ -54,6 +54,8 @@ DIRECTIONS = ("n", "w", "e", "s")
 _OFFSETS = {"n": (-1, 0), "w": (0, -1), "e": (0, 1), "s": (1, 0)}
 # Schedule step index of each data idle slot, in injection order.
 IDLE_STEPS = (0, 1, 6, 7)
+# A run with fewer failures than this of either kind is flagged low-confidence.
+LOW_CONFIDENCE_FAILS = 100
 
 
 class LayoutError(ValueError):
@@ -454,7 +456,7 @@ class SimResult:
 
     @property
     def low_confidence(self) -> bool:
-        return self.fails_x < 100 or self.fails_z < 100
+        return self.fails_x < LOW_CONFIDENCE_FAILS or self.fails_z < LOW_CONFIDENCE_FAILS
 
     def merged(self, other: "SimResult") -> "SimResult":
         if other.rounds != self.rounds:

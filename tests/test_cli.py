@@ -360,6 +360,30 @@ def test_curve_model_and_ratios_conflict(capsys, curve_db, model_file):
     assert "not both" in err
 
 
+@pytest.mark.parametrize("kind", ["x", "z"])
+def test_curve_model_prints_the_curve_of_its_ratios(capsys, bench_file, model_file, kind):
+    rr = reduce(load_model(model_file))
+    p0, p1, p2 = (getattr(rr, f"{name}{kind}") for name in ("p0", "p1", "p2"))
+    sweep = ("curve", "--db", bench_file, "--kind", kind, "--p2-min", "1e-3", "--p2-max", "1e-3")
+    by_model = run(capsys, *sweep, "--model", model_file)
+    by_ratios = run(capsys, *sweep, "--r0", repr(p0 / p2), "--r1", repr(p1 / p2))
+    assert by_model[0] == 0
+    assert len(by_model[1].splitlines()) == 2
+    assert by_model == by_ratios
+
+
+@pytest.mark.parametrize(
+    "model", [{"depolarizing": 0.0}, {"meas": {"flip": 1e-3}}], ids=["all_zero", "flips_only"]
+)
+def test_curve_model_with_zero_p2_is_exit_2(capsys, tmp_path, curve_db, model):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    code, out, err = run(capsys, "curve", "--db", curve_db, "--model", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_curve_kind_z(capsys, curve_db):
     code, out, _ = run(
         capsys, "curve", "--db", curve_db, "--kind", "z",
@@ -376,13 +400,18 @@ def test_version_flag(capsys):
     assert capsys.readouterr().out.startswith("polyest ")
 
 
-def test_cli_import_leaves_networkx_unloaded():
-    # Only the blossom branch of the decoder needs networkx; queries must not
-    # pay for importing it.
+@pytest.mark.parametrize("module, heavy", [
+    ("polyest.cli", "networkx"),
+    ("polyest.error_model", "numpy"),
+])
+def test_cli_import_leaves_networkx_unloaded(module, heavy):
+    # Only the blossom branch of the decoder needs networkx, and reduction
+    # needs neither numpy nor the simulation stack; importing a module must
+    # not pay for what it does not use.
     src = os.path.dirname(os.path.dirname(os.path.abspath(polyest.__file__)))
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, polyest.cli; print('networkx' in sys.modules)"],
+         f"import sys, {module}; print({heavy!r} in sys.modules)"],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, check=True,
     )

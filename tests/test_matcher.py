@@ -305,6 +305,18 @@ def test_decoder_total_weight_matches_brute_force(draw):
             assert sorted(decoded) == sorted(events)
 
 
+def test_boundary_distances_match_expanded_graph():
+    # At d = 4 the centre column is equally far from both boundaries.
+    for d in (3, 4):
+        layout = get_layout(d)
+        faults = enumerate_single_faults(layout)
+        for rates in _RATE_DRAWS:
+            for graph in build_graphs(faults, rates, layout):
+                graph.prepare(0)
+                expected = OracleTables(graph, 0)._boundary
+                assert list(graph.B) == expected, (d, rates, graph.kind)
+
+
 def test_decoder_is_deterministic_across_rebuilds():
     events = [(0, 0), (3, 2), (4, 2), (5, 7)]
     results = []
