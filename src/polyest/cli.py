@@ -222,8 +222,12 @@ def _cmd_curve(args) -> int:
     db = _open_db(args)
     if args.model and (args.r0 is not None or args.r1 is not None):
         raise _UsageError("give either --model or explicit --r0/--r1, not both")
+    warnings: set[str] = set()
     if args.model:
-        query = _KindQuery(reduce(load_model(args.model)), args.kind)
+        rr = reduce(load_model(args.model))
+        if rr.asymmetry_warning:
+            warnings.add("asymmetric_cnot")
+        query = _KindQuery(rr, args.kind)
         if query.trivial:
             raise ComputationError(
                 "model has zero p2; the ratio axes are undefined for a curve"
@@ -236,7 +240,6 @@ def _cmd_curve(args) -> int:
     lo = max(args.p2_min, axis_lo)
     hi = min(args.p2_max, axis_hi)
     print("p2," + ",".join(f"d{d}" for d in DISTANCES))
-    warnings: set[str] = set()
     if lo <= hi:
         for p2 in ladder_values(lo, hi):
             try:

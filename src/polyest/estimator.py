@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .error_model import GateErrorModel, ReducedRates, reduce
-from .ratedb import DISTANCES, RateDatabase, format_value, ladder_neighbors
+from .ratedb import AXES, DISTANCES, RateDatabase, format_value, ladder_neighbors
 
 MAX_SCAN_DISTANCE = 1001
 
@@ -59,6 +59,12 @@ class ScanLimitError(ComputationError):
 
 
 def _axis_corners(value: float, axis: str, warnings: set[str]) -> list[tuple[float, float]]:
+    if value == 0.0 and axis != "p2":
+        # A zero ratio (a model without idle, or without preparation and
+        # measurement noise) lies below the axis like any small ratio.  A
+        # zero p2 is not clamped: _KindQuery answers it without the database.
+        value = AXES[axis][0]
+        warnings.add("clamped")
     bracket = ladder_neighbors(value, axis)
     if bracket.clamped:
         warnings.add("clamped")

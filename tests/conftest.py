@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from polyest.ratedb import DbEntry, RateDatabase
@@ -16,6 +18,16 @@ def build_bench_db():
     for d, px in BENCH_X.items():
         for r0 in (2.0, 5.0):
             db.add(DbEntry.seeded(d, r0, 1.0, 1e-3, px, BENCH_Z[d]))
+    return db
+
+
+def build_flat_db(r0s, r1s, p2s):
+    # Every entry at one distance holds that distance's benchmark rates, so
+    # any query inside the grid interpolates between equal corners.
+    db = RateDatabase(metadata={"source": "seeded-flat"})
+    for d, px in BENCH_X.items():
+        for r0, r1, p2 in product(r0s, r1s, p2s):
+            db.add(DbEntry.seeded(d, r0, r1, p2, px, BENCH_Z[d]))
     return db
 
 

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import polyest
-from conftest import build_bench_db
+from conftest import build_bench_db, build_flat_db
 from polyest.cli import main
 from polyest.error_model import depolarizing_model, load_model, reduce
 from polyest.ratedb import DbEntry, RateDatabase
@@ -372,6 +372,29 @@ def test_curve_model_prints_the_curve_of_its_ratios(capsys, bench_file, model_fi
     assert by_model == by_ratios
 
 
+def test_curve_model_warns_on_asymmetric_cnot_like_estimate(capsys, tmp_path):
+    # The model's CNOT is lopsided (ix against xi), and it has no idle noise,
+    # so its r1 of zero is clamped; curve reports both as estimate does.
+    model = tmp_path / "asym.json"
+    model.write_text(json.dumps({
+        "cnot": {"ix": 1e-3, "xi": 1e-5, "iz": 1e-3, "zi": 1e-3}, "meas": {"flip": 1e-3},
+    }))
+    db = tmp_path / "flat.csv"
+    build_flat_db((0.2, 0.5), (0.01,), (2e-3, 5e-3)).save(db)
+    code, _, expected = run(
+        capsys, "estimate", "--db", str(db), "--model", str(model), "--distance", "5",
+    )
+    assert code == 0
+    assert expected.startswith("warning: asymmetric_cnot: ")
+    code, out, err = run(
+        capsys, "curve", "--db", str(db), "--model", str(model),
+        "--p2-min", "2e-3", "--p2-max", "2e-3",
+    )
+    assert code == 0
+    assert len(out.splitlines()) == 2
+    assert err == expected
+
+
 @pytest.mark.parametrize(
     "model", [{"depolarizing": 0.0}, {"meas": {"flip": 1e-3}}], ids=["all_zero", "flips_only"]
 )
@@ -400,18 +423,24 @@ def test_version_flag(capsys):
     assert capsys.readouterr().out.startswith("polyest ")
 
 
-@pytest.mark.parametrize("module, heavy", [
-    ("polyest.cli", "networkx"),
-    ("polyest.error_model", "numpy"),
+@pytest.mark.parametrize("module, heavy, then", [
+    pytest.param("polyest.cli", "networkx", "", id="polyest.cli-networkx"),
+    pytest.param("polyest.error_model", "numpy", "", id="polyest.error_model-numpy"),
+    pytest.param(
+        "polyest.surface_sim", "networkx",
+        "polyest.surface_sim.run_monte_carlo("
+        "polyest.surface_sim.get_layout(3), (2e-2,) * 5, 64, 3, seed=1)",
+        id="run_monte_carlo-networkx",
+    ),
 ])
-def test_cli_import_leaves_networkx_unloaded(module, heavy):
-    # Only the blossom branch of the decoder needs networkx, and reduction
-    # needs neither numpy nor the simulation stack; importing a module must
-    # not pay for what it does not use.
+def test_cli_import_leaves_networkx_unloaded(module, heavy, then):
+    # Decoding, blossom clusters included, runs on the in-repo matcher, and
+    # reduction needs neither numpy nor the simulation stack; importing or
+    # running a module must not pay for what it does not use.
     src = os.path.dirname(os.path.dirname(os.path.abspath(polyest.__file__)))
     out = subprocess.run(
         [sys.executable, "-c",
-         f"import sys, {module}; print({heavy!r} in sys.modules)"],
+         f"import sys, {module}\n{then}\nprint({heavy!r} in sys.modules)"],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, check=True,
     )

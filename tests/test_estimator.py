@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import BENCH_X, BENCH_Z
+from conftest import BENCH_X, BENCH_Z, build_flat_db
 from polyest.error_model import (
     GateErrorModel,
     SingleQubitChannel,
     depolarizing_model,
+    model_from_dict,
 )
 from polyest.estimator import (
     AboveThresholdError,
@@ -246,6 +247,28 @@ def test_solve_distance_validation(bench_db):
 def test_solve_distance_scan_limit(bench_db):
     with pytest.raises(ScanLimitError):
         solve_distance(bench_db, depolarizing_model(1e-3), 1e-20, max_distance=20)
+
+
+_CNOT = {label: 1e-3 for label in ("ix", "xi", "xx", "iz", "zi", "zz")}
+
+
+@pytest.mark.parametrize("model", [
+    {"cnot": _CNOT, "meas": {"flip": 2e-3}},
+    {"cnot": _CNOT, "id_meas": {"px": 1e-3, "pz": 1e-3}},
+], ids=["no_idle_r1_zero", "no_flips_r0_zero"])
+def test_zero_ratio_is_clamped_to_the_axis_minimum(model):
+    # r0 = p0/p2 and r1 = p1/p2 are zero for a model without outcome flips
+    # or without idle noise; a zero ratio lies below the axis like any
+    # small one, so the query reads the axis minimum and is flagged.
+    db = build_flat_db((0.01, 0.5, 1.0), (0.01, 0.1), (2e-3, 5e-3))
+    model = model_from_dict(model)
+    result = estimate(db, model, 5)
+    assert result.p_xl == pytest.approx(BENCH_X[5], rel=1e-12)
+    assert result.p_zl == pytest.approx(BENCH_Z[5], rel=1e-12)
+    assert result.warnings == ("clamped",)
+    solved = solve_distance(db, model, 2e-4)
+    assert solved.d == 5
+    assert solved.warnings == ("clamped",)
 
 
 def test_solve_distance_above_threshold():

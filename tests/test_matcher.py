@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyest.matcher import (
     Matching,
@@ -324,3 +326,142 @@ def test_decoder_is_deterministic_across_rebuilds():
         graph_x, _ = _graphs(Rates(2e-3, 2e-3, 2e-3, 2e-3, 8e-3))
         results.append(min_weight_perfect_matching(graph_x, events))
     assert results[0] == results[1]
+
+
+# ---------------------------------------------------------------------------
+# Clusters above the brute-force range against networkx's blossom
+# ---------------------------------------------------------------------------
+
+
+def _networkx_total(W, B):
+    """Reference total: networkx on the complete event/boundary-twin graph.
+
+    Every event pair gets an edge at min(direct, two boundary legs) and every
+    twin pair a free edge; minimization maps to maximum-cardinality
+    max-weight matching with weights flipped against a constant.  Returns
+    None where no perfect matching exists.
+    """
+    nx = pytest.importorskip("networkx")
+    n = len(B)
+    eff = {
+        (i, j): min(W[i, j], B[i] + B[j]) for i in range(n) for j in range(i + 1, n)
+    }
+    finite = [w for w in list(B) + list(eff.values()) if math.isfinite(w)]
+    big = max(finite) + 1.0
+    g = nx.Graph()
+    g.add_nodes_from(("e", i) for i in range(n))
+    g.add_nodes_from(("v", i) for i in range(n))
+    for i in range(n):
+        if math.isfinite(B[i]):
+            g.add_edge(("e", i), ("v", i), weight=big - B[i])
+    for (i, j), w in eff.items():
+        if math.isfinite(w):
+            g.add_edge(("e", i), ("e", j), weight=big - w)
+        g.add_edge(("v", i), ("v", j), weight=big)
+    matching = nx.max_weight_matching(g, maxcardinality=True)
+    if len(matching) != n:
+        return None
+    chosen = []
+    for (ku, a), (kv, b) in matching:
+        if ku == kv == "e":
+            i, j = min(a, b), max(a, b)
+            chosen.extend([W[i, j]] if W[i, j] <= B[i] + B[j] else [B[i], B[j]])
+        elif ku != kv:
+            chosen.append(B[a if ku == "e" else b])
+    return math.fsum(sorted(chosen))
+
+
+def _synthetic_instance(rng, n):
+    # Events in a 6x6x6 box: pair weights grow with distance, boundary
+    # weights with the distance to the nearer wall.  Weights are multiples of
+    # 1/2, so equal-weight optima are common; some instances cut pair routes
+    # or close boundary routes (all of them, in some).
+    pos = rng.integers(0, 6, size=(n, 3))
+    W = (np.abs(pos[:, None, :] - pos[None, :, :]).sum(-1) + 1) * rng.choice([0.5, 1.0, 1.5])
+    B = np.minimum(pos[:, 0], 5 - pos[:, 0]) + 1.0
+    cut = np.triu(rng.random((n, n)) < rng.choice([0.0, 0.2]), 1)
+    W[cut | cut.T] = math.inf
+    np.fill_diagonal(W, math.inf)
+    B[rng.random(n) < rng.choice([0.0, 0.3, 1.0])] = math.inf
+    return W, B
+
+
+def _largest_cluster(W, B):
+    # size of the largest component under "a direct pair beats two boundary
+    # legs", the relation solve_matching splits clusters by
+    linked = W < B[:, None] + B[None, :]
+    seen, best = set(), 0
+    for start in range(len(B)):
+        if start in seen:
+            continue
+        seen.add(start)
+        stack, size = [start], 0
+        while stack:
+            i = stack.pop()
+            size += 1
+            for j in np.flatnonzero(linked[i]).tolist():
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        best = max(best, size)
+    return best
+
+
+def _check_cover(atoms, total, W, B):
+    covered = [i for atom in atoms for i in atom[1:]]
+    assert sorted(covered) == list(range(len(B)))
+    chosen = [W[a[1], a[2]] if a[0] == "pair" else B[a[1]] for a in atoms]
+    assert all(math.isfinite(w) for w in chosen)
+    assert total == math.fsum(sorted(chosen))
+
+
+def test_large_clusters_match_networkx():
+    rng = np.random.default_rng(2026)
+    large = infeasible = 0
+    for _ in range(80):
+        n = int(rng.integers(11, 61))
+        W, B = _synthetic_instance(rng, n)
+        large += _largest_cluster(W, B) > 10
+        expected = _networkx_total(W, B)
+        if expected is None:
+            infeasible += 1
+            with pytest.raises(MatchingError):
+                solve_matching(W, B)
+            continue
+        atoms, total = solve_matching(W, B)
+        assert total == expected, (n, W.tolist(), B.tolist())
+        _check_cover(atoms, total, W, B)
+    assert large >= 60 and infeasible >= 4
+
+
+_WEIGHTS = st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, math.inf])
+
+
+@st.composite
+def _matching_inputs(draw):
+    n = draw(st.integers(3, 14))
+    W = np.full((n, n), math.inf)
+    for i in range(n):
+        for j in range(i + 1, n):
+            W[i, j] = W[j, i] = draw(_WEIGHTS)
+    B = np.array([draw(_WEIGHTS) for _ in range(n)])
+    return W, B, draw(st.permutations(range(n)))
+
+
+def _total_or_none(W, B):
+    try:
+        return solve_matching(W, B)[1]
+    except MatchingError:
+        return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matching_inputs())
+def test_total_is_bounded_and_permutation_invariant(inputs):
+    W, B, perm = inputs
+    total = _total_or_none(W, B)
+    if np.isfinite(B).all():
+        assert total is not None
+        assert total <= math.fsum(sorted(B))
+    p = np.array(perm)
+    assert _total_or_none(W[np.ix_(p, p)], B[p]) == total
