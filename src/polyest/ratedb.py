@@ -366,16 +366,21 @@ class GridSpec:
         unknown = set(data) - {"distances", "r0", "r1", "p2"}
         if unknown:
             raise DbError(f"unknown grid spec keys: {sorted(unknown)}")
+        for key in ("distances", "r0", "r1", "p2"):
+            if key not in data:
+                raise DbError(f"grid spec missing key {key!r}")
+            if not isinstance(data[key], list):
+                raise DbError(f"grid spec {key} must be an array, got {data[key]!r}")
+        distances = data["distances"]
+        if any(not isinstance(d, int) or isinstance(d, bool) for d in distances):
+            raise DbError(f"grid spec distances must be integers, got {distances!r}")
         try:
-            distances = tuple(sorted(set(int(d) for d in data["distances"])))
             return cls(
-                distances=distances,
+                distances=tuple(sorted(set(distances))),
                 r0_values=_axis_tuple("r0", data["r0"]),
                 r1_values=_axis_tuple("r1", data["r1"]),
                 p2_values=_axis_tuple("p2", data["p2"]),
             )
-        except KeyError as err:
-            raise DbError(f"grid spec missing key {err.args[0]!r}") from None
         except TypeError as err:
             raise DbError(f"bad grid spec: {err}") from None
 
@@ -445,6 +450,8 @@ def generate(
     """
     if seed < 0:
         raise DbError("seed must be non-negative")
+    if max_shots < 1:
+        raise DbError(f"max_shots must be positive, got {max_shots}")
     note = progress or (lambda msg: None)
     added: list[tuple] = []
     skipped: list[tuple] = []

@@ -1,4 +1,4 @@
-"""Planar surface code lattice, extraction schedule and Pauli-frame Monte Carlo.
+"""Planar surface code lattice, extraction cycle and Pauli-frame Monte Carlo.
 
 Lattice convention, on a (2d-1) x (2d-1) grid of rows i (0 = north edge) and
 columns j (0 = west edge):
@@ -17,7 +17,9 @@ Z-stabilizer circuits use the data qubit as CNOT control, X-stabilizer
 circuits the syndrome qubit.  A missing neighbor leaves an identity of CNOT
 duration in the slot.  Because every syndrome reaches in the same compass
 direction per step, each data qubit meets its adjacent syndromes in the
-complementary order and no qubit is touched twice in one step.
+complementary order and no qubit is touched twice in one step.  _Compiled
+(the CNOT slots) and _run_cycle (the step order) are the one definition of
+this cycle.
 
 The Monte Carlo tracks X/Z Pauli frames only (CNOT propagates control-X onto
 the target and target-Z onto the control; Hadamard exchanges the two bits).
@@ -46,20 +48,18 @@ from .error_model import TWO_QUBIT_PAULIS
 
 Coord = tuple[int, int]
 
-STEP_NAMES = (
-    "syn_init", "syn_had1", "cnot_n", "cnot_w", "cnot_e", "cnot_s",
-    "syn_had2", "syn_meas",
-)
 DIRECTIONS = ("n", "w", "e", "s")
 _OFFSETS = {"n": (-1, 0), "w": (0, -1), "e": (0, 1), "s": (1, 0)}
-# Schedule step index of each data idle slot, in injection order.
+# Cycle step index of each data idle slot, in injection order.
 IDLE_STEPS = (0, 1, 6, 7)
 # A run with fewer failures than this of either kind is flagged low-confidence.
 LOW_CONFIDENCE_FAILS = 100
+# Shots whose noise is drawn and propagated together in run_monte_carlo.
+_BATCH_SHOTS = 256
 
 
 class LayoutError(ValueError):
-    """Raised for invalid code distances or malformed schedules."""
+    """Raised for invalid code distances or a qubit given two CNOTs in one step."""
 
 
 class Rates(NamedTuple):
@@ -141,122 +141,41 @@ def get_layout(d: int) -> Layout:
     return _compiled(d).layout
 
 
-@dataclass(frozen=True)
-class ScheduleStep:
-    name: str
-    ops: tuple[tuple[str, tuple[int, ...]], ...]
-
-
-@dataclass(frozen=True)
-class CycleSchedule:
-    steps: tuple[ScheduleStep, ...]
-
-
-def build_schedule(layout: Layout) -> CycleSchedule:
-    """The eight-step extraction cycle as explicit (gate, qubits) operations.
-
-    Idle paddings are emitted for every quiescent qubit so that the
-    one-op-per-qubit-per-step invariant is checkable on the schedule itself.
-    """
-    qid = layout.qubit_id
-    z_ids = [qid[c] for c in layout.z_stabs]
-    x_ids = [qid[c] for c in layout.x_stabs]
-    data_ids = [qid[c] for c in layout.data]
-
-    steps: list[ScheduleStep] = []
-    steps.append(ScheduleStep("syn_init", tuple(
-        [("init", (q,)) for q in z_ids + x_ids]
-        + [("id_init", (q,)) for q in data_ids]
-    )))
-    steps.append(ScheduleStep("syn_had1", tuple(
-        [("h", (q,)) for q in x_ids]
-        + [("id_had", (q,)) for q in z_ids]
-        + [("id_had", (q,)) for q in data_ids]
-    )))
-    for k, direction in enumerate(DIRECTIONS):
-        ops: list[tuple[str, tuple[int, ...]]] = []
-        busy: set[int] = set()
-        for stab, nbrs, syn in (
-            ("z", layout.z_neighbors, layout.z_stabs),
-            ("x", layout.x_neighbors, layout.x_stabs),
-        ):
-            for idx, coord in enumerate(syn):
-                nbr = nbrs[idx][k]
-                s = qid[coord]
-                if nbr is None:
-                    ops.append(("id_cnot", (s,)))
-                    busy.add(s)
-                    continue
-                q = qid[nbr]
-                # Z-stabilizer circuits: data controls; X-stabilizer: syndrome.
-                pair = (q, s) if stab == "z" else (s, q)
-                ops.append(("cnot", pair))
-                busy.update(pair)
-        for q in data_ids:
-            if q not in busy:
-                ops.append(("id_cnot", (q,)))
-        steps.append(ScheduleStep(f"cnot_{direction}", tuple(ops)))
-    steps.append(ScheduleStep("syn_had2", tuple(
-        [("h", (q,)) for q in x_ids]
-        + [("id_had", (q,)) for q in z_ids]
-        + [("id_had", (q,)) for q in data_ids]
-    )))
-    steps.append(ScheduleStep("syn_meas", tuple(
-        [("meas", (q,)) for q in z_ids + x_ids]
-        + [("id_meas", (q,)) for q in data_ids]
-    )))
-
-    schedule = CycleSchedule(tuple(steps))
-    _check_schedule(layout, schedule)
-    return schedule
-
-
-def _check_schedule(layout: Layout, schedule: CycleSchedule) -> None:
-    if tuple(s.name for s in schedule.steps) != STEP_NAMES:
-        raise LayoutError("schedule steps out of order")
-    for step in schedule.steps:
-        seen: set[int] = set()
-        for _, qubits in step.ops:
-            for q in qubits:
-                if q in seen:
-                    raise LayoutError(f"qubit {q} appears twice in step {step.name}")
-                seen.add(q)
-        if len(seen) != layout.n_qubits:
-            raise LayoutError(f"step {step.name} does not cover every qubit")
-
-
 class _Compiled:
     """Everything the simulator keeps per distance, cached by _compiled.
 
-    Holds the layout, the CNOT index arrays extracted from its schedule and,
-    once enumerated, the single-fault table.
+    Holds the layout, the CNOT slots of the four CNOT steps and, once
+    enumerated, the single-fault table.  The slots of each step are built
+    from the stabilizer neighbors in that step's direction, Z stabilizers
+    first, then X stabilizers.
     """
 
     def __init__(self, d: int):
         self.layout = layout = Layout(d)
-        schedule = build_schedule(layout)
         self.faults: tuple[FaultEffect, ...] | None = None
-        syn_to_stab = {}
-        for idx, coord in enumerate(layout.z_stabs):
-            syn_to_stab[layout.qubit_id[coord]] = ("z", idx)
-        for idx, coord in enumerate(layout.x_stabs):
-            syn_to_stab[layout.qubit_id[coord]] = ("x", idx)
-
+        qid = layout.qubit_id
         self.cnot_ctrl: list[np.ndarray] = []
         self.cnot_tgt: list[np.ndarray] = []
         self.slot_meta: list[tuple[int, str, int, str]] = []  # (step, stab type, stab idx, direction)
         self.slot_offsets = [0]
-        for k in range(4):
-            step = schedule.steps[2 + k]
+        for k, direction in enumerate(DIRECTIONS):
             ctrl, tgt = [], []
-            for gate, qubits in step.ops:
-                if gate != "cnot":
-                    continue
-                c, t = qubits
-                ctrl.append(c)
-                tgt.append(t)
-                stab, idx = syn_to_stab[t if t in syn_to_stab else c]
-                self.slot_meta.append((2 + k, stab, idx, DIRECTIONS[k]))
+            for stab, coords, nbrs in (
+                ("z", layout.z_stabs, layout.z_neighbors),
+                ("x", layout.x_stabs, layout.x_neighbors),
+            ):
+                for idx, coord in enumerate(coords):
+                    nbr = nbrs[idx][k]
+                    if nbr is None:
+                        continue
+                    s, q = qid[coord], qid[nbr]
+                    # Z-stabilizer circuits: data controls; X-stabilizer: syndrome.
+                    c, t = (q, s) if stab == "z" else (s, q)
+                    ctrl.append(c)
+                    tgt.append(t)
+                    self.slot_meta.append((2 + k, stab, idx, direction))
+            if len(set(ctrl + tgt)) != 2 * len(ctrl):
+                raise LayoutError(f"a qubit takes two CNOTs in step cnot_{direction}")
             self.cnot_ctrl.append(np.array(ctrl))
             self.cnot_tgt.append(np.array(tgt))
             self.slot_offsets.append(len(self.slot_meta))
@@ -267,6 +186,25 @@ class _Compiled:
         self.zc = np.array([p[0] in "yz" for p in TWO_QUBIT_PAULIS])
         self.xt = np.array([p[1] in "xy" for p in TWO_QUBIT_PAULIS])
         self.zt = np.array([p[1] in "yz" for p in TWO_QUBIT_PAULIS])
+
+    def noise_arrays(self, b: int, R: int) -> dict:
+        """Zeroed noise for ``b`` realizations of ``R`` noisy cycles.
+
+        The one noise layout _run_cycle reads, per realization and cycle: X
+        and Z flips of the data qubits at each of the four idle slots, an
+        occurrence flag and a TWO_QUBIT_PAULIS index per CNOT slot, and the
+        outcome flips of the Z- and X-stabilizer measurements.
+        """
+        layout = self.layout
+        nd, c = layout.n_data, self.n_slots
+        return {
+            "idle_x": np.zeros((b, R, 4, nd), dtype=bool),
+            "idle_z": np.zeros((b, R, 4, nd), dtype=bool),
+            "occ": np.zeros((b, R, c), dtype=bool),
+            "kk": np.zeros((b, R, c), dtype=np.uint8),
+            "flip_z": np.zeros((b, R, layout.n_z), dtype=bool),
+            "flip_x": np.zeros((b, R, layout.n_x), dtype=bool),
+        }
 
 
 _cache: dict[int, _Compiled] = {}
@@ -317,25 +255,17 @@ def enumerate_single_faults(layout: Layout) -> tuple[FaultEffect, ...]:
     """Propagate every elementary fault of one cycle in isolation.
 
     Each fault becomes a one-hot noise realization of a single noisy cycle,
-    laid out exactly as _draw_noise lays out Monte Carlo noise, and runs
-    through the Monte Carlo's own simulator followed by two noiseless cycles.
-    Residual data errors are static after the faulty cycle, so all detection
-    events land within a one-round offset (checked).  The table is computed
-    once per distance.
+    in the _Compiled.noise_arrays layout that Monte Carlo noise also uses,
+    and runs through the Monte Carlo's own simulator followed by two
+    noiseless cycles.  Residual data errors are static after the faulty
+    cycle, so all detection events land within a one-round offset
+    (checked).  The table is computed once per distance.
     """
     comp = _compiled(layout.d)
     if comp.faults is not None:
         return comp.faults
-    nd, nz, nx, c = layout.n_data, layout.n_z, layout.n_x, comp.n_slots
-    n = 15 * c + 8 * nd + nz + nx
-    noise = {
-        "idle_x": np.zeros((n, 1, 4, nd), dtype=bool),
-        "idle_z": np.zeros((n, 1, 4, nd), dtype=bool),
-        "occ": np.zeros((n, 1, c), dtype=bool),
-        "kk": np.zeros((n, 1, c), dtype=np.uint8),
-        "flip_z": np.zeros((n, 1, nz), dtype=bool),
-        "flip_x": np.zeros((n, 1, nx), dtype=bool),
-    }
+    nd, nz, nx = layout.n_data, layout.n_z, layout.n_x
+    noise = comp.noise_arrays(15 * comp.n_slots + 8 * nd + nz + nx, 1)
     sites: list[tuple] = []  # (kind, rate_kind, step, site, pauli) per row
     for slot, (step, stab, idx, direction) in enumerate(comp.slot_meta):
         for pi, pauli in enumerate(TWO_QUBIT_PAULIS):
@@ -375,11 +305,11 @@ def enumerate_single_faults(layout: Layout) -> tuple[FaultEffect, ...]:
 def _run_cycle(comp, fx, fz, meas_z, meas_x, noise, t):
     """Advance frames through one extraction cycle, recording outcome flips.
 
-    The eight schedule steps run in their fixed order.  With ``noise``
-    (arrays laid out as by _draw_noise), the flips of cycle ``t`` strike
-    after the faulty operation: data idle flips at steps 0, 1, 6 and 7, a
-    two-qubit Pauli after each CNOT, and classical flips on the recorded
-    outcomes.  With ``noise`` None the cycle is noiseless.
+    The eight steps of the module docstring run in order.  With ``noise``
+    (arrays laid out by _Compiled.noise_arrays), the flips of cycle ``t``
+    strike after the faulty operation: data idle flips at steps 0, 1, 6 and
+    7, a two-qubit Pauli after each CNOT, and classical flips on the
+    recorded outcomes.  With ``noise`` None the cycle is noiseless.
     """
     layout = comp.layout
     data = layout.data_ids
@@ -481,30 +411,26 @@ def _draw_noise(seed: int, shot_indices: range, R: int, comp: _Compiled, rates: 
     nd, c, nz, nx = layout.n_data, comp.n_slots, layout.n_z, layout.n_x
     tx = 2.0 * rates.p1x / 3.0
     tz = 2.0 * rates.p1z / 3.0
-    idle_x, idle_z, occ, kk, flip_z, flip_x = [], [], [], [], [], []
-    for shot in shot_indices:
+    noise = comp.noise_arrays(len(shot_indices), R)
+    for row, shot in enumerate(shot_indices):
         g = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, shot))))
-        idle_x.append(g.random((R, 4, nd)) < tx)
-        idle_z.append(g.random((R, 4, nd)) < tz)
-        occ.append(g.random((R, c)) < rates.p2)
-        kk.append(g.integers(0, 15, size=(R, c), dtype=np.uint8))
+        noise["idle_x"][row] = g.random((R, 4, nd)) < tx
+        noise["idle_z"][row] = g.random((R, 4, nd)) < tz
+        noise["occ"][row] = g.random((R, c)) < rates.p2
+        noise["kk"][row] = g.integers(0, 15, size=(R, c), dtype=np.uint8)
         flips = g.random((R, nz + nx))
-        flip_z.append(flips[:, :nz] < rates.p0x)
-        flip_x.append(flips[:, nz:] < rates.p0z)
-    return {
-        "idle_x": np.stack(idle_x), "idle_z": np.stack(idle_z),
-        "occ": np.stack(occ), "kk": np.stack(kk),
-        "flip_z": np.stack(flip_z), "flip_x": np.stack(flip_x),
-    }
+        noise["flip_z"][row] = flips[:, :nz] < rates.p0x
+        noise["flip_x"][row] = flips[:, nz:] < rates.p0z
+    return noise
 
 
 def _simulate_batch(comp: _Compiled, noise: dict, tail: int):
     """Propagate a batch of noise realizations from clean frames.
 
-    ``noise`` holds one row per realization of R noisy cycles, laid out as
-    by _draw_noise (R is the second axis of each array); ``tail`` noiseless
-    cycles follow, so that every error chain terminates in a detection event
-    or the boundary.  Returns the detection events of each of the R + tail
+    ``noise`` holds one row per realization of R noisy cycles, laid out by
+    _Compiled.noise_arrays (R is the second axis of each array); ``tail``
+    noiseless cycles follow, so that every error chain terminates in a
+    detection event or the boundary.  Returns the detection events of each of the R + tail
     cycles, (row, cycle, site) per graph, and the actual logical flips of
     the residual frames.
     """
@@ -537,7 +463,6 @@ def run_monte_carlo(
     seed: int,
     *,
     graphs=None,
-    batch_size: int = 256,
     first_shot_index: int = 0,
 ) -> SimResult:
     """Estimate per-round logical X/Z failure rates by direct simulation.
@@ -545,9 +470,10 @@ def run_monte_carlo(
     Each shot runs ``rounds`` noisy cycles plus one noiseless readout round,
     decodes both detection graphs by minimum-weight perfect matching, and
     counts a type-A failure when the correction parity disagrees with the
-    accumulated frame parity across the logical-A reference cut.  Results are
-    bit-identical for fixed (seed, shot range, rounds) regardless of
-    ``batch_size``.
+    accumulated frame parity across the logical-A reference cut.  Shot i
+    draws from its own substream of ``seed``, so a run split into chunks
+    through ``first_shot_index`` and joined with SimResult.merged gives the
+    counts of the whole run.
     """
     rates = Rates(*rates)
     rates.validate()
@@ -569,7 +495,7 @@ def run_monte_carlo(
     fails_x = fails_z = 0
     done = 0
     while done < shots:
-        b = min(batch_size, shots - done)
+        b = min(_BATCH_SHOTS, shots - done)
         lo = first_shot_index + done
         det_x, det_z, actual_x, actual_z = _simulate_batch(
             comp, _draw_noise(seed, range(lo, lo + b), rounds, comp, rates), tail=1

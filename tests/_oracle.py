@@ -1,13 +1,48 @@
 """Scalar reference propagator used to cross-check the vectorized simulator.
 
-Walks the declarative schedule one operation at a time with set-based Pauli
-frames, no numpy and no shared propagation code, so agreement with the
-package's batched implementation is meaningful.  Injections are Pauli bits
-applied after a given step of a given cycle, mirroring the convention that
-errors strike after the faulty operation.
+Builds its own extraction circuit from the layout's qubit coordinates (its
+own compass offsets, none of the package's neighbor lists or CNOT arrays)
+and walks it one operation at a time with set-based Pauli frames, no numpy
+and no shared propagation code, so agreement with the package's batched
+implementation checks the package's circuit as well as its propagation.
+Injections are Pauli bits applied after a given step of a given cycle,
+mirroring the convention that errors strike after the faulty operation.
 """
 
 from __future__ import annotations
+
+import functools
+
+# Where a syndrome reaches in each of the four CNOT steps (steps 2..5).
+_REACH = {"n": (-1, 0), "w": (0, -1), "e": (0, 1), "s": (1, 0)}
+
+
+@functools.cache
+def cycle_ops(layout):
+    """The eight steps of one cycle as tuples of (gate, qubits) operations.
+
+    Steps: syndrome init, Hadamard on X syndromes, CNOTs towards N, W, E, S,
+    second Hadamard, syndrome measurement.  A Z-stabilizer CNOT has the data
+    qubit as control, an X-stabilizer CNOT the syndrome.  Idle qubits get no
+    operation.
+    """
+    qid = layout.qubit_id
+    data = set(layout.data)
+    z_ids = [qid[c] for c in layout.z_stabs]
+    x_ids = [qid[c] for c in layout.x_stabs]
+    hadamards = [("h", (q,)) for q in x_ids]
+    steps = [[("init", (q,)) for q in z_ids + x_ids], hadamards]
+    for di, dj in _REACH.values():
+        ops = []
+        for stabs, z_type in ((layout.z_stabs, True), (layout.x_stabs, False)):
+            for i, j in stabs:
+                nbr = (i + di, j + dj)
+                if nbr in data:
+                    s, q = qid[(i, j)], qid[nbr]
+                    ops.append(("cnot", (q, s) if z_type else (s, q)))
+        steps.append(ops)
+    steps += [hadamards, [("meas", (q,)) for q in z_ids + x_ids]]
+    return tuple(tuple(ops) for ops in steps)
 
 
 def _toggle(frame: set, q: int) -> None:
@@ -17,7 +52,7 @@ def _toggle(frame: set, q: int) -> None:
         frame.add(q)
 
 
-def propagate(layout, schedule, injections, cycles=3):
+def propagate(layout, injections, cycles=3):
     """Run ``cycles`` noiseless cycles with explicit fault injections.
 
     ``injections`` is a list of (cycle, step_index, bits) with bits a list of
@@ -25,13 +60,14 @@ def propagate(layout, schedule, injections, cycles=3):
     z_frame): outcomes[c] maps syndrome qubit id to the measured flip of
     cycle c, the frames are the residual data error supports.
     """
+    steps = cycle_ops(layout)
     x: set[int] = set()
     z: set[int] = set()
     outcomes = []
     for c in range(cycles):
         cycle_out: dict[int, bool] = {}
-        for k, step in enumerate(schedule.steps):
-            for gate, qubits in step.ops:
+        for k, ops in enumerate(steps):
+            for gate, qubits in ops:
                 if gate == "init":
                     x.discard(qubits[0])
                     z.discard(qubits[0])
@@ -56,7 +92,7 @@ def propagate(layout, schedule, injections, cycles=3):
     return outcomes, x, z
 
 
-def footprint(layout, schedule, injections, outcome_flips=(), cycles=3):
+def footprint(layout, injections, outcome_flips=(), cycles=3):
     """Detection events and logical flips for a set of injected fault bits.
 
     ``outcome_flips`` lists (cycle, syndrome_qubit_id) classical flips.
@@ -64,7 +100,7 @@ def footprint(layout, schedule, injections, outcome_flips=(), cycles=3):
     conventions: events_x on Z-stabilizer indices, events_z on X-stabilizer
     indices, rounds relative to cycle 0.
     """
-    outcomes, x, z = propagate(layout, schedule, injections, cycles)
+    outcomes, x, z = propagate(layout, injections, cycles)
     for cyc, q in outcome_flips:
         outcomes[cyc][q] = not outcomes[cyc][q]
     z_ids = [layout.qubit_id[c] for c in layout.z_stabs]
@@ -84,12 +120,11 @@ def footprint(layout, schedule, injections, outcome_flips=(), cycles=3):
     return sorted(events_x), sorted(events_z), flip_x, flip_z
 
 
-def fault_injection(layout, schedule, fault):
+def fault_injection(layout, fault):
     """Translate a package FaultEffect site back into oracle injections.
 
     Returns (injections, outcome_flips) reproducing the same physical fault,
-    derived from the schedule's own operation list rather than the package's
-    compiled arrays.
+    derived from cycle_ops rather than the package's compiled arrays.
     """
     if fault.kind == "flip":
         stab, idx = fault.site
@@ -101,14 +136,14 @@ def fault_injection(layout, schedule, fault):
         q = layout.qubit_id[layout.data[data_idx]]
         return [(0, step, [(q, fault.pauli)])], []
     stab, idx, direction = fault.site
-    step = 2 + ("n", "w", "e", "s").index(direction)
+    step = 2 + list(_REACH).index(direction)
     coords = (layout.z_stabs if stab == "z" else layout.x_stabs)[idx]
     syn = layout.qubit_id[coords]
     ctrl = tgt = None
-    for gate, qubits in schedule.steps[step].ops:
+    for gate, qubits in cycle_ops(layout)[step]:
         if gate == "cnot" and syn in qubits:
             ctrl, tgt = qubits
-    assert ctrl is not None, "fault site not found in schedule"
+    assert ctrl is not None, "fault site not found in the oracle's circuit"
     bits = []
     c_letter, t_letter = fault.pauli
     if c_letter in "xy":

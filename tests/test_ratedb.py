@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from polyest import ratedb
 from polyest.ratedb import (
     AXES,
     CSV_HEADER,
@@ -266,6 +267,16 @@ def test_grid_from_dict():
         GridSpec.from_dict({"distances": [3], "r0": [], "r1": [1], "p2": [1e-3]})
 
 
+@pytest.mark.parametrize("spec", [
+    {"distances": [3.9, 5.2], "r0": [1], "r1": [1], "p2": [1e-3]},
+    {"distances": "36", "r0": [1], "r1": [1], "p2": [1e-3]},
+    {"distances": [3], "r0": "1", "r1": [1], "p2": [1e-3]},
+], ids=["float_distances", "string_distances", "string_axis"])
+def test_grid_from_dict_rejects_malformed_specs(spec):
+    with pytest.raises(DbError):
+        GridSpec.from_dict(spec)
+
+
 def test_choose_rounds_bounds():
     assert choose_rounds(3, 0.0) == 30
     assert choose_rounds(3, 1e-9) == 30
@@ -317,3 +328,13 @@ def test_generate_skips_present_and_impossible_points():
 def test_generate_rejects_negative_seed():
     with pytest.raises(DbError):
         generate(RateDatabase(), _TINY, seed=-1)
+
+
+@pytest.mark.parametrize("max_shots", [0, -1])
+def test_generate_rejects_nonpositive_max_shots_before_simulating(monkeypatch, max_shots):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("run_monte_carlo called")
+
+    monkeypatch.setattr(ratedb, "run_monte_carlo", no_simulation)
+    with pytest.raises(DbError, match="max_shots"):
+        generate(RateDatabase(), _TINY, seed=1, max_shots=max_shots)

@@ -1,16 +1,17 @@
+import functools
+import hashlib
+
 import numpy as np
 import pytest
 
 from _oracle import fault_injection, footprint
+from polyest import surface_sim
 from polyest.surface_sim import (
-    DIRECTIONS,
     IDLE_STEPS,
-    STEP_NAMES,
     Layout,
     LayoutError,
     Rates,
     SimResult,
-    build_schedule,
     enumerate_single_faults,
     get_layout,
     run_monte_carlo,
@@ -51,27 +52,44 @@ def test_layout_rejects_bad_distance(bad):
 
 @pytest.mark.parametrize("d", [3, 4])
 def test_schedule_structure(d):
-    layout = get_layout(d)
-    schedule = build_schedule(layout)
-    assert tuple(s.name for s in schedule.steps) == STEP_NAMES
+    comp = surface_sim._compiled(d)
+    layout = comp.layout
     assert IDLE_STEPS == (0, 1, 6, 7)
-    for step in schedule.steps:
-        touched = [q for _, qubits in step.ops for q in qubits]
-        assert len(touched) == len(set(touched)) == layout.n_qubits
+    for ctrl, tgt in zip(comp.cnot_ctrl, comp.cnot_tgt):
+        touched = [int(q) for q in (*ctrl, *tgt)]
+        assert len(touched) == len(set(touched))
 
     cnots = [
-        op for k in range(2, 6) for op in schedule.steps[k].ops if op[0] == "cnot"
+        (int(c), int(t))
+        for ctrl, tgt in zip(comp.cnot_ctrl, comp.cnot_tgt)
+        for c, t in zip(ctrl, tgt)
     ]
-    assert len(cnots) == 4 * (d - 1) * (2 * d - 1)
+    assert len(cnots) == comp.n_slots == 4 * (d - 1) * (2 * d - 1)
 
     # orientation: data controls Z-stabilizer circuits, syndrome controls X
     zsyn = set(int(q) for q in layout.zsyn_ids)
     xsyn = set(int(q) for q in layout.xsyn_ids)
-    for _, (c, t) in cnots:
+    for c, t in cnots:
         if t in zsyn:
             assert c < layout.n_data
         else:
             assert c in xsyn and t < layout.n_data
+
+
+_FAULT_TABLE_SHA256 = {
+    3: "6ad1425ae341cfb8037b808ad5cdecb90508ce61333680739eaef473cb10fddb",
+    4: "06d02f71d1c48af192da7f297ed9493825f7284cdba2aa0d63645ed40249d01c",
+    5: "84352ce1bc6ce5e47819bffba6da0de1ca10c75621a141e3d2491714f5888754",
+    6: "5bf0d46c3eec53f8fa559968b087e81838202a4f5886b99b618d010f20cfc2de",
+}
+
+
+@pytest.mark.parametrize("d", sorted(_FAULT_TABLE_SHA256))
+def test_fault_table_is_pinned(d):
+    # The single-fault table (sites, slot order, footprints) defines every
+    # detection graph; any change to the cycle or its slot order shows here.
+    table = repr(enumerate_single_faults(get_layout(d))).encode()
+    assert hashlib.sha256(table).hexdigest() == _FAULT_TABLE_SHA256[d]
 
 
 def test_fault_census_d3():
@@ -106,12 +124,9 @@ def test_fault_probabilities_follow_rate_kinds():
 @pytest.mark.parametrize("d", [3, 4, 5, 6])
 def test_every_single_fault_matches_scalar_oracle(d):
     layout = get_layout(d)
-    schedule = build_schedule(layout)
     for fault in enumerate_single_faults(layout):
-        injections, flips = fault_injection(layout, schedule, fault)
-        events_x, events_z, flip_x, flip_z = footprint(
-            layout, schedule, injections, flips
-        )
+        injections, flips = fault_injection(layout, fault)
+        events_x, events_z, flip_x, flip_z = footprint(layout, injections, flips)
         got = (sorted(fault.events_x), sorted(fault.events_z), fault.flip_x, fault.flip_z)
         assert got == (events_x, events_z, flip_x, flip_z), fault
 
@@ -123,7 +138,6 @@ def test_multi_fault_footprints_combine_linearly(seed):
     rng = np.random.default_rng(seed)
     d = 3 if seed % 3 else 4
     layout = get_layout(d)
-    schedule = build_schedule(layout)
     faults = enumerate_single_faults(layout)
     picks = rng.choice(len(faults), size=int(rng.integers(2, 7)), replace=False)
 
@@ -132,7 +146,7 @@ def test_multi_fault_footprints_combine_linearly(seed):
     want_fx = want_fz = False
     for i in picks:
         fault = faults[i]
-        inj, fl = fault_injection(layout, schedule, fault)
+        inj, fl = fault_injection(layout, fault)
         injections.extend(inj)
         flips.extend(fl)
         want_x ^= set(fault.events_x)
@@ -140,7 +154,7 @@ def test_multi_fault_footprints_combine_linearly(seed):
         want_fx ^= fault.flip_x
         want_fz ^= fault.flip_z
 
-    events_x, events_z, flip_x, flip_z = footprint(layout, schedule, injections, flips)
+    events_x, events_z, flip_x, flip_z = footprint(layout, injections, flips)
     assert events_x == sorted(want_x)
     assert events_z == sorted(want_z)
     assert (flip_x, flip_z) == (want_fx, want_fz)
@@ -228,8 +242,14 @@ def test_monte_carlo_is_deterministic_and_batch_independent():
     layout = get_layout(3)
     rates = Rates(2e-3, 3e-3, 1e-3, 1e-3, 1e-2)
     a = run_monte_carlo(layout, rates, shots=60, rounds=4, seed=11)
-    b = run_monte_carlo(layout, rates, shots=60, rounds=4, seed=11, batch_size=7)
-    assert a == b
+    chunks = [
+        run_monte_carlo(
+            layout, rates, shots=min(7, 60 - lo), rounds=4, seed=11,
+            first_shot_index=lo,
+        )
+        for lo in range(0, 60, 7)
+    ]
+    assert a == functools.reduce(SimResult.merged, chunks)
     assert a.fails_x + a.fails_z > 0  # rates chosen high enough to exercise decoding
 
 
