@@ -35,8 +35,7 @@ from .estimator import (
     interpolate,
     solve_distance,
 )
-from .matcher import build_graphs, dump_edge_classes
-from .ratedb import (
+from .store import (
     AXES,
     DISTANCES,
     LOW_CONFIDENCE_FAILS,
@@ -44,10 +43,8 @@ from .ratedb import (
     GridSpec,
     RateDatabase,
     format_value,
-    generate,
     ladder_values,
 )
-from .surface_sim import Rates, enumerate_single_faults, get_layout, run_monte_carlo
 
 DB_ENV_VAR = "POLYEST_DB"
 
@@ -125,36 +122,28 @@ def _cmd_reduce(args) -> int:
     return 0
 
 
-def _cmd_estimate(args) -> int:
+def _cmd_query(args) -> int:
     db = _open_db(args)
     model = load_model(args.model)
-    result = estimate(
-        db, model, args.distance, asymmetry_threshold=args.asymmetry_threshold
-    )
+    if args.command == "estimate":
+        query, arg = estimate, args.distance
+    else:
+        query, arg = solve_distance, args.target
+    result = query(db, model, arg, asymmetry_threshold=args.asymmetry_threshold)
     _warn(result.warnings)
     if args.json:
         _print_estimate_json(result)
-    else:
+    elif args.command == "estimate":
         print(f"p_xl = {result.p_xl!r}")
         print(f"p_zl = {result.p_zl!r}")
-    return 0
-
-
-def _cmd_solve(args) -> int:
-    db = _open_db(args)
-    model = load_model(args.model)
-    result = solve_distance(
-        db, model, args.target, asymmetry_threshold=args.asymmetry_threshold
-    )
-    _warn(result.warnings)
-    if args.json:
-        _print_estimate_json(result)
     else:
         print(result.d)
     return 0
 
 
 def _cmd_generate(args) -> int:
+    from .ratedb import generate
+
     if args.grid == "full":
         grid = GridSpec.full()
     elif args.grid == "desk":
@@ -189,6 +178,9 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .matcher import build_graphs, dump_edge_classes
+    from .surface_sim import Rates, enumerate_single_faults, get_layout, run_monte_carlo
+
     rates = Rates(
         p0x=args.p0x, p0z=args.p0z, p1x=args.p1x, p1z=args.p1z, p2=args.p2
     )
@@ -255,13 +247,8 @@ def _cmd_curve(args) -> int:
     return 0
 
 
-def _add_model_flag(sub) -> None:
+def _add_model_flags(sub) -> None:
     sub.add_argument("--model", required=True, help="per-gate error model JSON file")
-
-
-def _add_common_estimation(sub) -> None:
-    sub.add_argument("--db", help=f"rate database CSV (default: ${DB_ENV_VAR})")
-    _add_model_flag(sub)
     sub.add_argument(
         "--asymmetry-threshold", type=float, default=2.0,
         help="cnot asymmetry ratio above which a warning is raised (default 2)",
@@ -280,26 +267,23 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("reduce", help="reduce a gate error model to six rates")
-    _add_model_flag(p)
-    p.add_argument(
-        "--asymmetry-threshold", type=float, default=2.0,
-        help="cnot asymmetry ratio above which a warning is raised (default 2)",
-    )
-    p.add_argument("--json", action="store_true", help="emit JSON instead of text")
+    _add_model_flags(p)
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("estimate", help="logical rates at one distance")
-    _add_common_estimation(p)
+    p.add_argument("--db", help=f"rate database CSV (default: ${DB_ENV_VAR})")
+    _add_model_flags(p)
     p.add_argument("--distance", type=int, required=True, help="code distance (>= 3)")
-    p.set_defaults(func=_cmd_estimate)
+    p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser("solve", help="smallest distance reaching a target rate")
-    _add_common_estimation(p)
+    p.add_argument("--db", help=f"rate database CSV (default: ${DB_ENV_VAR})")
+    _add_model_flags(p)
     p.add_argument(
         "--target", type=float, required=True,
         help="target per-round logical rate, e.g. 1e-20",
     )
-    p.set_defaults(func=_cmd_solve)
+    p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser("generate", help="fill or extend a rate database CSV")
     p.add_argument(

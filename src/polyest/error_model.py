@@ -300,15 +300,21 @@ def model_from_dict(data: dict) -> GateErrorModel:
     if unknown:
         raise ModelError(f"unknown model keys: {sorted(unknown)}")
 
-    def flip(key: str) -> FlipChannel:
+    def gate(key: str) -> dict:
         entry = data.get(key, {})
+        if not isinstance(entry, dict):
+            raise ModelError(f"{key} must be a JSON object, got {entry!r}")
+        return entry
+
+    def flip(key: str) -> FlipChannel:
+        entry = gate(key)
         extra = set(entry) - {"flip"}
         if extra:
             raise ModelError(f"unknown {key} keys: {sorted(extra)}")
         return FlipChannel(entry.get("flip", 0.0))
 
     def single(key: str) -> SingleQubitChannel:
-        entry = data.get(key, {})
+        entry = gate(key)
         extra = set(entry) - {"px", "py", "pz"}
         if extra:
             raise ModelError(f"unknown {key} keys: {sorted(extra)}")
@@ -324,7 +330,7 @@ def model_from_dict(data: dict) -> GateErrorModel:
         id_had=single("id_had"),
         id_meas=single("id_meas"),
         id_cnot=single("id_cnot"),
-        cnot=TwoQubitChannel.from_dict(data.get("cnot", {})),
+        cnot=TwoQubitChannel.from_dict(gate("cnot")),
     )
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .error_model import GateErrorModel, ReducedRates, reduce
-from .ratedb import AXES, DISTANCES, RateDatabase, format_value, ladder_neighbors
+from .store import AXES, DISTANCES, RateDatabase, format_value, ladder_neighbors
 
 MAX_SCAN_DISTANCE = 1001
 

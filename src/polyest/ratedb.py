@@ -1,397 +1,22 @@
-"""Logical-rate database: axis ladder, CSV persistence and grid generation.
+"""Rate database generation: fill a RateDatabase by Monte Carlo.
 
-Database entries live on a fixed parameter ladder so that files produced by
-different runs agree on their grid coordinates exactly.  Ladder values are
-1, 2 or 5 times a power of ten; the axes are
-
-* ``r0`` = p0/p2 in [0.01, 200],
-* ``r1`` = p1/p2 in [0.01, 1],
-* ``p2`` in [1e-4, 2e-2],
-
-plus the code distance d in {3, 4, 5, 6}.  Each entry stores the Monte Carlo
-counts it came from together with the derived per-round logical rates, and a
-low-confidence flag set whenever either failure count is below 100.
-
-The CSV format is one header line, one row per entry, with optional leading
-``# key=value`` metadata comments.  Axis values are serialized canonically
-(``0.05``, ``2``, ``200``, ``2e-3``) so a parse/format round trip is
-bit-exact; rates use repr, which round-trips floats exactly.
+Each grid point runs a short pilot to choose its rounds per shot, then
+accumulates shots until both failure counts reach a target or the shot
+budget is spent.  Seeds are derived per point from the master seed, so
+results do not depend on which grid spec includes the point.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
-from .surface_sim import (
-    LOW_CONFIDENCE_FAILS,
-    Rates,
-    enumerate_single_faults,
-    get_layout,
-    run_monte_carlo,
+from .store import (
+    DbEntry, DbError, GridSpec, RateDatabase, format_value, ladder_decompose,
 )
-
-LADDER_MANTISSAS = (1, 2, 5)
-AXES: dict[str, tuple[float, float]] = {
-    "r0": (0.01, 200.0),
-    "r1": (0.01, 1.0),
-    "p2": (1e-4, 0.02),
-}
-DISTANCES = (3, 4, 5, 6)
-
-CSV_HEADER = "d,r0,r1,p2,shots,rounds,fails_x,fails_z,p_xl,p_zl,low_confidence"
-
-
-class DbError(ValueError):
-    """Raised for malformed database files, entries or grid specs."""
-
-
-def ladder_decompose(value: float) -> tuple[int, int] | None:
-    """Return (mantissa, exponent) if value is exactly on the 1-2-5 ladder."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        return None
-    if not math.isfinite(value) or value <= 0.0:
-        return None
-    e0 = round(math.log10(value))
-    for e in range(e0 - 1, e0 + 2):
-        for m in LADDER_MANTISSAS:
-            if float(f"{m}e{e}") == value:
-                return m, e
-    return None
-
-
-def format_value(value: float) -> str:
-    """Canonical axis serialization; requires an exact ladder value."""
-    decomposed = ladder_decompose(value)
-    if decomposed is None:
-        raise DbError(f"{value!r} is not a 1-2-5 ladder value")
-    m, e = decomposed
-    if e >= 0:
-        return str(m * 10 ** e)
-    if e == -1:
-        return f"0.{m}"
-    if e == -2:
-        return f"0.0{m}"
-    return f"{m}e{e}"
-
-
-def ladder_values(lo: float, hi: float) -> list[float]:
-    """All ladder values v with lo <= v <= hi, ascending."""
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo <= 0 or hi < lo:
-        raise DbError(f"invalid ladder range [{lo!r}, {hi!r}]")
-    out = []
-    for e in range(math.floor(math.log10(lo)) - 1, math.ceil(math.log10(hi)) + 2):
-        for m in LADDER_MANTISSAS:
-            v = float(f"{m}e{e}")
-            if lo <= v <= hi:
-                out.append(v)
-    return out
-
-
-# The rungs of every axis in AXES, ascending, built once.
-_AXIS_LADDERS: dict[str, tuple[float, ...]] = {
-    axis: tuple(ladder_values(lo, hi)) for axis, (lo, hi) in AXES.items()
-}
-
-
-class LadderBracket(NamedTuple):
-    low: float
-    high: float
-    clamped: bool
-
-
-SNAP_RELATIVE = 1e-9
-
-
-def ladder_neighbors(value: float, axis: str) -> LadderBracket:
-    """Enclosing ladder bracket for a query on one axis, clamping at the ends.
-
-    A ladder member returns a degenerate bracket (low == high) with clamped
-    False; values beyond the axis range return the nearest end with clamped
-    True.  Values within SNAP_RELATIVE of a member count as that member, so
-    rounding noise in computed rate ratios (for example p1/p2 for a
-    depolarizing model landing one ulp past 1.0) cannot push a grid-point
-    query off its rung or past an axis end.
-    """
-    if axis not in AXES:
-        raise DbError(f"unknown axis {axis!r}")
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise DbError(f"axis value must be a number, got {value!r}")
-    if not math.isfinite(value) or value <= 0.0:
-        raise DbError(f"axis {axis} value must be positive and finite, got {value!r}")
-    values = _AXIS_LADDERS[axis]
-    for v in values:
-        if abs(value - v) <= SNAP_RELATIVE * v:
-            return LadderBracket(v, v, False)
-    if value < values[0]:
-        return LadderBracket(values[0], values[0], True)
-    if value > values[-1]:
-        return LadderBracket(values[-1], values[-1], True)
-    for k, v in enumerate(values):
-        if v > value:
-            return LadderBracket(values[k - 1], v, False)
-    raise AssertionError("unreachable")
-
-
-def _check_axis(name: str, value: float) -> float:
-    if ladder_decompose(value) is None:
-        raise DbError(f"{name}={value!r} is not on the 1-2-5 ladder")
-    lo, hi = AXES[name]
-    if not lo <= value <= hi:
-        raise DbError(f"{name}={value!r} outside axis range [{lo}, {hi}]")
-    return float(value)
-
-
-@dataclass(frozen=True)
-class DbEntry:
-    """One measured grid point.
-
-    Entries built from counts keep p_xl == fails_x / (shots * rounds) exactly
-    (checked); seeded entries, used to install externally known rates, carry
-    shots == 0 and are exempt from the consistency checks.
-    """
-
-    d: int
-    r0: float
-    r1: float
-    p2: float
-    shots: int
-    rounds: int
-    fails_x: int
-    fails_z: int
-    p_xl: float
-    p_zl: float
-    low_confidence: bool
-
-    def __post_init__(self):
-        if self.d not in DISTANCES:
-            raise DbError(f"d={self.d!r} not in {DISTANCES}")
-        for name in ("r0", "r1", "p2"):
-            _check_axis(name, getattr(self, name))
-        for name in ("shots", "rounds", "fails_x", "fails_z"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                raise DbError(f"{name} must be a non-negative integer, got {v!r}")
-        for name in ("p_xl", "p_zl"):
-            v = getattr(self, name)
-            if not isinstance(v, float) or not 0.0 <= v <= 1.0:
-                raise DbError(f"{name} must be a float in [0, 1], got {v!r}")
-        if self.shots > 0:
-            denom = self.shots * self.rounds
-            for name, fails, p in (
-                ("p_xl", self.fails_x, self.p_xl), ("p_zl", self.fails_z, self.p_zl),
-            ):
-                if not math.isclose(p, fails / denom, rel_tol=1e-12, abs_tol=0.0):
-                    raise DbError(f"{name}={p!r} inconsistent with {fails}/{denom}")
-            expected = (
-                self.fails_x < LOW_CONFIDENCE_FAILS or self.fails_z < LOW_CONFIDENCE_FAILS
-            )
-            if self.low_confidence != expected:
-                raise DbError("low_confidence flag inconsistent with failure counts")
-
-    @property
-    def key(self) -> tuple[int, float, float, float]:
-        return (self.d, self.r0, self.r1, self.p2)
-
-    @classmethod
-    def from_counts(cls, d, r0, r1, p2, shots, rounds, fails_x, fails_z) -> "DbEntry":
-        if shots <= 0 or rounds <= 0:
-            raise DbError("from_counts requires positive shots and rounds")
-        denom = shots * rounds
-        return cls(
-            d=d, r0=float(r0), r1=float(r1), p2=float(p2),
-            shots=shots, rounds=rounds, fails_x=fails_x, fails_z=fails_z,
-            p_xl=fails_x / denom, p_zl=fails_z / denom,
-            low_confidence=(
-                fails_x < LOW_CONFIDENCE_FAILS or fails_z < LOW_CONFIDENCE_FAILS
-            ),
-        )
-
-    @classmethod
-    def seeded(cls, d, r0, r1, p2, p_xl, p_zl, low_confidence=False) -> "DbEntry":
-        """Entry holding externally supplied rates instead of measured counts."""
-        return cls(
-            d=d, r0=float(r0), r1=float(r1), p2=float(p2),
-            shots=0, rounds=0, fails_x=0, fails_z=0,
-            p_xl=float(p_xl), p_zl=float(p_zl), low_confidence=low_confidence,
-        )
-
-
-class RateDatabase:
-    """In-memory entry store keyed by (d, r0, r1, p2)."""
-
-    def __init__(self, metadata: dict[str, str] | None = None):
-        self._entries: dict[tuple, DbEntry] = {}
-        self.metadata: dict[str, str] = dict(metadata or {})
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: tuple) -> bool:
-        return key in self._entries
-
-    def add(self, entry: DbEntry, replace: bool = False) -> None:
-        if entry.key in self._entries and not replace:
-            raise DbError(f"duplicate entry for {entry.key}")
-        self._entries[entry.key] = entry
-
-    def get(self, d: int, r0: float, r1: float, p2: float) -> DbEntry | None:
-        return self._entries.get((d, r0, r1, p2))
-
-    def entries(self) -> list[DbEntry]:
-        return [self._entries[k] for k in sorted(self._entries)]
-
-    def save(self, path) -> None:
-        lines = [f"# {k}={self.metadata[k]}" for k in sorted(self.metadata)]
-        lines.append(CSV_HEADER)
-        for e in self.entries():
-            lines.append(",".join([
-                str(e.d), format_value(e.r0), format_value(e.r1), format_value(e.p2),
-                str(e.shots), str(e.rounds), str(e.fails_x), str(e.fails_z),
-                repr(e.p_xl), repr(e.p_zl), "1" if e.low_confidence else "0",
-            ]))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-    @classmethod
-    def load(cls, path) -> "RateDatabase":
-        db = cls()
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read().splitlines()
-        lineno = 0
-        header_seen = False
-        for line in raw:
-            lineno += 1
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                if header_seen:
-                    raise DbError(f"line {lineno}: comment after header")
-                body = line[1:].strip()
-                if "=" in body:
-                    k, _, v = body.partition("=")
-                    db.metadata[k.strip()] = v.strip()
-                continue
-            if not header_seen:
-                if line != CSV_HEADER:
-                    raise DbError(f"line {lineno}: expected header {CSV_HEADER!r}")
-                header_seen = True
-                continue
-            fields = line.split(",")
-            if len(fields) != 11:
-                raise DbError(f"line {lineno}: expected 11 fields, got {len(fields)}")
-            try:
-                entry = DbEntry(
-                    d=int(fields[0]),
-                    r0=float(fields[1]), r1=float(fields[2]), p2=float(fields[3]),
-                    shots=int(fields[4]), rounds=int(fields[5]),
-                    fails_x=int(fields[6]), fails_z=int(fields[7]),
-                    p_xl=float(fields[8]), p_zl=float(fields[9]),
-                    low_confidence=_parse_flag(fields[10], lineno),
-                )
-            except DbError as err:
-                raise DbError(f"line {lineno}: {err}") from None
-            except ValueError as err:
-                raise DbError(f"line {lineno}: {err}") from None
-            if entry.key in db:
-                raise DbError(f"line {lineno}: duplicate entry for {entry.key}")
-            db.add(entry)
-        if not header_seen:
-            raise DbError("missing header line")
-        return db
-
-
-def _parse_flag(text: str, lineno: int) -> bool:
-    if text == "0":
-        return False
-    if text == "1":
-        return True
-    raise DbError(f"low_confidence must be 0 or 1, got {text!r}")
-
-
-def _axis_tuple(name: str, values: Iterable) -> tuple[float, ...]:
-    out = []
-    for v in values:
-        if isinstance(v, str):
-            try:
-                v = float(v)
-            except ValueError:
-                raise DbError(f"bad {name} value {v!r}") from None
-        out.append(_check_axis(name, float(v)))
-    if not out:
-        raise DbError(f"axis {name} has no values")
-    return tuple(sorted(set(out)))
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """The set of (d, r0, r1, p2) points one generation run should cover."""
-
-    distances: tuple[int, ...]
-    r0_values: tuple[float, ...]
-    r1_values: tuple[float, ...]
-    p2_values: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.distances or any(d not in DISTANCES for d in self.distances):
-            raise DbError(f"distances must be a non-empty subset of {DISTANCES}")
-
-    @classmethod
-    def full(cls) -> "GridSpec":
-        """Every ladder point of every axis; the complete published grid."""
-        return cls(
-            distances=DISTANCES,
-            r0_values=_AXIS_LADDERS["r0"],
-            r1_values=_AXIS_LADDERS["r1"],
-            p2_values=_AXIS_LADDERS["p2"],
-        )
-
-    @classmethod
-    def desk(cls) -> "GridSpec":
-        """Reduced grid covering the common operating corner at desk scale."""
-        return cls(
-            distances=DISTANCES,
-            r0_values=(0.5, 1.0, 2.0, 5.0),
-            r1_values=(0.2, 0.5, 1.0),
-            p2_values=(2e-3, 5e-3, 1e-2, 2e-2),
-        )
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GridSpec":
-        if not isinstance(data, dict):
-            raise DbError("grid spec must be a JSON object")
-        unknown = set(data) - {"distances", "r0", "r1", "p2"}
-        if unknown:
-            raise DbError(f"unknown grid spec keys: {sorted(unknown)}")
-        for key in ("distances", "r0", "r1", "p2"):
-            if key not in data:
-                raise DbError(f"grid spec missing key {key!r}")
-            if not isinstance(data[key], list):
-                raise DbError(f"grid spec {key} must be an array, got {data[key]!r}")
-        distances = data["distances"]
-        if any(not isinstance(d, int) or isinstance(d, bool) for d in distances):
-            raise DbError(f"grid spec distances must be integers, got {distances!r}")
-        try:
-            return cls(
-                distances=tuple(sorted(set(distances))),
-                r0_values=_axis_tuple("r0", data["r0"]),
-                r1_values=_axis_tuple("r1", data["r1"]),
-                p2_values=_axis_tuple("p2", data["p2"]),
-            )
-        except TypeError as err:
-            raise DbError(f"bad grid spec: {err}") from None
-
-    def points(self) -> list[tuple[int, float, float, float]]:
-        return [
-            (d, r0, r1, p2)
-            for d in self.distances
-            for r0 in self.r0_values
-            for r1 in self.r1_values
-            for p2 in self.p2_values
-        ]
+from .surface_sim import Rates, enumerate_single_faults, get_layout, run_monte_carlo
 
 
 def _point_seeds(master_seed: int, d: int, r0: float, r1: float, p2: float):

@@ -52,8 +52,6 @@ DIRECTIONS = ("n", "w", "e", "s")
 _OFFSETS = {"n": (-1, 0), "w": (0, -1), "e": (0, 1), "s": (1, 0)}
 # Cycle step index of each data idle slot, in injection order.
 IDLE_STEPS = (0, 1, 6, 7)
-# A run with fewer failures than this of either kind is flagged low-confidence.
-LOW_CONFIDENCE_FAILS = 100
 # Shots whose noise is drawn and propagated together in run_monte_carlo.
 _BATCH_SHOTS = 256
 
@@ -384,10 +382,6 @@ class SimResult:
     def stderr_z(self) -> float:
         return math.sqrt(self.fails_z) / (self.shots * self.rounds) if self.shots else 0.0
 
-    @property
-    def low_confidence(self) -> bool:
-        return self.fails_x < LOW_CONFIDENCE_FAILS or self.fails_z < LOW_CONFIDENCE_FAILS
-
     def merged(self, other: "SimResult") -> "SimResult":
         if other.rounds != self.rounds:
             raise ValueError("cannot merge runs with different rounds per shot")
@@ -481,6 +475,8 @@ def run_monte_carlo(
         raise ValueError("shots must be >= 0 and rounds >= 1")
     if seed < 0:
         raise ValueError("seed must be a non-negative integer")
+    if first_shot_index < 0:
+        raise ValueError("first_shot_index must be a non-negative integer")
     comp = _compiled(layout.d)
     if graphs is None:
         from . import matcher

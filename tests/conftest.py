@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from polyest.ratedb import DbEntry, RateDatabase
+from polyest.store import DbEntry, RateDatabase
 
 # Published logical rates per round for the standard depolarizing benchmark
 # at p = 1e-3, distances 3 through 6.

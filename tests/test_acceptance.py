@@ -18,7 +18,8 @@ from test_matcher import OracleTables, brute_force_total
 from polyest.error_model import depolarizing_model, model_from_dict, reduce
 from polyest.estimator import estimate, evaluate, fit, interpolate, solve_distance
 from polyest.matcher import apply_correction, build_graphs, min_weight_perfect_matching
-from polyest.ratedb import DbEntry, GridSpec, RateDatabase, generate, ladder_neighbors
+from polyest.ratedb import generate
+from polyest.store import DbEntry, GridSpec, RateDatabase, ladder_neighbors
 from polyest.surface_sim import Rates, enumerate_single_faults, get_layout, run_monte_carlo
 
 

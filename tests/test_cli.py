@@ -10,7 +10,7 @@ import polyest
 from conftest import build_bench_db, build_flat_db
 from polyest.cli import main
 from polyest.error_model import depolarizing_model, load_model, reduce
-from polyest.ratedb import DbEntry, RateDatabase
+from polyest.store import DbEntry, RateDatabase
 
 
 @pytest.fixture()
@@ -87,6 +87,15 @@ def test_reduce_missing_model_file(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_reduce_non_object_gate_entry_is_input_error(capsys, tmp_path):
+    path = tmp_path / "init.json"
+    path.write_text(json.dumps({"init": 0.1}))
+    code, out, err = run(capsys, "reduce", "--model", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: init must be a JSON object, got 0.1\n"
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +434,7 @@ def test_version_flag(capsys):
 
 @pytest.mark.parametrize("module, heavy, then", [
     pytest.param("polyest.cli", "networkx", "", id="polyest.cli-networkx"),
+    pytest.param("polyest.cli", "numpy", "", id="polyest.cli-numpy"),
     pytest.param("polyest.error_model", "numpy", "", id="polyest.error_model-numpy"),
     pytest.param(
         "polyest.surface_sim", "networkx",
@@ -445,3 +455,27 @@ def test_cli_import_leaves_networkx_unloaded(module, heavy, then):
         capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_query_commands_load_no_simulation_stack(bench_file, model_file):
+    # reduce, estimate, solve and curve read only the model and the CSV
+    # store; the simulator, the decoder and numpy belong to generate and
+    # simulate.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(polyest.__file__)))
+    heavy = ["numpy", "polyest.surface_sim", "polyest.matcher", "polyest.ratedb"]
+    db = ["--db", bench_file, "--model", model_file]
+    argvs = [
+        ["reduce", "--model", model_file],
+        ["estimate", *db, "--distance", "7"],
+        ["solve", *db, "--target", "1e-20"],
+        ["curve", *db],
+    ]
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys\nfrom polyest.cli import main\n"
+         f"for argv in {argvs!r}:\n    assert main(argv) == 0, argv\n"
+         f"print([m for m in {heavy!r} if m in sys.modules])"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.splitlines()[-1] == "[]"

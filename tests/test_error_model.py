@@ -142,6 +142,19 @@ def test_model_from_dict_rejects_unknown_sections():
         model_from_dict({"hadamard": {"px": 1e-3, "qx": 0.0}})
 
 
+@pytest.mark.parametrize("data", [
+    pytest.param({"init": 0.1}, id="init_number"),
+    pytest.param({"meas": None}, id="meas_null"),
+    pytest.param({"cnot": None}, id="cnot_null"),
+    pytest.param({"cnot": "zz"}, id="cnot_string"),
+    pytest.param({"hadamard": [1e-3]}, id="hadamard_array"),
+])
+def test_model_from_dict_rejects_non_object_gate_entries(data):
+    (gate,) = data
+    with pytest.raises(ModelError, match=f"^{gate} must be a JSON object"):
+        model_from_dict(data)
+
+
 def test_load_model_errors(tmp_path):
     missing = tmp_path / "nope.json"
     with pytest.raises(ModelError):

@@ -23,7 +23,7 @@ from polyest.estimator import (
     interpolate,
     solve_distance,
 )
-from polyest.ratedb import DbEntry, RateDatabase
+from polyest.store import DbEntry, RateDatabase
 
 
 # ---------------------------------------------------------------------------

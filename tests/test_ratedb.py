@@ -3,7 +3,8 @@ import math
 import pytest
 
 from polyest import ratedb
-from polyest.ratedb import (
+from polyest.ratedb import choose_rounds, generate
+from polyest.store import (
     AXES,
     CSV_HEADER,
     DISTANCES,
@@ -12,9 +13,7 @@ from polyest.ratedb import (
     GridSpec,
     LadderBracket,
     RateDatabase,
-    choose_rounds,
     format_value,
-    generate,
     ladder_decompose,
     ladder_neighbors,
     ladder_values,

@@ -218,6 +218,8 @@ def test_run_monte_carlo_input_validation():
         run_monte_carlo(layout, ok, shots=1, rounds=0, seed=0)
     with pytest.raises(ValueError):
         run_monte_carlo(layout, ok, shots=1, rounds=3, seed=-1)
+    with pytest.raises(ValueError, match="first_shot_index"):
+        run_monte_carlo(layout, ok, shots=1, rounds=3, seed=0, first_shot_index=-3)
     with pytest.raises(ValueError):
         run_monte_carlo(layout, Rates(0, 0, 0, 0, 2.0), shots=1, rounds=3, seed=0)
 
@@ -269,8 +271,6 @@ def test_sim_result_accounting():
     assert r.p_xl == 120 / 5000
     assert r.p_zl == 80 / 5000
     assert r.stderr_x == pytest.approx(120**0.5 / 5000)
-    assert r.low_confidence  # fails_z below 100
-    assert not SimResult(1000, 5, 120, 150).low_confidence
     with pytest.raises(ValueError):
         r.merged(SimResult(10, 4, 0, 0))
     merged = r.merged(SimResult(500, 5, 30, 40))
