@@ -128,30 +128,37 @@ class MatchingGraph:
         return adj
 
     def _dijkstra(self, adj, half: int, seeds) -> tuple[np.ndarray, np.ndarray]:
-        """Shortest paths on a (2*half+1)-row window; seeds are (w, row, site, mask)."""
+        """Shortest paths on a (2*half+1)-row window; seeds are (w, row, site, mask).
+
+        The search keeps distances and masks in flat lists indexed
+        row * n_sites + site and converts them to arrays once at the end.
+        """
+        n = self.n_sites
         rows = 2 * half + 1
-        dist = np.full((rows, self.n_sites), np.inf)
-        mask = np.zeros((rows, self.n_sites), dtype=bool)
+        dist = [math.inf] * (rows * n)
+        mask = [False] * (rows * n)
         heap = []
         for w, r, s, m in seeds:
-            if w < dist[r, s]:
-                dist[r, s] = w
-                mask[r, s] = m
+            if w < dist[r * n + s]:
+                dist[r * n + s] = w
+                mask[r * n + s] = m
                 heapq.heappush(heap, (w, r, s, m))
         while heap:
             d, r, s, m = heapq.heappop(heap)
-            if d > dist[r, s]:
+            if d > dist[r * n + s]:
                 continue
             for s2, dr, w2, m2 in adj[s]:
                 r2 = r + dr
                 if not 0 <= r2 < rows:
                     continue
+                i2 = r2 * n + s2
                 nd = d + w2
-                if nd < dist[r2, s2]:
-                    dist[r2, s2] = nd
-                    mask[r2, s2] = m ^ m2
+                if nd < dist[i2]:
+                    dist[i2] = nd
+                    mask[i2] = m ^ m2
                     heapq.heappush(heap, (nd, r2, s2, m ^ m2))
-        return dist, mask
+        shape = (rows, n)
+        return np.array(dist).reshape(shape), np.array(mask, dtype=bool).reshape(shape)
 
     def _compute_boundary(self) -> None:
         # The boundary is reachable from every round and the graph is

@@ -23,7 +23,9 @@ solve, curve) never loads the simulation stack.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -240,6 +242,13 @@ class RateDatabase:
         return [self._entries[k] for k in sorted(self._entries)]
 
     def save(self, path) -> None:
+        """Write the database as CSV to ``path``, replacing it only when complete.
+
+        The text goes to a temporary file in the same directory, which
+        os.replace then moves onto ``path``, so a save that fails or is
+        interrupted part-way leaves an earlier file intact.  A failed write
+        removes its temporary file.
+        """
         lines = [f"# {k}={self.metadata[k]}" for k in sorted(self.metadata)]
         lines.append(CSV_HEADER)
         for e in self.entries():
@@ -248,8 +257,17 @@ class RateDatabase:
                 str(e.shots), str(e.rounds), str(e.fails_x), str(e.fails_z),
                 repr(e.p_xl), repr(e.p_zl), "1" if e.low_confidence else "0",
             ]))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        path = os.fspath(path)
+        head, name = os.path.split(path)
+        tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+            raise
 
     @classmethod
     def load(cls, path) -> "RateDatabase":

@@ -21,7 +21,7 @@ complementary order and no qubit is touched twice in one step.  _Compiled
 (the CNOT slots) and _run_cycle (the step order) are the one definition of
 this cycle.
 
-The Monte Carlo tracks X/Z Pauli frames only (CNOT propagates control-X onto
+The simulator tracks X/Z Pauli frames only (CNOT propagates control-X onto
 the target and target-Z onto the control; Hadamard exchanges the two bits).
 Errors injected per the reduced six-rate model:
 
@@ -34,6 +34,14 @@ Errors injected per the reduced six-rate model:
 
 One noiseless readout round is appended after the noisy rounds so that every
 error chain terminates in a detection event or boundary.
+
+Frames are propagated once per distance, fault by fault, to build the
+single-fault table: each elementary fault's detection events (within one
+round of its cycle) and logical flip.  Frames are linear over GF(2), so a
+Monte Carlo shot never propagates a frame: its detection events are the
+XOR of its faults' footprints, shifted to the faults' cycles, and its actual
+logical flip is the parity of their flip bits.  Only shots with events are
+decoded.
 """
 
 from __future__ import annotations
@@ -52,7 +60,7 @@ DIRECTIONS = ("n", "w", "e", "s")
 _OFFSETS = {"n": (-1, 0), "w": (0, -1), "e": (0, 1), "s": (1, 0)}
 # Cycle step index of each data idle slot, in injection order.
 IDLE_STEPS = (0, 1, 6, 7)
-# Shots whose noise is drawn and propagated together in run_monte_carlo.
+# Shots whose faults are drawn and XORed together in run_monte_carlo.
 _BATCH_SHOTS = 256
 
 
@@ -139,18 +147,37 @@ def get_layout(d: int) -> Layout:
     return _compiled(d).layout
 
 
+class _Footprints(NamedTuple):
+    """Footprints of every fault of the fault table on one detection graph.
+
+    Fault f produces the events (site[k], cycle + offset[k]) for k in
+    ptr[f]:ptr[f+1], a compressed sparse row layout, and flips the stored
+    logical qubit where flip[f] is set.
+    """
+
+    n_sites: int
+    ptr: np.ndarray
+    site: np.ndarray
+    offset: np.ndarray
+    flip: np.ndarray
+
+
 class _Compiled:
     """Everything the simulator keeps per distance, cached by _compiled.
 
     Holds the layout, the CNOT slots of the four CNOT steps and, once
-    enumerated, the single-fault table.  The slots of each step are built
-    from the stabilizer neighbors in that step's direction, Z stabilizers
-    first, then X stabilizers.
+    enumerated, the single-fault table with its X- and Z-graph footprints.
+    The slots of each step are built from the stabilizer neighbors in that
+    step's direction, Z stabilizers first, then X stabilizers.  A fault id
+    is a row of the fault table: CNOT faults (slot * 15 + Pauli index) from
+    0, idle faults (idle slot, data qubit, X|Z) from ``idle0``, outcome
+    flips (Z stabilizers, then X stabilizers) from ``flip0``.
     """
 
     def __init__(self, d: int):
         self.layout = layout = Layout(d)
         self.faults: tuple[FaultEffect, ...] | None = None
+        self.footprints: tuple[_Footprints, _Footprints] | None = None
         qid = layout.qubit_id
         self.cnot_ctrl: list[np.ndarray] = []
         self.cnot_tgt: list[np.ndarray] = []
@@ -178,6 +205,8 @@ class _Compiled:
             self.cnot_tgt.append(np.array(tgt))
             self.slot_offsets.append(len(self.slot_meta))
         self.n_slots = len(self.slot_meta)
+        self.idle0 = 15 * self.n_slots
+        self.flip0 = self.idle0 + 8 * layout.n_data
 
         # Pauli component tables aligned with TWO_QUBIT_PAULIS.
         self.xc = np.array([p[0] in "xy" for p in TWO_QUBIT_PAULIS])
@@ -253,17 +282,17 @@ def enumerate_single_faults(layout: Layout) -> tuple[FaultEffect, ...]:
     """Propagate every elementary fault of one cycle in isolation.
 
     Each fault becomes a one-hot noise realization of a single noisy cycle,
-    in the _Compiled.noise_arrays layout that Monte Carlo noise also uses,
-    and runs through the Monte Carlo's own simulator followed by two
-    noiseless cycles.  Residual data errors are static after the faulty
+    in the _Compiled.noise_arrays layout, and runs through the frame
+    simulator followed by two noiseless cycles.  Residual data errors are static after the faulty
     cycle, so all detection events land within a one-round offset
-    (checked).  The table is computed once per distance.
+    (checked).  The table, and the footprint tables that Monte Carlo XORs
+    (_Compiled.footprints), are computed once per distance.
     """
     comp = _compiled(layout.d)
     if comp.faults is not None:
         return comp.faults
     nd, nz, nx = layout.n_data, layout.n_z, layout.n_x
-    noise = comp.noise_arrays(15 * comp.n_slots + 8 * nd + nz + nx, 1)
+    noise = comp.noise_arrays(comp.flip0 + nz + nx, 1)
     sites: list[tuple] = []  # (kind, rate_kind, step, site, pauli) per row
     for slot, (step, stab, idx, direction) in enumerate(comp.slot_meta):
         for pi, pauli in enumerate(TWO_QUBIT_PAULIS):
@@ -282,13 +311,20 @@ def enumerate_single_faults(layout: Layout) -> tuple[FaultEffect, ...]:
             sites.append(("flip", rate_kind, 7, (stab, idx), "flip"))
 
     det_x, det_z, flips_x, flips_z = _simulate_batch(comp, noise, tail=2)
+    footprints, events = [], []
+    for det, flips in ((det_x, flips_x), (det_z, flips_z)):
+        rows, offset, site = np.nonzero(det)  # sorted by row, then offset, then site
+        ptr = np.searchsorted(rows, np.arange(len(sites) + 1))
+        footprints.append(_Footprints(det.shape[2], ptr, site, offset, flips))
+        pairs = list(zip(site.tolist(), offset.tolist()))
+        bounds = ptr.tolist()
+        events.append([tuple(pairs[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
     faults = []
     for row, (kind, rate_kind, step, site, pauli) in enumerate(sites):
-        evx = tuple((int(s), int(t)) for t, s in np.argwhere(det_x[row]))
-        evz = tuple((int(s), int(t)) for t, s in np.argwhere(det_z[row]))
-        for events in (evx, evz):
-            if len(events) > 2 or any(t > 1 for _, t in events):
-                raise RuntimeError(f"fault {site} {pauli} produced {events}")
+        evx, evz = events[0][row], events[1][row]
+        for ev in (evx, evz):
+            if len(ev) > 2 or any(t > 1 for _, t in ev):
+                raise RuntimeError(f"fault {site} {pauli} produced {ev}")
         if (flips_x[row] or flips_z[row]) and not (evx or evz):
             raise RuntimeError(f"undetected logical fault at {site}")
         faults.append(FaultEffect(
@@ -297,6 +333,7 @@ def enumerate_single_faults(layout: Layout) -> tuple[FaultEffect, ...]:
             flip_x=bool(flips_x[row]), flip_z=bool(flips_z[row]),
         ))
     comp.faults = tuple(faults)
+    comp.footprints = tuple(footprints)
     return comp.faults
 
 
@@ -393,29 +430,77 @@ class SimResult:
         )
 
 
-def _draw_noise(seed: int, shot_indices: range, R: int, comp: _Compiled, rates: Rates) -> dict:
-    """Pre-draw every random flip for a batch of shots.
+def _draw_noise(
+    seed: int, shot_indices: range, R: int, comp: _Compiled, rates: Rates
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw every fault of a batch of shots as (row, cycle, fault id) hits.
 
     Each shot owns a counter-based substream keyed by (seed, shot index), so
     results are independent of batch partitioning.  The draw order within a
     shot is fixed: idle-X uniforms, idle-Z uniforms, CNOT occurrence uniforms,
-    CNOT Pauli picks, outcome-flip uniforms.
+    CNOT Pauli picks, outcome-flip uniforms.  The Pauli picks are drawn for
+    every CNOT slot but read only where a fault occurs.  Fault ids are the
+    rows of the fault table (see _Compiled).
     """
     layout = comp.layout
     nd, c, nz, nx = layout.n_data, comp.n_slots, layout.n_z, layout.n_x
     tx = 2.0 * rates.p1x / 3.0
     tz = 2.0 * rates.p1z / 3.0
-    noise = comp.noise_arrays(len(shot_indices), R)
-    for row, shot in enumerate(shot_indices):
+    flip_p = np.repeat([rates.p0x, rates.p0z], [nz, nx])
+    # Per shot and fault kind, each hit as one flat index over (cycle, CNOT
+    # slot, Pauli), (cycle, idle slot, data qubit, X|Z) or (cycle,
+    # stabilizer), so a divmod by the faults per cycle splits off the cycle.
+    cnot, idle, flip = [], [], []
+    for shot in shot_indices:
         g = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, shot))))
-        noise["idle_x"][row] = g.random((R, 4, nd)) < tx
-        noise["idle_z"][row] = g.random((R, 4, nd)) < tz
-        noise["occ"][row] = g.random((R, c)) < rates.p2
-        noise["kk"][row] = g.integers(0, 15, size=(R, c), dtype=np.uint8)
-        flips = g.random((R, nz + nx))
-        noise["flip_z"][row] = flips[:, :nz] < rates.p0x
-        noise["flip_x"][row] = flips[:, nz:] < rates.p0z
-    return noise
+        ix = np.flatnonzero(g.random((R, 4, nd)) < tx)
+        iz = np.flatnonzero(g.random((R, 4, nd)) < tz)
+        occ = np.flatnonzero(g.random((R, c)) < rates.p2)
+        kk = g.integers(0, 15, size=(R, c), dtype=np.uint8).ravel()[occ]
+        cnot.append(15 * occ + kk)
+        idle.append(np.concatenate((2 * ix, 2 * iz + 1)))
+        flip.append(np.flatnonzero(g.random((R, nz + nx)) < flip_p))
+    rows, cycles, fids = [], [], []
+    for hits, per_cycle, first in (
+        (cnot, 15 * c, 0), (idle, 8 * nd, comp.idle0), (flip, nz + nx, comp.flip0),
+    ):
+        rows.append(np.repeat(np.arange(len(hits)), [len(h) for h in hits]))
+        cycle, fid = np.divmod(np.concatenate(hits), per_cycle)
+        cycles.append(cycle)
+        fids.append(fid + first)
+    return np.concatenate(rows), np.concatenate(cycles), np.concatenate(fids)
+
+
+def _detection_events(comp: _Compiled, hits, b: int, R: int) -> list[tuple[dict, np.ndarray]]:
+    """Detection events and actual logical flips of a batch, by footprint XOR.
+
+    ``hits`` are _draw_noise's (row, cycle, fault id) arrays for ``b`` shots
+    of ``R`` noisy cycles followed by one noiseless readout round.  A
+    detection event is a (row, cycle + offset, site) that the hit faults'
+    footprints produce an odd number of times; a row's actual flip is the
+    parity of its faults' flip bits.  Exact because every footprint lies
+    within one round of its cycle and the readout round catches the last.
+    Per graph (X, then Z) returns a dict from each row with events to its
+    (site, round) list, ordered by round then site, and the actual flips of
+    all ``b`` rows.
+    """
+    row, cycle, fid = hits
+    out = []
+    for fp in comp.footprints:
+        # k runs over the footprint events of every hit, hit by hit.
+        n = fp.ptr[fid + 1] - fp.ptr[fid]
+        k = np.repeat(fp.ptr[fid] - (np.cumsum(n) - n), n) + np.arange(n.sum())
+        row_round = np.repeat(row * (R + 1) + cycle, n) + fp.offset[k]
+        keys, counts = np.unique(row_round * fp.n_sites + fp.site[k], return_counts=True)
+        row_round, site = np.divmod(keys[counts % 2 == 1], fp.n_sites)
+        event_row, rnd = np.divmod(row_round, R + 1)
+        pairs = list(zip(site.tolist(), rnd.tolist()))
+        rows, first = np.unique(event_row, return_index=True)
+        bounds = [*first.tolist(), len(pairs)]
+        events = {r: pairs[lo:hi] for r, lo, hi in zip(rows.tolist(), bounds, bounds[1:])}
+        actual = np.bincount(row[fp.flip[fid]], minlength=b) % 2 == 1
+        out.append((events, actual))
+    return out
 
 
 def _simulate_batch(comp: _Compiled, noise: dict, tail: int):
@@ -449,6 +534,16 @@ def _simulate_batch(comp: _Compiled, noise: dict, tail: int):
     return det_x, det_z, actual_x, actual_z
 
 
+def check_run_args(shots, rounds, seed, first_shot_index=0) -> None:
+    """Raise ValueError unless the run_monte_carlo counts are integers in range."""
+    for name, value, low in (
+        ("shots", shots, 0), ("rounds", rounds, 1),
+        ("seed", seed, 0), ("first_shot_index", first_shot_index, 0),
+    ):
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low:
+            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def run_monte_carlo(
     layout: Layout,
     rates: Rates,
@@ -464,48 +559,37 @@ def run_monte_carlo(
     Each shot runs ``rounds`` noisy cycles plus one noiseless readout round,
     decodes both detection graphs by minimum-weight perfect matching, and
     counts a type-A failure when the correction parity disagrees with the
-    accumulated frame parity across the logical-A reference cut.  Shot i
-    draws from its own substream of ``seed``, so a run split into chunks
-    through ``first_shot_index`` and joined with SimResult.merged gives the
-    counts of the whole run.
+    accumulated frame parity across the logical-A reference cut.  A shot
+    without events on a graph fails there exactly when its frame parity is
+    set.  Shot i draws from its own substream of ``seed``, so a run split
+    into chunks through ``first_shot_index`` and joined with
+    SimResult.merged gives the counts of the whole run.
     """
     rates = Rates(*rates)
     rates.validate()
-    if shots < 0 or rounds < 1:
-        raise ValueError("shots must be >= 0 and rounds >= 1")
-    if seed < 0:
-        raise ValueError("seed must be a non-negative integer")
-    if first_shot_index < 0:
-        raise ValueError("first_shot_index must be a non-negative integer")
+    check_run_args(shots, rounds, seed, first_shot_index)
     comp = _compiled(layout.d)
+    faults = enumerate_single_faults(layout)
     if graphs is None:
         from . import matcher
 
-        graphs = matcher.build_graphs(enumerate_single_faults(layout), rates, layout)
-    graph_x, graph_z = graphs
-    graph_x.prepare(rounds)
-    graph_z.prepare(rounds)
+        graphs = matcher.build_graphs(faults, rates, layout)
+    for graph in graphs:
+        graph.prepare(rounds)
 
     from .matcher import min_weight_perfect_matching
 
-    fails_x = fails_z = 0
+    fails = [0, 0]
     done = 0
     while done < shots:
         b = min(_BATCH_SHOTS, shots - done)
         lo = first_shot_index + done
-        det_x, det_z, actual_x, actual_z = _simulate_batch(
-            comp, _draw_noise(seed, range(lo, lo + b), rounds, comp, rates), tail=1
-        )
-        for row in range(b):
-            for det, graph, actual, which in (
-                (det_x, graph_x, actual_x, 0), (det_z, graph_z, actual_z, 1),
-            ):
-                events = [(int(s), int(t)) for t, s in np.argwhere(det[row])]
-                matching = min_weight_perfect_matching(graph, events)
-                if matching.correction_flip ^ bool(actual[row]):
-                    if which == 0:
-                        fails_x += 1
-                    else:
-                        fails_z += 1
+        hits = _draw_noise(seed, range(lo, lo + b), rounds, comp, rates)
+        for k, (graph, (events, actual)) in enumerate(
+            zip(graphs, _detection_events(comp, hits, b, rounds))
+        ):
+            for row, row_events in events.items():
+                actual[row] ^= min_weight_perfect_matching(graph, row_events).correction_flip
+            fails[k] += int(np.count_nonzero(actual))
         done += b
-    return SimResult(shots=shots, rounds=rounds, fails_x=fails_x, fails_z=fails_z)
+    return SimResult(shots=shots, rounds=rounds, fails_x=fails[0], fails_z=fails[1])

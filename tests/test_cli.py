@@ -306,6 +306,19 @@ def test_simulate_dump_graph(capsys, tmp_path):
         assert m in ("0", "1")
 
 
+@pytest.mark.parametrize("flag, value", [("--rounds", "0"), ("--shots", "-1"), ("--seed", "-2")])
+def test_simulate_validates_before_dumping_graph(capsys, tmp_path, flag, value):
+    dump = tmp_path / "graph.csv"
+    argv = list(_SIM_ARGV)
+    argv[argv.index(flag) + 1] = value
+    code, out, err = run(capsys, *argv, "--dump-graph", str(dump))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and flag[2:] in err
+    assert "edge classes" not in err
+    assert not dump.exists()
+
+
 def test_simulate_rejects_bad_rates(capsys):
     argv = list(_SIM_ARGV)
     argv[argv.index("--p2") + 1] = "1.5"

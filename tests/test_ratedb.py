@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from polyest import ratedb
+from polyest import ratedb, store
 from polyest.ratedb import choose_rounds, generate
 from polyest.store import (
     AXES,
@@ -197,6 +197,56 @@ def test_save_load_roundtrip_is_exact(tmp_path):
     again = tmp_path / "again.csv"
     loaded.save(again)
     assert again.read_text() == path.read_text()
+
+
+def test_failed_save_leaves_previous_file_intact(tmp_path, monkeypatch):
+    path = tmp_path / "rates.csv"
+    old = RateDatabase(metadata={"seed": "1"})
+    old.add(DbEntry.from_counts(3, 1.0, 0.5, 1e-2, 4096, 7, 311, 228))
+    old.save(path)
+    before = path.read_bytes()
+    new = RateDatabase(metadata={"seed": "2"})
+    for d in (3, 4, 5, 6):
+        new.add(DbEntry.from_counts(d, 2.0, 1.0, 5e-3, 1000, 10, 40 - d, 30 - d))
+
+    written = []
+
+    class HalfWriter:
+        """A file whose write stores half of the text, then fails."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            self.fh.flush()
+            written.append(self.fh.name)
+            raise OSError("no space left on device")
+
+    monkeypatch.setattr(store, "open", lambda *a, **k: HalfWriter(open(*a, **k)), raising=False)
+    with pytest.raises(OSError, match="no space"):
+        new.save(path)
+    assert len(written) == 1 and written[0] != str(path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+    monkeypatch.undo()
+    new.save(path)
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_text() == "\n".join([
+        "# seed=2",
+        CSV_HEADER,
+        *(
+            f"{d},2,1,5e-3,1000,10,{40 - d},{30 - d},{(40 - d) / 10000!r},{(30 - d) / 10000!r},1"
+            for d in (3, 4, 5, 6)
+        ),
+    ]) + "\n"
 
 
 def _write(tmp_path, body):

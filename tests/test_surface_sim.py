@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from _oracle import fault_injection, footprint
-from polyest import surface_sim
+from polyest import matcher, surface_sim
 from polyest.surface_sim import (
     IDLE_STEPS,
     Layout,
@@ -90,6 +90,43 @@ def test_fault_table_is_pinned(d):
     # detection graph; any change to the cycle or its slot order shows here.
     table = repr(enumerate_single_faults(get_layout(d))).encode()
     assert hashlib.sha256(table).hexdigest() == _FAULT_TABLE_SHA256[d]
+
+
+_RATE_MIXES = {
+    "depol": Rates(1e-3, 1e-3, 1e-3, 1e-3, 1e-3),
+    "asym": Rates(2e-3, 5e-4, 1e-3, 3e-4, 4e-3),
+    "sparse": Rates(5e-5, 5e-5, 2e-5, 2e-5, 1e-4),
+}
+_DISTANCE_TABLE_SHA256 = {
+    (3, "depol"): "a142ffd1678335a7d44743516c42d2c0e10f4740ccf42c9df0159d416b566a51",
+    (3, "asym"): "ab02e0f9527dc7ada20fbc44aa3fbe78851f0734c539cc5f145d1e217c43a511",
+    (3, "sparse"): "dd3dda7053a37f57b3fc569c4c697a031e45f36a756fe63248c9eac85878e733",
+    (4, "depol"): "0180b7d29fb47669bb8afb1c54ee2af0b097128e8a0f6252a6370f9b0afe09a2",
+    (4, "asym"): "a5f1fa394ed91c0b9ce3d0d2d8b475bc6615568efc5be0adf105b413289c1c93",
+    (4, "sparse"): "6704ac4c873348d5062c70355beb464d4b7580f1aa29f8b37bfdfadc83d5b0ac",
+    (5, "depol"): "a03cafe228a8656f86c2bbf3dc33a48b209a907c372fe11eb3e9798c4156149d",
+    (5, "asym"): "488a3c84ef8ae3db73ad69a1243ac180963fc7bedcab9d71645a9bdb510d3c66",
+    (5, "sparse"): "071de0c7b9e88697c480fe5d8adb6d9f545adfc6c1893cea13137084c332acaf",
+    (6, "depol"): "7a5fa42b732ca81639714f3fd1d1bb025339861fc244d60ff8ca132a424440a1",
+    (6, "asym"): "8dc983c202e48b3b92de7c9715e3039ee7d2cce5ca788b0909a6bd68b456d3e0",
+    (6, "sparse"): "a8fcd1ce41e7ed33efb768f9d7685e067336608fdaf22ebf64798a861170c68a",
+}
+
+
+@pytest.mark.parametrize("d, mix", sorted(_DISTANCE_TABLE_SHA256))
+def test_distance_tables_are_pinned(d, mix):
+    # D, DM, B, BM and T of both graphs after prepare(d) and again after the
+    # tables grow for 10 d rounds: any change to the Dijkstra search shows here.
+    layout = get_layout(d)
+    graphs = matcher.build_graphs(enumerate_single_faults(layout), _RATE_MIXES[mix], layout)
+    digest = hashlib.sha256()
+    for rounds in (d, 10 * d):
+        for graph in graphs:
+            graph.prepare(rounds)
+            for table in (graph.D, graph.DM, graph.B, graph.BM):
+                digest.update(np.ascontiguousarray(table).tobytes())
+            digest.update(repr(graph.T).encode())
+    assert digest.hexdigest() == _DISTANCE_TABLE_SHA256[(d, mix)]
 
 
 def test_fault_census_d3():
@@ -199,6 +236,106 @@ def test_known_footprints_d3():
     assert not f.flip_x and not f.flip_z
 
 
+def _dense_draw(seed, shot_indices, R, comp, rates):
+    """Per-shot noise as dense arrays, drawn in the order _draw_noise draws it."""
+    nd, nz, c = comp.layout.n_data, comp.layout.n_z, comp.n_slots
+    noise = comp.noise_arrays(len(shot_indices), R)
+    for row, shot in enumerate(shot_indices):
+        g = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, shot))))
+        noise["idle_x"][row] = g.random((R, 4, nd)) < 2.0 * rates.p1x / 3.0
+        noise["idle_z"][row] = g.random((R, 4, nd)) < 2.0 * rates.p1z / 3.0
+        noise["occ"][row] = g.random((R, c)) < rates.p2
+        noise["kk"][row] = g.integers(0, 15, size=(R, c), dtype=np.uint8)
+        flips = g.random((R, nz + comp.layout.n_x))
+        noise["flip_z"][row] = flips[:, :nz] < rates.p0x
+        noise["flip_x"][row] = flips[:, nz:] < rates.p0z
+    return noise
+
+
+def _noise_from_hits(comp, hits, b, R):
+    """Dense noise arrays holding the faults of _draw_noise's hits."""
+    nd, nz = comp.layout.n_data, comp.layout.n_z
+    noise = comp.noise_arrays(b, R)
+    for row, t, fid in zip(*(h.tolist() for h in hits)):
+        if fid < comp.idle0:
+            slot, pauli = divmod(fid, 15)
+            noise["occ"][row, t, slot] = True
+            noise["kk"][row, t, slot] = pauli
+        elif fid < comp.flip0:
+            k, axis = divmod(fid - comp.idle0, 2)
+            noise["idle_" + "xz"[axis]][(row, t, *divmod(k, nd))] = True
+        elif fid - comp.flip0 < nz:
+            noise["flip_z"][row, t, fid - comp.flip0] = True
+        else:
+            noise["flip_x"][row, t, fid - comp.flip0 - nz] = True
+    return noise
+
+
+_EDGE_RATES = (
+    Rates(0.0, 0.0, 0.0, 0.0, 0.0),
+    Rates(1.0, 1.0, 1.0, 1.0, 1.0),
+    Rates(0.0, 1.0, 0.05, 0.0, 0.3),
+    Rates(0.1, 0.02, 1.0, 0.2, 0.0),
+)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_footprint_xor_matches_frame_simulation(seed):
+    # The hits must be the faults of the per-shot dense draw, and XORing
+    # their footprints must give the detection events and logical flips of
+    # propagating frames through the same faults.
+    rng = np.random.default_rng(seed)
+    d = (3, 4, 5)[seed % 3]
+    R, b = int(rng.integers(1, 9)), int(rng.integers(1, 7))
+    first = int(rng.integers(1, 10**6))
+    shots = range(first, first + b)
+    if seed < len(_EDGE_RATES):
+        rates = _EDGE_RATES[seed]
+    else:
+        rates = Rates(*rng.uniform(0.0, 0.05, 5) * rng.uniform(0.0, 1.0, 5))
+    comp = surface_sim._compiled(d)
+    enumerate_single_faults(comp.layout)
+
+    hits = surface_sim._draw_noise(seed, shots, R, comp, rates)
+    noise = _noise_from_hits(comp, hits, b, R)
+    want = _dense_draw(seed, shots, R, comp, rates)
+    for key in ("idle_x", "idle_z", "occ", "flip_z", "flip_x"):
+        np.testing.assert_array_equal(noise[key], want[key])
+    np.testing.assert_array_equal(noise["kk"][want["occ"]], want["kk"][want["occ"]])
+
+    det_x, det_z, actual_x, actual_z = surface_sim._simulate_batch(comp, noise, tail=1)
+    got = surface_sim._detection_events(comp, hits, b, R)
+    for (events, actual), det, want_actual in zip(
+        got, (det_x, det_z), (actual_x, actual_z)
+    ):
+        assert events == {
+            row: [(int(s), int(t)) for t, s in np.argwhere(det[row])]
+            for row in range(b) if det[row].any()
+        }
+        np.testing.assert_array_equal(actual, want_actual)
+
+
+# (d, rates, shots, rounds, seed, first_shot_index) -> (fails_x, fails_z),
+# recorded with the frame-propagating Monte Carlo.
+_PINNED_COUNTS = [
+    ((3, Rates(1e-2, 1e-2, 1e-2, 1e-2, 1e-2), 300, 3, 7, 0), (42, 36)),
+    ((5, Rates(3e-3, 3e-3, 3e-3, 3e-3, 3e-3), 300, 5, 7, 0), (2, 2)),
+    ((4, Rates(2e-3, 5e-4, 1e-3, 3e-4, 6e-3), 200, 8, 5, 1000), (13, 3)),
+    ((6, Rates(4e-3, 4e-3, 4e-3, 4e-3, 1e-2), 64, 12, 3, 0), (8, 15)),
+    ((3, Rates(2e-2, 1e-2, 5e-3, 5e-3, 0.0), 100, 10, 11, 17), (13, 10)),
+    ((3, Rates(1e-3, 1e-3, 1e-3, 1e-3, 2e-3), 600, 6, 2, 300), (4, 3)),
+]
+
+
+@pytest.mark.parametrize("config, counts", _PINNED_COUNTS)
+def test_monte_carlo_counts_are_pinned(config, counts):
+    d, rates, shots, rounds, seed, first = config
+    result = run_monte_carlo(
+        get_layout(d), rates, shots, rounds, seed, first_shot_index=first
+    )
+    assert (result.fails_x, result.fails_z) == counts
+
+
 def test_rates_validation():
     with pytest.raises(ValueError):
         Rates(-1e-3, 0, 0, 0, 0).validate()
@@ -222,6 +359,15 @@ def test_run_monte_carlo_input_validation():
         run_monte_carlo(layout, ok, shots=1, rounds=3, seed=0, first_shot_index=-3)
     with pytest.raises(ValueError):
         run_monte_carlo(layout, Rates(0, 0, 0, 0, 2.0), shots=1, rounds=3, seed=0)
+    counts = {"shots": 1, "rounds": 3, "seed": 0, "first_shot_index": 0}
+    for name, bad in (
+        ("shots", 2.5), ("shots", True), ("rounds", 2.0), ("rounds", "3"),
+        ("seed", 1.5), ("seed", False), ("first_shot_index", 2.0),
+        ("first_shot_index", True),
+    ):
+        with pytest.raises(ValueError, match=name):
+            run_monte_carlo(layout, ok, **{**counts, name: bad})
+    run_monte_carlo(layout, ok, shots=np.int64(2), rounds=np.int32(3), seed=np.uint64(0))
 
 
 def test_zero_rates_never_fail():
