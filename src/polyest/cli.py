@@ -158,15 +158,26 @@ def _cmd_generate(args) -> int:
     if os.path.exists(args.out):
         db = RateDatabase.load(args.out)
         print(f"extending {args.out} ({len(db)} entries present)", file=sys.stderr)
+        stamp = db.metadata.get("polyest_version")
+        if stamp != __version__:
+            written = f"polyest {stamp}" if stamp else "an unstamped polyest version"
+            print(
+                f"warning: {args.out} was written by {written}, not {__version__}; "
+                "fixed-seed rows differ between versions",
+                file=sys.stderr,
+            )
     else:
         db = RateDatabase()
+    db.metadata["polyest_version"] = __version__
     db.metadata["seed"] = str(args.seed)
     db.metadata["target_fails"] = str(args.target_fails)
     db.metadata["max_shots"] = str(args.max_shots)
+    # Saved after every point, so an interrupted run resumes where it stopped.
     added, skipped = generate(
         db, grid, args.seed,
         target_fails=args.target_fails, max_shots=args.max_shots,
         progress=lambda msg: print(msg, file=sys.stderr),
+        checkpoint=lambda db: db.save(args.out),
     )
     db.save(args.out)
     print(

@@ -61,6 +61,7 @@ def generate(
     target_fails: int = 100,
     max_shots: int = 200_000,
     progress: Callable[[str], None] | None = None,
+    checkpoint: Callable[[RateDatabase], None] | None = None,
 ) -> tuple[list[tuple], list[tuple]]:
     """Fill a database with Monte Carlo results for every grid point.
 
@@ -70,13 +71,17 @@ def generate(
     production round count, then accumulates shots until both failure
     counters reach ``target_fails`` or ``max_shots`` is spent.  Results are
     deterministic in (seed, point) and independent of grid batching.
+    ``checkpoint``, if given, receives ``db`` after each point is added, for
+    example to save it, so an interrupted run loses at most the point in
+    progress.  ``target_fails`` and ``max_shots`` must be integers >= 1.
 
     Returns (added_keys, skipped) where skipped pairs each key with a reason.
     """
     if seed < 0:
         raise DbError("seed must be non-negative")
-    if max_shots < 1:
-        raise DbError(f"max_shots must be positive, got {max_shots}")
+    for name, value in (("target_fails", target_fails), ("max_shots", max_shots)):
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
+            raise DbError(f"{name} must be an integer >= 1, got {value!r}")
     note = progress or (lambda msg: None)
     added: list[tuple] = []
     skipped: list[tuple] = []
@@ -123,6 +128,8 @@ def generate(
         entry = DbEntry.from_counts(d, r0, r1, p2, shots, rounds, fails_x, fails_z)
         db.add(entry)
         added.append(key)
+        if checkpoint is not None:
+            checkpoint(db)
         note(
             f"done {label}: rounds={rounds} shots={shots} "
             f"fails_x={fails_x} fails_z={fails_z}"

@@ -41,7 +41,10 @@ round of its cycle) and logical flip.  Frames are linear over GF(2), so a
 Monte Carlo shot never propagates a frame: its detection events are the
 XOR of its faults' footprints, shifted to the faults' cycles, and its actual
 logical flip is the parity of their flip bits.  Only shots with events are
-decoded.
+decoded.  A shot's faults are drawn by count: a binomial number of hits per
+fault class, placed on distinct uniformly random sites.  That is the
+independent per-site draw in distribution, at a cost that grows with the
+faults a shot holds rather than with its sites.
 """
 
 from __future__ import annotations
@@ -430,45 +433,66 @@ class SimResult:
         )
 
 
+def _fault_classes(comp: _Compiled, R: int, rates: Rates) -> tuple[tuple, ...]:
+    """The five independent fault classes of ``R`` noisy cycles, in draw order.
+
+    Per class: (sites, rate per site, Pauli picks per hit, sites per cycle,
+    first fault id, fault id stride).  Site s of a class lies in cycle
+    s // (sites per cycle); its remainder r gives fault id first + stride * r
+    + Pauli index.  The classes are the CNOT slots (a uniform 15-way Pauli per
+    hit), the idle X and idle Z flips (ids interleaved X, Z per idle slot and
+    data qubit) and the Z- and X-stabilizer outcome flips.
+    """
+    layout = comp.layout
+    nd, c, nz, nx = layout.n_data, comp.n_slots, layout.n_z, layout.n_x
+    return (
+        (R * c, rates.p2, 15, c, 0, 15),
+        (R * 4 * nd, 2.0 * rates.p1x / 3.0, 1, 4 * nd, comp.idle0, 2),
+        (R * 4 * nd, 2.0 * rates.p1z / 3.0, 1, 4 * nd, comp.idle0 + 1, 2),
+        (R * nz, rates.p0x, 1, nz, comp.flip0, 1),
+        (R * nx, rates.p0z, 1, nx, comp.flip0 + nz, 1),
+    )
+
+
 def _draw_noise(
     seed: int, shot_indices: range, R: int, comp: _Compiled, rates: Rates
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw every fault of a batch of shots as (row, cycle, fault id) hits.
 
     Each shot owns a counter-based substream keyed by (seed, shot index), so
-    results are independent of batch partitioning.  The draw order within a
-    shot is fixed: idle-X uniforms, idle-Z uniforms, CNOT occurrence uniforms,
-    CNOT Pauli picks, outcome-flip uniforms.  The Pauli picks are drawn for
-    every CNOT slot but read only where a fault occurs.  Fault ids are the
-    rows of the fault table (see _Compiled).
+    results are independent of batch partitioning.  A shot draws its faults
+    by count, so its cost grows with the faults it holds, not with the
+    number of sites: first the hit count k ~ Binomial(sites, rate) of each
+    class of _fault_classes, in class order, then one block of uniforms that
+    Floyd's algorithm turns into k distinct sites per class, each CNOT hit
+    also taking a uniform Pauli index from its uniform.  In distribution this
+    is one independent Bernoulli draw per site (up to the 2**-53 resolution
+    of a double, as for a direct per-site draw); a class at rate 0 has no
+    hits, and one at rate 1 hits every site.  Fault ids are the rows of the
+    fault table (see _Compiled).
     """
-    layout = comp.layout
-    nd, c, nz, nx = layout.n_data, comp.n_slots, layout.n_z, layout.n_x
-    tx = 2.0 * rates.p1x / 3.0
-    tz = 2.0 * rates.p1z / 3.0
-    flip_p = np.repeat([rates.p0x, rates.p0z], [nz, nx])
-    # Per shot and fault kind, each hit as one flat index over (cycle, CNOT
-    # slot, Pauli), (cycle, idle slot, data qubit, X|Z) or (cycle,
-    # stabilizer), so a divmod by the faults per cycle splits off the cycle.
-    cnot, idle, flip = [], [], []
-    for shot in shot_indices:
-        g = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, shot))))
-        ix = np.flatnonzero(g.random((R, 4, nd)) < tx)
-        iz = np.flatnonzero(g.random((R, 4, nd)) < tz)
-        occ = np.flatnonzero(g.random((R, c)) < rates.p2)
-        kk = g.integers(0, 15, size=(R, c), dtype=np.uint8).ravel()[occ]
-        cnot.append(15 * occ + kk)
-        idle.append(np.concatenate((2 * ix, 2 * iz + 1)))
-        flip.append(np.flatnonzero(g.random((R, nz + nx)) < flip_p))
+    classes = _fault_classes(comp, R, rates)
     rows, cycles, fids = [], [], []
-    for hits, per_cycle, first in (
-        (cnot, 15 * c, 0), (idle, 8 * nd, comp.idle0), (flip, nz + nx, comp.flip0),
-    ):
-        rows.append(np.repeat(np.arange(len(hits)), [len(h) for h in hits]))
-        cycle, fid = np.divmod(np.concatenate(hits), per_cycle)
-        cycles.append(cycle)
-        fids.append(fid + first)
-    return np.concatenate(rows), np.concatenate(cycles), np.concatenate(fids)
+    for row, shot in enumerate(shot_indices):
+        g = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, shot))))
+        counts = [g.binomial(n, q) for n, q, *_ in classes]
+        total = sum(counts)
+        if not total:
+            continue
+        uniforms = iter(g.random(total).tolist())
+        for (n, _, width, per_cycle, first, stride), k in zip(classes, counts):
+            # Floyd: for j = n-k .. n-1 take t uniform in 0..j, or j if t is
+            # taken; the width-way Pauli index rides in the same uniform.
+            hit: dict[int, int] = {}
+            for j in range(n - k, n):
+                t, pauli = divmod(int(next(uniforms) * ((j + 1) * width)), width)
+                hit[j if t in hit else t] = pauli
+            for t, pauli in hit.items():
+                cycle, r = divmod(t, per_cycle)
+                rows.append(row)
+                cycles.append(cycle)
+                fids.append(first + stride * r + pauli)
+    return tuple(np.array(a, dtype=np.int64) for a in (rows, cycles, fids))
 
 
 def _detection_events(comp: _Compiled, hits, b: int, R: int) -> list[tuple[dict, np.ndarray]]:

@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -256,6 +258,76 @@ def test_generate_rejects_bad_grid_file(capsys, tmp_path):
     )
     assert code == 1
     assert "error:" in err
+
+
+def test_generate_rejects_zero_target_fails(capsys, tmp_path):
+    out_path = tmp_path / "db.csv"
+    code, _, err = run(
+        capsys, "generate", "--grid", _grid_file(tmp_path), "--out", str(out_path),
+        "--target-fails", "0",
+    )
+    assert code == 1
+    assert "target_fails" in err
+    assert not out_path.exists()
+
+
+def test_generate_stamps_version_and_warns_on_other_versions(capsys, tmp_path):
+    grid = _grid_file(tmp_path)
+    out_path = tmp_path / "db.csv"
+    argv = ("generate", "--grid", grid, "--out", str(out_path),
+            "--seed", "9", "--target-fails", "5", "--max-shots", "4096")
+    code, _, err = run(capsys, *argv)
+    assert code == 0 and "warning" not in err
+    lines = out_path.read_text().splitlines()
+    assert f"# polyest_version={polyest.__version__}" in lines
+    stamped = out_path.read_bytes()
+
+    code, _, err = run(capsys, *argv)  # same version: no warning
+    assert code == 0 and "warning" not in err
+
+    for old, shown in (("# polyest_version=0.1.0", "polyest 0.1.0"), (None, "unstamped")):
+        kept = [ln for ln in lines if not ln.startswith("# polyest_version=")]
+        out_path.write_text("\n".join(([old] if old else []) + kept) + "\n")
+        code, _, err = run(capsys, *argv)
+        assert code == 0
+        assert "warning:" in err and shown in err
+        assert out_path.read_bytes() == stamped
+
+
+def test_generate_resumes_after_kill_byte_identical(capsys, tmp_path):
+    # A generate run killed after its first grid point keeps that point on
+    # disk; rerunning completes the grid with the bytes of an unbroken run.
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(
+        {"distances": [3], "r0": [1, 2, 5], "r1": [1], "p2": ["1e-2"]}
+    ))
+    flags = ["--seed", "3", "--target-fails", "1000000", "--max-shots", "1200"]
+    killed = tmp_path / "killed.csv"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(polyest.__file__)))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "polyest", "generate", "--grid", str(grid),
+         "--out", str(killed), *flags],
+        env={**os.environ, "PYTHONPATH": src},
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    try:
+        deadline = time.monotonic() + 120.0
+        while not killed.exists() and child.poll() is None:
+            assert time.monotonic() < deadline, "no checkpoint within 120 s"
+            time.sleep(0.005)
+    finally:
+        child.send_signal(signal.SIGKILL)
+        child.wait(timeout=30)
+    assert child.returncode == -signal.SIGKILL
+    assert 1 <= len(RateDatabase.load(killed)) < 3
+
+    code, _, err = run(capsys, "generate", "--grid", str(grid), "--out", str(killed), *flags)
+    assert code == 0 and "already present" in err
+    whole = tmp_path / "whole.csv"
+    code, _, _ = run(capsys, "generate", "--grid", str(grid), "--out", str(whole), *flags)
+    assert code == 0
+    assert len(RateDatabase.load(whole)) == 3
+    assert killed.read_bytes() == whole.read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -387,3 +387,29 @@ def test_generate_rejects_nonpositive_max_shots_before_simulating(monkeypatch, m
     monkeypatch.setattr(ratedb, "run_monte_carlo", no_simulation)
     with pytest.raises(DbError, match="max_shots"):
         generate(RateDatabase(), _TINY, seed=1, max_shots=max_shots)
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("target_fails", 0), ("target_fails", -5), ("target_fails", 2.5),
+    ("target_fails", True), ("target_fails", "100"),
+    ("max_shots", 2.5), ("max_shots", True), ("max_shots", 1e3), ("max_shots", "4096"),
+])
+def test_generate_rejects_bad_counts_before_simulating(monkeypatch, name, bad):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("run_monte_carlo called")
+
+    monkeypatch.setattr(ratedb, "run_monte_carlo", no_simulation)
+    counts = {"target_fails": 5, "max_shots": 4096, name: bad}
+    with pytest.raises(DbError, match=name):
+        generate(RateDatabase(), _TINY, seed=1, **counts)
+
+
+def test_generate_checkpoints_after_each_point():
+    grid = GridSpec(distances=(3,), r0_values=(1.0, 2.0), r1_values=(1.0,),
+                    p2_values=(1e-2,))
+    seen = []
+    db = RateDatabase()
+    added, _ = generate(db, grid, seed=9, target_fails=5, max_shots=4096,
+                        checkpoint=lambda d: seen.append((d, [e.key for e in d.entries()])))
+    assert [d for d, _ in seen] == [db, db]
+    assert [keys for _, keys in seen] == [added[:1], added]

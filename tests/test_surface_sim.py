@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -237,7 +238,12 @@ def test_known_footprints_d3():
 
 
 def _dense_draw(seed, shot_indices, R, comp, rates):
-    """Per-shot noise as dense arrays, drawn in the order _draw_noise draws it."""
+    """Per-shot noise as dense arrays, one Bernoulli draw per site.
+
+    The direct draw that _draw_noise must match in distribution: every site
+    of every cycle is hit independently at its class's rate, and every CNOT
+    slot carries a uniform Pauli index, read only where the slot is hit.
+    """
     nd, nz, c = comp.layout.n_data, comp.layout.n_z, comp.n_slots
     noise = comp.noise_arrays(len(shot_indices), R)
     for row, shot in enumerate(shot_indices):
@@ -271,6 +277,41 @@ def _noise_from_hits(comp, hits, b, R):
     return noise
 
 
+def _class_rates(rates):
+    """Per-site rate of each fault class, keyed by its dense noise array."""
+    return {
+        "occ": rates.p2,
+        "idle_x": 2.0 * rates.p1x / 3.0,
+        "idle_z": 2.0 * rates.p1z / 3.0,
+        "flip_z": rates.p0x,
+        "flip_x": rates.p0z,
+    }
+
+
+def _hits_by_class(comp, hits):
+    """Each class's hits as (row, cycle, site, Pauli index), keyed as above.
+
+    Checks that every fault id lies in its class's id range: CNOT ids
+    (slot * 15 + Pauli index) below idle0, idle ids (X even, Z odd offsets)
+    from idle0, Z- then X-stabilizer flips from flip0.  A CNOT hit's site is
+    its slot, an idle hit's the (idle slot, data qubit) pair.
+    """
+    nz, nx = comp.layout.n_z, comp.layout.n_x
+    out = {key: [] for key in ("occ", "idle_x", "idle_z", "flip_z", "flip_x")}
+    for row, t, fid in zip(*(h.tolist() for h in hits)):
+        assert 0 <= fid < comp.flip0 + nz + nx
+        if fid < comp.idle0:
+            out["occ"].append((row, t, *divmod(fid, 15)))
+        elif fid < comp.flip0:
+            site, axis = divmod(fid - comp.idle0, 2)
+            out["idle_" + "xz"[axis]].append((row, t, site, 0))
+        elif fid < comp.flip0 + nz:
+            out["flip_z"].append((row, t, fid - comp.flip0, 0))
+        else:
+            out["flip_x"].append((row, t, fid - comp.flip0 - nz, 0))
+    return out
+
+
 _EDGE_RATES = (
     Rates(0.0, 0.0, 0.0, 0.0, 0.0),
     Rates(1.0, 1.0, 1.0, 1.0, 1.0),
@@ -281,9 +322,10 @@ _EDGE_RATES = (
 
 @pytest.mark.parametrize("seed", range(16))
 def test_footprint_xor_matches_frame_simulation(seed):
-    # The hits must be the faults of the per-shot dense draw, and XORing
-    # their footprints must give the detection events and logical flips of
-    # propagating frames through the same faults.
+    # The hits must be valid fault sets (rate 0: no hits, rate 1: every
+    # site, no site twice), and XORing their footprints must give the
+    # detection events and logical flips of propagating frames through the
+    # same faults.
     rng = np.random.default_rng(seed)
     d = (3, 4, 5)[seed % 3]
     R, b = int(rng.integers(1, 9)), int(rng.integers(1, 7))
@@ -297,11 +339,19 @@ def test_footprint_xor_matches_frame_simulation(seed):
     enumerate_single_faults(comp.layout)
 
     hits = surface_sim._draw_noise(seed, shots, R, comp, rates)
+    assert all(h.dtype == np.int64 and h.shape == hits[0].shape for h in hits)
+    assert all(0 <= row < b for row in hits[0].tolist())
+    assert all(0 <= t < R for t in hits[1].tolist())
     noise = _noise_from_hits(comp, hits, b, R)
-    want = _dense_draw(seed, shots, R, comp, rates)
-    for key in ("idle_x", "idle_z", "occ", "flip_z", "flip_x"):
-        np.testing.assert_array_equal(noise[key], want[key])
-    np.testing.assert_array_equal(noise["kk"][want["occ"]], want["kk"][want["occ"]])
+    for key, class_hits in _hits_by_class(comp, hits).items():
+        sites = [h[:3] for h in class_hits]
+        assert len(set(sites)) == len(sites), key
+        assert all(0 <= h[3] < 15 for h in class_hits)
+        q = _class_rates(rates)[key]
+        if q == 0.0:
+            assert not sites, key
+        if q == 1.0:
+            assert noise[key].all(), key
 
     det_x, det_z, actual_x, actual_z = surface_sim._simulate_batch(comp, noise, tail=1)
     got = surface_sim._detection_events(comp, hits, b, R)
@@ -315,15 +365,75 @@ def test_footprint_xor_matches_frame_simulation(seed):
         np.testing.assert_array_equal(actual, want_actual)
 
 
+def _chi2_critical(df):
+    """Upper 1e-5 quantile of chi-square with df degrees of freedom.
+
+    Wilson-Hilferty approximation, which errs high (conservative) for small
+    df: 24.7 against the exact 23.0 at df = 2, 49.3 against 48.7 at 14.
+    """
+    z = 4.2649
+    return df * (1.0 - 2.0 / (9.0 * df) + z * math.sqrt(2.0 / (9.0 * df))) ** 3
+
+
+def _binomial_chi2(counts, trials, q):
+    """Pearson statistic of counts that are independent Binomial(trials, q)."""
+    counts = np.asarray(counts, dtype=float).ravel()
+    stat = float(((counts - trials * q) ** 2).sum() / (trials * q * (1.0 - q)))
+    return stat, counts.size
+
+
+_DRAW_MIXES = {
+    "low": Rates(0.02, 0.05, 0.03, 0.06, 0.04),
+    "high": Rates(0.5, 0.8, 0.6, 0.9, 0.7),
+}
+
+
+@pytest.mark.parametrize("mix", sorted(_DRAW_MIXES))
+def test_sparse_draw_matches_bernoulli_distribution(mix):
+    # Drawing each class's faults by count must reproduce the per-site
+    # Bernoulli draw: per class, the mean hits per shot agree with N q and
+    # with the dense oracle, and hits spread over cycles, sites and CNOT
+    # Pauli indices as independent per-site draws do.  Both draws are
+    # tested, so a miscalibrated statistic shows on the oracle too.
+    rates, shots, R = _DRAW_MIXES[mix], 2000, 2
+    comp = surface_sim._compiled(3)
+    enumerate_single_faults(comp.layout)
+    sparse = _noise_from_hits(
+        comp, surface_sim._draw_noise(101, range(shots), R, comp, rates), shots, R
+    )
+    dense = _dense_draw(202, range(shots), R, comp, rates)
+    for key, q in _class_rates(rates).items():
+        n = sparse[key][0].size  # sites of the class in R cycles
+        per_cycle = n // R
+        sigma = math.sqrt(n * q * (1.0 - q) / shots)
+        means = [draw[key].sum() / shots for draw in (sparse, dense)]
+        assert abs(means[0] - n * q) <= 5.0 * sigma, (key, means, n * q)
+        assert abs(means[0] - means[1]) <= 5.0 * math.sqrt(2.0) * sigma, (key, means)
+        for name, draw in (("sparse", sparse), ("dense", dense)):
+            hits = draw[key].reshape(shots, R, per_cycle)
+            for axis, counts, trials in (
+                ("cycle", hits.sum(axis=(0, 2)), shots * per_cycle),
+                ("site", hits.sum(axis=0), shots),
+            ):
+                stat, df = _binomial_chi2(counts, trials, q)
+                assert stat < _chi2_critical(df), (name, key, axis, stat, df)
+    for name, draw in (("sparse", sparse), ("dense", dense)):
+        paulis = np.bincount(draw["kk"][draw["occ"]], minlength=15)
+        expected = paulis.sum() / 15.0
+        stat = float(((paulis - expected) ** 2).sum() / expected)
+        assert paulis.size == 15 and stat < _chi2_critical(14), (name, stat)
+
+
 # (d, rates, shots, rounds, seed, first_shot_index) -> (fails_x, fails_z),
-# recorded with the frame-propagating Monte Carlo.
+# recorded with the by-count fault draw (binomial hit counts per class, then
+# Floyd's algorithm for the sites) and footprint XOR of this version.
 _PINNED_COUNTS = [
-    ((3, Rates(1e-2, 1e-2, 1e-2, 1e-2, 1e-2), 300, 3, 7, 0), (42, 36)),
-    ((5, Rates(3e-3, 3e-3, 3e-3, 3e-3, 3e-3), 300, 5, 7, 0), (2, 2)),
-    ((4, Rates(2e-3, 5e-4, 1e-3, 3e-4, 6e-3), 200, 8, 5, 1000), (13, 3)),
-    ((6, Rates(4e-3, 4e-3, 4e-3, 4e-3, 1e-2), 64, 12, 3, 0), (8, 15)),
-    ((3, Rates(2e-2, 1e-2, 5e-3, 5e-3, 0.0), 100, 10, 11, 17), (13, 10)),
-    ((3, Rates(1e-3, 1e-3, 1e-3, 1e-3, 2e-3), 600, 6, 2, 300), (4, 3)),
+    ((3, Rates(1e-2, 1e-2, 1e-2, 1e-2, 1e-2), 300, 3, 7, 0), (34, 38)),
+    ((5, Rates(3e-3, 3e-3, 3e-3, 3e-3, 3e-3), 300, 5, 7, 0), (3, 1)),
+    ((4, Rates(2e-3, 5e-4, 1e-3, 3e-4, 6e-3), 200, 8, 5, 1000), (14, 5)),
+    ((6, Rates(4e-3, 4e-3, 4e-3, 4e-3, 1e-2), 64, 12, 3, 0), (14, 6)),
+    ((3, Rates(2e-2, 1e-2, 5e-3, 5e-3, 0.0), 100, 10, 11, 17), (5, 3)),
+    ((3, Rates(1e-3, 1e-3, 1e-3, 1e-3, 2e-3), 600, 6, 2, 300), (8, 1)),
 ]
 
 
