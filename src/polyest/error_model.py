@@ -242,7 +242,7 @@ def reduce_syndrome(model: GateErrorModel) -> tuple[float, float]:
 
 def reduce(model: GateErrorModel, asymmetry_threshold: float = 2.0) -> ReducedRates:
     """Reduce a full gate error model to the six scalar rates."""
-    if asymmetry_threshold < 1.0:
+    if not asymmetry_threshold >= 1.0:
         raise ModelError("asymmetry threshold must be >= 1")
     p0x, p0z = reduce_syndrome(model)
     p1x, p1z = reduce_data_idle(model)

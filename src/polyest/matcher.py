@@ -76,48 +76,23 @@ class Matching:
 
 
 class MatchingGraph:
-    """Edge classes and cached distance tables for one detection graph."""
+    """Edge classes and cached distance tables for one detection graph.
 
-    def __init__(self, kind: str, n_sites: int):
-        if kind not in ("x", "z"):
-            raise ValueError("graph kind must be 'x' or 'z'")
+    ``edges`` maps (site_a, site_b, dt) and ``boundary`` maps a site to the
+    (probability, weight, mask) of each class.  The boundary distances are
+    computed on construction, the pairwise tables by prepare.
+    """
+
+    def __init__(self, kind: str, n_sites: int, edges: dict, boundary: dict):
         self.kind = kind
         self.n_sites = n_sites
-        self._acc: dict[tuple[int, int, int], list] = {}
-        self._acc_boundary: dict[int, list] = {}
-        self.edges: dict[tuple[int, int, int], tuple[float, float, bool]] = {}
-        self.boundary: dict[int, tuple[float, float, bool]] = {}
+        self.edges: dict[tuple[int, int, int], tuple[float, float, bool]] = edges
+        self.boundary: dict[int, tuple[float, float, bool]] = boundary
         self.T = -1
         self.D: np.ndarray | None = None
         self.DM: np.ndarray | None = None
-        self.B: np.ndarray | None = None
-        self.BM: np.ndarray | None = None
-        self._t_safe: int | None = None
-        self._finalized = False
-
-    def _add(self, events: tuple[tuple[int, int], ...], p: float, flip: bool) -> None:
-        if self._finalized:
-            raise RuntimeError("graph already finalized")
-        if len(events) == 1:
-            s, _ = events[0]
-            slot = self._acc_boundary.setdefault(s, [0.0, flip])
-        else:
-            (s1, t1), (s2, t2) = events
-            if (t1, s1) > (t2, s2):
-                s1, t1, s2, t2 = s2, t2, s1, t1
-            slot = self._acc.setdefault((s1, s2, t2 - t1), [0.0, flip])
-        if slot[1] != flip:
-            raise RuntimeError(f"faults with events {events} disagree on the logical flip")
-        slot[0] += p
-
-    def _finalize(self) -> None:
-        for acc, out in ((self._acc, self.edges), (self._acc_boundary, self.boundary)):
-            for key in sorted(acc):
-                p_sum, mask = acc[key]
-                p = min(p_sum, 1.0)
-                weight = -math.log(max(p, _P_FLOOR))
-                out[key] = (p, weight, mask)
-        self._finalized = True
+        self.B, self.BM = self._boundary_distances()
+        self._t_safe = self._safe_span()
 
     def _adjacency(self) -> list[list[tuple[int, int, float, bool]]]:
         adj: list[list[tuple[int, int, float, bool]]] = [[] for _ in range(self.n_sites)]
@@ -160,32 +135,27 @@ class MatchingGraph:
         shape = (rows, n)
         return np.array(dist).reshape(shape), np.array(mask, dtype=bool).reshape(shape)
 
-    def _compute_boundary(self) -> None:
+    def _boundary_distances(self) -> tuple[np.ndarray, np.ndarray]:
         # The boundary is reachable from every round and the graph is
         # invariant under shifts in time, so a site's boundary distance is
         # its shortest path in the site graph with the time offsets dropped.
         adj = [[(s2, 0, w, m) for s2, _, w, m in row] for row in self._adjacency()]
         seeds = [(w, 0, s, m) for s, (_, w, m) in sorted(self.boundary.items())]
         dist, mask = self._dijkstra(adj, 0, seeds)
-        self.B, self.BM = dist[0], mask[0]
+        return dist[0], mask[0]
 
-    def _compute_t_safe(self) -> None:
+    def _safe_span(self) -> int | None:
         w1 = min((w for (_, _, dt), (_, w, _) in self.edges.items() if dt == 1), default=None)
         finite = self.B[np.isfinite(self.B)]
         if w1 is None:
             # No time-advancing edges: rounds decouple, pairs at dt > 0 can
             # only reach each other through the boundary.
-            self._t_safe = 0
-        elif finite.size == 0:
-            self._t_safe = None  # no boundary: direct paths needed at any span
-        else:
-            bmax = float(finite.max())
-            self._t_safe = math.ceil(2.0 * bmax / max(w1, 1e-12)) + 2
+            return 0
+        if finite.size == 0:
+            return None  # no boundary: direct paths needed at any span
+        return math.ceil(2.0 * float(finite.max()) / max(w1, 1e-12)) + 2
 
     def _ensure_tables(self, t_req: int) -> None:
-        if self.B is None:
-            self._compute_boundary()
-            self._compute_t_safe()
         t_target = t_req if self._t_safe is None else min(t_req, self._t_safe)
         t_target = max(0, min(int(t_target), _T_CAP))
         if self.D is not None and self.T >= t_target:
@@ -212,19 +182,43 @@ def build_graphs(
 ) -> tuple[MatchingGraph, MatchingGraph]:
     """Aggregate single-fault footprints into the X and Z detection graphs."""
     rates = Rates(*rates)
-    graph_x = MatchingGraph("x", layout.n_z)
-    graph_z = MatchingGraph("z", layout.n_x)
+    # Per graph: edge and boundary classes as [probability sum, mask].
+    acc = (({}, {}), ({}, {}))
+
+    def add(sums, events, p, flip):
+        edges, boundary = sums
+        if len(events) == 1:
+            slot = boundary.setdefault(events[0][0], [0.0, flip])
+        else:
+            (s1, t1), (s2, t2) = events
+            if (t1, s1) > (t2, s2):
+                s1, t1, s2, t2 = s2, t2, s1, t1
+            slot = edges.setdefault((s1, s2, t2 - t1), [0.0, flip])
+        if slot[1] != flip:
+            raise RuntimeError(f"faults with events {events} disagree on the logical flip")
+        slot[0] += p
+
     for fault in faults:
         p = fault.probability(rates)
         if p <= 0.0:
             continue
         if fault.events_x:
-            graph_x._add(fault.events_x, p, fault.flip_x)
+            add(acc[0], fault.events_x, p, fault.flip_x)
         if fault.events_z:
-            graph_z._add(fault.events_z, p, fault.flip_z)
-    graph_x._finalize()
-    graph_z._finalize()
-    return graph_x, graph_z
+            add(acc[1], fault.events_z, p, fault.flip_z)
+
+    def classes(sums):
+        out = {}
+        for key in sorted(sums):
+            p_sum, mask = sums[key]
+            p = min(p_sum, 1.0)
+            out[key] = (p, -math.log(max(p, _P_FLOOR)), mask)
+        return out
+
+    return tuple(
+        MatchingGraph(kind, n_sites, classes(edges), classes(boundary))
+        for kind, n_sites, (edges, boundary) in zip("xz", (layout.n_z, layout.n_x), acc)
+    )
 
 
 def _find(parent: list[int], i: int) -> int:

@@ -73,15 +73,16 @@ def generate(
     deterministic in (seed, point) and independent of grid batching.
     ``checkpoint``, if given, receives ``db`` after each point is added, for
     example to save it, so an interrupted run loses at most the point in
-    progress.  ``target_fails`` and ``max_shots`` must be integers >= 1.
+    progress.  ``seed`` must be an integer >= 0, ``target_fails`` and
+    ``max_shots`` integers >= 1.
 
     Returns (added_keys, skipped) where skipped pairs each key with a reason.
     """
-    if seed < 0:
-        raise DbError("seed must be non-negative")
-    for name, value in (("target_fails", target_fails), ("max_shots", max_shots)):
-        if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
-            raise DbError(f"{name} must be an integer >= 1, got {value!r}")
+    for name, value, low in (
+        ("seed", seed, 0), ("target_fails", target_fails, 1), ("max_shots", max_shots, 1),
+    ):
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low:
+            raise DbError(f"{name} must be an integer >= {low}, got {value!r}")
     note = progress or (lambda msg: None)
     added: list[tuple] = []
     skipped: list[tuple] = []

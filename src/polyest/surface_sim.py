@@ -23,19 +23,24 @@ this cycle.
 
 The simulator tracks X/Z Pauli frames only (CNOT propagates control-X onto
 the target and target-Z onto the control; Hadamard exchanges the two bits).
-Errors injected per the reduced six-rate model:
+Errors follow the reduced six-rate model as five independent fault classes
+per cycle (_Compiled.classes), each striking just after a step of the cycle:
 
 * a uniform 15-way two-qubit depolarizing flip of probability p2 after every
   executed CNOT;
 * independent X and Z flips of probability 2*p1A/3 at each of the four data
   idle slots (the depolarizing-equivalent marginal of the folded idle rate);
 * a classical outcome flip of probability p0X (Z stabilizers) or p0Z
-  (X stabilizers) per measurement.
+  (X stabilizers) per measurement, applied as an X on the syndrome qubit
+  just before it is measured (the next initialization clears it).
 
-One noiseless readout round is appended after the noisy rounds so that every
-error chain terminates in a detection event or boundary.
+Every elementary fault of a cycle has a fault id, its row in the single-fault
+table, and fault ids are the simulator's only noise encoding: the faults of
+a run are (row, cycle, fault id) hits.  One noiseless readout round is
+appended after the noisy rounds so that every error chain terminates in a
+detection event or boundary.
 
-Frames are propagated once per distance, fault by fault, to build the
+Frames are propagated once per distance, one fault id per row, to build the
 single-fault table: each elementary fault's detection events (within one
 round of its cycle) and logical flip.  Frames are linear over GF(2), so a
 Monte Carlo shot never propagates a frame: its detection events are the
@@ -51,7 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -118,7 +123,6 @@ class Layout:
         for coord in (*self.data, *self.z_stabs, *self.x_stabs):
             self.qubit_id[coord] = len(self.qubit_id)
 
-        self.data_ids = np.arange(self.n_data)
         self.zsyn_ids = np.arange(self.n_data, self.n_data + self.n_z)
         self.xsyn_ids = np.arange(self.n_data + self.n_z, self.n_qubits)
         self.syn_ids = np.concatenate([self.zsyn_ids, self.xsyn_ids])
@@ -165,16 +169,52 @@ class _Footprints(NamedTuple):
     flip: np.ndarray
 
 
+class _FaultClass(NamedTuple):
+    """One independent fault class of the extraction cycle.
+
+    Each site is hit at ``site_rate(rates)`` per cycle, and a hit takes one
+    of ``paulis`` (its fault-table labels) uniformly, so one fault has
+    probability site_rate / len(paulis); choice k leaves ``strikes[k]``, a
+    Pauli letter per qubit of the site.  _Compiled places the class: per
+    site, ``sites`` holds its FaultEffect.site, the step it strikes after and
+    its two qubits (a one-qubit site names its qubit twice and strikes I on
+    the second); choice k at site s is fault id first + stride * s + k.
+    """
+
+    kind: str
+    rate_kind: str
+    site_rate: Callable[[Rates], float]
+    paulis: tuple[str, ...]
+    strikes: tuple[str, ...]
+    first: int = 0
+    stride: int = 0
+    sites: tuple = ()
+
+
+# The five fault classes, in draw order, before _Compiled places them.
+_CLASSES = (
+    _FaultClass("cnot", "p2", lambda r: r.p2, TWO_QUBIT_PAULIS, TWO_QUBIT_PAULIS),
+    _FaultClass("idle", "idle_x", lambda r: 2.0 * r.p1x / 3.0, ("x",), ("xi",)),
+    _FaultClass("idle", "idle_z", lambda r: 2.0 * r.p1z / 3.0, ("z",), ("zi",)),
+    _FaultClass("flip", "flip_x", lambda r: r.p0x, ("flip",), ("xi",)),
+    _FaultClass("flip", "flip_z", lambda r: r.p0z, ("flip",), ("xi",)),
+)
+_CLASS_OF = {c.rate_kind: c for c in _CLASSES}
+
+
 class _Compiled:
     """Everything the simulator keeps per distance, cached by _compiled.
 
-    Holds the layout, the CNOT slots of the four CNOT steps and, once
-    enumerated, the single-fault table with its X- and Z-graph footprints.
-    The slots of each step are built from the stabilizer neighbors in that
-    step's direction, Z stabilizers first, then X stabilizers.  A fault id
-    is a row of the fault table: CNOT faults (slot * 15 + Pauli index) from
-    0, idle faults (idle slot, data qubit, X|Z) from ``idle0``, outcome
-    flips (Z stabilizers, then X stabilizers) from ``flip0``.
+    Holds the layout, the CNOT slots of the four CNOT steps, the fault
+    classes placed on this distance's sites and, once enumerated, the
+    single-fault table with its X- and Z-graph footprints.  The slots of
+    each step are built from the stabilizer neighbors in that step's
+    direction, Z stabilizers first, then X stabilizers.  A fault id is a
+    row of the fault table: CNOT faults (slot * 15 + Pauli index) from 0,
+    idle faults (idle slot, data qubit, X|Z) next, then the outcome flips of
+    Z and of X stabilizers.  ``by_id`` gives each fault id's (class, site,
+    choice), and the strike tables give, per fault id, the step it strikes
+    after, its two qubits and the X and Z bits it leaves on each.
     """
 
     def __init__(self, d: int):
@@ -184,8 +224,7 @@ class _Compiled:
         qid = layout.qubit_id
         self.cnot_ctrl: list[np.ndarray] = []
         self.cnot_tgt: list[np.ndarray] = []
-        self.slot_meta: list[tuple[int, str, int, str]] = []  # (step, stab type, stab idx, direction)
-        self.slot_offsets = [0]
+        cnot_sites = []
         for k, direction in enumerate(DIRECTIONS):
             ctrl, tgt = [], []
             for stab, coords, nbrs in (
@@ -201,40 +240,42 @@ class _Compiled:
                     c, t = (q, s) if stab == "z" else (s, q)
                     ctrl.append(c)
                     tgt.append(t)
-                    self.slot_meta.append((2 + k, stab, idx, direction))
+                    cnot_sites.append(((stab, idx, direction), 2 + k, (c, t)))
             if len(set(ctrl + tgt)) != 2 * len(ctrl):
                 raise LayoutError(f"a qubit takes two CNOTs in step cnot_{direction}")
             self.cnot_ctrl.append(np.array(ctrl))
             self.cnot_tgt.append(np.array(tgt))
-            self.slot_offsets.append(len(self.slot_meta))
-        self.n_slots = len(self.slot_meta)
-        self.idle0 = 15 * self.n_slots
-        self.flip0 = self.idle0 + 8 * layout.n_data
+        idle_sites = tuple(
+            (("data", di, slot), step, (di, di))
+            for slot, step in enumerate(IDLE_STEPS) for di in range(layout.n_data)
+        )
+        z_flips, x_flips = (
+            tuple(((stab, idx), 7, (q, q)) for idx, q in enumerate(ids.tolist()))
+            for stab, ids in (("z", layout.zsyn_ids), ("x", layout.xsyn_ids))
+        )
+        idle0 = 15 * len(cnot_sites)
+        flip0 = idle0 + 2 * len(idle_sites)
+        cnot, idle_x, idle_z, flip_x, flip_z = _CLASSES
+        # Z-stabilizer outcomes are flipped at rate p0x, X-stabilizer ones at p0z.
+        self.classes = (
+            cnot._replace(first=0, stride=15, sites=tuple(cnot_sites)),
+            idle_x._replace(first=idle0, stride=2, sites=idle_sites),
+            idle_z._replace(first=idle0 + 1, stride=2, sites=idle_sites),
+            flip_x._replace(first=flip0, stride=1, sites=z_flips),
+            flip_z._replace(first=flip0 + layout.n_z, stride=1, sites=x_flips),
+        )
 
-        # Pauli component tables aligned with TWO_QUBIT_PAULIS.
-        self.xc = np.array([p[0] in "xy" for p in TWO_QUBIT_PAULIS])
-        self.zc = np.array([p[0] in "yz" for p in TWO_QUBIT_PAULIS])
-        self.xt = np.array([p[1] in "xy" for p in TWO_QUBIT_PAULIS])
-        self.zt = np.array([p[1] in "yz" for p in TWO_QUBIT_PAULIS])
-
-    def noise_arrays(self, b: int, R: int) -> dict:
-        """Zeroed noise for ``b`` realizations of ``R`` noisy cycles.
-
-        The one noise layout _run_cycle reads, per realization and cycle: X
-        and Z flips of the data qubits at each of the four idle slots, an
-        occurrence flag and a TWO_QUBIT_PAULIS index per CNOT slot, and the
-        outcome flips of the Z- and X-stabilizer measurements.
-        """
-        layout = self.layout
-        nd, c = layout.n_data, self.n_slots
-        return {
-            "idle_x": np.zeros((b, R, 4, nd), dtype=bool),
-            "idle_z": np.zeros((b, R, 4, nd), dtype=bool),
-            "occ": np.zeros((b, R, c), dtype=bool),
-            "kk": np.zeros((b, R, c), dtype=np.uint8),
-            "flip_z": np.zeros((b, R, layout.n_z), dtype=bool),
-            "flip_x": np.zeros((b, R, layout.n_x), dtype=bool),
-        }
+        self.by_id: list = [None] * sum(len(c.sites) * len(c.paulis) for c in self.classes)
+        for cls in self.classes:
+            for s, site in enumerate(cls.sites):
+                for k in range(len(cls.paulis)):
+                    self.by_id[cls.first + cls.stride * s + k] = (cls, site, k)
+        self.strike_step = np.array([site[1] for _, site, _ in self.by_id])
+        self.strike_qubit = np.array([site[2] for _, site, _ in self.by_id])
+        self.strike_x, self.strike_z = (
+            np.array([[p in letters for p in cls.strikes[k]] for cls, _, k in self.by_id])
+            for letters in ("xy", "yz")
+        )
 
 
 _cache: dict[int, _Compiled] = {}
@@ -270,23 +311,16 @@ class FaultEffect:
     flip_z: bool
 
     def probability(self, rates: Rates) -> float:
-        if self.rate_kind == "p2":
-            return rates.p2 / 15.0
-        if self.rate_kind == "idle_x":
-            return 2.0 * rates.p1x / 3.0
-        if self.rate_kind == "idle_z":
-            return 2.0 * rates.p1z / 3.0
-        if self.rate_kind == "flip_x":
-            return rates.p0x
-        return rates.p0z
+        """Its class's per-site rate over the class's Pauli choices."""
+        cls = _CLASS_OF[self.rate_kind]
+        return cls.site_rate(rates) / len(cls.paulis)
 
 
 def enumerate_single_faults(layout: Layout) -> tuple[FaultEffect, ...]:
     """Propagate every elementary fault of one cycle in isolation.
 
-    Each fault becomes a one-hot noise realization of a single noisy cycle,
-    in the _Compiled.noise_arrays layout, and runs through the frame
-    simulator followed by two noiseless cycles.  Residual data errors are static after the faulty
+    Fault id f runs alone in frame row f of one noisy cycle, followed by two
+    noiseless cycles.  Residual data errors are static after the faulty
     cycle, so all detection events land within a one-round offset
     (checked).  The table, and the footprint tables that Monte Carlo XORs
     (_Compiled.footprints), are computed once per distance.
@@ -294,45 +328,28 @@ def enumerate_single_faults(layout: Layout) -> tuple[FaultEffect, ...]:
     comp = _compiled(layout.d)
     if comp.faults is not None:
         return comp.faults
-    nd, nz, nx = layout.n_data, layout.n_z, layout.n_x
-    noise = comp.noise_arrays(comp.flip0 + nz + nx, 1)
-    sites: list[tuple] = []  # (kind, rate_kind, step, site, pauli) per row
-    for slot, (step, stab, idx, direction) in enumerate(comp.slot_meta):
-        for pi, pauli in enumerate(TWO_QUBIT_PAULIS):
-            noise["occ"][len(sites), 0, slot] = True
-            noise["kk"][len(sites), 0, slot] = pi
-            sites.append(("cnot", "p2", step, (stab, idx, direction), pauli))
-    for slot_k, step in enumerate(IDLE_STEPS):
-        for di in range(nd):
-            for pauli in ("x", "z"):
-                noise[f"idle_{pauli}"][len(sites), 0, slot_k, di] = True
-                sites.append(("idle", f"idle_{pauli}", step, ("data", di, slot_k), pauli))
-    # Z-stabilizer outcomes are flipped at rate p0x, X-stabilizer ones at p0z.
-    for stab, count, rate_kind in (("z", nz, "flip_x"), ("x", nx, "flip_z")):
-        for idx in range(count):
-            noise[f"flip_{stab}"][len(sites), 0, idx] = True
-            sites.append(("flip", rate_kind, 7, (stab, idx), "flip"))
-
-    det_x, det_z, flips_x, flips_z = _simulate_batch(comp, noise, tail=2)
+    n = len(comp.by_id)
+    ids = np.arange(n)
+    det_x, det_z, flips_x, flips_z = _simulate_batch(comp, (ids, np.zeros_like(ids), ids), n, 3)
     footprints, events = [], []
     for det, flips in ((det_x, flips_x), (det_z, flips_z)):
         rows, offset, site = np.nonzero(det)  # sorted by row, then offset, then site
-        ptr = np.searchsorted(rows, np.arange(len(sites) + 1))
+        ptr = np.searchsorted(rows, np.arange(n + 1))
         footprints.append(_Footprints(det.shape[2], ptr, site, offset, flips))
         pairs = list(zip(site.tolist(), offset.tolist()))
         bounds = ptr.tolist()
         events.append([tuple(pairs[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
     faults = []
-    for row, (kind, rate_kind, step, site, pauli) in enumerate(sites):
+    for row, (cls, (site, step, _), k) in enumerate(comp.by_id):
         evx, evz = events[0][row], events[1][row]
         for ev in (evx, evz):
             if len(ev) > 2 or any(t > 1 for _, t in ev):
-                raise RuntimeError(f"fault {site} {pauli} produced {ev}")
+                raise RuntimeError(f"fault {site} {cls.paulis[k]} produced {ev}")
         if (flips_x[row] or flips_z[row]) and not (evx or evz):
             raise RuntimeError(f"undetected logical fault at {site}")
         faults.append(FaultEffect(
-            kind=kind, rate_kind=rate_kind, step=step, site=site, pauli=pauli,
-            events_x=evx, events_z=evz,
+            kind=cls.kind, rate_kind=cls.rate_kind, step=step, site=site,
+            pauli=cls.paulis[k], events_x=evx, events_z=evz,
             flip_x=bool(flips_x[row]), flip_z=bool(flips_z[row]),
         ))
     comp.faults = tuple(faults)
@@ -340,61 +357,54 @@ def enumerate_single_faults(layout: Layout) -> tuple[FaultEffect, ...]:
     return comp.faults
 
 
-def _run_cycle(comp, fx, fz, meas_z, meas_x, noise, t):
-    """Advance frames through one extraction cycle, recording outcome flips.
+def _run_cycle(comp, fx, fz, meas_z, meas_x, row, fid):
+    """Advance frames through one extraction cycle, recording its outcomes.
 
-    The eight steps of the module docstring run in order.  With ``noise``
-    (arrays laid out by _Compiled.noise_arrays), the flips of cycle ``t``
-    strike after the faulty operation: data idle flips at steps 0, 1, 6 and
-    7, a two-qubit Pauli after each CNOT, and classical flips on the
-    recorded outcomes.  With ``noise`` None the cycle is noiseless.
+    The eight steps of the module docstring run in order.  ``row`` and
+    ``fid`` are the (frame row, fault id) hits of this cycle: after each
+    step, the hits whose site strikes after it XOR their bits from the
+    _Compiled strike tables into the frames (with bitwise_xor.at, as an idle
+    X and an idle Z may hit one qubit in the same step).  An outcome flip is
+    an X on the syndrome qubit after step 7, just before it is measured.
     """
     layout = comp.layout
-    data = layout.data_ids
     xsyn = layout.xsyn_ids
     syn = layout.syn_ids
+    step_of = comp.strike_step[fid]
 
-    def idle(slot):
-        if noise is not None:
-            fx[:, data] ^= noise["idle_x"][:, t, slot]
-            fz[:, data] ^= noise["idle_z"][:, t, slot]
+    def strike(step):
+        at = step_of == step
+        f = fid[at]
+        index = (row[at, None], comp.strike_qubit[f])
+        np.bitwise_xor.at(fx, index, comp.strike_x[f])
+        np.bitwise_xor.at(fz, index, comp.strike_z[f])
 
     def swap_had():
         tmp = fx[:, xsyn].copy()
         fx[:, xsyn] = fz[:, xsyn]
         fz[:, xsyn] = tmp
 
-    # step 0: syndrome init, data idle slot 0
+    # step 0: syndrome init
     fx[:, syn] = False
     fz[:, syn] = False
-    idle(0)
-    # step 1: Hadamard on X syndromes, data idle slot 1
+    strike(0)
+    # step 1: Hadamard on X syndromes
     swap_had()
-    idle(1)
+    strike(1)
     # steps 2..5: CNOT sweeps
     for k in range(4):
         c = comp.cnot_ctrl[k]
         tg = comp.cnot_tgt[k]
         fx[:, tg] = fx[:, tg] ^ fx[:, c]
         fz[:, c] = fz[:, c] ^ fz[:, tg]
-        if noise is not None:
-            lo, hi = comp.slot_offsets[k], comp.slot_offsets[k + 1]
-            occ = noise["occ"][:, t, lo:hi]
-            kk = noise["kk"][:, t, lo:hi]
-            fx[:, c] = fx[:, c] ^ (occ & comp.xc[kk])
-            fz[:, c] = fz[:, c] ^ (occ & comp.zc[kk])
-            fx[:, tg] = fx[:, tg] ^ (occ & comp.xt[kk])
-            fz[:, tg] = fz[:, tg] ^ (occ & comp.zt[kk])
-    # step 6: second Hadamard, data idle slot 2
+        strike(2 + k)
+    # step 6: second Hadamard
     swap_had()
-    idle(2)
-    # step 7: data idle slot 3, measurement
-    idle(3)
+    strike(6)
+    # step 7: measurement
+    strike(7)
     meas_z[:] = fx[:, layout.zsyn_ids]
     meas_x[:] = fx[:, xsyn]
-    if noise is not None:
-        meas_z ^= noise["flip_z"][:, t]
-        meas_x ^= noise["flip_x"][:, t]
 
 
 @dataclass(frozen=True)
@@ -433,27 +443,6 @@ class SimResult:
         )
 
 
-def _fault_classes(comp: _Compiled, R: int, rates: Rates) -> tuple[tuple, ...]:
-    """The five independent fault classes of ``R`` noisy cycles, in draw order.
-
-    Per class: (sites, rate per site, Pauli picks per hit, sites per cycle,
-    first fault id, fault id stride).  Site s of a class lies in cycle
-    s // (sites per cycle); its remainder r gives fault id first + stride * r
-    + Pauli index.  The classes are the CNOT slots (a uniform 15-way Pauli per
-    hit), the idle X and idle Z flips (ids interleaved X, Z per idle slot and
-    data qubit) and the Z- and X-stabilizer outcome flips.
-    """
-    layout = comp.layout
-    nd, c, nz, nx = layout.n_data, comp.n_slots, layout.n_z, layout.n_x
-    return (
-        (R * c, rates.p2, 15, c, 0, 15),
-        (R * 4 * nd, 2.0 * rates.p1x / 3.0, 1, 4 * nd, comp.idle0, 2),
-        (R * 4 * nd, 2.0 * rates.p1z / 3.0, 1, 4 * nd, comp.idle0 + 1, 2),
-        (R * nz, rates.p0x, 1, nz, comp.flip0, 1),
-        (R * nx, rates.p0z, 1, nx, comp.flip0 + nz, 1),
-    )
-
-
 def _draw_noise(
     seed: int, shot_indices: range, R: int, comp: _Compiled, rates: Rates
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -463,15 +452,20 @@ def _draw_noise(
     results are independent of batch partitioning.  A shot draws its faults
     by count, so its cost grows with the faults it holds, not with the
     number of sites: first the hit count k ~ Binomial(sites, rate) of each
-    class of _fault_classes, in class order, then one block of uniforms that
-    Floyd's algorithm turns into k distinct sites per class, each CNOT hit
-    also taking a uniform Pauli index from its uniform.  In distribution this
-    is one independent Bernoulli draw per site (up to the 2**-53 resolution
-    of a double, as for a direct per-site draw); a class at rate 0 has no
-    hits, and one at rate 1 hits every site.  Fault ids are the rows of the
-    fault table (see _Compiled).
+    class of _Compiled.classes, in class order, then one block of uniforms
+    that Floyd's algorithm turns into k distinct sites per class, each CNOT
+    hit also taking a uniform Pauli index from its uniform.  In distribution
+    this is one independent Bernoulli draw per site (up to the 2**-53
+    resolution of a double, as for a direct per-site draw); a class at rate
+    0 has no hits, and one at rate 1 hits every site.  Fault ids are the
+    rows of the fault table (see _Compiled).
     """
-    classes = _fault_classes(comp, R, rates)
+    # Per class: sites, rate per site, Pauli choices, sites per cycle, first
+    # fault id, fault id stride.
+    classes = [
+        (R * len(c.sites), c.site_rate(rates), len(c.paulis), len(c.sites), c.first, c.stride)
+        for c in comp.classes
+    ]
     rows, cycles, fids = [], [], []
     for row, shot in enumerate(shot_indices):
         g = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, shot))))
@@ -527,28 +521,28 @@ def _detection_events(comp: _Compiled, hits, b: int, R: int) -> list[tuple[dict,
     return out
 
 
-def _simulate_batch(comp: _Compiled, noise: dict, tail: int):
-    """Propagate a batch of noise realizations from clean frames.
+def _simulate_batch(comp: _Compiled, hits, b: int, cycles: int):
+    """Propagate ``b`` frame rows from clean frames through ``cycles`` cycles.
 
-    ``noise`` holds one row per realization of R noisy cycles, laid out by
-    _Compiled.noise_arrays (R is the second axis of each array); ``tail``
-    noiseless cycles follow, so that every error chain terminates in a
-    detection event or the boundary.  Returns the detection events of each of the R + tail
-    cycles, (row, cycle, site) per graph, and the actual logical flips of
-    the residual frames.
+    ``hits`` are (row, cycle, fault id) arrays as _draw_noise returns them;
+    cycles after the last hit are noiseless, so that every error chain
+    terminates in a detection event or the boundary.  Returns the detection
+    events of each cycle, (row, cycle, site) per graph, and the actual
+    logical flips of the residual frames.
     """
     layout = comp.layout
-    b, R = noise["occ"].shape[:2]
+    row, cycle, fid = hits
     fx = np.zeros((b, layout.n_qubits), dtype=bool)
     fz = np.zeros((b, layout.n_qubits), dtype=bool)
-    det_x = np.zeros((b, R + tail, layout.n_z), dtype=bool)
-    det_z = np.zeros((b, R + tail, layout.n_x), dtype=bool)
+    det_x = np.zeros((b, cycles, layout.n_z), dtype=bool)
+    det_z = np.zeros((b, cycles, layout.n_x), dtype=bool)
     prev_z = np.zeros((b, layout.n_z), dtype=bool)
     prev_x = np.zeros((b, layout.n_x), dtype=bool)
     out_z = np.empty_like(prev_z)
     out_x = np.empty_like(prev_x)
-    for t in range(R + tail):
-        _run_cycle(comp, fx, fz, out_z, out_x, noise if t < R else None, t)
+    for t in range(cycles):
+        at = cycle == t
+        _run_cycle(comp, fx, fz, out_z, out_x, row[at], fid[at])
         det_x[:, t] = out_z ^ prev_z
         det_z[:, t] = out_x ^ prev_x
         prev_z, out_z = out_z, prev_z
@@ -594,15 +588,12 @@ def run_monte_carlo(
     check_run_args(shots, rounds, seed, first_shot_index)
     comp = _compiled(layout.d)
     faults = enumerate_single_faults(layout)
-    if graphs is None:
-        from . import matcher
+    from . import matcher
 
+    if graphs is None:
         graphs = matcher.build_graphs(faults, rates, layout)
     for graph in graphs:
         graph.prepare(rounds)
-
-    from .matcher import min_weight_perfect_matching
-
     fails = [0, 0]
     done = 0
     while done < shots:
@@ -613,7 +604,8 @@ def run_monte_carlo(
             zip(graphs, _detection_events(comp, hits, b, rounds))
         ):
             for row, row_events in events.items():
-                actual[row] ^= min_weight_perfect_matching(graph, row_events).correction_flip
+                matching = matcher.min_weight_perfect_matching(graph, row_events)
+                actual[row] ^= matching.correction_flip
             fails[k] += int(np.count_nonzero(actual))
         done += b
     return SimResult(shots=shots, rounds=rounds, fails_x=fails[0], fails_z=fails[1])

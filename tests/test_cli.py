@@ -84,6 +84,19 @@ def test_reduce_unbounded_asymmetry_serializes_as_inf(capsys, tmp_path):
     assert json.loads(out)["asym_x"] == "inf"
 
 
+@pytest.mark.parametrize("command", ["reduce", "estimate"])
+def test_nan_asymmetry_threshold_is_input_error(capsys, tmp_path, bench_file, command):
+    path = tmp_path / "asym.json"
+    path.write_text(json.dumps({"cnot": {"ix": 1e-3}}))
+    extra = ["--db", bench_file, "--distance", "3"] if command == "estimate" else []
+    code, out, err = run(
+        capsys, command, "--model", str(path), "--asymmetry-threshold", "nan", *extra
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: asymmetry threshold must be >= 1\n"
+
+
 def test_reduce_missing_model_file(capsys, tmp_path):
     code, out, err = run(capsys, "reduce", "--model", str(tmp_path / "nope.json"))
     assert code == 1

@@ -67,6 +67,8 @@ def test_asymmetry_warning_respects_threshold():
     assert not reduce(model, asymmetry_threshold=200.0).asymmetry_warning
     with pytest.raises(ModelError):
         reduce(model, asymmetry_threshold=0.5)
+    with pytest.raises(ModelError):
+        reduce(model, asymmetry_threshold=float("nan"))
 
 
 def test_measurement_flip_feeds_both_syndrome_rates():

@@ -393,15 +393,16 @@ def test_generate_rejects_nonpositive_max_shots_before_simulating(monkeypatch, m
     ("target_fails", 0), ("target_fails", -5), ("target_fails", 2.5),
     ("target_fails", True), ("target_fails", "100"),
     ("max_shots", 2.5), ("max_shots", True), ("max_shots", 1e3), ("max_shots", "4096"),
+    ("seed", 1.5), ("seed", True), ("seed", "1"), ("seed", -1),
 ])
 def test_generate_rejects_bad_counts_before_simulating(monkeypatch, name, bad):
     def no_simulation(*args, **kwargs):
         raise AssertionError("run_monte_carlo called")
 
     monkeypatch.setattr(ratedb, "run_monte_carlo", no_simulation)
-    counts = {"target_fails": 5, "max_shots": 4096, name: bad}
+    counts = {"seed": 1, "target_fails": 5, "max_shots": 4096, name: bad}
     with pytest.raises(DbError, match=name):
-        generate(RateDatabase(), _TINY, seed=1, **counts)
+        generate(RateDatabase(), _TINY, **counts)
 
 
 def test_generate_checkpoints_after_each_point():

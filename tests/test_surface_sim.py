@@ -65,7 +65,7 @@ def test_schedule_structure(d):
         for ctrl, tgt in zip(comp.cnot_ctrl, comp.cnot_tgt)
         for c, t in zip(ctrl, tgt)
     ]
-    assert len(cnots) == comp.n_slots == 4 * (d - 1) * (2 * d - 1)
+    assert len(cnots) == len(comp.classes[0].sites) == 4 * (d - 1) * (2 * d - 1)
 
     # orientation: data controls Z-stabilizer circuits, syndrome controls X
     zsyn = set(int(q) for q in layout.zsyn_ids)
@@ -160,6 +160,28 @@ def test_fault_probabilities_follow_rate_kinds():
 
 
 @pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_fault_classes_cover_the_fault_table(d):
+    # The class table is the one source of fault ids and rates: its ids
+    # cover the fault table exactly once, each id's class has the row's rate
+    # kind, and a fault's probability is its class's per-site rate over the
+    # class's Pauli choices, bit for bit.
+    comp = surface_sim._compiled(d)
+    faults = enumerate_single_faults(comp.layout)
+    rates = Rates(p0x=1e-3, p0z=2e-3, p1x=3e-3, p1z=4e-3, p2=1.5e-2)
+    ids = []
+    for c in comp.classes:
+        q = _class_rates(rates)[c.rate_kind]
+        assert c.site_rate(rates) == q
+        for s in range(len(c.sites)):
+            for k in range(len(c.paulis)):
+                f = c.first + c.stride * s + k
+                ids.append(f)
+                assert faults[f].rate_kind == c.rate_kind
+                assert faults[f].probability(rates) == q / len(c.paulis)
+    assert sorted(ids) == list(range(len(faults)))
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
 def test_every_single_fault_matches_scalar_oracle(d):
     layout = get_layout(d)
     for fault in enumerate_single_faults(layout):
@@ -237,79 +259,62 @@ def test_known_footprints_d3():
     assert not f.flip_x and not f.flip_z
 
 
+def _class_rates(rates):
+    """Per-site rate of each fault class, keyed by its rate kind."""
+    return {
+        "p2": rates.p2,
+        "idle_x": 2.0 * rates.p1x / 3.0,
+        "idle_z": 2.0 * rates.p1z / 3.0,
+        "flip_x": rates.p0x,
+        "flip_z": rates.p0z,
+    }
+
+
+def _dense_zeros(comp, b, R):
+    """Zeroed dense noise: per fault class, hit flags and Pauli choices.
+
+    One (hit, pauli) pair of (b, R, sites per cycle) arrays per class of
+    comp.classes, in class order.
+    """
+    shape = [(b, R, len(c.sites)) for c in comp.classes]
+    return [(np.zeros(n, dtype=bool), np.zeros(n, dtype=np.uint8)) for n in shape]
+
+
 def _dense_draw(seed, shot_indices, R, comp, rates):
     """Per-shot noise as dense arrays, one Bernoulli draw per site.
 
     The direct draw that _draw_noise must match in distribution: every site
-    of every cycle is hit independently at its class's rate, and every CNOT
-    slot carries a uniform Pauli index, read only where the slot is hit.
+    of every cycle is hit independently at its class's rate, and every site
+    carries a uniform Pauli choice, read only where the site is hit.
     """
-    nd, nz, c = comp.layout.n_data, comp.layout.n_z, comp.n_slots
-    noise = comp.noise_arrays(len(shot_indices), R)
+    noise = _dense_zeros(comp, len(shot_indices), R)
     for row, shot in enumerate(shot_indices):
         g = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, shot))))
-        noise["idle_x"][row] = g.random((R, 4, nd)) < 2.0 * rates.p1x / 3.0
-        noise["idle_z"][row] = g.random((R, 4, nd)) < 2.0 * rates.p1z / 3.0
-        noise["occ"][row] = g.random((R, c)) < rates.p2
-        noise["kk"][row] = g.integers(0, 15, size=(R, c), dtype=np.uint8)
-        flips = g.random((R, nz + comp.layout.n_x))
-        noise["flip_z"][row] = flips[:, :nz] < rates.p0x
-        noise["flip_x"][row] = flips[:, nz:] < rates.p0z
+        for c, (hit, pauli) in zip(comp.classes, noise):
+            hit[row] = g.random(hit.shape[1:]) < _class_rates(rates)[c.rate_kind]
+            pauli[row] = g.integers(0, len(c.paulis), size=hit.shape[1:])
     return noise
 
 
 def _noise_from_hits(comp, hits, b, R):
-    """Dense noise arrays holding the faults of _draw_noise's hits."""
-    nd, nz = comp.layout.n_data, comp.layout.n_z
-    noise = comp.noise_arrays(b, R)
-    for row, t, fid in zip(*(h.tolist() for h in hits)):
-        if fid < comp.idle0:
-            slot, pauli = divmod(fid, 15)
-            noise["occ"][row, t, slot] = True
-            noise["kk"][row, t, slot] = pauli
-        elif fid < comp.flip0:
-            k, axis = divmod(fid - comp.idle0, 2)
-            noise["idle_" + "xz"[axis]][(row, t, *divmod(k, nd))] = True
-        elif fid - comp.flip0 < nz:
-            noise["flip_z"][row, t, fid - comp.flip0] = True
-        else:
-            noise["flip_x"][row, t, fid - comp.flip0 - nz] = True
-    return noise
+    """Dense noise arrays holding the faults of _draw_noise's hits.
 
-
-def _class_rates(rates):
-    """Per-site rate of each fault class, keyed by its dense noise array."""
-    return {
-        "occ": rates.p2,
-        "idle_x": 2.0 * rates.p1x / 3.0,
-        "idle_z": 2.0 * rates.p1z / 3.0,
-        "flip_z": rates.p0x,
-        "flip_x": rates.p0z,
-    }
-
-
-def _hits_by_class(comp, hits):
-    """Each class's hits as (row, cycle, site, Pauli index), keyed as above.
-
-    Checks that every fault id lies in its class's id range: CNOT ids
-    (slot * 15 + Pauli index) below idle0, idle ids (X even, Z odd offsets)
-    from idle0, Z- then X-stabilizer flips from flip0.  A CNOT hit's site is
-    its slot, an idle hit's the (idle slot, data qubit) pair.
+    Checks that every fault id lies in exactly one class's id range (site s,
+    choice k of a class is id first + stride * s + k) and that no class has
+    a (row, cycle, site) twice.
     """
-    nz, nx = comp.layout.n_z, comp.layout.n_x
-    out = {key: [] for key in ("occ", "idle_x", "idle_z", "flip_z", "flip_x")}
-    for row, t, fid in zip(*(h.tolist() for h in hits)):
-        assert 0 <= fid < comp.flip0 + nz + nx
-        if fid < comp.idle0:
-            out["occ"].append((row, t, *divmod(fid, 15)))
-        elif fid < comp.flip0:
-            site, axis = divmod(fid - comp.idle0, 2)
-            out["idle_" + "xz"[axis]].append((row, t, site, 0))
-        elif fid < comp.flip0 + nz:
-            out["flip_z"].append((row, t, fid - comp.flip0, 0))
-        else:
-            out["flip_x"].append((row, t, fid - comp.flip0 - nz, 0))
-    return out
+    row, t, fid = hits
+    owners = np.zeros(fid.size, dtype=int)
+    noise = _dense_zeros(comp, b, R)
+    for c, (hit, pauli) in zip(comp.classes, noise):
+        site, k = np.divmod(fid - c.first, c.stride)
+        mine = (fid >= c.first) & (site < len(c.sites)) & (k < len(c.paulis))
+        owners += mine
+        hit[row[mine], t[mine], site[mine]] = True
+        pauli[row[mine], t[mine], site[mine]] = k[mine]
+        assert hit.sum() == mine.sum(), c.rate_kind
+    assert (owners == 1).all()
+    return noise
 
 
 _EDGE_RATES = (
@@ -342,18 +347,14 @@ def test_footprint_xor_matches_frame_simulation(seed):
     assert all(h.dtype == np.int64 and h.shape == hits[0].shape for h in hits)
     assert all(0 <= row < b for row in hits[0].tolist())
     assert all(0 <= t < R for t in hits[1].tolist())
-    noise = _noise_from_hits(comp, hits, b, R)
-    for key, class_hits in _hits_by_class(comp, hits).items():
-        sites = [h[:3] for h in class_hits]
-        assert len(set(sites)) == len(sites), key
-        assert all(0 <= h[3] < 15 for h in class_hits)
-        q = _class_rates(rates)[key]
+    for c, (hit, _) in zip(comp.classes, _noise_from_hits(comp, hits, b, R)):
+        q = _class_rates(rates)[c.rate_kind]
         if q == 0.0:
-            assert not sites, key
+            assert not hit.any(), c.rate_kind
         if q == 1.0:
-            assert noise[key].all(), key
+            assert hit.all(), c.rate_kind
 
-    det_x, det_z, actual_x, actual_z = surface_sim._simulate_batch(comp, noise, tail=1)
+    det_x, det_z, actual_x, actual_z = surface_sim._simulate_batch(comp, hits, b, R + 1)
     got = surface_sim._detection_events(comp, hits, b, R)
     for (events, actual), det, want_actual in zip(
         got, (det_x, det_z), (actual_x, actual_z)
@@ -402,23 +403,26 @@ def test_sparse_draw_matches_bernoulli_distribution(mix):
         comp, surface_sim._draw_noise(101, range(shots), R, comp, rates), shots, R
     )
     dense = _dense_draw(202, range(shots), R, comp, rates)
-    for key, q in _class_rates(rates).items():
-        n = sparse[key][0].size  # sites of the class in R cycles
-        per_cycle = n // R
+    for i, c in enumerate(comp.classes):
+        key, q = c.rate_kind, _class_rates(rates)[c.rate_kind]
+        per_cycle = len(c.sites)
+        n = R * per_cycle  # sites of the class in R cycles
         sigma = math.sqrt(n * q * (1.0 - q) / shots)
-        means = [draw[key].sum() / shots for draw in (sparse, dense)]
+        means = [draw[i][0].sum() / shots for draw in (sparse, dense)]
         assert abs(means[0] - n * q) <= 5.0 * sigma, (key, means, n * q)
         assert abs(means[0] - means[1]) <= 5.0 * math.sqrt(2.0) * sigma, (key, means)
         for name, draw in (("sparse", sparse), ("dense", dense)):
-            hits = draw[key].reshape(shots, R, per_cycle)
+            hits = draw[i][0]
             for axis, counts, trials in (
                 ("cycle", hits.sum(axis=(0, 2)), shots * per_cycle),
                 ("site", hits.sum(axis=0), shots),
             ):
                 stat, df = _binomial_chi2(counts, trials, q)
                 assert stat < _chi2_critical(df), (name, key, axis, stat, df)
+    assert comp.classes[0].rate_kind == "p2"
     for name, draw in (("sparse", sparse), ("dense", dense)):
-        paulis = np.bincount(draw["kk"][draw["occ"]], minlength=15)
+        hit, pauli = draw[0]
+        paulis = np.bincount(pauli[hit], minlength=15)
         expected = paulis.sum() / 15.0
         stat = float(((paulis - expected) ** 2).sum() / expected)
         assert paulis.size == 15 and stat < _chi2_critical(14), (name, stat)
