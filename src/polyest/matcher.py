@@ -17,11 +17,13 @@ correction parity.
 
 Decoding a syndrome:
 
-* pairwise distances come from Dijkstra tables computed once per graph on a
-  time-translation-invariant window, giving D[a][b][dt] plus path masks, and
-  per-site boundary distances B[s], shortest paths to any boundary class in
-  the site graph with time offsets dropped (every round reaches the boundary
-  alike, so no window is needed);
+* pairwise distances D[a][b][dt] and their path masks come from one
+  relaxation of all source sites at once on a window of rounds around the
+  sources, grown when a syndrome spans more rounds; its fixed point is the
+  per-source Dijkstra result bit for bit (MatchingGraph._ensure_tables
+  says why).  Per-site boundary distances B[s] come from one heap search:
+  shortest paths to any boundary class in the site graph with time offsets
+  dropped (every round reaches the boundary alike, so no window is needed);
 * the effective pair weight is min(direct, B[a] + B[b]); pairs where no
   direct path can beat two boundary routes never need to be matched to each
   other, which splits the events into independent clusters;
@@ -102,47 +104,33 @@ class MatchingGraph:
             adj[sb].append((sa, -dt, w, m))
         return adj
 
-    def _dijkstra(self, adj, half: int, seeds) -> tuple[np.ndarray, np.ndarray]:
-        """Shortest paths on a (2*half+1)-row window; seeds are (w, row, site, mask).
-
-        The search keeps distances and masks in flat lists indexed
-        row * n_sites + site and converts them to arrays once at the end.
-        """
-        n = self.n_sites
-        rows = 2 * half + 1
-        dist = [math.inf] * (rows * n)
-        mask = [False] * (rows * n)
-        heap = []
-        for w, r, s, m in seeds:
-            if w < dist[r * n + s]:
-                dist[r * n + s] = w
-                mask[r * n + s] = m
-                heapq.heappush(heap, (w, r, s, m))
-        while heap:
-            d, r, s, m = heapq.heappop(heap)
-            if d > dist[r * n + s]:
-                continue
-            for s2, dr, w2, m2 in adj[s]:
-                r2 = r + dr
-                if not 0 <= r2 < rows:
-                    continue
-                i2 = r2 * n + s2
-                nd = d + w2
-                if nd < dist[i2]:
-                    dist[i2] = nd
-                    mask[i2] = m ^ m2
-                    heapq.heappush(heap, (nd, r2, s2, m ^ m2))
-        shape = (rows, n)
-        return np.array(dist).reshape(shape), np.array(mask, dtype=bool).reshape(shape)
-
     def _boundary_distances(self) -> tuple[np.ndarray, np.ndarray]:
-        # The boundary is reachable from every round and the graph is
-        # invariant under shifts in time, so a site's boundary distance is
-        # its shortest path in the site graph with the time offsets dropped.
-        adj = [[(s2, 0, w, m) for s2, _, w, m in row] for row in self._adjacency()]
-        seeds = [(w, 0, s, m) for s, (_, w, m) in sorted(self.boundary.items())]
-        dist, mask = self._dijkstra(adj, 0, seeds)
-        return dist[0], mask[0]
+        """Per-site distance and mask to the nearest boundary class.
+
+        The boundary is reachable from every round and the graph is
+        invariant under shifts in time, so a site's boundary distance is its
+        shortest path in the site graph with the time offsets dropped.  This
+        stays a heap search: equally far boundaries can carry different
+        masks (the centre column at d=4), and the heap's tie order picks one.
+        """
+        adj = self._adjacency()
+        dist = [math.inf] * self.n_sites
+        mask = [False] * self.n_sites
+        heap = []
+        for s, (_, w, m) in sorted(self.boundary.items()):
+            dist[s], mask[s] = w, m
+            heapq.heappush(heap, (w, s, m))
+        while heap:
+            d, s, m = heapq.heappop(heap)
+            if d > dist[s]:
+                continue
+            for s2, _, w2, m2 in adj[s]:
+                nd = d + w2
+                if nd < dist[s2]:
+                    dist[s2] = nd
+                    mask[s2] = m ^ m2
+                    heapq.heappush(heap, (nd, s2, m ^ m2))
+        return np.array(dist), np.array(mask, dtype=bool)
 
     def _safe_span(self) -> int | None:
         w1 = min((w for (_, _, dt), (_, w, _) in self.edges.items() if dt == 1), default=None)
@@ -156,21 +144,68 @@ class MatchingGraph:
         return math.ceil(2.0 * float(finite.max()) / max(w1, 1e-12)) + 2
 
     def _ensure_tables(self, t_req: int) -> None:
+        """Pair tables D, DM on a window of 2T+1 rounds, sources in the middle.
+
+        D[a, b, dt] is the shortest distance from (a, T) to (b, T + dt) over
+        paths that stay in the window, DM its mask.  All sources relax at
+        once: dist and mask are (row, site, source) arrays, and each in-edge
+        slot (one in-edge per site, all with the same time step) gathers
+        whole source rows, adds the edge weights and keeps the sums that are
+        strictly smaller.  Sweeps repeat until nothing improves, each one
+        relaxing only from rows that changed in the previous sweep, so a
+        path along time costs a row per sweep and not the whole window.
+
+        The tables equal a per-source Dijkstra search bit for bit.  Weights
+        are >= 0 and float addition is monotone, so a node's minimum over
+        its paths' left-to-right sums is the one fixed point that Dijkstra
+        and any relaxation order both reach.  The masks do not depend on
+        which path is kept: two paths between the same nodes differ by a
+        cycle of bulk edges, a trivial fault set.  (In built graphs no bulk
+        edge carries a mask at all, as the logical cuts run along a boundary.)
+        """
         t_target = t_req if self._t_safe is None else min(t_req, self._t_safe)
         t_target = max(0, min(int(t_target), _T_CAP))
         if self.D is not None and self.T >= t_target:
             return
-        adj = self._adjacency()
-        half = t_target
-        rows = 2 * half + 1
         n = self.n_sites
-        D = np.full((n, n, t_target + 1), np.inf)
-        DM = np.zeros((n, n, t_target + 1), dtype=bool)
-        for src in range(n):
-            dist, mask = self._dijkstra(adj, half, [(0.0, half, src, False)])
-            D[src] = dist[half:half + t_target + 1].T
-            DM[src] = mask[half:half + t_target + 1].T
-        self.D, self.DM, self.T = D, DM, t_target
+        rows = 2 * t_target + 1
+        # The graph is undirected, so a site's in-edges with time step dr
+        # are its adjacency entries with step -dr; slot k holds each site's
+        # k-th one, padded with infinite weight.
+        adj = self._adjacency()
+        slots = []
+        for dr in sorted({e[1] for row in adj for e in row}):
+            ins = [[(s, w, m) for s, back, w, m in row if back == -dr] for row in adj]
+            for k in range(max(map(len, ins))):
+                edge = [e[k] if k < len(e) else (0, math.inf, False) for e in ins]
+                src, w, m = (np.array(col) for col in zip(*edge))
+                slots.append((dr, src, w[:, None], m[:, None]))
+        dist = np.full((rows, n, n), np.inf)
+        mask = np.zeros((rows, n, n), dtype=bool)
+        dist[t_target, np.arange(n), np.arange(n)] = 0.0
+        changed = np.zeros(rows, dtype=bool)
+        changed[t_target] = True
+        while changed.any():
+            # Half-open runs of consecutive changed rows.
+            cuts = np.flatnonzero(np.diff(changed, prepend=False, append=False)).tolist()
+            runs = list(zip(cuts[::2], cuts[1::2]))
+            changed[:] = False
+            for dr, src, w, m in slots:
+                for lo, hi in runs:
+                    lo, hi = max(lo, -dr), min(hi, rows - dr)
+                    if lo >= hi:
+                        continue
+                    rs, rt = slice(lo, hi), slice(lo + dr, hi + dr)
+                    cand = np.take(dist[rs], src, axis=1)
+                    cand += w
+                    better = cand < dist[rt]
+                    if better.any():
+                        np.copyto(dist[rt], cand, where=better)
+                        np.copyto(mask[rt], np.take(mask[rs], src, axis=1) ^ m, where=better)
+                        changed[rt] = True
+        self.D = np.ascontiguousarray(dist[t_target:].transpose(2, 1, 0))
+        self.DM = np.ascontiguousarray(mask[t_target:].transpose(2, 1, 0))
+        self.T = t_target
 
     def prepare(self, rounds: int) -> None:
         """Precompute distance tables for syndromes spanning up to ``rounds``."""

@@ -16,7 +16,9 @@ import numpy as np
 from .store import (
     DbEntry, DbError, GridSpec, RateDatabase, format_value, ladder_decompose,
 )
-from .surface_sim import Rates, enumerate_single_faults, get_layout, run_monte_carlo
+from .surface_sim import (
+    Rates, check_ints, enumerate_single_faults, get_layout, run_monte_carlo,
+)
 
 
 def _point_seeds(master_seed: int, d: int, r0: float, r1: float, p2: float):
@@ -78,11 +80,9 @@ def generate(
 
     Returns (added_keys, skipped) where skipped pairs each key with a reason.
     """
-    for name, value, low in (
-        ("seed", seed, 0), ("target_fails", target_fails, 1), ("max_shots", max_shots, 1),
-    ):
-        if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low:
-            raise DbError(f"{name} must be an integer >= {low}, got {value!r}")
+    check_ints(
+        DbError, ("seed", seed, 0), ("target_fails", target_fails, 1), ("max_shots", max_shots, 1),
+    )
     note = progress or (lambda msg: None)
     added: list[tuple] = []
     skipped: list[tuple] = []

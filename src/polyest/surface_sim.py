@@ -552,14 +552,22 @@ def _simulate_batch(comp: _Compiled, hits, b: int, cycles: int):
     return det_x, det_z, actual_x, actual_z
 
 
+def check_ints(error: type[Exception], *checks: tuple[str, object, int]) -> None:
+    """Raise ``error`` unless each (name, value, low) holds an integer >= low.
+
+    numpy integers count as integers; bools do not.
+    """
+    for name, value, low in checks:
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low:
+            raise error(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def check_run_args(shots, rounds, seed, first_shot_index=0) -> None:
     """Raise ValueError unless the run_monte_carlo counts are integers in range."""
-    for name, value, low in (
-        ("shots", shots, 0), ("rounds", rounds, 1),
+    check_ints(
+        ValueError, ("shots", shots, 0), ("rounds", rounds, 1),
         ("seed", seed, 0), ("first_shot_index", first_shot_index, 0),
-    ):
-        if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low:
-            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    )
 
 
 def run_monte_carlo(

@@ -1,8 +1,14 @@
 from itertools import product
 
 import pytest
+from hypothesis import settings
 
 from polyest.store import DbEntry, RateDatabase
+
+# Property tests draw their examples from a fixed seed and ignore the
+# example database, so every run checks the same inputs.
+settings.register_profile("fixed-seed", derandomize=True, database=None)
+settings.load_profile("fixed-seed")
 
 # Published logical rates per round for the standard depolarizing benchmark
 # at p = 1e-3, distances 3 through 6.

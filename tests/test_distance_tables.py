@@ -1,0 +1,205 @@
+"""Distance tables against a copy of the per-source windowed Dijkstra search.
+
+``WindowedDijkstra`` is the table search of polyest 0.2.0, copied verbatim
+(``_adjacency``, ``_dijkstra``, ``_boundary_distances``, ``_safe_span`` and
+the ``_ensure_tables`` loop): one heap search per source site on the
+2T+1-row window.  The package's tables must equal it byte for byte, on the
+same prepare sequences, so every decode sees the same weights and masks.
+"""
+
+import heapq
+import math
+
+import numpy as np
+import pytest
+
+from polyest import matcher
+from polyest.matcher import MatchingGraph, build_graphs
+from polyest.surface_sim import Rates, enumerate_single_faults, get_layout
+
+_T_CAP = 4096
+
+
+class WindowedDijkstra:
+    """Reference pair and boundary tables for one graph's edge classes."""
+
+    def __init__(self, graph):
+        self.n_sites = graph.n_sites
+        self.edges = graph.edges
+        self.boundary = graph.boundary
+        self.T = -1
+        self.D = None
+        self.DM = None
+        self.B, self.BM = self._boundary_distances()
+        self._t_safe = self._safe_span()
+
+    def _adjacency(self) -> list[list[tuple[int, int, float, bool]]]:
+        adj: list[list[tuple[int, int, float, bool]]] = [[] for _ in range(self.n_sites)]
+        for (sa, sb, dt) in sorted(self.edges):
+            _, w, m = self.edges[(sa, sb, dt)]
+            adj[sa].append((sb, dt, w, m))
+            adj[sb].append((sa, -dt, w, m))
+        return adj
+
+    def _dijkstra(self, adj, half: int, seeds) -> tuple[np.ndarray, np.ndarray]:
+        """Shortest paths on a (2*half+1)-row window; seeds are (w, row, site, mask).
+
+        The search keeps distances and masks in flat lists indexed
+        row * n_sites + site and converts them to arrays once at the end.
+        """
+        n = self.n_sites
+        rows = 2 * half + 1
+        dist = [math.inf] * (rows * n)
+        mask = [False] * (rows * n)
+        heap = []
+        for w, r, s, m in seeds:
+            if w < dist[r * n + s]:
+                dist[r * n + s] = w
+                mask[r * n + s] = m
+                heapq.heappush(heap, (w, r, s, m))
+        while heap:
+            d, r, s, m = heapq.heappop(heap)
+            if d > dist[r * n + s]:
+                continue
+            for s2, dr, w2, m2 in adj[s]:
+                r2 = r + dr
+                if not 0 <= r2 < rows:
+                    continue
+                i2 = r2 * n + s2
+                nd = d + w2
+                if nd < dist[i2]:
+                    dist[i2] = nd
+                    mask[i2] = m ^ m2
+                    heapq.heappush(heap, (nd, r2, s2, m ^ m2))
+        shape = (rows, n)
+        return np.array(dist).reshape(shape), np.array(mask, dtype=bool).reshape(shape)
+
+    def _boundary_distances(self) -> tuple[np.ndarray, np.ndarray]:
+        # The boundary is reachable from every round and the graph is
+        # invariant under shifts in time, so a site's boundary distance is
+        # its shortest path in the site graph with the time offsets dropped.
+        adj = [[(s2, 0, w, m) for s2, _, w, m in row] for row in self._adjacency()]
+        seeds = [(w, 0, s, m) for s, (_, w, m) in sorted(self.boundary.items())]
+        dist, mask = self._dijkstra(adj, 0, seeds)
+        return dist[0], mask[0]
+
+    def _safe_span(self) -> int | None:
+        w1 = min((w for (_, _, dt), (_, w, _) in self.edges.items() if dt == 1), default=None)
+        finite = self.B[np.isfinite(self.B)]
+        if w1 is None:
+            # No time-advancing edges: rounds decouple, pairs at dt > 0 can
+            # only reach each other through the boundary.
+            return 0
+        if finite.size == 0:
+            return None  # no boundary: direct paths needed at any span
+        return math.ceil(2.0 * float(finite.max()) / max(w1, 1e-12)) + 2
+
+    def _ensure_tables(self, t_req: int) -> None:
+        t_target = t_req if self._t_safe is None else min(t_req, self._t_safe)
+        t_target = max(0, min(int(t_target), _T_CAP))
+        if self.D is not None and self.T >= t_target:
+            return
+        adj = self._adjacency()
+        half = t_target
+        rows = 2 * half + 1
+        n = self.n_sites
+        D = np.full((n, n, t_target + 1), np.inf)
+        DM = np.zeros((n, n, t_target + 1), dtype=bool)
+        for src in range(n):
+            dist, mask = self._dijkstra(adj, half, [(0.0, half, src, False)])
+            D[src] = dist[half:half + t_target + 1].T
+            DM[src] = mask[half:half + t_target + 1].T
+        self.D, self.DM, self.T = D, DM, t_target
+
+
+def _random_rates(rng) -> Rates:
+    # Per-kind rates around a random p2: outcome flips up to 20 p2 (cheap
+    # time edges), idles up to 5 p2, X and Z sides drawn independently, and
+    # each rate zero with probability 1/4.
+    p2 = 10.0 ** rng.uniform(-4.0, -2.0)
+    scale = (20.0, 20.0, 5.0, 5.0, 1.0)
+    return Rates(*(
+        0.0 if rng.random() < 0.25 else float(rng.uniform(0.0, s) * p2)
+        for s in scale
+    ))
+
+
+def _assert_same_tables(graph, ref):
+    assert graph.T == ref.T
+    assert graph._t_safe == ref._t_safe
+    for name in ("D", "DM", "B", "BM"):
+        ours, theirs = getattr(graph, name), getattr(ref, name)
+        assert ours.dtype == theirs.dtype and ours.shape == theirs.shape, name
+        assert np.ascontiguousarray(ours).tobytes() == np.ascontiguousarray(theirs).tobytes(), name
+
+
+def _check_prepare_sequences(layout, rates, sequences):
+    faults = enumerate_single_faults(layout)
+    for built in build_graphs(faults, rates, layout):
+        for sequence in sequences:
+            graph = MatchingGraph(built.kind, built.n_sites, built.edges, built.boundary)
+            ref = WindowedDijkstra(graph)
+            for rounds in sequence:
+                graph.prepare(rounds)
+                ref._ensure_tables(int(rounds))
+                _assert_same_tables(graph, ref)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_tables_match_windowed_dijkstra(d, seed):
+    rng = np.random.default_rng([d, seed])
+    sequences = [(0,), (1,), (d,), (10 * d,), (d, 10 * d)]
+    _check_prepare_sequences(get_layout(d), _random_rates(rng), sequences)
+
+
+@pytest.mark.parametrize("d", [4, 6])
+def test_cheap_time_edges_match_windowed_dijkstra(d):
+    # Outcome flips at 20 p2 make time edges cheap, so the safe span and the
+    # window are wide.
+    rates = Rates(0.2, 0.2, 1e-3, 1e-3, 1e-2)
+    _check_prepare_sequences(get_layout(d), rates, [(d,), (d, 10 * d)])
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_boundaryless_tables_match_windowed_dijkstra(d):
+    # Outcome flips only: every edge is a time edge and no site reaches a
+    # boundary, so the window is never capped by the safe span.
+    layout = get_layout(d)
+    rates = Rates(3e-3, 1e-3, 0.0, 0.0, 0.0)
+    graphs = build_graphs(enumerate_single_faults(layout), rates, layout)
+    assert all(g._t_safe is None for g in graphs)
+    _check_prepare_sequences(layout, rates, [(3 * d,)])
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_bulk_masks_match_windowed_dijkstra(d):
+    # The layouts' logical reference cuts run along a boundary, so bulk
+    # edges of built graphs carry no mask and DM is all False.  Masks from a
+    # cut through the bulk (site potential f, every time step flipping) are
+    # still path-independent, and the tables must carry them the same way.
+    layout = get_layout(d)
+    rng = np.random.default_rng(d)
+    for built in build_graphs(enumerate_single_faults(layout), Rates(*(1e-3,) * 5), layout):
+        f = rng.integers(0, 2, built.n_sites).astype(bool)
+        edges = {
+            (sa, sb, dt): (p, w, bool(f[sa] ^ f[sb] ^ (dt == 1)))
+            for (sa, sb, dt), (p, w, _) in built.edges.items()
+        }
+        graph = MatchingGraph(built.kind, built.n_sites, edges, built.boundary)
+        ref = WindowedDijkstra(graph)
+        for rounds in (d, 10 * d):
+            graph.prepare(rounds)
+            ref._ensure_tables(rounds)
+            _assert_same_tables(graph, ref)
+        assert graph.DM.any() and not graph.DM.all()
+
+
+def test_random_rates_cover_the_hard_cases():
+    # The seeded draws above include zero rates, cheap time edges and
+    # asymmetric X/Z sides; this pins that they do.
+    drawn = [_random_rates(np.random.default_rng([d, s])) for d in range(3, 7) for s in range(3)]
+    assert any(0.0 in r for r in drawn)
+    assert any(max(r.p0x, r.p0z) > 10.0 * r.p2 > 0.0 for r in drawn)
+    assert any(r.p0x != r.p0z and r.p1x != r.p1z for r in drawn)
+    assert matcher._T_CAP == _T_CAP
