@@ -242,6 +242,10 @@ def _cmd_curve(args) -> int:
     else:
         r0 = args.r0 if args.r0 is not None else 1.0
         r1 = args.r1 if args.r1 is not None else 1.0
+    bounds = (("--r0", r0), ("--r1", r1), ("--p2-min", args.p2_min), ("--p2-max", args.p2_max))
+    for flag, value in bounds:
+        if not (math.isfinite(value) and value >= 0.0):
+            raise _UsageError(f"{flag} must be finite and >= 0, got {value!r}")
     axis_lo, axis_hi = AXES["p2"]
     lo = max(args.p2_min, axis_lo)
     hi = min(args.p2_max, axis_hi)

@@ -17,13 +17,17 @@ correction parity.
 
 Decoding a syndrome:
 
-* pairwise distances D[a][b][dt] and their path masks come from one
-  relaxation of all source sites at once on a window of rounds around the
-  sources, grown when a syndrome spans more rounds; its fixed point is the
-  per-source Dijkstra result bit for bit (MatchingGraph._ensure_tables
-  says why).  Per-site boundary distances B[s] come from one heap search:
-  shortest paths to any boundary class in the site graph with time offsets
-  dropped (every round reaches the boundary alike, so no window is needed);
+* every table a decode reads is built once, when the graph is built, and
+  never changes after, so a decode depends on the graph and the events only.
+  Pairwise distances D[a][b][dt] and their path masks come from one
+  relaxation of all source sites at once on a fixed window of rounds around
+  the sources; its fixed point is the per-source Dijkstra result bit for bit
+  (MatchingGraph._pair_tables says why, and why the window is wide enough).
+  A graph without boundary classes has only same-site time edges, and its
+  pair distances have a closed form instead.  Per-site boundary distances
+  B[s] come from one heap search: shortest paths to any boundary class in
+  the site graph with time offsets dropped (every round reaches the boundary
+  alike, so no window is needed);
 * the effective pair weight is min(direct, B[a] + B[b]); pairs where no
   direct path can beat two boundary routes never need to be matched to each
   other, which splits the events into independent clusters;
@@ -54,7 +58,7 @@ import numpy as np
 from .surface_sim import FaultEffect, Layout, Rates
 
 _P_FLOOR = 1e-300
-_T_CAP = 4096
+_T_CAP = 64
 
 
 class MatchingError(RuntimeError):
@@ -78,11 +82,12 @@ class Matching:
 
 
 class MatchingGraph:
-    """Edge classes and cached distance tables for one detection graph.
+    """Edge classes and the distance tables of one detection graph.
 
     ``edges`` maps (site_a, site_b, dt) and ``boundary`` maps a site to the
-    (probability, weight, mask) of each class.  The boundary distances are
-    computed on construction, the pairwise tables by prepare.
+    (probability, weight, mask) of each class.  The boundary distances B, BM
+    and the pair tables D, DM on time offsets 0..T are built here, once, and
+    nothing changes them after: decoding only reads them.
     """
 
     def __init__(self, kind: str, n_sites: int, edges: dict, boundary: dict):
@@ -90,11 +95,17 @@ class MatchingGraph:
         self.n_sites = n_sites
         self.edges: dict[tuple[int, int, int], tuple[float, float, bool]] = edges
         self.boundary: dict[int, tuple[float, float, bool]] = boundary
-        self.T = -1
-        self.D: np.ndarray | None = None
-        self.DM: np.ndarray | None = None
         self.B, self.BM = self._boundary_distances()
+        # The pair tables are exact only where a boundary bounds the useful
+        # paths, and the closed form of pair_distances only on bare time lines.
+        if any(not math.isfinite(self.B[sa]) and (boundary or sa != sb) for sa, sb, _ in edges):
+            raise ValueError("edges that reach no boundary must be same-site time edges "
+                             "of a graph without boundary classes")
         self._t_safe = self._safe_span()
+        # Without a boundary, T = 1 keeps each site's one time edge, which
+        # pair_distances repeats.
+        self.T = 1 if self._t_safe is None else min(self._t_safe, _T_CAP)
+        self.D, self.DM = self._pair_tables(self.T)
 
     def _adjacency(self) -> list[list[tuple[int, int, float, bool]]]:
         adj: list[list[tuple[int, int, float, bool]]] = [[] for _ in range(self.n_sites)]
@@ -143,10 +154,10 @@ class MatchingGraph:
             return None  # no boundary: direct paths needed at any span
         return math.ceil(2.0 * float(finite.max()) / max(w1, 1e-12)) + 2
 
-    def _ensure_tables(self, t_req: int) -> None:
-        """Pair tables D, DM on a window of 2T+1 rounds, sources in the middle.
+    def _pair_tables(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """Pair tables D, DM on a window of 2t+1 rounds, sources in the middle.
 
-        D[a, b, dt] is the shortest distance from (a, T) to (b, T + dt) over
+        D[a, b, dt] is the shortest distance from (a, t) to (b, t + dt) over
         paths that stay in the window, DM its mask.  All sources relax at
         once: dist and mask are (row, site, source) arrays, and each in-edge
         slot (one in-edge per site, all with the same time step) gathers
@@ -162,13 +173,24 @@ class MatchingGraph:
         which path is kept: two paths between the same nodes differ by a
         cycle of bulk edges, a trivial fault set.  (In built graphs no bulk
         edge carries a mask at all, as the logical cuts run along a boundary.)
+
+        Why the window t = _safe_span() suffices: a direct weight can change
+        a decode only if it is at most B[a] + B[b] <= 2 max B (ties count,
+        as _blossom_cluster keeps a tied pair); a larger one loses to the
+        two boundary legs whatever its value.  (Every site with an edge
+        reaches the boundary, which the constructor checks.)  A path from
+        round 0 that reaches round -k or dt + k on its way to round dt uses
+        at least dt + 2k time edges, each weighing at least the lightest
+        one, w1.  With t * w1 >= 2 max B + 2 w1, every path that leaves the
+        window, and every pair with dt > t, weighs more than 2 max B, so
+        every usable weight is the exact one on the unbounded time strip.
+        The window is capped at _T_CAP rounds, which takes time edges far
+        lighter than the boundary legs: on the full grid only outcome flips
+        of probability 1 (weight 0) reach it.  Past the cap, pairs further
+        apart than _T_CAP count as unusable.
         """
-        t_target = t_req if self._t_safe is None else min(t_req, self._t_safe)
-        t_target = max(0, min(int(t_target), _T_CAP))
-        if self.D is not None and self.T >= t_target:
-            return
         n = self.n_sites
-        rows = 2 * t_target + 1
+        rows = 2 * t + 1
         # The graph is undirected, so a site's in-edges with time step dr
         # are its adjacency entries with step -dr; slot k holds each site's
         # k-th one, padded with infinite weight.
@@ -182,9 +204,9 @@ class MatchingGraph:
                 slots.append((dr, src, w[:, None], m[:, None]))
         dist = np.full((rows, n, n), np.inf)
         mask = np.zeros((rows, n, n), dtype=bool)
-        dist[t_target, np.arange(n), np.arange(n)] = 0.0
+        dist[t, np.arange(n), np.arange(n)] = 0.0
         changed = np.zeros(rows, dtype=bool)
-        changed[t_target] = True
+        changed[t] = True
         while changed.any():
             # Half-open runs of consecutive changed rows.
             cuts = np.flatnonzero(np.diff(changed, prepend=False, append=False)).tolist()
@@ -203,13 +225,34 @@ class MatchingGraph:
                         np.copyto(dist[rt], cand, where=better)
                         np.copyto(mask[rt], np.take(mask[rs], src, axis=1) ^ m, where=better)
                         changed[rt] = True
-        self.D = np.ascontiguousarray(dist[t_target:].transpose(2, 1, 0))
-        self.DM = np.ascontiguousarray(mask[t_target:].transpose(2, 1, 0))
-        self.T = t_target
+        return (np.ascontiguousarray(dist[t:].transpose(2, 1, 0)),
+                np.ascontiguousarray(mask[t:].transpose(2, 1, 0)))
+
+    def pair_distances(self, sa, sb, dt) -> tuple[np.ndarray, np.ndarray]:
+        """Direct weights and masks from (sa, r) to (sb, r + dt), for dt >= 0.
+
+        The three index arrays broadcast together.  Pairs further apart than
+        T are unusable (infinite weight), except in a graph without boundary
+        classes: there every edge is a same-site time edge, so the one path
+        from (s, r) to (s, r + dt) is dt copies of that edge, at any span.
+        Its weight is their left-to-right sum, as a search adds them, and its
+        mask their parity.
+        """
+        if self._t_safe is None:
+            steps = np.zeros((self.n_sites, int(np.max(dt)) + 1))
+            steps[:, 1:] = np.diagonal(self.D[:, :, 1])[:, None]
+            same = sa == sb
+            odd = np.diagonal(self.DM[:, :, 1])[sa] & (dt % 2 == 1)
+            return np.where(same, np.add.accumulate(steps, axis=1)[sa, dt], np.inf), same & odd
+        idx = np.minimum(dt, self.T)
+        return np.where(dt > self.T, np.inf, self.D[sa, sb, idx]), self.DM[sa, sb, idx]
 
     def prepare(self, rounds: int) -> None:
-        """Precompute distance tables for syndromes spanning up to ``rounds``."""
-        self._ensure_tables(int(rounds))
+        """Build nothing; kept for callers of polyest 0.2.
+
+        The tables are complete from construction for syndromes of any span,
+        so ``rounds`` is ignored.
+        """
 
 
 def build_graphs(
@@ -682,17 +725,11 @@ def min_weight_perfect_matching(
         return Matching((), 0.0, False)
     ss = np.array([s for s, _ in events], dtype=int)
     tt = np.array([t for _, t in events], dtype=int)
-    graph._ensure_tables(int(tt.max() - tt.min()) if n > 1 else 0)
-    T = graph.T
     dt = tt[None, :] - tt[:, None]
     i_early = (dt > 0) | ((dt == 0) & (ss[:, None] <= ss[None, :]))
     sa = np.where(i_early, ss[:, None], ss[None, :])
     sb = np.where(i_early, ss[None, :], ss[:, None])
-    adt = np.abs(dt)
-    idx = np.minimum(adt, T)
-    W = graph.D[sa, sb, idx]
-    WM = graph.DM[sa, sb, idx]
-    W = np.where(adt > T, np.inf, W)
+    W, WM = graph.pair_distances(sa, sb, np.abs(dt))
     np.fill_diagonal(W, np.inf)
     Bv = graph.B[ss]
     BMv = graph.BM[ss]

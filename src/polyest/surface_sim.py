@@ -595,13 +595,10 @@ def run_monte_carlo(
     rates.validate()
     check_run_args(shots, rounds, seed, first_shot_index)
     comp = _compiled(layout.d)
-    faults = enumerate_single_faults(layout)
     from . import matcher
 
     if graphs is None:
-        graphs = matcher.build_graphs(faults, rates, layout)
-    for graph in graphs:
-        graph.prepare(rounds)
+        graphs = matcher.build_graphs(enumerate_single_faults(layout), rates, layout)
     fails = [0, 0]
     done = 0
     while done < shots:

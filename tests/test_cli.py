@@ -459,6 +459,29 @@ def test_curve_empty_sweep_prints_header_only(capsys, curve_db):
     assert out == "p2,d3,d4,d5,d6\n"
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--p2-min", "nan"),
+        ("--p2-max", "nan"),
+        ("--p2-min=-inf",),
+        ("--p2-max", "inf"),
+        ("--p2-min=-1e-3",),
+        ("--r0=-1",),
+        ("--r1", "nan"),
+        ("--r0", "inf", "--p2-min", "0.05"),
+    ],
+    ids=["p2_min_nan", "p2_max_nan", "p2_min_inf", "p2_max_inf", "p2_min_negative",
+         "r0_negative", "r1_nan", "r0_inf_empty_sweep"],
+)
+def test_curve_rejects_bad_bounds_before_printing(capsys, curve_db, flags):
+    # Nothing reaches stdout, not even the header, and the error names the flag.
+    code, out, err = run(capsys, "curve", "--db", curve_db, *flags)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: " + flags[0].split("=")[0] + " must be finite and >= 0")
+
+
 def test_curve_model_and_ratios_conflict(capsys, curve_db, model_file):
     code, _, err = run(
         capsys, "curve", "--db", curve_db, "--model", model_file, "--r0", "1",

@@ -3,8 +3,11 @@
 ``WindowedDijkstra`` is the table search of polyest 0.2.0, copied verbatim
 (``_adjacency``, ``_dijkstra``, ``_boundary_distances``, ``_safe_span`` and
 the ``_ensure_tables`` loop): one heap search per source site on the
-2T+1-row window.  The package's tables must equal it byte for byte, on the
-same prepare sequences, so every decode sees the same weights and masks.
+2T+1-row window.  A graph's tables are built once, on the window
+min(safe span, cap); they must equal the search's on that window byte for
+byte, and every weight a decode can use must equal the search's on a window
+three times as wide.  Graphs without boundary classes use a closed form,
+checked against the search on span-sized windows.
 """
 
 import heapq
@@ -133,43 +136,108 @@ def _assert_same_tables(graph, ref):
         assert np.ascontiguousarray(ours).tobytes() == np.ascontiguousarray(theirs).tobytes(), name
 
 
-def _check_prepare_sequences(layout, rates, sequences):
-    faults = enumerate_single_faults(layout)
-    for built in build_graphs(faults, rates, layout):
-        for sequence in sequences:
-            graph = MatchingGraph(built.kind, built.n_sites, built.edges, built.boundary)
-            ref = WindowedDijkstra(graph)
-            for rounds in sequence:
-                graph.prepare(rounds)
-                ref._ensure_tables(int(rounds))
-                _assert_same_tables(graph, ref)
+def _pair_grid(graph, span):
+    """pair_distances for every (site_a, site_b, dt) with dt <= span."""
+    sites = np.arange(graph.n_sites)
+    return graph.pair_distances(
+        sites[:, None, None], sites[None, :, None], np.arange(span + 1)[None, None, :]
+    )
+
+
+def _check_built_window(graph):
+    ref = WindowedDijkstra(graph)
+    assert graph.T == min(ref._t_safe, matcher._T_CAP)
+    ref._ensure_tables(graph.T)
+    _assert_same_tables(graph, ref)
+
+
+def _check_usable_weights_exact(graph):
+    # A decode uses a direct weight only if it is at most B[a] + B[b]; each
+    # such weight on a window of 3T + 10 rounds must be the table's, and no
+    # pair further apart than T may have one.
+    wide = WindowedDijkstra(graph)
+    wide._t_safe = None  # lifts the search's own safe-span limit on its window
+    wide._ensure_tables(3 * graph.T + 10)
+    W, M = _pair_grid(graph, wide.T)
+    bsum = (graph.B[:, None] + graph.B[None, :])[:, :, None]
+    usable = np.isfinite(wide.D) & (wide.D <= bsum)
+    assert not usable[:, :, graph.T + 1:].any()
+    assert np.isinf(W[:, :, graph.T + 1:]).all()
+    assert W[usable].tobytes() == wide.D[usable].tobytes()
+    assert (M[usable] == wide.DM[usable]).all()
+
+
+def _check_closed_form(graph, spans):
+    # A graph without boundary classes has no window: its pair weights must
+    # equal the search's on windows as wide as the span.
+    assert graph._t_safe is None
+    for span in spans:
+        ref = WindowedDijkstra(graph)
+        ref._ensure_tables(span)
+        W, M = _pair_grid(graph, span)
+        assert W.tobytes() == ref.D.tobytes()
+        assert M.tobytes() == ref.DM.tobytes()
+
+
+def _check_graphs(layout, rates):
+    for graph in build_graphs(enumerate_single_faults(layout), rates, layout):
+        if graph._t_safe is None:
+            _check_closed_form(graph, (layout.d, 10 * layout.d))
+        else:
+            _check_built_window(graph)
+            _check_usable_weights_exact(graph)
 
 
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("d", [3, 4, 5, 6])
 def test_tables_match_windowed_dijkstra(d, seed):
     rng = np.random.default_rng([d, seed])
-    sequences = [(0,), (1,), (d,), (10 * d,), (d, 10 * d)]
-    _check_prepare_sequences(get_layout(d), _random_rates(rng), sequences)
+    _check_graphs(get_layout(d), _random_rates(rng))
 
 
 @pytest.mark.parametrize("d", [4, 6])
 def test_cheap_time_edges_match_windowed_dijkstra(d):
     # Outcome flips at 20 p2 make time edges cheap, so the safe span and the
     # window are wide.
-    rates = Rates(0.2, 0.2, 1e-3, 1e-3, 1e-2)
-    _check_prepare_sequences(get_layout(d), rates, [(d,), (d, 10 * d)])
+    _check_graphs(get_layout(d), Rates(0.2, 0.2, 1e-3, 1e-3, 1e-2))
+
+
+def test_weightless_time_edges_cap_the_window():
+    # An outcome flip of probability 1 gives a time edge of weight 0, so the
+    # safe span is unbounded in practice and the window stops at the cap.
+    layout = get_layout(6)
+    for graph in build_graphs(enumerate_single_faults(layout), Rates(1, 1, 2e-2, 2e-2, 2e-2), layout):
+        assert graph._t_safe > matcher._T_CAP
+        assert graph.T == matcher._T_CAP
+        _check_built_window(graph)
 
 
 @pytest.mark.parametrize("d", [3, 4, 5, 6])
 def test_boundaryless_tables_match_windowed_dijkstra(d):
-    # Outcome flips only: every edge is a time edge and no site reaches a
-    # boundary, so the window is never capped by the safe span.
+    # Outcome flips only: every edge is a same-site time edge and no site
+    # reaches a boundary, so pair weights are needed at any span.  Built
+    # graphs carry no masks here; odd sites' time edges get one as well.
     layout = get_layout(d)
-    rates = Rates(3e-3, 1e-3, 0.0, 0.0, 0.0)
-    graphs = build_graphs(enumerate_single_faults(layout), rates, layout)
-    assert all(g._t_safe is None for g in graphs)
-    _check_prepare_sequences(layout, rates, [(3 * d,)])
+    faults = enumerate_single_faults(layout)
+    for rates in (Rates(3e-3, 1e-3, 0.0, 0.0, 0.0), Rates(1.0, 1.0, 0.0, 0.0, 0.0)):
+        for graph in build_graphs(faults, rates, layout):
+            _check_closed_form(graph, (d, 3 * d))
+            masked = {key: (p, w, key[0] % 2 == 1) for key, (p, w, _) in graph.edges.items()}
+            graph = MatchingGraph(graph.kind, graph.n_sites, masked, {})
+            _check_closed_form(graph, (d, 3 * d))
+            assert graph.DM.any()
+
+
+def test_edges_out_of_boundary_reach_must_be_time_lines():
+    layout = get_layout(3)
+    x_graph, _ = build_graphs(enumerate_single_faults(layout), Rates(*(1e-3,) * 5), layout)
+    space = {key: cls for key, cls in x_graph.edges.items() if key[0] != key[1]}
+    with pytest.raises(ValueError, match="same-site"):
+        MatchingGraph("x", x_graph.n_sites, space, {})
+    # A graph with a boundary may not hold a site cut off from it either.
+    edges = {**x_graph.edges, (x_graph.n_sites, x_graph.n_sites, 1): (0.1, 2.3, False)}
+    with pytest.raises(ValueError, match="same-site"):
+        MatchingGraph("x", x_graph.n_sites + 1, edges, x_graph.boundary)
 
 
 @pytest.mark.parametrize("d", [3, 5])
@@ -187,19 +255,17 @@ def test_bulk_masks_match_windowed_dijkstra(d):
             for (sa, sb, dt), (p, w, _) in built.edges.items()
         }
         graph = MatchingGraph(built.kind, built.n_sites, edges, built.boundary)
-        ref = WindowedDijkstra(graph)
-        for rounds in (d, 10 * d):
-            graph.prepare(rounds)
-            ref._ensure_tables(rounds)
-            _assert_same_tables(graph, ref)
+        _check_built_window(graph)
+        _check_usable_weights_exact(graph)
         assert graph.DM.any() and not graph.DM.all()
 
 
 def test_random_rates_cover_the_hard_cases():
     # The seeded draws above include zero rates, cheap time edges and
-    # asymmetric X/Z sides; this pins that they do.
+    # asymmetric X/Z sides; this pins that they do.  The search's own cap
+    # must never bind below the package's.
     drawn = [_random_rates(np.random.default_rng([d, s])) for d in range(3, 7) for s in range(3)]
     assert any(0.0 in r for r in drawn)
     assert any(max(r.p0x, r.p0z) > 10.0 * r.p2 > 0.0 for r in drawn)
     assert any(r.p0x != r.p0z and r.p1x != r.p1z for r in drawn)
-    assert matcher._T_CAP == _T_CAP
+    assert matcher._T_CAP <= _T_CAP

@@ -314,9 +314,35 @@ def test_boundary_distances_match_expanded_graph():
         faults = enumerate_single_faults(layout)
         for rates in _RATE_DRAWS:
             for graph in build_graphs(faults, rates, layout):
-                graph.prepare(0)
                 expected = OracleTables(graph, 0)._boundary
                 assert list(graph.B) == expected, (d, rates, graph.kind)
+
+
+def test_decode_does_not_depend_on_earlier_decodes():
+    # Cheap time edges: at d = 3 under these rates the shortest path between
+    # (1, 0) and (2, 0) leaves their round (6.791, against 8.558 inside it),
+    # so two boundary legs (7.865) beat the pair only on a too-narrow table.
+    # Each decode must equal the brute force on a fresh graph and again
+    # after a decode of a syndrome that spans many rounds and a prepare call
+    # (a no-op kept for older callers).
+    rates = Rates(0.2, 0.2, 1e-3, 1e-3, 1e-2)
+    syndromes = [
+        [(1, 0), (2, 0)],
+        [(0, 0), (3, 0)],
+        [(0, 2), (1, 2), (2, 2), (3, 2)],
+        [(1, 0), (2, 1)],
+        [(0, 1), (2, 1), (3, 3)],
+    ]
+    wide = [(0, 0), (0, 8)]
+    for kind in range(2):
+        tables = OracleTables(_graphs(rates)[kind], 3)
+        for events in syndromes:
+            graph = _graphs(rates)[kind]
+            first = min_weight_perfect_matching(graph, events)
+            assert first.total_weight == brute_force_total(events, tables), (kind, events)
+            min_weight_perfect_matching(graph, wide)
+            graph.prepare(100)
+            assert min_weight_perfect_matching(graph, events) == first, (kind, events)
 
 
 def test_decoder_is_deterministic_across_rebuilds():

@@ -98,36 +98,73 @@ _RATE_MIXES = {
     "asym": Rates(2e-3, 5e-4, 1e-3, 3e-4, 4e-3),
     "sparse": Rates(5e-5, 5e-5, 2e-5, 2e-5, 1e-4),
 }
+# Per (d, mix): the X graph's and the Z graph's hash.
 _DISTANCE_TABLE_SHA256 = {
-    (3, "depol"): "a142ffd1678335a7d44743516c42d2c0e10f4740ccf42c9df0159d416b566a51",
-    (3, "asym"): "ab02e0f9527dc7ada20fbc44aa3fbe78851f0734c539cc5f145d1e217c43a511",
-    (3, "sparse"): "dd3dda7053a37f57b3fc569c4c697a031e45f36a756fe63248c9eac85878e733",
-    (4, "depol"): "0180b7d29fb47669bb8afb1c54ee2af0b097128e8a0f6252a6370f9b0afe09a2",
-    (4, "asym"): "a5f1fa394ed91c0b9ce3d0d2d8b475bc6615568efc5be0adf105b413289c1c93",
-    (4, "sparse"): "6704ac4c873348d5062c70355beb464d4b7580f1aa29f8b37bfdfadc83d5b0ac",
-    (5, "depol"): "a03cafe228a8656f86c2bbf3dc33a48b209a907c372fe11eb3e9798c4156149d",
-    (5, "asym"): "488a3c84ef8ae3db73ad69a1243ac180963fc7bedcab9d71645a9bdb510d3c66",
-    (5, "sparse"): "071de0c7b9e88697c480fe5d8adb6d9f545adfc6c1893cea13137084c332acaf",
-    (6, "depol"): "7a5fa42b732ca81639714f3fd1d1bb025339861fc244d60ff8ca132a424440a1",
-    (6, "asym"): "8dc983c202e48b3b92de7c9715e3039ee7d2cce5ca788b0909a6bd68b456d3e0",
-    (6, "sparse"): "a8fcd1ce41e7ed33efb768f9d7685e067336608fdaf22ebf64798a861170c68a",
+    (3, "depol"): (
+        "7088ce66ae5820184288ba7d6e2b14ba59bdca2342ad9681a2dc2a5ed39a00d3",
+        "c91d3bf9c27b300956b1658d70326e6a5a8af32d1f1df9cda8cb237054b90fe1",
+    ),
+    (3, "asym"): (
+        "4e7e88aa8162a7f9de15714738f9522d764ef2ab063f8443d6d1e2762707bf2c",
+        "2ebd0d4b81262de9bc365a01650a9df02ae6c4ec813b39124e3490fdd64ce552",
+    ),
+    (3, "sparse"): (
+        "679fe6d23b226e4c14203069fe2226c966a2063ccf3b3e40fee3770731960172",
+        "6c1e995b626c4315eb5bf99d966b734f73980fc0603d9ab09dd6df524a27e225",
+    ),
+    (4, "depol"): (
+        "5820d061ac06ff7071437c2f0fb1aa429a60846ed60087230e9b327e64236374",
+        "0b528806ea9f8ba4daea45344a8a92e27d50f86c0837b9f72fc1675a108107af",
+    ),
+    (4, "asym"): (
+        "b61d5e7e6d97db7af3a2b154e13c63cc08a785121f779ccbbcb4a4c3f29a2792",
+        "a08b92c0ca12f10fbc2af99939aba8b069c947f96053987ca8f5d2748d4aad04",
+    ),
+    (4, "sparse"): (
+        "a6b88590564e237ddc08afdfb9b933bf26bbe68ebacb83c0f13ac0b1710a9eaf",
+        "98aeb37ca626ffc81f184b71b065b220a0af69e2a3f4c3958de459399b26c65b",
+    ),
+    (5, "depol"): (
+        "2fd2e0a995b2da46951a857b79f16fba44cd6f773c76fde8a0a7ba3100080062",
+        "87396e58e41e97baf69a62b81d28275e00a5dc827fc817795f3c6c8f46ade06f",
+    ),
+    (5, "asym"): (
+        "47d6a6626544ba766757606f400efe1d0702b848ccf482b1902210af997c2f4b",
+        "6cefae2acc8d4a9e8b9510fcba1d13bf2b2631c41af30a5b127895afbab01339",
+    ),
+    (5, "sparse"): (
+        "19b54d36b61a0507a6121aee7306389360832036f3256512516a5a07609601c5",
+        "8daa679abf978e81e1ed4123257afa89f616a66a62bdf302e6f12a1b39560728",
+    ),
+    (6, "depol"): (
+        "20543cadb887f5d4b7f498a942e8efafeab7aadbd21adff0052b6b5a738399a3",
+        "8ef218c0f23fba625b5f2640b1755263f99f97c0b39eabec5568b2fb7cf93470",
+    ),
+    (6, "asym"): (
+        "755e6d1df22866ec7f5caa36182d3b3e9869a922841775e66573832239db4aa5",
+        "2333c0aab86ef3be18e5b8d677bf66d34d1ee81828c676120e5b8cb675504456",
+    ),
+    (6, "sparse"): (
+        "8d27806cd6ab929a06b73a4baf58417c615a0df0cfc182c9c24ee4d8fea0a754",
+        "9b215e63299e6ca29eb101f1a3d4b1bd1c2e2f50558ff9ebab686bea9678cbcd",
+    ),
 }
 
 
 @pytest.mark.parametrize("d, mix", sorted(_DISTANCE_TABLE_SHA256))
 def test_distance_tables_are_pinned(d, mix):
-    # D, DM, B, BM and T of both graphs after prepare(d) and again after the
-    # tables grow for 10 d rounds: any change to the Dijkstra search shows here.
+    # D, DM, B, BM and T of each graph as built: the tables are fixed at
+    # construction, so any change to the table search or its window shows here.
     layout = get_layout(d)
     graphs = matcher.build_graphs(enumerate_single_faults(layout), _RATE_MIXES[mix], layout)
-    digest = hashlib.sha256()
-    for rounds in (d, 10 * d):
-        for graph in graphs:
-            graph.prepare(rounds)
-            for table in (graph.D, graph.DM, graph.B, graph.BM):
-                digest.update(np.ascontiguousarray(table).tobytes())
-            digest.update(repr(graph.T).encode())
-    assert digest.hexdigest() == _DISTANCE_TABLE_SHA256[(d, mix)]
+    digests = []
+    for graph in graphs:
+        digest = hashlib.sha256()
+        for table in (graph.D, graph.DM, graph.B, graph.BM):
+            digest.update(np.ascontiguousarray(table).tobytes())
+        digest.update(repr(graph.T).encode())
+        digests.append(digest.hexdigest())
+    assert tuple(digests) == _DISTANCE_TABLE_SHA256[(d, mix)]
 
 
 def test_fault_census_d3():
@@ -493,11 +530,12 @@ def test_zero_rates_never_fail():
 
 
 def test_outcome_flips_alone_never_fail():
-    # isolated vertical event pairs decode to the identity correction
-    result = run_monte_carlo(
-        get_layout(3), Rates(0.05, 0.05, 0, 0, 0), shots=50, rounds=5, seed=3
-    )
-    assert (result.fails_x, result.fails_z) == (0, 0)
+    # Isolated vertical event pairs decode to the identity correction.  At
+    # flip probability 1 every site's pair spans all 100 rounds, past any
+    # table window: boundary-less graphs must pair them at any span.
+    for rates, rounds in ((Rates(0.05, 0.05, 0, 0, 0), 5), (Rates(1, 1, 0, 0, 0), 100)):
+        result = run_monte_carlo(get_layout(3), rates, shots=50, rounds=rounds, seed=3)
+        assert (result.fails_x, result.fails_z) == (0, 0)
 
 
 def test_monte_carlo_is_deterministic_and_batch_independent():
