@@ -272,21 +272,20 @@ def solve_distance(
     target: float,
     *,
     asymmetry_threshold: float = 2.0,
-    max_distance: int = MAX_SCAN_DISTANCE,
 ) -> Estimate:
     """Smallest distance whose X and Z rates both reach the target.
 
-    Scans d = 3, 4, 5, ... using direct interpolation through 6 and the
+    Scans d = 3, 4, ..., MAX_SCAN_DISTANCE using interpolation through 6 and the
     parity extrapolation past it, so a database covering only the distances
     it needs is sufficient for targets met early.
     """
     if not isinstance(target, float) or not 0.0 < target < 1.0:
         raise ValueError(f"target rate must be a float in (0, 1), got {target!r}")
     result = _first_meeting(
-        db, model, range(3, max_distance + 1), target, asymmetry_threshold
+        db, model, range(3, MAX_SCAN_DISTANCE + 1), target, asymmetry_threshold
     )
     if result is None:
         raise ScanLimitError(
-            f"no distance up to {max_distance} reaches target {target!r}"
+            f"no distance up to {MAX_SCAN_DISTANCE} reaches target {target!r}"
         )
     return result

@@ -12,22 +12,25 @@ graph is described by a constant-size table regardless of the round count.
 Edge weights are -ln(p) of the accumulated class probability (summed over
 contributing faults, clamped to at most 1).  Each class carries a mask bit,
 the logical flip shared by all of its contributors (building a graph raises
-RuntimeError if two contributors disagree), used to turn a matching into a
-correction parity.
+RuntimeError if two contributors disagree).  Only boundary classes may carry
+a set mask: the logical reference cuts run along a boundary, so no fault
+with two events flips the logical, and a graph rejects a masked pair class.
+A correction's parity is therefore the parity of the boundary masks it
+uses.
 
 Decoding a syndrome:
 
 * every table a decode reads is built once, when the graph is built, and
   never changes after, so a decode depends on the graph and the events only.
-  Pairwise distances D[a][b][dt] and their path masks come from one
-  relaxation of all source sites at once on a fixed window of rounds around
-  the sources; its fixed point is the per-source Dijkstra result bit for bit
+  Pairwise distances D[a][b][dt] come from one relaxation of all source
+  sites at once on a fixed window of rounds around the sources; its fixed
+  point is the per-source Dijkstra result bit for bit
   (MatchingGraph._pair_tables says why, and why the window is wide enough).
   A graph without boundary classes has only same-site time edges, and its
   pair distances have a closed form instead.  Per-site boundary distances
-  B[s] come from one heap search: shortest paths to any boundary class in
-  the site graph with time offsets dropped (every round reaches the boundary
-  alike, so no window is needed);
+  B[s] and their masks BM[s] come from one heap search: shortest paths to
+  any boundary class in the site graph with time offsets dropped (every
+  round reaches the boundary alike, so no window is needed);
 * the effective pair weight is min(direct, B[a] + B[b]); pairs where no
   direct path can beat two boundary routes never need to be matched to each
   other, which splits the events into independent clusters;
@@ -55,7 +58,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .surface_sim import FaultEffect, Layout, Rates
+from .surface_sim import FaultEffect, Layout, Rates, is_int
 
 _P_FLOOR = 1e-300
 _T_CAP = 64
@@ -71,9 +74,9 @@ class Matching:
 
     ``pairs`` holds ((site, round), (site, round)) tuples for matched event
     pairs and ((site, round), None) for events routed to the boundary.
-    ``correction_flip`` is the parity of mask bits along all chosen paths,
-    i.e. whether the correction crosses the logical reference cut an odd
-    number of times.
+    ``correction_flip`` is whether the correction crosses the logical
+    reference cut an odd number of times: the parity of the boundary masks
+    of the events routed to the boundary, as pair paths carry no flip.
     """
 
     pairs: tuple[tuple[tuple[int, int], tuple[int, int] | None], ...]
@@ -85,12 +88,15 @@ class MatchingGraph:
     """Edge classes and the distance tables of one detection graph.
 
     ``edges`` maps (site_a, site_b, dt) and ``boundary`` maps a site to the
-    (probability, weight, mask) of each class.  The boundary distances B, BM
-    and the pair tables D, DM on time offsets 0..T are built here, once, and
-    nothing changes them after: decoding only reads them.
+    (probability, weight, mask) of each class; an edge class's mask must be
+    False (ValueError otherwise).  The boundary distances B, BM and the pair
+    table D on time offsets 0..T are built here, once, and nothing changes
+    them after: decoding only reads them.
     """
 
     def __init__(self, kind: str, n_sites: int, edges: dict, boundary: dict):
+        if any(m for _, _, m in edges.values()):
+            raise ValueError("an edge class has its mask set: pair classes cannot flip the logical")
         self.kind = kind
         self.n_sites = n_sites
         self.edges: dict[tuple[int, int, int], tuple[float, float, bool]] = edges
@@ -105,14 +111,14 @@ class MatchingGraph:
         # Without a boundary, T = 1 keeps each site's one time edge, which
         # pair_distances repeats.
         self.T = 1 if self._t_safe is None else min(self._t_safe, _T_CAP)
-        self.D, self.DM = self._pair_tables(self.T)
+        self.D = self._pair_tables(self.T)
 
-    def _adjacency(self) -> list[list[tuple[int, int, float, bool]]]:
-        adj: list[list[tuple[int, int, float, bool]]] = [[] for _ in range(self.n_sites)]
+    def _adjacency(self) -> list[list[tuple[int, int, float]]]:
+        adj: list[list[tuple[int, int, float]]] = [[] for _ in range(self.n_sites)]
         for (sa, sb, dt) in sorted(self.edges):
-            _, w, m = self.edges[(sa, sb, dt)]
-            adj[sa].append((sb, dt, w, m))
-            adj[sb].append((sa, -dt, w, m))
+            w = self.edges[(sa, sb, dt)][1]
+            adj[sa].append((sb, dt, w))
+            adj[sb].append((sa, -dt, w))
         return adj
 
     def _boundary_distances(self) -> tuple[np.ndarray, np.ndarray]:
@@ -135,12 +141,12 @@ class MatchingGraph:
             d, s, m = heapq.heappop(heap)
             if d > dist[s]:
                 continue
-            for s2, _, w2, m2 in adj[s]:
+            for s2, _, w2 in adj[s]:
                 nd = d + w2
                 if nd < dist[s2]:
                     dist[s2] = nd
-                    mask[s2] = m ^ m2
-                    heapq.heappush(heap, (nd, s2, m ^ m2))
+                    mask[s2] = m
+                    heapq.heappush(heap, (nd, s2, m))
         return np.array(dist), np.array(mask, dtype=bool)
 
     def _safe_span(self) -> int | None:
@@ -154,25 +160,28 @@ class MatchingGraph:
             return None  # no boundary: direct paths needed at any span
         return math.ceil(2.0 * float(finite.max()) / max(w1, 1e-12)) + 2
 
-    def _pair_tables(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """Pair tables D, DM on a window of 2t+1 rounds, sources in the middle.
+    def _pair_tables(self, t: int) -> np.ndarray:
+        """Pair table D on a window of 2t+1 rounds, sources in the middle.
 
         D[a, b, dt] is the shortest distance from (a, t) to (b, t + dt) over
-        paths that stay in the window, DM its mask.  All sources relax at
-        once: dist and mask are (row, site, source) arrays, and each in-edge
-        slot (one in-edge per site, all with the same time step) gathers
-        whole source rows, adds the edge weights and keeps the sums that are
-        strictly smaller.  Sweeps repeat until nothing improves, each one
-        relaxing only from rows that changed in the previous sweep, so a
-        path along time costs a row per sweep and not the whole window.
+        paths that stay in the window.  All sources relax at once: dist is a
+        (row, site, source) array, and each in-edge slot (one in-edge per
+        site, all with the same time step) gathers whole source rows, adds
+        the edge weights and keeps the sums that are strictly smaller.
+        Sweeps repeat until nothing improves, each one relaxing only from
+        rows that changed in the previous sweep, so a path along time costs
+        a row per sweep and not the whole window.
 
         The tables equal a per-source Dijkstra search bit for bit.  Weights
         are >= 0 and float addition is monotone, so a node's minimum over
         its paths' left-to-right sums is the one fixed point that Dijkstra
-        and any relaxation order both reach.  The masks do not depend on
-        which path is kept: two paths between the same nodes differ by a
-        cycle of bulk edges, a trivial fault set.  (In built graphs no bulk
-        edge carries a mask at all, as the logical cuts run along a boundary.)
+        and any relaxation order both reach.
+
+        Pair paths carry no logical flip, so there is no mask table.  The
+        constructor admits no masked edge class, as no fault with two events
+        on one graph flips the logical: the layouts' reference cuts run
+        along a boundary, and a fault that crosses one has its other event
+        beyond that boundary.  Only boundary classes carry a flip.
 
         Why the window t = _safe_span() suffices: a direct weight can change
         a decode only if it is at most B[a] + B[b] <= 2 max B (ties count,
@@ -197,13 +206,12 @@ class MatchingGraph:
         adj = self._adjacency()
         slots = []
         for dr in sorted({e[1] for row in adj for e in row}):
-            ins = [[(s, w, m) for s, back, w, m in row if back == -dr] for row in adj]
+            ins = [[(s, w) for s, back, w in row if back == -dr] for row in adj]
             for k in range(max(map(len, ins))):
-                edge = [e[k] if k < len(e) else (0, math.inf, False) for e in ins]
-                src, w, m = (np.array(col) for col in zip(*edge))
-                slots.append((dr, src, w[:, None], m[:, None]))
+                edge = [e[k] if k < len(e) else (0, math.inf) for e in ins]
+                src, w = (np.array(col) for col in zip(*edge))
+                slots.append((dr, src, w[:, None]))
         dist = np.full((rows, n, n), np.inf)
-        mask = np.zeros((rows, n, n), dtype=bool)
         dist[t, np.arange(n), np.arange(n)] = 0.0
         changed = np.zeros(rows, dtype=bool)
         changed[t] = True
@@ -212,7 +220,7 @@ class MatchingGraph:
             cuts = np.flatnonzero(np.diff(changed, prepend=False, append=False)).tolist()
             runs = list(zip(cuts[::2], cuts[1::2]))
             changed[:] = False
-            for dr, src, w, m in slots:
+            for dr, src, w in slots:
                 for lo, hi in runs:
                     lo, hi = max(lo, -dr), min(hi, rows - dr)
                     if lo >= hi:
@@ -223,29 +231,23 @@ class MatchingGraph:
                     better = cand < dist[rt]
                     if better.any():
                         np.copyto(dist[rt], cand, where=better)
-                        np.copyto(mask[rt], np.take(mask[rs], src, axis=1) ^ m, where=better)
                         changed[rt] = True
-        return (np.ascontiguousarray(dist[t:].transpose(2, 1, 0)),
-                np.ascontiguousarray(mask[t:].transpose(2, 1, 0)))
+        return np.ascontiguousarray(dist[t:].transpose(2, 1, 0))
 
-    def pair_distances(self, sa, sb, dt) -> tuple[np.ndarray, np.ndarray]:
-        """Direct weights and masks from (sa, r) to (sb, r + dt), for dt >= 0.
+    def pair_distances(self, sa, sb, dt) -> np.ndarray:
+        """Direct weights from (sa, r) to (sb, r + dt), for dt >= 0.
 
         The three index arrays broadcast together.  Pairs further apart than
         T are unusable (infinite weight), except in a graph without boundary
         classes: there every edge is a same-site time edge, so the one path
         from (s, r) to (s, r + dt) is dt copies of that edge, at any span.
-        Its weight is their left-to-right sum, as a search adds them, and its
-        mask their parity.
+        Its weight is their left-to-right sum, as a search adds them.
         """
         if self._t_safe is None:
             steps = np.zeros((self.n_sites, int(np.max(dt)) + 1))
             steps[:, 1:] = np.diagonal(self.D[:, :, 1])[:, None]
-            same = sa == sb
-            odd = np.diagonal(self.DM[:, :, 1])[sa] & (dt % 2 == 1)
-            return np.where(same, np.add.accumulate(steps, axis=1)[sa, dt], np.inf), same & odd
-        idx = np.minimum(dt, self.T)
-        return np.where(dt > self.T, np.inf, self.D[sa, sb, idx]), self.DM[sa, sb, idx]
+            return np.where(sa == sb, np.add.accumulate(steps, axis=1)[sa, dt], np.inf)
+        return np.where(dt > self.T, np.inf, self.D[sa, sb, np.minimum(dt, self.T)])
 
     def prepare(self, rounds: int) -> None:
         """Build nothing; kept for callers of polyest 0.2.
@@ -713,10 +715,9 @@ def min_weight_perfect_matching(
     """Decode a set of (site, round) detection events against one graph."""
     seen = set()
     for s, t in events:
-        if not 0 <= s < graph.n_sites:
-            raise MatchingError(f"event site {s} outside graph with {graph.n_sites} sites")
-        if t < 0:
-            raise MatchingError(f"event round {t} is negative")
+        if not (is_int(s) and is_int(t) and 0 <= s < graph.n_sites and t >= 0):
+            raise MatchingError(f"event {(s, t)!r} needs an integer site in "
+                                f"0..{graph.n_sites - 1} and an integer round >= 0")
         if (s, t) in seen:
             raise MatchingError(f"duplicate detection event ({s}, {t})")
         seen.add((s, t))
@@ -729,24 +730,18 @@ def min_weight_perfect_matching(
     i_early = (dt > 0) | ((dt == 0) & (ss[:, None] <= ss[None, :]))
     sa = np.where(i_early, ss[:, None], ss[None, :])
     sb = np.where(i_early, ss[None, :], ss[:, None])
-    W, WM = graph.pair_distances(sa, sb, np.abs(dt))
+    W = graph.pair_distances(sa, sb, np.abs(dt))
     np.fill_diagonal(W, np.inf)
-    Bv = graph.B[ss]
-    BMv = graph.BM[ss]
-    atoms, total = solve_matching(W, Bv)
+    atoms, total = solve_matching(W, graph.B[ss])
+    nodes = list(zip(ss.tolist(), tt.tolist()))
     flip = False
     pairs = []
     for atom in atoms:
         if atom[0] == "pair":
-            i, j = atom[1], atom[2]
-            flip ^= bool(WM[i, j])
-            pairs.append((
-                (int(ss[i]), int(tt[i])), (int(ss[j]), int(tt[j])),
-            ))
+            pairs.append((nodes[atom[1]], nodes[atom[2]]))
         else:
-            i = atom[1]
-            flip ^= bool(BMv[i])
-            pairs.append(((int(ss[i]), int(tt[i])), None))
+            pairs.append((nodes[atom[1]], None))
+            flip ^= bool(graph.BM[ss[atom[1]]])
     return Matching(tuple(pairs), total, flip)
 
 

@@ -177,6 +177,8 @@ class DbEntry:
             if not isinstance(v, float) or not 0.0 <= v <= 1.0:
                 raise DbError(f"{name} must be a float in [0, 1], got {v!r}")
         if self.shots > 0:
+            if self.rounds == 0:
+                raise DbError(f"rounds must be positive when shots={self.shots}")
             denom = self.shots * self.rounds
             for name, fails, p in (
                 ("p_xl", self.fails_x, self.p_xl), ("p_zl", self.fails_z, self.p_zl),
@@ -230,8 +232,8 @@ class RateDatabase:
     def __contains__(self, key: tuple) -> bool:
         return key in self._entries
 
-    def add(self, entry: DbEntry, replace: bool = False) -> None:
-        if entry.key in self._entries and not replace:
+    def add(self, entry: DbEntry) -> None:
+        if entry.key in self._entries:
             raise DbError(f"duplicate entry for {entry.key}")
         self._entries[entry.key] = entry
 

@@ -552,13 +552,15 @@ def _simulate_batch(comp: _Compiled, hits, b: int, cycles: int):
     return det_x, det_z, actual_x, actual_z
 
 
-def check_ints(error: type[Exception], *checks: tuple[str, object, int]) -> None:
-    """Raise ``error`` unless each (name, value, low) holds an integer >= low.
+def is_int(value) -> bool:
+    """Whether ``value`` is an integer: numpy integers count, bools do not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
-    numpy integers count as integers; bools do not.
-    """
+
+def check_ints(error: type[Exception], *checks: tuple[str, object, int]) -> None:
+    """Raise ``error`` unless each (name, value, low) holds an integer >= low."""
     for name, value, low in checks:
-        if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low:
+        if not is_int(value) or value < low:
             raise error(f"{name} must be an integer >= {low}, got {value!r}")
 
 

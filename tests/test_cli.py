@@ -9,10 +9,11 @@ import time
 import pytest
 
 import polyest
+import readme_examples
 from conftest import build_bench_db, build_flat_db
 from polyest.cli import main
 from polyest.error_model import depolarizing_model, load_model, reduce
-from polyest.store import DbEntry, RateDatabase
+from polyest.store import CSV_HEADER, DbEntry, RateDatabase
 
 
 @pytest.fixture()
@@ -168,6 +169,16 @@ def test_estimate_missing_entry_is_input_error(capsys, bench_file, tmp_path):
     )
     assert code == 1
     assert "missing database entry" in err
+
+
+def test_estimate_db_row_without_rounds_is_input_error(capsys, tmp_path, model_file):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"{CSV_HEADER}\n3,1,1,0.01,1000,0,200,300,0.04,0.06,0\n")
+    code, out, err = run(
+        capsys, "estimate", "--db", str(path), "--model", model_file, "--distance", "3",
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: line 2: rounds must be positive when shots=1000\n"
 
 
 def test_solve_prints_distance(capsys, bench_file, model_file):
@@ -341,6 +352,18 @@ def test_generate_resumes_after_kill_byte_identical(capsys, tmp_path):
     assert code == 0
     assert len(RateDatabase.load(whole)) == 3
     assert killed.read_bytes() == whole.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# README examples
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("command", readme_examples.COMMANDS)
+def test_readme_examples_print_what_the_readme_shows(monkeypatch, command):
+    # The README's reduce and simulate outputs, byte for byte.
+    [(argv, expected)] = [ex for ex in readme_examples.examples() if ex[0][0] == command]
+    monkeypatch.chdir(readme_examples.README.parent)
+    assert readme_examples.run(argv) == (0, expected)
 
 
 # ---------------------------------------------------------------------------

@@ -128,9 +128,12 @@ def _random_rates(rng) -> Rates:
 
 
 def _assert_same_tables(graph, ref):
+    # Pair paths carry no logical flip, so the search's path masks are all
+    # False and the graph keeps no table of them.
     assert graph.T == ref.T
     assert graph._t_safe == ref._t_safe
-    for name in ("D", "DM", "B", "BM"):
+    assert not ref.DM.any()
+    for name in ("D", "B", "BM"):
         ours, theirs = getattr(graph, name), getattr(ref, name)
         assert ours.dtype == theirs.dtype and ours.shape == theirs.shape, name
         assert np.ascontiguousarray(ours).tobytes() == np.ascontiguousarray(theirs).tobytes(), name
@@ -158,13 +161,13 @@ def _check_usable_weights_exact(graph):
     wide = WindowedDijkstra(graph)
     wide._t_safe = None  # lifts the search's own safe-span limit on its window
     wide._ensure_tables(3 * graph.T + 10)
-    W, M = _pair_grid(graph, wide.T)
+    W = _pair_grid(graph, wide.T)
     bsum = (graph.B[:, None] + graph.B[None, :])[:, :, None]
     usable = np.isfinite(wide.D) & (wide.D <= bsum)
     assert not usable[:, :, graph.T + 1:].any()
     assert np.isinf(W[:, :, graph.T + 1:]).all()
     assert W[usable].tobytes() == wide.D[usable].tobytes()
-    assert (M[usable] == wide.DM[usable]).all()
+    assert not wide.DM.any()
 
 
 def _check_closed_form(graph, spans):
@@ -174,9 +177,9 @@ def _check_closed_form(graph, spans):
     for span in spans:
         ref = WindowedDijkstra(graph)
         ref._ensure_tables(span)
-        W, M = _pair_grid(graph, span)
+        W = _pair_grid(graph, span)
         assert W.tobytes() == ref.D.tobytes()
-        assert M.tobytes() == ref.DM.tobytes()
+        assert not ref.DM.any()
 
 
 def _check_graphs(layout, rates):
@@ -215,17 +218,16 @@ def test_weightless_time_edges_cap_the_window():
 @pytest.mark.parametrize("d", [3, 4, 5, 6])
 def test_boundaryless_tables_match_windowed_dijkstra(d):
     # Outcome flips only: every edge is a same-site time edge and no site
-    # reaches a boundary, so pair weights are needed at any span.  Built
-    # graphs carry no masks here; odd sites' time edges get one as well.
+    # reaches a boundary, so pair weights are needed at any span.  A time
+    # edge with a mask would flip the logical, which no pair class may do.
     layout = get_layout(d)
     faults = enumerate_single_faults(layout)
     for rates in (Rates(3e-3, 1e-3, 0.0, 0.0, 0.0), Rates(1.0, 1.0, 0.0, 0.0, 0.0)):
         for graph in build_graphs(faults, rates, layout):
             _check_closed_form(graph, (d, 3 * d))
             masked = {key: (p, w, key[0] % 2 == 1) for key, (p, w, _) in graph.edges.items()}
-            graph = MatchingGraph(graph.kind, graph.n_sites, masked, {})
-            _check_closed_form(graph, (d, 3 * d))
-            assert graph.DM.any()
+            with pytest.raises(ValueError, match="pair classes cannot flip the logical"):
+                MatchingGraph(graph.kind, graph.n_sites, masked, {})
 
 
 def test_edges_out_of_boundary_reach_must_be_time_lines():
@@ -242,10 +244,10 @@ def test_edges_out_of_boundary_reach_must_be_time_lines():
 
 @pytest.mark.parametrize("d", [3, 5])
 def test_bulk_masks_match_windowed_dijkstra(d):
-    # The layouts' logical reference cuts run along a boundary, so bulk
-    # edges of built graphs carry no mask and DM is all False.  Masks from a
-    # cut through the bulk (site potential f, every time step flipping) are
-    # still path-independent, and the tables must carry them the same way.
+    # The layouts' logical reference cuts run along a boundary, so no edge
+    # class of a built graph carries a mask.  A graph with a cut through the
+    # bulk (site potential f, every time step flipping) is rejected, as the
+    # tables keep no pair masks.
     layout = get_layout(d)
     rng = np.random.default_rng(d)
     for built in build_graphs(enumerate_single_faults(layout), Rates(*(1e-3,) * 5), layout):
@@ -254,10 +256,9 @@ def test_bulk_masks_match_windowed_dijkstra(d):
             (sa, sb, dt): (p, w, bool(f[sa] ^ f[sb] ^ (dt == 1)))
             for (sa, sb, dt), (p, w, _) in built.edges.items()
         }
-        graph = MatchingGraph(built.kind, built.n_sites, edges, built.boundary)
-        _check_built_window(graph)
-        _check_usable_weights_exact(graph)
-        assert graph.DM.any() and not graph.DM.all()
+        with pytest.raises(ValueError, match="pair classes cannot flip the logical"):
+            MatchingGraph(built.kind, built.n_sites, edges, built.boundary)
+        assert any(m for _, _, m in built.boundary.values())
 
 
 def test_random_rates_cover_the_hard_cases():

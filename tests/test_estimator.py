@@ -11,6 +11,7 @@ from polyest.error_model import (
     model_from_dict,
 )
 from polyest.estimator import (
+    MAX_SCAN_DISTANCE,
     AboveThresholdError,
     ComputationError,
     FitRangeError,
@@ -244,9 +245,17 @@ def test_solve_distance_validation(bench_db):
             solve_distance(bench_db, model, bad)
 
 
-def test_solve_distance_scan_limit(bench_db):
-    with pytest.raises(ScanLimitError):
-        solve_distance(bench_db, depolarizing_model(1e-3), 1e-20, max_distance=20)
+def test_solve_distance_scan_limit():
+    # Rates that fall by only 5% per two distances stay far above 1e-20 at
+    # the scan cap, so the scan runs out rather than meeting the target.
+    db = RateDatabase()
+    for d, p in ((3, 1e-2), (4, 9e-3), (5, 9.5e-3), (6, 8.55e-3)):
+        for r0 in (2.0, 5.0):
+            db.add(DbEntry.seeded(d, r0, 1.0, 1e-3, p, p))
+    model = depolarizing_model(1e-3)
+    assert estimate(db, model, MAX_SCAN_DISTANCE).p_xl > 1e-20
+    with pytest.raises(ScanLimitError, match=f"no distance up to {MAX_SCAN_DISTANCE} "):
+        solve_distance(db, model, 1e-20)
 
 
 _CNOT = {label: 1e-3 for label in ("ix", "xi", "xx", "iz", "zi", "zz")}

@@ -180,6 +180,14 @@ def test_event_validation():
         min_weight_perfect_matching(graph_x, [(0, -1)])
     with pytest.raises(MatchingError):
         min_weight_perfect_matching(graph_x, [(0, 1), (0, 1)])
+    # Sites and rounds must be integers (numpy integers count, bools do
+    # not); a float or a bool is not truncated to a node.
+    for events in ([(0.7, 0), (1, 2.9)], [(1, 2.9)], [(True, 0)], [(0, np.float64(1.0))]):
+        with pytest.raises(MatchingError, match="needs an integer site"):
+            min_weight_perfect_matching(graph_x, events)
+    numpy_events = [(np.int64(0), np.int32(0)), (np.int64(1), np.int64(2))]
+    assert (min_weight_perfect_matching(graph_x, numpy_events)
+            == min_weight_perfect_matching(graph_x, [(0, 0), (1, 2)]))
 
 
 def test_edge_probabilities_accumulate_across_faults():

@@ -145,6 +145,8 @@ def test_entry_consistency_checks():
         DbEntry(**{**ok, "fails_x": -1, "p_xl": 0.0})
     with pytest.raises(DbError):
         DbEntry(**{**ok, "p_zl": 1.5})
+    with pytest.raises(DbError, match="rounds must be positive"):
+        DbEntry(**{**ok, "rounds": 0})
 
 
 def test_seeded_entries_skip_count_consistency():
@@ -164,8 +166,7 @@ def test_database_add_get_and_duplicates():
     assert db.get(4, 1.0, 1.0, 1e-3) is None
     with pytest.raises(DbError):
         db.add(DbEntry.seeded(3, 1.0, 1.0, 1e-3, 2e-3, 2e-3))
-    db.add(DbEntry.seeded(3, 1.0, 1.0, 1e-3, 2e-3, 3e-3), replace=True)
-    assert db.get(3, 1.0, 1.0, 1e-3).p_xl == 2e-3
+    assert db.get(3, 1.0, 1.0, 1e-3) is e
 
 
 def test_entries_sorted_by_key():
@@ -275,6 +276,10 @@ def test_load_rejects_malformed_inputs(tmp_path):
         ))
     with pytest.raises(DbError, match="line 3: comment after header"):
         RateDatabase.load(_write(tmp_path, f"{CSV_HEADER}\n{good_row}\n# late\n"))
+    with pytest.raises(DbError, match="line 2: rounds must be positive"):
+        RateDatabase.load(_write(
+            tmp_path, f"{CSV_HEADER}\n3,1,1,0.01,1000,0,200,300,0.04,0.06,0\n"
+        ))
 
 
 def test_load_accepts_blank_lines_and_metadata(tmp_path):

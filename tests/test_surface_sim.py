@@ -153,18 +153,31 @@ _DISTANCE_TABLE_SHA256 = {
 
 @pytest.mark.parametrize("d, mix", sorted(_DISTANCE_TABLE_SHA256))
 def test_distance_tables_are_pinned(d, mix):
-    # D, DM, B, BM and T of each graph as built: the tables are fixed at
+    # D, B, BM and T of each graph as built: the tables are fixed at
     # construction, so any change to the table search or its window shows here.
+    # The all-False block stands where the pair-mask table was hashed before
+    # pair classes lost their masks, which keeps the pins unchanged.
     layout = get_layout(d)
     graphs = matcher.build_graphs(enumerate_single_faults(layout), _RATE_MIXES[mix], layout)
     digests = []
     for graph in graphs:
         digest = hashlib.sha256()
-        for table in (graph.D, graph.DM, graph.B, graph.BM):
+        for table in (graph.D, np.zeros_like(graph.D, dtype=bool), graph.B, graph.BM):
             digest.update(np.ascontiguousarray(table).tobytes())
         digest.update(repr(graph.T).encode())
         digests.append(digest.hexdigest())
     assert tuple(digests) == _DISTANCE_TABLE_SHA256[(d, mix)]
+
+
+@pytest.mark.parametrize("d", range(3, 9))
+def test_only_one_event_faults_flip_the_logical(d):
+    # The logical reference cuts run along a boundary, so on each graph a
+    # fault that flips the logical has exactly one event: its edge class is
+    # a boundary class.  MatchingGraph relies on this to keep no pair masks.
+    faults = enumerate_single_faults(get_layout(d))
+    for side in ("x", "z"):
+        flips = [len(getattr(f, f"events_{side}")) for f in faults if getattr(f, f"flip_{side}")]
+        assert flips and set(flips) == {1}, side
 
 
 def test_fault_census_d3():
