@@ -24,6 +24,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 
 from . import __version__
 from .error_model import ModelError, load_model, reduce
@@ -52,7 +53,6 @@ _WARNING_TEXT = {
     "clamped": "query clamped to the database axis range",
     "low_confidence": f"a database entry carries fewer than {LOW_CONFIDENCE_FAILS} failures",
     "asymmetric_cnot": "cnot channel asymmetry exceeds the threshold; rates were balanced",
-    "above_threshold": "rates do not decrease with distance",
 }
 
 
@@ -108,17 +108,15 @@ def _cmd_reduce(args) -> int:
     rr = reduce(model, asymmetry_threshold=args.asymmetry_threshold)
     warnings = ["asymmetric_cnot"] if rr.asymmetry_warning else []
     _warn(warnings)
+    values = {
+        f.name: getattr(rr, f.name) for f in fields(rr) if f.name != "asymmetry_warning"
+    }
     if args.json:
-        print(json.dumps({
-            "p0x": rr.p0x, "p0z": rr.p0z,
-            "p1x": rr.p1x, "p1z": rr.p1z,
-            "p2x": rr.p2x, "p2z": rr.p2z,
-            "asym_x": _json_value(rr.asym_x), "asym_z": _json_value(rr.asym_z),
-            "warnings": warnings,
-        }, indent=2))
+        out = {name: _json_value(v) for name, v in values.items()}
+        print(json.dumps({**out, "warnings": warnings}, indent=2))
     else:
-        for name in ("p0x", "p0z", "p1x", "p1z", "p2x", "p2z", "asym_x", "asym_z"):
-            print(f"{name} = {getattr(rr, name)!r}")
+        for name, v in values.items():
+            print(f"{name} = {v!r}")
     return 0
 
 

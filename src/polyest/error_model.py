@@ -20,19 +20,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 # Absorbs float dust when checking that probabilities sum to at most 1.
 _SUM_TOL = 1e-9
-
-#: The 15 nontrivial two-qubit Pauli labels, control letter first.
-TWO_QUBIT_PAULIS = (
-    "ix", "iy", "iz",
-    "xi", "xx", "xy", "xz",
-    "yi", "yx", "yy", "yz",
-    "zi", "zx", "zy", "zz",
-)
-
 
 class ModelError(ValueError):
     """Raised for out-of-range probabilities or malformed model input."""
@@ -117,12 +108,9 @@ class TwoQubitChannel:
         _check_probability("depolarizing rate", p)
         return cls(**{name: p / 15.0 for name in TWO_QUBIT_PAULIS})
 
-    @classmethod
-    def from_dict(cls, entries: dict) -> "TwoQubitChannel":
-        unknown = set(entries) - set(TWO_QUBIT_PAULIS)
-        if unknown:
-            raise ModelError(f"unknown CNOT channel keys: {sorted(unknown)}")
-        return cls(**entries)
+
+#: The 15 nontrivial two-qubit Pauli labels, control letter first.
+TWO_QUBIT_PAULIS = tuple(f.name for f in fields(TwoQubitChannel))
 
 
 @dataclass(frozen=True)
@@ -277,8 +265,6 @@ def depolarizing_model(p: float, meas: float | None = None) -> GateErrorModel:
 # JSON model files
 # ---------------------------------------------------------------------------
 
-_SINGLE_KEYS = ("hadamard", "id_init", "id_had", "id_meas", "id_cnot")
-
 
 def model_from_dict(data: dict) -> GateErrorModel:
     """Build a model from its JSON dict form.
@@ -286,6 +272,8 @@ def model_from_dict(data: dict) -> GateErrorModel:
     Two forms are accepted: the full form with per-gate channel objects
     (omitted gates and omitted Pauli entries default to zero), and the
     shorthand ``{"depolarizing": p}`` with an optional ``"meas"`` override.
+    In the full form the gate keys are the fields of GateErrorModel and each
+    gate's keys the fields of its channel class.
     """
     if not isinstance(data, dict):
         raise ModelError("model must be a JSON object")
@@ -295,60 +283,32 @@ def model_from_dict(data: dict) -> GateErrorModel:
             raise ModelError(f"unknown keys with depolarizing shorthand: {sorted(extra)}")
         return depolarizing_model(data["depolarizing"], data.get("meas"))
 
-    known = {"init", "meas", "cnot", *_SINGLE_KEYS}
-    unknown = set(data) - known
+    gates = fields(GateErrorModel)
+    unknown = set(data) - {gate.name for gate in gates}
     if unknown:
         raise ModelError(f"unknown model keys: {sorted(unknown)}")
-
-    def gate(key: str) -> dict:
-        entry = data.get(key, {})
+    channels = {}
+    for gate in gates:
+        entry = data.get(gate.name, {})
         if not isinstance(entry, dict):
-            raise ModelError(f"{key} must be a JSON object, got {entry!r}")
-        return entry
-
-    def flip(key: str) -> FlipChannel:
-        entry = gate(key)
-        extra = set(entry) - {"flip"}
+            raise ModelError(f"{gate.name} must be a JSON object, got {entry!r}")
+        # gate.type is a string under postponed annotations; the default is
+        # an instance of the channel class.
+        channel = type(gate.default)
+        extra = set(entry) - {f.name for f in fields(channel)}
         if extra:
-            raise ModelError(f"unknown {key} keys: {sorted(extra)}")
-        return FlipChannel(entry.get("flip", 0.0))
-
-    def single(key: str) -> SingleQubitChannel:
-        entry = gate(key)
-        extra = set(entry) - {"px", "py", "pz"}
-        if extra:
-            raise ModelError(f"unknown {key} keys: {sorted(extra)}")
-        return SingleQubitChannel(
-            entry.get("px", 0.0), entry.get("py", 0.0), entry.get("pz", 0.0)
-        )
-
-    return GateErrorModel(
-        init=flip("init"),
-        meas=flip("meas"),
-        hadamard=single("hadamard"),
-        id_init=single("id_init"),
-        id_had=single("id_had"),
-        id_meas=single("id_meas"),
-        id_cnot=single("id_cnot"),
-        cnot=TwoQubitChannel.from_dict(gate("cnot")),
-    )
+            raise ModelError(f"unknown {gate.name} keys: {sorted(extra)}")
+        channels[gate.name] = channel(**entry)
+    return GateErrorModel(**channels)
 
 
 def model_to_dict(model: GateErrorModel) -> dict:
     """Full JSON dict form of a model (zero entries omitted)."""
     out: dict = {}
-    if model.init.flip:
-        out["init"] = {"flip": model.init.flip}
-    if model.meas.flip:
-        out["meas"] = {"flip": model.meas.flip}
-    for key in _SINGLE_KEYS:
-        ch: SingleQubitChannel = getattr(model, key)
-        entry = {k: v for k, v in (("px", ch.px), ("py", ch.py), ("pz", ch.pz)) if v}
+    for gate, channel in asdict(model).items():
+        entry = {k: v for k, v in channel.items() if v}
         if entry:
-            out[key] = entry
-    cnot = {name: model.cnot[name] for name in TWO_QUBIT_PAULIS if model.cnot[name]}
-    if cnot:
-        out["cnot"] = cnot
+            out[gate] = entry
     return out
 
 

@@ -13,9 +13,12 @@ counts it came from together with the derived per-round logical rates, and a
 low-confidence flag set whenever either failure count is below 100.
 
 The CSV format is one header line, one row per entry, with optional leading
-``# key=value`` metadata comments.  Axis values are serialized canonically
-(``0.05``, ``2``, ``200``, ``2e-3``) so a parse/format round trip is
-bit-exact; rates use repr, which round-trips floats exactly.
+``# key=value`` metadata comments.  The column table ``_COLUMNS`` is the
+format: it lists the columns in file order, each with the DbEntry field it
+holds, its parser and its formatter, and the header, ``save`` and ``load``
+all derive from it.  Axis values are serialized canonically (``0.05``,
+``2``, ``200``, ``2e-3``) so a parse/format round trip is bit-exact; rates
+use repr, which round-trips floats exactly.
 
 This module uses the standard library only, so the query path (estimate,
 solve, curve) never loads the simulation stack.
@@ -38,8 +41,6 @@ AXES: dict[str, tuple[float, float]] = {
 DISTANCES = (3, 4, 5, 6)
 # An entry with fewer failures than this of either kind is flagged low-confidence.
 LOW_CONFIDENCE_FAILS = 100
-
-CSV_HEADER = "d,r0,r1,p2,shots,rounds,fails_x,fails_z,p_xl,p_zl,low_confidence"
 
 
 class DbError(ValueError):
@@ -148,7 +149,8 @@ class DbEntry:
 
     Entries built from counts keep p_xl == fails_x / (shots * rounds) exactly
     (checked); seeded entries, used to install externally known rates, carry
-    shots == 0 and are exempt from the consistency checks.
+    shots == rounds == fails_x == fails_z == 0 (checked) and are exempt from
+    the rate and flag consistency checks.
     """
 
     d: int
@@ -176,7 +178,11 @@ class DbEntry:
             v = getattr(self, name)
             if not isinstance(v, float) or not 0.0 <= v <= 1.0:
                 raise DbError(f"{name} must be a float in [0, 1], got {v!r}")
-        if self.shots > 0:
+        if self.shots == 0:
+            nonzero = [n for n in ("rounds", "fails_x", "fails_z") if getattr(self, n)]
+            if nonzero:
+                raise DbError(f"seeded entry (shots=0) has nonzero {', '.join(nonzero)}")
+        else:
             if self.rounds == 0:
                 raise DbError(f"rounds must be positive when shots={self.shots}")
             denom = self.shots * self.rounds
@@ -219,6 +225,32 @@ class DbEntry:
         )
 
 
+def _parse_flag(text: str) -> bool:
+    if text == "0":
+        return False
+    if text == "1":
+        return True
+    raise DbError(f"low_confidence must be 0 or 1, got {text!r}")
+
+
+# The CSV columns in file order, which is DbEntry's field order: each
+# column's field name, parser and formatter.
+_COLUMNS = (
+    ("d", int, str),
+    ("r0", float, format_value),
+    ("r1", float, format_value),
+    ("p2", float, format_value),
+    ("shots", int, str),
+    ("rounds", int, str),
+    ("fails_x", int, str),
+    ("fails_z", int, str),
+    ("p_xl", float, repr),
+    ("p_zl", float, repr),
+    ("low_confidence", _parse_flag, lambda flag: "1" if flag else "0"),
+)
+CSV_HEADER = ",".join(name for name, _, _ in _COLUMNS)
+
+
 class RateDatabase:
     """In-memory entry store keyed by (d, r0, r1, p2)."""
 
@@ -254,11 +286,7 @@ class RateDatabase:
         lines = [f"# {k}={self.metadata[k]}" for k in sorted(self.metadata)]
         lines.append(CSV_HEADER)
         for e in self.entries():
-            lines.append(",".join([
-                str(e.d), format_value(e.r0), format_value(e.r1), format_value(e.p2),
-                str(e.shots), str(e.rounds), str(e.fails_x), str(e.fails_z),
-                repr(e.p_xl), repr(e.p_zl), "1" if e.low_confidence else "0",
-            ]))
+            lines.append(",".join(fmt(getattr(e, name)) for name, _, fmt in _COLUMNS))
         path = os.fspath(path)
         head, name = os.path.split(path)
         tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
@@ -295,21 +323,16 @@ class RateDatabase:
                     raise DbError(f"line {lineno}: expected header {CSV_HEADER!r}")
                 header_seen = True
                 continue
-            fields = line.split(",")
-            if len(fields) != 11:
-                raise DbError(f"line {lineno}: expected 11 fields, got {len(fields)}")
-            try:
-                entry = DbEntry(
-                    d=int(fields[0]),
-                    r0=float(fields[1]), r1=float(fields[2]), p2=float(fields[3]),
-                    shots=int(fields[4]), rounds=int(fields[5]),
-                    fails_x=int(fields[6]), fails_z=int(fields[7]),
-                    p_xl=float(fields[8]), p_zl=float(fields[9]),
-                    low_confidence=_parse_flag(fields[10], lineno),
+            texts = line.split(",")
+            if len(texts) != len(_COLUMNS):
+                raise DbError(
+                    f"line {lineno}: expected {len(_COLUMNS)} fields, got {len(texts)}"
                 )
-            except DbError as err:
-                raise DbError(f"line {lineno}: {err}") from None
-            except ValueError as err:
+            try:
+                entry = DbEntry(*[
+                    parse(text) for (_, parse, _), text in zip(_COLUMNS, texts)
+                ])
+            except ValueError as err:  # DbError included
                 raise DbError(f"line {lineno}: {err}") from None
             if entry.key in db:
                 raise DbError(f"line {lineno}: duplicate entry for {entry.key}")
@@ -317,14 +340,6 @@ class RateDatabase:
         if not header_seen:
             raise DbError("missing header line")
         return db
-
-
-def _parse_flag(text: str, lineno: int) -> bool:
-    if text == "0":
-        return False
-    if text == "1":
-        return True
-    raise DbError(f"low_confidence must be 0 or 1, got {text!r}")
 
 
 def _axis_tuple(name: str, values: Iterable) -> tuple[float, ...]:

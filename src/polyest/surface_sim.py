@@ -99,9 +99,8 @@ class Layout:
     """
 
     def __init__(self, d: int):
-        if not isinstance(d, int) or isinstance(d, bool) or d < 3:
-            raise LayoutError(f"code distance must be an integer >= 3, got {d!r}")
-        self.d = d
+        check_ints(LayoutError, ("code distance", d, 3))
+        self.d = d = int(d)
         self.size = 2 * d - 1
         span = range(self.size)
         self.data: tuple[Coord, ...] = tuple(
@@ -599,8 +598,11 @@ def run_monte_carlo(
     comp = _compiled(layout.d)
     from . import matcher
 
+    # Always enumerated (a cache hit after the first call), since the
+    # footprints it fills are needed even when the caller brings graphs.
+    faults = enumerate_single_faults(layout)
     if graphs is None:
-        graphs = matcher.build_graphs(enumerate_single_faults(layout), rates, layout)
+        graphs = matcher.build_graphs(faults, rates, layout)
     fails = [0, 0]
     done = 0
     while done < shots:
@@ -615,4 +617,4 @@ def run_monte_carlo(
                 actual[row] ^= matching.correction_flip
             fails[k] += int(np.count_nonzero(actual))
         done += b
-    return SimResult(shots=shots, rounds=rounds, fails_x=fails[0], fails_z=fails[1])
+    return SimResult(shots=int(shots), rounds=int(rounds), fails_x=fails[0], fails_z=fails[1])

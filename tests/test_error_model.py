@@ -1,8 +1,11 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from polyest.error_model import (
     GateErrorModel,
@@ -45,7 +48,7 @@ def test_fold_single_merges_y_into_both_axes():
 
 
 def test_asymmetric_cnot_balances_to_dominant_rate():
-    channel = TwoQubitChannel.from_dict({"ix": 1e-4, "xi": 1e-5, "xx": 1e-6})
+    channel = TwoQubitChannel(ix=1e-4, xi=1e-5, xx=1e-6)
     p2x, p2z, asym_x, asym_z = reduce_cnot(channel)
     assert p2x == 15 * 1e-4 / 4
     assert rel_err(asym_x, 100.0) <= 1e-12
@@ -54,14 +57,14 @@ def test_asymmetric_cnot_balances_to_dominant_rate():
 
 
 def test_cnot_asymmetry_unbounded_when_a_triple_rate_is_zero():
-    channel = TwoQubitChannel.from_dict({"ix": 1e-4, "xi": 1e-5})
+    channel = TwoQubitChannel(ix=1e-4, xi=1e-5)
     _, _, asym_x, _ = reduce_cnot(channel)
     assert asym_x == math.inf
 
 
 def test_asymmetry_warning_respects_threshold():
     model = GateErrorModel(
-        cnot=TwoQubitChannel.from_dict({"ix": 1e-4, "xi": 1e-5, "xx": 1e-6})
+        cnot=TwoQubitChannel(ix=1e-4, xi=1e-5, xx=1e-6)
     )
     assert reduce(model, asymmetry_threshold=2.0).asymmetry_warning
     assert not reduce(model, asymmetry_threshold=200.0).asymmetry_warning
@@ -81,12 +84,12 @@ def test_measurement_flip_feeds_both_syndrome_rates():
 
 def test_derived_triples_cover_the_documented_pauli_groups():
     # one unit of probability in each contributing entry, nothing else
-    x_target = TwoQubitChannel.from_dict({"ix": 0.01, "iy": 0.01, "zx": 0.01, "zy": 0.01})
+    x_target = TwoQubitChannel(ix=0.01, iy=0.01, zx=0.01, zy=0.01)
     p2x, _, asym_x, _ = reduce_cnot(x_target)
     assert p2x == 15 * 0.04 / 4
     assert asym_x == math.inf  # other two triple rates are zero
 
-    both = TwoQubitChannel.from_dict({"xx": 0.01, "xy": 0.01, "yx": 0.01, "yy": 0.01})
+    both = TwoQubitChannel(xx=0.01, xy=0.01, yx=0.01, yy=0.01)
     p2x_b, p2z_b, _, asym_z_b = reduce_cnot(both)
     assert p2x_b == 15 * 0.04 / 4
     # on the Z side these spread one 0.01 into each group, a balanced triple
@@ -101,19 +104,19 @@ def test_channel_probability_validation(bad):
     with pytest.raises(ModelError):
         FlipChannel(bad)
     with pytest.raises(ModelError):
-        TwoQubitChannel.from_dict({"ix": bad})
+        TwoQubitChannel(ix=bad)
 
 
 def test_channel_sum_validation():
     with pytest.raises(ModelError):
         SingleQubitChannel(0.5, 0.4, 0.2)
     with pytest.raises(ModelError):
-        TwoQubitChannel.from_dict({p: 0.08 for p in TWO_QUBIT_PAULIS})
+        TwoQubitChannel(**{p: 0.08 for p in TWO_QUBIT_PAULIS})
 
 
 def test_two_qubit_channel_rejects_unknown_keys():
-    with pytest.raises(ModelError):
-        TwoQubitChannel.from_dict({"xq": 1e-3})
+    with pytest.raises(ModelError, match=r"^unknown cnot keys: \['xq'\]$"):
+        model_from_dict({"cnot": {"ix": 1e-3, "xq": 1e-3}})
 
 
 def test_model_dict_roundtrip():
@@ -122,7 +125,7 @@ def test_model_dict_roundtrip():
         meas=FlipChannel(2e-3),
         hadamard=SingleQubitChannel(1e-4, 2e-4, 3e-4),
         id_init=SingleQubitChannel(1e-5, 0.0, 0.0),
-        cnot=TwoQubitChannel.from_dict({"ix": 1e-4, "zz": 2e-4}),
+        cnot=TwoQubitChannel(ix=1e-4, zz=2e-4),
     )
     data = model_to_dict(model)
     assert model_from_dict(data) == model
@@ -157,6 +160,53 @@ def test_model_from_dict_rejects_non_object_gate_entries(data):
         model_from_dict(data)
 
 
+# The JSON model format as documented: each gate key with its channel's keys.
+_GATE_KEYS = {
+    "init": ("flip",),
+    "meas": ("flip",),
+    "hadamard": ("px", "py", "pz"),
+    "id_init": ("px", "py", "pz"),
+    "id_had": ("px", "py", "pz"),
+    "id_meas": ("px", "py", "pz"),
+    "id_cnot": ("px", "py", "pz"),
+    "cnot": TWO_QUBIT_PAULIS,
+}
+
+
+@st.composite
+def _model_dicts(draw):
+    # Every entry is at most 1/len(keys), so each channel's sum stays valid.
+    data = {}
+    for gate, keys in _GATE_KEYS.items():
+        entry = draw(st.dictionaries(
+            st.sampled_from(keys), st.floats(0.0, 1.0 / len(keys)), max_size=len(keys)
+        ))
+        if entry or draw(st.booleans()):
+            data[gate] = entry
+    return data
+
+
+@given(_model_dicts())
+def test_model_json_roundtrip_property(data):
+    model = model_from_dict(data)
+    assert model_from_dict(json.loads(json.dumps(model_to_dict(model)))) == model
+    assert model_to_dict(model) == {
+        gate: {k: v for k, v in entry.items() if v}
+        for gate, entry in data.items()
+        if any(entry.values())
+    }
+
+
+@given(_model_dicts(), st.sampled_from(sorted(_GATE_KEYS)), st.text(min_size=1))
+def test_model_unknown_gate_key_names_the_gate(data, gate, key):
+    if key in _GATE_KEYS[gate]:
+        key += "_extra"
+    data = {**data, gate: {**data.get(gate, {}), key: 0.0}}
+    message = re.escape(f"unknown {gate} keys: [{key!r}]")
+    with pytest.raises(ModelError, match=f"^{message}$"):
+        model_from_dict(data)
+
+
 def test_load_model_errors(tmp_path):
     missing = tmp_path / "nope.json"
     with pytest.raises(ModelError):
@@ -172,7 +222,7 @@ def test_load_model_errors(tmp_path):
 
 def _random_cnot(rng):
     probs = rng.random(15) * 0.01
-    return TwoQubitChannel.from_dict(dict(zip(TWO_QUBIT_PAULIS, probs)))
+    return TwoQubitChannel(**dict(zip(TWO_QUBIT_PAULIS, probs)))
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -184,8 +234,8 @@ def test_x_rates_ignore_pure_z_redistribution(seed):
     total = base["iz"] + base["zi"] + base["zz"]
     shares = rng.dirichlet(np.ones(3)) * total
     moved["iz"], moved["zi"], moved["zz"] = shares
-    p2x_a, _, asym_a, _ = reduce_cnot(TwoQubitChannel.from_dict(base))
-    p2x_b, _, asym_b, _ = reduce_cnot(TwoQubitChannel.from_dict(moved))
+    p2x_a, _, asym_a, _ = reduce_cnot(TwoQubitChannel(**base))
+    p2x_b, _, asym_b, _ = reduce_cnot(TwoQubitChannel(**moved))
     assert p2x_a == p2x_b
     assert asym_a == asym_b
 

@@ -1,6 +1,11 @@
 import math
+import os
+import tempfile
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyest import ratedb, store
 from polyest.ratedb import choose_rounds, generate
@@ -280,6 +285,62 @@ def test_load_rejects_malformed_inputs(tmp_path):
         RateDatabase.load(_write(
             tmp_path, f"{CSV_HEADER}\n3,1,1,0.01,1000,0,200,300,0.04,0.06,0\n"
         ))
+
+
+def test_load_rejects_seeded_rows_with_counts(tmp_path):
+    with pytest.raises(
+        DbError, match=r"^line 2: seeded entry \(shots=0\) has nonzero rounds, fails_x, fails_z$"
+    ):
+        RateDatabase.load(_write(
+            tmp_path, f"{CSV_HEADER}\n3,1,1,0.01,0,5,200,300,0.04,0.06,0\n"
+        ))
+    with pytest.raises(DbError, match=r"^line 2: seeded entry \(shots=0\) has nonzero fails_z$"):
+        RateDatabase.load(_write(
+            tmp_path, f"{CSV_HEADER}\n3,1,1,0.01,0,0,0,3,0.04,0.06,0\n"
+        ))
+
+
+def test_csv_columns_are_the_entry_fields():
+    assert CSV_HEADER.split(",") == [f.name for f in fields(DbEntry)]
+
+
+_KEYS = st.tuples(
+    st.sampled_from(DISTANCES),
+    *(st.sampled_from(ladder_values(*AXES[axis])) for axis in ("r0", "r1", "p2")),
+)
+
+
+@st.composite
+def _counted_entries(draw):
+    shots = draw(st.integers(1, 10**7))
+    rounds = draw(st.integers(1, 600))
+    fails = st.integers(0, min(shots * rounds, 10**6))
+    return DbEntry.from_counts(*draw(_KEYS), shots, rounds, draw(fails), draw(fails))
+
+
+_SEEDED_ENTRIES = st.builds(
+    lambda key, p_xl, p_zl, flag: DbEntry.seeded(*key, p_xl, p_zl, low_confidence=flag),
+    _KEYS, st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.booleans(),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(
+    st.one_of(_counted_entries(), _SEEDED_ENTRIES), max_size=12, unique_by=lambda e: e.key,
+))
+def test_save_load_roundtrip_property(entries):
+    db = RateDatabase(metadata={"polyest_version": "0.2.0", "seed": "7"})
+    for entry in entries:
+        db.add(entry)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = os.path.join(tmp, "a.csv"), os.path.join(tmp, "b.csv")
+        db.save(first)
+        loaded = RateDatabase.load(first)
+        assert loaded.entries() == db.entries()
+        assert loaded.metadata == db.metadata
+        loaded.save(second)
+        with open(first, "rb") as fa, open(second, "rb") as fb:
+            assert fa.read() == fb.read()
 
 
 def test_load_accepts_blank_lines_and_metadata(tmp_path):

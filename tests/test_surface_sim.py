@@ -1,6 +1,10 @@
 import functools
 import hashlib
 import math
+import os
+import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -49,6 +53,14 @@ def test_layout_neighbors_are_data_qubits(d):
 def test_layout_rejects_bad_distance(bad):
     with pytest.raises(LayoutError):
         Layout(bad)
+
+
+def test_layout_accepts_numpy_distance():
+    layout = get_layout(np.int64(3))
+    assert type(layout.d) is int and layout.d == 3
+    assert Layout(np.int32(4)).size == 7
+    with pytest.raises(LayoutError, match="^code distance must be an integer >= 3, got "):
+        Layout(np.int64(2))
 
 
 @pytest.mark.parametrize("d", [3, 4])
@@ -531,7 +543,37 @@ def test_run_monte_carlo_input_validation():
     ):
         with pytest.raises(ValueError, match=name):
             run_monte_carlo(layout, ok, **{**counts, name: bad})
-    run_monte_carlo(layout, ok, shots=np.int64(2), rounds=np.int32(3), seed=np.uint64(0))
+    result = run_monte_carlo(
+        layout, ok, shots=np.int64(2), rounds=np.int32(3), seed=np.uint64(0)
+    )
+    assert (type(result.shots), type(result.rounds)) == (int, int)
+    assert (result.shots, result.rounds) == (2, 3)
+
+
+def test_monte_carlo_with_graphs_built_in_another_process(tmp_path):
+    # A fresh process that is handed pickled graphs has enumerated no faults
+    # for that distance; the run must still find the footprint tables.
+    layout = get_layout(3)
+    rates = Rates(2e-3, 3e-3, 1e-3, 1e-3, 1e-2)
+    graphs = matcher.build_graphs(enumerate_single_faults(layout), rates, layout)
+    path = tmp_path / "graphs.pkl"
+    path.write_bytes(pickle.dumps(graphs))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(surface_sim.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import pickle, sys\n"
+         "from polyest.surface_sim import Rates, get_layout, run_monte_carlo\n"
+         "with open(sys.argv[1], 'rb') as fh:\n"
+         "    graphs = pickle.load(fh)\n"
+         f"print(run_monte_carlo(get_layout(3), Rates{tuple(rates)!r}, 60, 4, 11,"
+         " graphs=graphs))",
+         str(path)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    expected = run_monte_carlo(layout, rates, shots=60, rounds=4, seed=11)
+    assert expected.fails_x + expected.fails_z > 0
+    assert out.stdout == f"{expected!r}\n"
 
 
 def test_zero_rates_never_fail():
