@@ -34,19 +34,34 @@ Decoding a syndrome:
 * the effective pair weight is min(direct, B[a] + B[b]); pairs where no
   direct path can beat two boundary routes never need to be matched to each
   other, which splits the events into independent clusters;
-* singleton clusters go to the boundary, two-event clusters pair directly,
-  and larger clusters are solved exactly on a sparse graph: each event has a
-  boundary twin, an event meets its twin where its boundary weight is finite
-  and another event only where the direct weight is at most the two
-  boundary legs, and each kept event pair comes with a free edge between
-  the two twins.  A dominated pair is rerouted through the twins at the same
-  cost, so the sparse optimum equals the complete graph's;
+* singleton clusters go to the boundary, two-event clusters pair directly
+  (the pair beats its two boundary legs), and larger clusters are solved
+  exactly on a sparse graph: each event has a boundary twin, an event meets
+  its twin where its boundary weight is finite and another event only where
+  the direct weight is at most the two boundary legs, and each kept event
+  pair comes with a free edge between the two twins.  A dominated pair is
+  rerouted through the twins at the same cost, so the sparse optimum equals
+  the complete graph's;
 * the matcher is an in-repo port of the O(n^3) primal-dual blossom
   algorithm (Galil's formulation, after van Rantwijk's mwmatching.py), run
   in maximum-cardinality mode with weights flipped against a constant.
 
 The reported total weight is the exact sum (math.fsum) of the chosen pair
 and boundary weights, so equal-weight solutions compare bit-identically.
+
+Monte Carlo needs each shot's correction flip only, and decode_batch gives
+it for a whole batch of shots (rows) at once.  It reads the weight of every
+within-row event pair in one pair_distances call and counts each event's
+links, the pairs that beat their two boundary legs (_linked, the rule that
+solve_matching clusters by).  In a row where every event has at most one
+link and every unlinked event a boundary route, the clusters are singletons
+and linked pairs.  Their decode is fixed, as above, without any search: the
+singletons go to the boundary and the pairs carry no flip, so the row's
+flip is the parity of BM over its unlinked events, which is what
+min_weight_perfect_matching returns.  The other rows, with a cluster of
+three or more events or a lone event without a boundary route, go through
+solve_matching on the weights already read, and so decode, tie-break and
+raise exactly as that does.
 """
 
 from __future__ import annotations
@@ -627,7 +642,18 @@ def _max_weight_matching(n: int, edges: list[tuple[int, int, float]]) -> list[in
     return [endpoint[p] if p >= 0 else -1 for p in mate]
 
 
-def _blossom_cluster(members, W, B, bsum):
+def _linked(w, b_a, b_b):
+    """Whether a direct pair of weight ``w`` beats its events' boundary legs.
+
+    The one rule by which decoding splits events into clusters: a pair that
+    does not beat routing both of its events to the boundary (a tie does
+    not) never needs matching to each other.  solve_matching and
+    decode_batch both call it, so the two decode alike.
+    """
+    return w < b_a + b_b
+
+
+def _blossom_cluster(members, W, B):
     """Exact minimum-weight matching of one cluster on its sparse twin graph.
 
     Events are vertices 0..k-1 and their boundary twins k..2k-1, with the
@@ -640,7 +666,7 @@ def _blossom_cluster(members, W, B, bsum):
     m = np.asarray(members)
     Bc = B[m]
     ia, ib = np.triu_indices(k, 1)
-    Wp, Sp = W[m[ia], m[ib]], bsum[m[ia], m[ib]]
+    Wp, Sp = W[m[ia], m[ib]], Bc[ia] + Bc[ib]
     costs = np.concatenate((Bc, np.minimum(Wp, Sp)))
     big = float(costs[np.isfinite(costs)].max()) + 1.0
     to_twin = np.flatnonzero(np.isfinite(Bc))
@@ -678,11 +704,10 @@ def solve_matching(weights, boundary) -> tuple[list[tuple], float]:
         raise ValueError("weights matrix shape does not match boundary vector")
     if n == 0:
         return [], 0.0
-    bsum = B[:, None] + B[None, :]
     # A direct pairing can only be optimal where it beats two boundary legs,
     # so connected components under that relation decode independently.
     parent = list(range(n))
-    for i, j in np.argwhere(W < bsum):
+    for i, j in np.argwhere(_linked(W, B[:, None], B[None, :])):
         if i < j:
             ri, rj = _find(parent, int(i)), _find(parent, int(j))
             if ri != rj:
@@ -704,7 +729,7 @@ def solve_matching(weights, boundary) -> tuple[list[tuple], float]:
             i, j = members
             atoms.append(("pair", i, j))
         else:
-            atoms.extend(_blossom_cluster(members, W, B, bsum))
+            atoms.extend(_blossom_cluster(members, W, B))
     chosen = [W[a[1], a[2]] if a[0] == "pair" else B[a[1]] for a in atoms]
     return atoms, math.fsum(sorted(chosen))
 
@@ -743,6 +768,57 @@ def min_weight_perfect_matching(
             pairs.append((nodes[atom[1]], None))
             flip ^= bool(graph.BM[ss[atom[1]]])
     return Matching(tuple(pairs), total, flip)
+
+
+def decode_batch(graph: MatchingGraph, row, site, rnd, actual: np.ndarray) -> None:
+    """XOR the correction flip of every row of a batch into ``actual``.
+
+    ``row``, ``site`` and ``rnd`` are integer arrays of the batch's detection
+    events, sorted by row, then round, then site, with none repeated;
+    ``actual`` holds one flip per row.  A row's flip is the one
+    min_weight_perfect_matching gives for its events (see the module
+    docstring): rows of singletons and linked pairs take it from BM, the
+    others go through solve_matching.  Raises MatchingError as that would.
+    """
+    row, site, rnd = (np.asarray(a) for a in (row, site, rnd))
+    n = row.size
+    if not all(a.dtype.kind == "i" and a.shape == (n,) for a in (site, rnd, row)):
+        raise MatchingError("events need signed integer row, site and round arrays of one length")
+    if n == 0:
+        return
+    if (site.min() < 0 or site.max() >= graph.n_sites or rnd.min() < 0
+            or row.min() < 0 or row.max() >= actual.size):
+        raise MatchingError(f"events need sites in 0..{graph.n_sites - 1}, rounds >= 0 "
+                            f"and rows in 0..{actual.size - 1}")
+    dr, dt, ds = np.diff(row), np.diff(rnd), np.diff(site)
+    if np.any((dr < 0) | ((dr == 0) & ((dt < 0) | ((dt == 0) & (ds <= 0))))):
+        raise MatchingError("events must be sorted by row, round and site, without repeats")
+    # Every pair (a, b), a < b, of events in one row: pair k of event a's
+    # m[a] pairs has b = a + 1 + k, so a row's pairs are contiguous.
+    end = np.searchsorted(row, row, side="right")
+    m = end - np.arange(n) - 1
+    first_pair = np.cumsum(m) - m
+    a = np.repeat(np.arange(n), m)
+    b = a + 1 + np.arange(a.size) - np.repeat(first_pair, m)
+    W = graph.pair_distances(site[a], site[b], rnd[b] - rnd[a]) if a.size else np.empty(0)
+    B = graph.B[site]
+    link = _linked(W, B[a], B[b])
+    deg = np.bincount(a[link], minlength=n) + np.bincount(b[link], minlength=n)
+    lone = deg == 0
+    flips = np.bincount(row[lone & graph.BM[site]], minlength=actual.size)
+    # A row is easy when its clusters are singletons with a boundary route
+    # and linked pairs: those go to the boundary, these pair up flip-free.
+    hard = np.flatnonzero(np.bincount(row[(deg > 1) | (lone & ~np.isfinite(B))],
+                                      minlength=actual.size))
+    for r, lo in zip(hard.tolist(), np.searchsorted(row, hard).tolist()):
+        k = int(end[lo]) - lo
+        pairs = slice(first_pair[lo], first_pair[lo] + k * (k - 1) // 2)
+        i, j = a[pairs] - lo, b[pairs] - lo
+        Wr = np.full((k, k), np.inf)
+        Wr[i, j] = Wr[j, i] = W[pairs]
+        atoms, _ = solve_matching(Wr, B[lo:lo + k])
+        flips[r] = sum(int(graph.BM[site[lo + atom[1]]]) for atom in atoms if atom[0] == "boundary")
+    actual ^= flips % 2 == 1
 
 
 def apply_correction(matching: Matching, actual_flip: bool) -> bool:

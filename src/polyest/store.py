@@ -251,6 +251,24 @@ _COLUMNS = (
 CSV_HEADER = ",".join(name for name, _, _ in _COLUMNS)
 
 
+def _check_metadata(key, value) -> None:
+    """Raise DbError, naming ``key``, unless ``# key=value`` loads back as both.
+
+    load reads one line per entry, strips the text around the key and the
+    value and splits at the first ``=``, so each must be a string on one
+    line without surrounding whitespace, and the key non-empty without ``=``.
+    """
+    for part in (key, value):
+        if not isinstance(part, str):
+            raise DbError(f"metadata key {key!r}: keys and values must be strings")
+        if part.splitlines() not in ([], [part]):
+            raise DbError(f"metadata key {key!r}: line breaks do not round-trip")
+        if part != part.strip():
+            raise DbError(f"metadata key {key!r}: surrounding whitespace does not round-trip")
+    if not key or "=" in key:
+        raise DbError(f"metadata key {key!r}: a key must be non-empty and hold no '='")
+
+
 class RateDatabase:
     """In-memory entry store keyed by (d, r0, r1, p2)."""
 
@@ -281,8 +299,11 @@ class RateDatabase:
         The text goes to a temporary file in the same directory, which
         os.replace then moves onto ``path``, so a save that fails or is
         interrupted part-way leaves an earlier file intact.  A failed write
-        removes its temporary file.
+        removes its temporary file.  Metadata that would not load back as
+        the same keys and values raises DbError before anything is written.
         """
+        for key, value in self.metadata.items():
+            _check_metadata(key, value)
         lines = [f"# {k}={self.metadata[k]}" for k in sorted(self.metadata)]
         lines.append(CSV_HEADER)
         for e in self.entries():

@@ -488,7 +488,7 @@ def _draw_noise(
     return tuple(np.array(a, dtype=np.int64) for a in (rows, cycles, fids))
 
 
-def _detection_events(comp: _Compiled, hits, b: int, R: int) -> list[tuple[dict, np.ndarray]]:
+def _detection_events(comp: _Compiled, hits, b: int, R: int) -> list[tuple[tuple, np.ndarray]]:
     """Detection events and actual logical flips of a batch, by footprint XOR.
 
     ``hits`` are _draw_noise's (row, cycle, fault id) arrays for ``b`` shots
@@ -497,9 +497,9 @@ def _detection_events(comp: _Compiled, hits, b: int, R: int) -> list[tuple[dict,
     footprints produce an odd number of times; a row's actual flip is the
     parity of its faults' flip bits.  Exact because every footprint lies
     within one round of its cycle and the readout round catches the last.
-    Per graph (X, then Z) returns a dict from each row with events to its
-    (site, round) list, ordered by round then site, and the actual flips of
-    all ``b`` rows.
+    Per graph (X, then Z) returns the events as (row, site, round) arrays,
+    sorted by row, then round, then site, and the actual flips of all ``b``
+    rows.
     """
     row, cycle, fid = hits
     out = []
@@ -511,12 +511,8 @@ def _detection_events(comp: _Compiled, hits, b: int, R: int) -> list[tuple[dict,
         keys, counts = np.unique(row_round * fp.n_sites + fp.site[k], return_counts=True)
         row_round, site = np.divmod(keys[counts % 2 == 1], fp.n_sites)
         event_row, rnd = np.divmod(row_round, R + 1)
-        pairs = list(zip(site.tolist(), rnd.tolist()))
-        rows, first = np.unique(event_row, return_index=True)
-        bounds = [*first.tolist(), len(pairs)]
-        events = {r: pairs[lo:hi] for r, lo, hi in zip(rows.tolist(), bounds, bounds[1:])}
         actual = np.bincount(row[fp.flip[fid]], minlength=b) % 2 == 1
-        out.append((events, actual))
+        out.append(((event_row, site, rnd), actual))
     return out
 
 
@@ -588,9 +584,12 @@ def run_monte_carlo(
     counts a type-A failure when the correction parity disagrees with the
     accumulated frame parity across the logical-A reference cut.  A shot
     without events on a graph fails there exactly when its frame parity is
-    set.  Shot i draws from its own substream of ``seed``, so a run split
-    into chunks through ``first_shot_index`` and joined with
-    SimResult.merged gives the counts of the whole run.
+    set.  Shots are drawn and decoded in batches: matcher.decode_batch
+    gives the correction flips of a whole batch per graph, the same flips
+    that min_weight_perfect_matching gives shot by shot.  Shot i draws from
+    its own substream of ``seed``, so a run split into chunks through
+    ``first_shot_index`` and joined with SimResult.merged gives the counts
+    of the whole run.
     """
     rates = Rates(*rates)
     rates.validate()
@@ -612,9 +611,7 @@ def run_monte_carlo(
         for k, (graph, (events, actual)) in enumerate(
             zip(graphs, _detection_events(comp, hits, b, rounds))
         ):
-            for row, row_events in events.items():
-                matching = matcher.min_weight_perfect_matching(graph, row_events)
-                actual[row] ^= matching.correction_flip
+            matcher.decode_batch(graph, *events, actual)
             fails[k] += int(np.count_nonzero(actual))
         done += b
     return SimResult(shots=int(shots), rounds=int(rounds), fails_x=fails[0], fails_z=fails[1])

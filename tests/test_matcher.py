@@ -13,10 +13,12 @@ from polyest.matcher import (
     MatchingGraph,
     apply_correction,
     build_graphs,
+    decode_batch,
     dump_edge_classes,
     min_weight_perfect_matching,
     solve_matching,
 )
+from polyest import surface_sim
 from polyest.surface_sim import FaultEffect, Rates, enumerate_single_faults, get_layout
 
 
@@ -499,3 +501,166 @@ def test_total_is_bounded_and_permutation_invariant(inputs):
         assert total <= math.fsum(sorted(B))
     p = np.array(perm)
     assert _total_or_none(W[np.ix_(p, p)], B[p]) == total
+
+
+# ---------------------------------------------------------------------------
+# Batched decoding against the per-row decode
+# ---------------------------------------------------------------------------
+
+
+def _per_row_flips(graph, row, site, rnd, b):
+    want = np.zeros(b, dtype=bool)
+    for r in np.unique(row).tolist():
+        at = row == r
+        events = list(zip(site[at].tolist(), rnd[at].tolist()))
+        want[r] = min_weight_perfect_matching(graph, events).correction_flip
+    return want
+
+
+def _batch_flips(graph, row, site, rnd, b):
+    flips = np.zeros(b, dtype=bool)
+    decode_batch(graph, row, site, rnd, flips)
+    return flips
+
+
+def _rows_of(row, site, rnd):
+    return [list(zip(site[row == r].tolist(), rnd[row == r].tolist()))
+            for r in np.unique(row).tolist()]
+
+
+def _sorted_events(rows):
+    # Per row a set of (site, round) events; returns the batch's event
+    # arrays sorted by row, round and site.
+    keys = sorted((r, t, s) for r, events in enumerate(rows) for s, t in events)
+    row, rnd, site = (np.array([k[c] for k in keys], dtype=np.int64) for c in range(3))
+    return row, site, rnd
+
+
+def _pair_matrix(graph, events):
+    # Direct weights between (site, round) events, the earlier one first.
+    n = len(events)
+    W = np.full((n, n), math.inf)
+    for i, j in itertools.combinations(range(n), 2):
+        (sa, ta), (sb, tb) = sorted((events[i], events[j]), key=lambda e: (e[1], e[0]))
+        W[i, j] = W[j, i] = float(graph.pair_distances(sa, sb, tb - ta))
+    return W
+
+
+def _line_graph(rng, n_sites):
+    # Sites on a line, boundary classes at both ends and at random inner
+    # sites.  Weights are multiples of 1/2, so a pair weight equals two
+    # boundary legs exactly in many syndromes; heavy time edges keep T short
+    # against the round span of the syndromes.
+    w = [0.5, 1.0, 1.5, 2.0, 4.0]
+    edges = {(s, s + 1, 0): (0.1, float(rng.choice(w)), False) for s in range(n_sites - 1)}
+    edges.update({(s, s, 1): (0.1, float(rng.choice(w[2:])), False) for s in range(n_sites)})
+    if rng.random() < 0.5:
+        edges.update({(s, s + 1, 1): (0.1, float(rng.choice(w)), False)
+                      for s in range(n_sites - 1)})
+    ends = {0, n_sites - 1} | set(rng.choice(n_sites, size=2).tolist())
+    boundary = {s: (0.1, float(rng.choice(w[:3])), bool(rng.random() < 0.5)) for s in ends}
+    return MatchingGraph("x", n_sites, edges, boundary)
+
+
+def test_batch_decode_equals_per_row_decode_on_synthetic_graphs():
+    rng = np.random.default_rng(14)
+    ties = far = hard = easy = 0
+    for _ in range(40):
+        graph = _line_graph(rng, int(rng.integers(3, 8)))
+        nodes = [(s, t) for s in range(graph.n_sites) for t in range(12)]
+        rows = [{nodes[i] for i in rng.choice(len(nodes), size=int(rng.integers(0, 8)),
+                                              replace=False).tolist()} for _ in range(24)]
+        row, site, rnd = _sorted_events(rows)
+        assert (_batch_flips(graph, row, site, rnd, 24)
+                == _per_row_flips(graph, row, site, rnd, 24)).all()
+        for events in _rows_of(row, site, rnd):
+            W, B = _pair_matrix(graph, events), graph.B[[s for s, _ in events]]
+            bsum = B[:, None] + B[None, :]
+            ties += int(np.triu(np.isfinite(W) & (W == bsum)).sum())
+            far += sum(abs(ta - tb) > graph.T for (_, ta), (_, tb)
+                       in itertools.combinations(events, 2))
+            large = _largest_cluster(W, B) > 2
+            hard += large
+            easy += not large
+    assert ties > 100 and far > 100 and hard > 50 and easy > 100
+
+
+def test_batch_decode_on_a_graph_without_boundary():
+    # Outcome flips only: every boundary weight is infinite and events pair
+    # along their site's time line, at any span.
+    graph_x, _ = _graphs(Rates(0.01, 0.02, 0, 0, 0))
+    assert not graph_x.boundary and not np.isfinite(graph_x.B).any()
+    rows = [set(), {(2, 0), (2, 9)}, {(1, 3), (1, 4), (1, 80), (1, 200)}, {(0, 1), (0, 2)}]
+    row, site, rnd = _sorted_events(rows)
+    assert not _batch_flips(graph_x, row, site, rnd, 4).any()
+    assert not _per_row_flips(graph_x, row, site, rnd, 4).any()
+    # A batch with no events, and one whose rows hold one event each, which
+    # has no pairs: the lone events have no route, as per row.
+    empty = np.zeros(0, dtype=np.int64)
+    assert not _batch_flips(graph_x, empty, empty, empty, 3).any()
+    row, site, rnd = _sorted_events([set(), {(4, 2)}, {(1, 0)}])
+    with pytest.raises(MatchingError) as per_row:
+        _per_row_flips(graph_x, row, site, rnd, 3)
+    with pytest.raises(MatchingError) as batch:
+        _batch_flips(graph_x, row, site, rnd, 3)
+    assert str(batch.value) == str(per_row.value)
+
+
+def test_batch_decode_raises_the_per_row_error_for_a_lone_event():
+    # Site 3 has no edge and no boundary class: an event there has no route.
+    line = _line_graph(np.random.default_rng(5), 3)
+    graph = MatchingGraph("x", 4, line.edges, line.boundary)
+    assert not math.isfinite(graph.B[3])
+    rows = [{(0, 0), (1, 0)}, {(0, 1)}, {(0, 0), (3, 2), (2, 5)}, {(3, 0)}]
+    row, site, rnd = _sorted_events(rows)
+    with pytest.raises(MatchingError) as per_row:
+        _per_row_flips(graph, row, site, rnd, 4)
+    with pytest.raises(MatchingError) as batch:
+        _batch_flips(graph, row, site, rnd, 4)
+    assert str(batch.value) == str(per_row.value) == (
+        "event 1 has no usable edge to any partner or boundary")
+
+
+def test_batch_decode_validates_events():
+    graph_x, _ = _graphs(Rates(1e-3, 1e-3, 1e-3, 1e-3, 1e-2))
+    n = graph_x.n_sites
+    ok = (np.array([0, 0, 1]), np.array([1, 0, 2]), np.array([0, 1, 1]))
+    assert _batch_flips(graph_x, *ok, 2).shape == (2,)
+    for row, site, rnd in (
+        ([0], [n], [0]), ([0], [-1], [0]), ([0], [0], [-1]), ([2], [0], [0]),
+        ([0, 0], [1, 1], [3, 3]),          # a repeated event
+        ([0, 0], [1, 0], [2, 2]),          # sites out of order in a round
+        ([0, 0], [0, 0], [3, 2]),          # rounds out of order
+        ([1, 0], [0, 0], [0, 0]),          # rows out of order
+    ):
+        with pytest.raises(MatchingError):
+            _batch_flips(graph_x, np.array(row), np.array(site), np.array(rnd), 2)
+    for bad in (np.array([0.0, 0.0, 1.0]), np.array([True, False, True]), np.array([0, 0]),
+                np.array([1, 0, 2], dtype=np.uint64)):
+        with pytest.raises(MatchingError, match="integer"):
+            _batch_flips(graph_x, ok[0], bad, ok[2], 2)
+
+
+@pytest.mark.parametrize("d, rates, rounds, min_easy", [
+    # d=4 at p2=2e-4, r0=2, r1=1 and d=6 at p2=1e-4, r0=0.5, r1=0.2 (low
+    # noise, mostly rows of singletons and pairs), then d=5 at p=3e-3.
+    (4, Rates(4e-4, 4e-4, 2e-4, 2e-4, 2e-4), 40, 0.8),
+    (6, Rates(5e-5, 5e-5, 2e-5, 2e-5, 1e-4), 60, 0.8),
+    (5, Rates(3e-3, 3e-3, 3e-3, 3e-3, 3e-3), 25, 0.0),
+])
+def test_batch_decode_equals_per_row_decode_on_simulated_batches(d, rates, rounds, min_easy):
+    layout = get_layout(d)
+    graphs = build_graphs(enumerate_single_faults(layout), rates, layout)
+    comp = surface_sim._compiled(d)
+    b = 256
+    hits = surface_sim._draw_noise(d, range(b), rounds, comp, rates)
+    for graph, ((row, site, rnd), _) in zip(
+        graphs, surface_sim._detection_events(comp, hits, b, rounds)
+    ):
+        assert (_batch_flips(graph, row, site, rnd, b)
+                == _per_row_flips(graph, row, site, rnd, b)).all()
+        rows = _rows_of(row, site, rnd)
+        hard = sum(_largest_cluster(_pair_matrix(graph, events), graph.B[[s for s, _ in events]]) > 2
+                   for events in rows)
+        assert len(rows) > 100 and hard > 0
+        assert len(rows) - hard >= min_easy * len(rows)

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import os
+import re
 import tempfile
 from dataclasses import fields
 
@@ -343,6 +345,27 @@ def test_save_load_roundtrip_property(entries):
             assert fa.read() == fb.read()
 
 
+@pytest.mark.parametrize("metadata", [
+    {"note": "two\nlines"}, {"note": "carriage\rreturn"}, {"note": "end\n"},
+    {"note": "form\x0cfeed"}, {"two\nlines": "v"},
+    {" k ": "v"}, {"k": " v"}, {"k": "v\t"},
+    {"a=b": "c"}, {"": "v"}, {"k": 1}, {2: "v"},
+])
+def test_save_rejects_metadata_that_cannot_round_trip(tmp_path, metadata):
+    path = tmp_path / "rates.csv"
+    [key] = metadata
+    with pytest.raises(DbError, match=re.escape(f"metadata key {key!r}")):
+        RateDatabase(metadata=metadata).save(path)
+    assert not path.exists() and not list(tmp_path.iterdir())
+
+
+def test_save_keeps_metadata_that_round_trips(tmp_path):
+    metadata = {"note": "a=b, c = d", "empty": "", "k": "x y"}
+    path = tmp_path / "rates.csv"
+    RateDatabase(metadata=metadata).save(path)
+    assert RateDatabase.load(path).metadata == metadata
+
+
 def test_load_accepts_blank_lines_and_metadata(tmp_path):
     body = f"# seed=7\n\n{CSV_HEADER}\n\n3,1,1,0.01,1000,5,200,300,0.04,0.06,0\n"
     db = RateDatabase.load(_write(tmp_path, body))
@@ -480,3 +503,19 @@ def test_generate_checkpoints_after_each_point():
                         checkpoint=lambda d: seen.append((d, [e.key for e in d.entries()])))
     assert [d for d, _ in seen] == [db, db]
     assert [keys for _, keys in seen] == [added[:1], added]
+
+
+# Recorded with the per-row decoder, before the batched decode: at this noise
+# level most decoded rows hold only singletons and linked pairs, so the pin
+# covers the flip-only path of the batched decode at scale.
+_LOW_NOISE_CSV_SHA256 = "084b320229f2e0023ea67c54df6b652342390ee79c5a4dc03aad93be087716e8"
+
+
+def test_low_noise_generate_csv_is_pinned(tmp_path):
+    grid = GridSpec(distances=(3, 4, 5, 6), r0_values=(2.0,), r1_values=(1.0,),
+                    p2_values=(2e-4,))
+    db = RateDatabase()
+    generate(db, grid, seed=11, max_shots=2048)
+    db.save(tmp_path / "rates.csv")
+    data = (tmp_path / "rates.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == _LOW_NOISE_CSV_SHA256, data.decode()

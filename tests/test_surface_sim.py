@@ -418,9 +418,12 @@ def test_footprint_xor_matches_frame_simulation(seed):
 
     det_x, det_z, actual_x, actual_z = surface_sim._simulate_batch(comp, hits, b, R + 1)
     got = surface_sim._detection_events(comp, hits, b, R)
-    for (events, actual), det, want_actual in zip(
+    for ((rows, sites, rnds), actual), det, want_actual in zip(
         got, (det_x, det_z), (actual_x, actual_z)
     ):
+        events = {}
+        for r, s, t in zip(rows.tolist(), sites.tolist(), rnds.tolist()):
+            events.setdefault(r, []).append((s, t))
         assert events == {
             row: [(int(s), int(t)) for t, s in np.argwhere(det[row])]
             for row in range(b) if det[row].any()
