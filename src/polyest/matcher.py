@@ -31,37 +31,43 @@ Decoding a syndrome:
   B[s] and their masks BM[s] come from one heap search: shortest paths to
   any boundary class in the site graph with time offsets dropped (every
   round reaches the boundary alike, so no window is needed);
-* the effective pair weight is min(direct, B[a] + B[b]); pairs where no
-  direct path can beat two boundary routes never need to be matched to each
-  other, which splits the events into independent clusters;
-* singleton clusters go to the boundary, two-event clusters pair directly
-  (the pair beats its two boundary legs), and larger clusters are solved
-  exactly on a sparse graph: each event has a boundary twin, an event meets
-  its twin where its boundary weight is finite and another event only where
-  the direct weight is at most the two boundary legs, and each kept event
-  pair comes with a free edge between the two twins.  A dominated pair is
-  rerouted through the twins at the same cost, so the sparse optimum equals
-  the complete graph's;
+* the effective pair weight is min(direct, B[a] + B[b]); a pair that does
+  not beat its two boundary legs (_linked: a tie does not) never needs its
+  events matched to each other, so the linked pairs split the events into
+  independent clusters.  A decode reads the weight of every within-row
+  pair at once and finds the clusters of all rows in one vectorized pass
+  (min-label propagation), each cluster numbered after its least event;
+* singleton clusters go to the boundary and two-event clusters pair
+  directly (the pair beats its two boundary legs).  Larger clusters are
+  solved exactly on a sparse twin graph: events are vertices 0..k-1 in
+  ascending order and their boundary twins k..2k-1.  An event meets its
+  twin where its boundary weight is finite, another event only where the
+  direct weight is at most the two legs (a tie keeps the pair), and each
+  kept pair comes with a free edge between the two twins.  A dominated
+  pair is rerouted through the twins at the same cost, so the sparse
+  optimum equals the complete graph's.  Weights are flipped against one
+  more than the cluster's largest finite boundary leg or min(direct, two
+  legs), so the maximum-cardinality max-weight matching is the
+  minimum-weight perfect one;
+* the twin graphs of all clusters of a batch are built by whole-array
+  operations: per cluster the event-twin edges by event, the kept pairs in
+  (a, b) order, then their twin-twin edges, with weights from the same
+  float64 subtractions.  Each cluster's blossom input is therefore exactly
+  the one a build for that cluster alone gives, vertex numbers, edge
+  order and weights alike, so every mate and tie-break is too;
 * the matcher is an in-repo port of the O(n^3) primal-dual blossom
   algorithm (Galil's formulation, after van Rantwijk's mwmatching.py), run
-  in maximum-cardinality mode with weights flipped against a constant.
+  once per cluster of three or more events.
 
 The reported total weight is the exact sum (math.fsum) of the chosen pair
 and boundary weights, so equal-weight solutions compare bit-identically.
 
-Monte Carlo needs each shot's correction flip only, and decode_batch gives
-it for a whole batch of shots (rows) at once.  It reads the weight of every
-within-row event pair in one pair_distances call and counts each event's
-links, the pairs that beat their two boundary legs (_linked, the rule that
-solve_matching clusters by).  In a row where every event has at most one
-link and every unlinked event a boundary route, the clusters are singletons
-and linked pairs.  Their decode is fixed, as above, without any search: the
-singletons go to the boundary and the pairs carry no flip, so the row's
-flip is the parity of BM over its unlinked events, which is what
-min_weight_perfect_matching returns.  The other rows, with a cluster of
-three or more events or a lone event without a boundary route, go through
-solve_matching on the weights already read, and so decode, tie-break and
-raise exactly as that does.
+Monte Carlo needs each shot's correction flip only: decode_batch gives it
+for a whole batch of shots (rows) at once, as the parity of BM over the
+events that go to the boundary.  solve_matching (and so
+min_weight_perfect_matching) runs the same core on one row, so the two
+cluster, tie-break and raise alike: the first failing cluster in row
+order, then event order, raises MatchingError.
 """
 
 from __future__ import annotations
@@ -200,7 +206,7 @@ class MatchingGraph:
 
         Why the window t = _safe_span() suffices: a direct weight can change
         a decode only if it is at most B[a] + B[b] <= 2 max B (ties count,
-        as _blossom_cluster keeps a tied pair); a larger one loses to the
+        as a twin graph keeps a tied pair); a larger one loses to the
         two boundary legs whatever its value.  (Every site with an edge
         reaches the boundary, which the constructor checks.)  A path from
         round 0 that reaches round -k or dt + k on its way to round dt uses
@@ -314,13 +320,6 @@ def build_graphs(
         MatchingGraph(kind, n_sites, classes(edges), classes(boundary))
         for kind, n_sites, (edges, boundary) in zip("xz", (layout.n_z, layout.n_x), acc)
     )
-
-
-def _find(parent: list[int], i: int) -> int:
-    while parent[i] != i:
-        parent[i] = parent[parent[i]]
-        i = parent[i]
-    return i
 
 
 def _max_weight_matching(n: int, edges: list[tuple[int, int, float]]) -> list[int]:
@@ -647,90 +646,144 @@ def _linked(w, b_a, b_b):
 
     The one rule by which decoding splits events into clusters: a pair that
     does not beat routing both of its events to the boundary (a tie does
-    not) never needs matching to each other.  solve_matching and
-    decode_batch both call it, so the two decode alike.
+    not) never needs matching to each other.
     """
     return w < b_a + b_b
 
 
-def _blossom_cluster(members, W, B):
-    """Exact minimum-weight matching of one cluster on its sparse twin graph.
+def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each of n events' least event in its component under the edges (a, b).
 
-    Events are vertices 0..k-1 and their boundary twins k..2k-1, with the
-    edges the module docstring lists; a tie between a direct pair and two
-    boundary legs keeps the pair.  Weights are flipped against one more than
-    the largest finite weight, so the maximum-cardinality max-weight
-    matching is the minimum-weight perfect one.
+    Min-label propagation with pointer jumping: a label only falls, always
+    to an event of the same component, so at the fixed point every event
+    holds its component's least event.
     """
-    k = len(members)
-    m = np.asarray(members)
-    Bc = B[m]
-    ia, ib = np.triu_indices(k, 1)
-    Wp, Sp = W[m[ia], m[ib]], Bc[ia] + Bc[ib]
-    costs = np.concatenate((Bc, np.minimum(Wp, Sp)))
-    big = float(costs[np.isfinite(costs)].max()) + 1.0
-    to_twin = np.flatnonzero(np.isfinite(Bc))
-    keep = np.isfinite(Wp) & (Wp <= Sp)
-    ia, ib = ia[keep].tolist(), ib[keep].tolist()
-    edges = list(zip(to_twin.tolist(), (to_twin + k).tolist(), (big - Bc[to_twin]).tolist()))
-    edges += zip(ia, ib, (big - Wp[keep]).tolist())
-    edges += ((k + a, k + b, big) for a, b in zip(ia, ib))
-    mate = _max_weight_matching(2 * k, edges)
-    if -1 in mate:
-        raise MatchingError("cluster admits no perfect matching")
-    atoms = []
-    for a in range(k):
-        b = mate[a]
-        if b == a + k:
-            atoms.append(("boundary", members[a]))
-        elif a < b:
-            atoms.append(("pair", members[a], members[b]))
-    return atoms
+    root = np.arange(n)
+    while a.size:
+        low = np.minimum(root[a], root[b])
+        new = root.copy()
+        np.minimum.at(new, a, low)
+        np.minimum.at(new, b, low)
+        new = new[new]
+        if np.array_equal(new, root):
+            break
+        root = new
+    return root
+
+
+def _match_clusters(row, B, a, b, W) -> tuple[np.ndarray, np.ndarray]:
+    """Decode events cluster by cluster: each event's cluster and partner.
+
+    ``row`` gives each event's row (sorted) and ``B`` its boundary weight;
+    ``a``, ``b`` and ``W`` list every pair a < b of events in one row with
+    its direct weight, by a, then b.  Returns (root, mate): root[e] is the
+    least event of e's cluster, mate[e] the event that e pairs with, or -1
+    where e goes to the boundary.  The clusters of three or more events are
+    solved on twin graphs built for all of them at once (the module
+    docstring says why each equals its own per-cluster build).  Raises
+    MatchingError for the first failing cluster by root: a lone event
+    without a boundary route, or a cluster with no perfect matching.
+    """
+    n = B.size
+    link = _linked(W, B[a], B[b])
+    la, lb = a[link], b[link]
+    root = _components(n, la, lb)
+    size = np.bincount(root, minlength=n)[root]
+    mate = np.full(n, -1)
+    two = size[la] == 2
+    mate[la[two]], mate[lb[two]] = lb[two], la[two]
+    stuck = np.flatnonzero((size == 1) & ~np.isfinite(B))
+    first_stuck = int(stuck[0]) if stuck.size else n
+    ev = np.flatnonzero(size >= 3)
+    if ev.size:
+        # Cluster c holds events ev[start[c]:start[c] + k[c]], in ascending
+        # order, and clusters run in root order; local[e] is e's vertex.
+        ev = ev[np.argsort(root[ev], kind="stable")]
+        start = np.flatnonzero(np.diff(root[ev], prepend=-1))
+        k = np.diff(start, append=ev.size)
+        roots = ev[start]
+        cid = np.repeat(np.arange(k.size), k)
+        local = np.zeros(n, dtype=np.int64)
+        local[ev] = np.arange(ev.size) - start[cid]
+        # Every pair within a cluster, each cluster's in triu order.
+        same = (size[a] >= 3) & (root[a] == root[b])
+        pa, pb, pw = a[same], b[same], W[same]
+        ps = B[pa] + B[pb]
+        pc = np.searchsorted(roots, root[pa])
+        # big: one more than the cluster's largest finite weight, boundary
+        # leg or min(pair, two legs); weights are flipped against it.
+        Be = B[ev]
+        twin = np.isfinite(Be)
+        big = np.full(k.size, -np.inf)
+        np.maximum.at(big, cid[twin], Be[twin])
+        cost = np.minimum(pw, ps)
+        usable = np.isfinite(cost)
+        np.maximum.at(big, pc[usable], cost[usable])
+        big += 1.0
+        keep = np.isfinite(pw) & (pw <= ps)
+        tc, kc = cid[twin], pc[keep]
+        tu, ku, kv = local[ev[twin]], local[pa[keep]], local[pb[keep]]
+        # Per cluster: event-twin edges, kept pairs, then their twin-twin edges.
+        c = np.concatenate((tc, kc, kc))
+        u = np.concatenate((tu, ku, ku + k[kc]))
+        v = np.concatenate((tu + k[tc], kv, kv + k[kc]))
+        w = np.concatenate((big[tc] - Be[twin], big[kc] - pw[keep], big[kc]))
+        order = np.argsort(3 * c + np.repeat([0, 1, 2], (tc.size, kc.size, kc.size)),
+                           kind="stable")
+        u, v, w = u[order].tolist(), v[order].tolist(), w[order].tolist()
+        ends = np.cumsum(np.bincount(c, minlength=k.size)).tolist()
+        mates: list[int] = []
+        lo = 0
+        for r, kr, hi in zip(roots.tolist(), k.tolist(), ends):
+            if r > first_stuck:
+                break  # the lone event's error comes first
+            m = _max_weight_matching(2 * kr, list(zip(u[lo:hi], v[lo:hi], w[lo:hi])))
+            if -1 in m:
+                raise MatchingError("cluster admits no perfect matching")
+            mates += m[:kr]
+            lo = hi
+        m = np.array(mates, dtype=np.int64)
+        at = cid[:m.size]
+        to_twin = m >= k[at]
+        mate[ev[:m.size]] = np.where(to_twin, -1, ev[start[at] + np.where(to_twin, 0, m)])
+    if first_stuck < n:
+        i = first_stuck - int(np.searchsorted(row, row[first_stuck]))
+        raise MatchingError(f"event {i} has no usable edge to any partner or boundary")
+    return root, mate
 
 
 def solve_matching(weights, boundary) -> tuple[list[tuple], float]:
     """Minimum-weight matching of n events given direct and boundary weights.
 
     ``weights`` is a symmetric (n, n) matrix of direct pair weights and
-    ``boundary`` a length-n vector; math.inf marks unusable routes.  Every
-    event must end up paired with exactly one partner or with the boundary.
-    Returns (atoms, total): atoms are ("pair", i, j) and ("boundary", i)
-    records, total the exact fsum of the chosen weights.
+    ``boundary`` a length-n vector; math.inf marks unusable routes, and NaN
+    or an asymmetric matrix raises ValueError.  Every event must end up
+    paired with exactly one partner or with the boundary.  Returns (atoms,
+    total): atoms are ("pair", i, j) and ("boundary", i) records, cluster by
+    cluster in the order of their least events, total the exact fsum of the
+    chosen weights.  This is decode_batch's core on one row.
     """
     W = np.asarray(weights, dtype=float)
     B = np.asarray(boundary, dtype=float)
     n = B.shape[0]
     if W.shape != (n, n):
         raise ValueError("weights matrix shape does not match boundary vector")
+    if np.isnan(W).any() or np.isnan(B).any():
+        raise ValueError("weights and boundary must not hold NaN")
+    if not np.array_equal(W, W.T):
+        raise ValueError("weights matrix must be symmetric")
     if n == 0:
         return [], 0.0
-    # A direct pairing can only be optimal where it beats two boundary legs,
-    # so connected components under that relation decode independently.
-    parent = list(range(n))
-    for i, j in np.argwhere(_linked(W, B[:, None], B[None, :])):
-        if i < j:
-            ri, rj = _find(parent, int(i)), _find(parent, int(j))
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-    clusters: dict[int, list[int]] = {}
-    for i in range(n):
-        clusters.setdefault(_find(parent, i), []).append(i)
+    a, b = np.triu_indices(n, 1)
+    root, mate = _match_clusters(np.zeros(n, dtype=np.int64), B, a, b, W[a, b])
+    order = np.argsort(root, kind="stable")
     atoms: list[tuple] = []
-    for root in sorted(clusters):
-        members = clusters[root]
-        if len(members) == 1:
-            i = members[0]
-            if not math.isfinite(B[i]):
-                raise MatchingError(
-                    f"event {i} has no usable edge to any partner or boundary"
-                )
+    for i, j in zip(order.tolist(), mate[order].tolist()):
+        if j < 0:
             atoms.append(("boundary", i))
-        elif len(members) == 2:
-            i, j = members
+        elif i < j:
             atoms.append(("pair", i, j))
-        else:
-            atoms.extend(_blossom_cluster(members, W, B))
-    chosen = [W[a[1], a[2]] if a[0] == "pair" else B[a[1]] for a in atoms]
+    chosen = [W[t[1], t[2]] if t[0] == "pair" else B[t[1]] for t in atoms]
     return atoms, math.fsum(sorted(chosen))
 
 
@@ -776,9 +829,10 @@ def decode_batch(graph: MatchingGraph, row, site, rnd, actual: np.ndarray) -> No
     ``row``, ``site`` and ``rnd`` are integer arrays of the batch's detection
     events, sorted by row, then round, then site, with none repeated;
     ``actual`` holds one flip per row.  A row's flip is the one
-    min_weight_perfect_matching gives for its events (see the module
-    docstring): rows of singletons and linked pairs take it from BM, the
-    others go through solve_matching.  Raises MatchingError as that would.
+    min_weight_perfect_matching gives for its events: all rows' clusters
+    are decoded in one pass (see the module docstring), and the flip is the
+    parity of BM over the row's events that go to the boundary.  Raises the
+    MatchingError of the first row that cannot be decoded.
     """
     row, site, rnd = (np.asarray(a) for a in (row, site, rnd))
     n = row.size
@@ -801,23 +855,8 @@ def decode_batch(graph: MatchingGraph, row, site, rnd, actual: np.ndarray) -> No
     a = np.repeat(np.arange(n), m)
     b = a + 1 + np.arange(a.size) - np.repeat(first_pair, m)
     W = graph.pair_distances(site[a], site[b], rnd[b] - rnd[a]) if a.size else np.empty(0)
-    B = graph.B[site]
-    link = _linked(W, B[a], B[b])
-    deg = np.bincount(a[link], minlength=n) + np.bincount(b[link], minlength=n)
-    lone = deg == 0
-    flips = np.bincount(row[lone & graph.BM[site]], minlength=actual.size)
-    # A row is easy when its clusters are singletons with a boundary route
-    # and linked pairs: those go to the boundary, these pair up flip-free.
-    hard = np.flatnonzero(np.bincount(row[(deg > 1) | (lone & ~np.isfinite(B))],
-                                      minlength=actual.size))
-    for r, lo in zip(hard.tolist(), np.searchsorted(row, hard).tolist()):
-        k = int(end[lo]) - lo
-        pairs = slice(first_pair[lo], first_pair[lo] + k * (k - 1) // 2)
-        i, j = a[pairs] - lo, b[pairs] - lo
-        Wr = np.full((k, k), np.inf)
-        Wr[i, j] = Wr[j, i] = W[pairs]
-        atoms, _ = solve_matching(Wr, B[lo:lo + k])
-        flips[r] = sum(int(graph.BM[site[lo + atom[1]]]) for atom in atoms if atom[0] == "boundary")
+    _, mate = _match_clusters(row, graph.B[site], a, b, W)
+    flips = np.bincount(row[(mate < 0) & graph.BM[site]], minlength=actual.size)
     actual ^= flips % 2 == 1
 
 

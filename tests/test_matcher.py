@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracle import oracle_batch_flips, solve_matching as oracle_solve
 from polyest.matcher import (
     Matching,
     MatchingError,
@@ -268,6 +269,29 @@ def test_solve_matching_isolated_event_without_boundary_fails():
         solve_matching(W, np.array([math.inf]))
 
 
+def test_solve_matching_rejects_nan_weights():
+    inf, nan = math.inf, math.nan
+    # A NaN pair weight once read as an unusable route (two boundary legs).
+    with pytest.raises(ValueError, match="NaN"):
+        solve_matching([[inf, nan], [nan, inf]], [1.0, 1.0])
+    with pytest.raises(ValueError, match="NaN"):
+        solve_matching([[inf, 1.0], [1.0, inf]], [1.0, nan])
+    with pytest.raises(ValueError, match="NaN"):
+        solve_matching([[nan, 1.0], [1.0, inf]], [1.0, 1.0])
+
+
+def test_solve_matching_rejects_an_asymmetric_matrix():
+    inf = math.inf
+    # Once read from its upper triangle only, pairing (0, 1) at weight 1.
+    with pytest.raises(ValueError, match="symmetric"):
+        solve_matching([[inf, 1, 1], [3, inf, 1], [1, 1, inf]], [5.0, 5.0, 5.0])
+    with pytest.raises(ValueError, match="symmetric"):
+        solve_matching([[inf, inf], [2.0, inf]], [1.0, 1.0])
+    # A symmetric matrix with a zero diagonal is fine: the diagonal is never read.
+    atoms, total = solve_matching([[0.0, inf], [inf, 0.0]], [1.0, 2.0])
+    assert atoms == [("boundary", 0), ("boundary", 1)] and total == 3.0
+
+
 def test_apply_correction_truth_table():
     m_flip = Matching((), 0.0, True)
     m_none = Matching((), 0.0, False)
@@ -504,17 +528,50 @@ def test_total_is_bounded_and_permutation_invariant(inputs):
 
 
 # ---------------------------------------------------------------------------
-# Batched decoding against the per-row decode
+# Decoding against the frozen per-row decoder of 0.2.0
+#
+# solve_matching and decode_batch share one core that splits all rows of a
+# batch into clusters and builds their twin graphs at once, so comparing
+# them with each other checks nothing independent.  _oracle holds the
+# one-cluster-at-a-time decoder of 0.2.0; both hand the same blossom the
+# same vertex numbers, edge order and weights, so atoms and their order,
+# the total weight bit for bit, the flips and the errors must all agree.
 # ---------------------------------------------------------------------------
 
 
-def _per_row_flips(graph, row, site, rnd, b):
-    want = np.zeros(b, dtype=bool)
-    for r in np.unique(row).tolist():
-        at = row == r
-        events = list(zip(site[at].tolist(), rnd[at].tolist()))
-        want[r] = min_weight_perfect_matching(graph, events).correction_flip
-    return want
+def _outcome(fn, *args):
+    # The result, or the MatchingError's text.
+    try:
+        return fn(*args)
+    except MatchingError as err:
+        return str(err)
+
+
+def _same_solution(W, B):
+    # Whether (W, B) decodes, after checking that it decodes (or fails)
+    # exactly as the frozen decoder does.
+    want, got = _outcome(oracle_solve, W, B), _outcome(solve_matching, W, B)
+    if isinstance(want, str):
+        assert got == want
+        return False
+    assert got[0] == want[0] and got[1].hex() == want[1].hex()
+    return True
+
+
+def test_solve_matching_equals_the_frozen_decoder():
+    rng = np.random.default_rng(15)
+    ties = no_route = solved = 0
+    errors = set()
+    for _ in range(400):
+        W, B = _synthetic_instance(rng, int(rng.integers(1, 13)))
+        ties += int(np.triu(np.isfinite(W) & (W == B[:, None] + B[None, :]), 1).sum())
+        no_route += int((~np.isfinite(B)).sum())
+        if _same_solution(W, B):
+            solved += 1
+        else:
+            errors.add(_outcome(solve_matching, W, B).split()[0])
+    assert ties > 200 and no_route > 500 and solved > 250
+    assert errors == {"cluster", "event"}
 
 
 def _batch_flips(graph, row, site, rnd, b):
@@ -572,9 +629,10 @@ def test_batch_decode_equals_per_row_decode_on_synthetic_graphs():
                                               replace=False).tolist()} for _ in range(24)]
         row, site, rnd = _sorted_events(rows)
         assert (_batch_flips(graph, row, site, rnd, 24)
-                == _per_row_flips(graph, row, site, rnd, 24)).all()
+                == oracle_batch_flips(graph, row, site, rnd, 24)).all()
         for events in _rows_of(row, site, rnd):
             W, B = _pair_matrix(graph, events), graph.B[[s for s, _ in events]]
+            assert _same_solution(W, B)
             bsum = B[:, None] + B[None, :]
             ties += int(np.triu(np.isfinite(W) & (W == bsum)).sum())
             far += sum(abs(ta - tb) > graph.T for (_, ta), (_, tb)
@@ -593,14 +651,14 @@ def test_batch_decode_on_a_graph_without_boundary():
     rows = [set(), {(2, 0), (2, 9)}, {(1, 3), (1, 4), (1, 80), (1, 200)}, {(0, 1), (0, 2)}]
     row, site, rnd = _sorted_events(rows)
     assert not _batch_flips(graph_x, row, site, rnd, 4).any()
-    assert not _per_row_flips(graph_x, row, site, rnd, 4).any()
+    assert not oracle_batch_flips(graph_x, row, site, rnd, 4).any()
     # A batch with no events, and one whose rows hold one event each, which
     # has no pairs: the lone events have no route, as per row.
     empty = np.zeros(0, dtype=np.int64)
     assert not _batch_flips(graph_x, empty, empty, empty, 3).any()
     row, site, rnd = _sorted_events([set(), {(4, 2)}, {(1, 0)}])
     with pytest.raises(MatchingError) as per_row:
-        _per_row_flips(graph_x, row, site, rnd, 3)
+        oracle_batch_flips(graph_x, row, site, rnd, 3)
     with pytest.raises(MatchingError) as batch:
         _batch_flips(graph_x, row, site, rnd, 3)
     assert str(batch.value) == str(per_row.value)
@@ -614,7 +672,7 @@ def test_batch_decode_raises_the_per_row_error_for_a_lone_event():
     rows = [{(0, 0), (1, 0)}, {(0, 1)}, {(0, 0), (3, 2), (2, 5)}, {(3, 0)}]
     row, site, rnd = _sorted_events(rows)
     with pytest.raises(MatchingError) as per_row:
-        _per_row_flips(graph, row, site, rnd, 4)
+        oracle_batch_flips(graph, row, site, rnd, 4)
     with pytest.raises(MatchingError) as batch:
         _batch_flips(graph, row, site, rnd, 4)
     assert str(batch.value) == str(per_row.value) == (
@@ -658,9 +716,35 @@ def test_batch_decode_equals_per_row_decode_on_simulated_batches(d, rates, round
         graphs, surface_sim._detection_events(comp, hits, b, rounds)
     ):
         assert (_batch_flips(graph, row, site, rnd, b)
-                == _per_row_flips(graph, row, site, rnd, b)).all()
+                == oracle_batch_flips(graph, row, site, rnd, b)).all()
         rows = _rows_of(row, site, rnd)
-        hard = sum(_largest_cluster(_pair_matrix(graph, events), graph.B[[s for s, _ in events]]) > 2
-                   for events in rows)
+        hard = 0
+        for events in rows:
+            W, B = _pair_matrix(graph, events), graph.B[[s for s, _ in events]]
+            if _largest_cluster(W, B) > 2:
+                hard += 1
+                assert _same_solution(W, B)
         assert len(rows) > 100 and hard > 0
         assert len(rows) - hard >= min_easy * len(rows)
+
+
+@pytest.mark.parametrize("rows, message", [
+    # Rows 1 and 2 fail, each its own way: row 1's error is raised.
+    ([{(0, 1), (0, 2)}, {(1, 0), (1, 1), (1, 2)}, {(2, 0)}],
+     "cluster admits no perfect matching"),
+    ([{(0, 1), (0, 2)}, {(2, 4), (0, 0), (0, 3)}, {(1, 0), (1, 1), (1, 2)}],
+     "event 2 has no usable edge to any partner or boundary"),
+    # Both in one row: the failing cluster whose least event comes first.
+    ([set(), {(0, 0), (1, 3), (1, 4), (1, 5)}],
+     "event 0 has no usable edge to any partner or boundary"),
+    ([set(), {(1, 0), (1, 1), (1, 2), (0, 5)}],
+     "cluster admits no perfect matching"),
+])
+def test_batch_decode_raises_the_first_failing_rows_error(rows, message):
+    # Outcome flips only: no boundary, so a lone event has no route and
+    # three events on one site's time line have no perfect matching.
+    graph_x, _ = _graphs(Rates(0.01, 0.02, 0, 0, 0))
+    row, site, rnd = _sorted_events(rows + [{(2, 0), (2, 3)}])
+    b = len(rows) + 1
+    assert _outcome(oracle_batch_flips, graph_x, row, site, rnd, b) == message
+    assert _outcome(_batch_flips, graph_x, row, site, rnd, b) == message
