@@ -57,7 +57,11 @@ Decoding a syndrome:
   order and weights alike, so every mate and tie-break is too;
 * the matcher is an in-repo port of the O(n^3) primal-dual blossom
   algorithm (Galil's formulation, after van Rantwijk's mwmatching.py), run
-  once per cluster of three or more events.
+  once per cluster of three or more events.  It makes every decision of
+  the plain port, which tests/_oracle.py keeps, so the mates are the same;
+  it only skips work whose result is known (_max_weight_matching lists
+  what).  Each cluster's endpoint, doubled-weight and neighbour lists are
+  slices of lists built once per batch by array operations.
 
 The reported total weight is the exact sum (math.fsum) of the chosen pair
 and boundary weights, so equal-weight solutions compare bit-identically.
@@ -112,8 +116,12 @@ class MatchingGraph:
     (probability, weight, mask) of each class; an edge class's mask must be
     False (ValueError otherwise).  The boundary distances B, BM and the pair
     table D on time offsets 0..T are built here, once, and nothing changes
-    them after: decoding only reads them.
+    them after: decoding only reads them.  ``built_for`` is the (distance,
+    rates) that build_graphs built the graph for (None for a graph built
+    directly), which run_monte_carlo checks against its own.
     """
+
+    built_for: tuple[int, Rates] | None = None
 
     def __init__(self, kind: str, n_sites: int, edges: dict, boundary: dict):
         if any(m for _, _, m in edges.values()):
@@ -316,36 +324,57 @@ def build_graphs(
             out[key] = (p, -math.log(max(p, _P_FLOOR)), mask)
         return out
 
-    return tuple(
+    graphs = tuple(
         MatchingGraph(kind, n_sites, classes(edges), classes(boundary))
         for kind, n_sites, (edges, boundary) in zip("xz", (layout.n_z, layout.n_x), acc)
     )
+    for graph in graphs:
+        graph.built_for = (layout.d, rates)
+    return graphs
 
 
-def _max_weight_matching(n: int, edges: list[tuple[int, int, float]]) -> list[int]:
+def _max_weight_matching(n: int, endpoint: list[int], w2: list[float],
+                         nb: list[list[tuple[int, int, float]]]) -> list[int]:
     """Maximum-cardinality matching of greatest weight on vertices 0..n-1.
 
     A list-based port of the O(n^3) primal-dual blossom algorithm in Galil's
     formulation, after van Rantwijk's mwmatching.py, always in its
-    maximum-cardinality mode.  Edge k joins endpoint[2k] and endpoint[2k+1];
-    a matched vertex v holds in mate[v] the endpoint index p of its partner
-    endpoint[p].  Blossoms are numbered n..2n-1.  Vertex duals are stored
-    doubled, so an edge's slack is dual[i] + dual[j] - 2w.  Labels are 0
-    (free), 1 (S), 2 (T) and 5 (S, marked while tracing).  Returns each
-    vertex's partner, or -1 where it stays single.
+    maximum-cardinality mode.  Edge k joins endpoint[2k] and endpoint[2k+1],
+    w2[k] is twice its weight, and nb[v] lists (w, k, w2[k]) for each edge k
+    joining v to w, by k.  A matched vertex v holds in mate[v] the endpoint
+    index p of its partner endpoint[p].  Blossoms are numbered n..2n-1.
+    Vertex duals are stored doubled, so an edge's slack is
+    dual[i] + dual[j] - w2[k].  Labels are 0 (free), 1 (S), 2 (T) and 5 (S,
+    marked while tracing).  Returns each vertex's partner, or -1 where it
+    stays single.
+
+    Every decision is the plain port's (tests/_oracle.py keeps it): the same
+    scan order, the same first least delta and the same float sums for
+    slacks and duals, so the mates are the same.  What it skips is work
+    whose result is known:
+
+    * a stage starts by copying a label list with 1 at each single vertex
+      and queues them all at once: a single vertex is labelled only there,
+      so its labelend stays -1.  Only when a single vertex lies in a blossom
+      does the stage label that blossom and queue its vertices one by one;
+    * a stage lists the vertices it gives a least-slack edge and the
+      top-level vertices and blossoms it labels S or T, and the delta scans
+      and dual updates visit those instead of all 3n.  The first least delta
+      in number order is the least (delta, number), so the lists need no
+      sorting;
+    * each least-slack edge keeps its slack, recomputed after a dual step,
+      so a scan compares stored values instead of summing duals again;
+    * each blossom keeps its list of vertices, rebuilt when its children
+      rotate, instead of walking its tree, and a new blossom collects its
+      least-slack edges in a dict by blossom instead of a 2n-entry list.
     """
-    endpoint = [v for i, j, _ in edges for v in (i, j)]
-    w2 = [2.0 * w for _, _, w in edges]
-    neighbend: list[list[int]] = [[] for _ in range(n)]
-    for k, (i, j, _) in enumerate(edges):
-        neighbend[i].append(2 * k + 1)
-        neighbend[j].append(2 * k)
     # Per vertex or blossom b: labelend[b] is the endpoint through which b
     # got its label; inblossom[v] is v's top-level blossom; bparent, bchilds
     # and bbase give the blossom tree, bchilds[b] running round the blossom
     # from its base with bendps[b][i] the endpoint joining child i to child
-    # i+1; bestedge[b] is the least-slack edge towards another S-blossom (or,
-    # for a free vertex, from an S-vertex) and bestedges[b] an S-blossom's
+    # i+1, and leaves[b] lists b's vertices in that order; bestedge[b] is the
+    # least-slack edge towards another S-blossom (or, for a free vertex, from
+    # an S-vertex), bestslk[b] its slack, and bestedges[b] an S-blossom's
     # list of such edges; allowed[k] marks edges known to be tight.
     mate = [-1] * n
     label = [0] * (2 * n)
@@ -356,37 +385,39 @@ def _max_weight_matching(n: int, edges: list[tuple[int, int, float]]) -> list[in
     bbase = list(range(n)) + [-1] * n
     bendps: list = [None] * (2 * n)
     bestedge = [-1] * (2 * n)
+    bestslk = [0.0] * (2 * n)
     bestedges: list = [None] * (2 * n)
+    leaves: list = [[v] for v in range(n)] + [None] * n
     unused = list(range(n, 2 * n))
-    dual = [max([0.0] + [w for _, _, w in edges])] * n + [0.0] * n
-    allowed = [False] * len(edges)
+    # max(w2) / 2 is exactly the largest weight: w2 holds doubled weights.
+    dual = [max([0.0, *w2]) / 2] * n + [0.0] * n
+    allowed = [False] * len(w2)
+    no_edge, no_edges, none_allowed = [-1] * (2 * n), [None] * n, allowed[:]
+    single = list(range(n))
+    single_label = [1] * n + [0] * n
     queue: list[int] = []
+    # Per stage: vertices given a least-slack edge, and the top-level
+    # vertices and blossoms labelled S or T (supersets, filtered on use).
+    vert_best: list[int] = []
+    s_list: list[int] = []
+    t_list: list[int] = []
 
-    def slack(k):
-        return dual[endpoint[2 * k]] + dual[endpoint[2 * k + 1]] - w2[k]
-
-    def leaves(b):
-        if b < n:
-            return [b]
-        out, stack = [], [b]
-        while stack:
-            t = stack.pop()
-            if t < n:
-                out.append(t)
-            else:
-                stack.extend(reversed(bchilds[t]))
-        return out
-
-    def assign_label(w, t, p):
+    def label_s(w, p):
         b = inblossom[w]
-        label[w] = label[b] = t
+        label[w] = label[b] = 1
         labelend[w] = labelend[b] = p
         bestedge[w] = bestedge[b] = -1
-        if t == 1:
-            queue.extend(leaves(b))
-        else:
-            m = mate[bbase[b]]
-            assign_label(endpoint[m], 1, m ^ 1)
+        queue.extend(leaves[b])
+        s_list.append(b)
+
+    def label_t(w, p):
+        b = inblossom[w]
+        label[w] = label[b] = 2
+        labelend[w] = labelend[b] = p
+        bestedge[w] = bestedge[b] = -1
+        t_list.append(b)
+        m = mate[bbase[b]]
+        label_s(endpoint[m], m ^ 1)
 
     def scan_blossom(v, w):
         # Trace back from v and w alternately; the first marked blossom met
@@ -430,33 +461,44 @@ def _max_weight_matching(n: int, edges: list[tuple[int, int, float]]) -> list[in
             ends.append(labelend[bw] ^ 1)
             bw = inblossom[endpoint[labelend[bw]]]
         bchilds[b], bendps[b] = path, ends
+        leaves[b] = [v for c in path for v in leaves[c]]
         label[b], labelend[b], dual[b] = 1, labelend[bb], 0.0
-        for v in leaves(b):
+        s_list.append(b)
+        for v in leaves[b]:
             if label[inblossom[v]] == 2:
                 queue.append(v)
             inblossom[v] = b
         # Least-slack edges from the new blossom to each other S-blossom.
-        bestto = [-1] * (2 * n)
+        bestto: dict[int, tuple[int, float]] = {}
         for bv in path:
             if bestedges[bv] is None:
-                candidates = [p >> 1 for v in leaves(bv) for p in neighbend[v]]
+                # Every edge of the sub-blossom, by vertex, then by edge.
+                for i in leaves[bv]:
+                    di = dual[i]
+                    for j, k, wk in nb[i]:
+                        bj = inblossom[j]
+                        if bj != b and label[bj] == 1:
+                            s = di + dual[j] - wk
+                            if bj not in bestto or s < bestto[bj][1]:
+                                bestto[bj] = (k, s)
             else:
-                candidates = bestedges[bv]
-            for k in candidates:
-                bj = inblossom[endpoint[2 * k + 1]]
-                if bj == b:
-                    bj = inblossom[endpoint[2 * k]]
-                if bj != b and label[bj] == 1 and (
-                    bestto[bj] == -1 or slack(k) < slack(bestto[bj])
-                ):
-                    bestto[bj] = k
+                for k in bestedges[bv]:
+                    i, j = endpoint[2 * k], endpoint[2 * k + 1]
+                    bj = inblossom[j]
+                    if bj == b:
+                        bj = inblossom[i]
+                    if bj != b and label[bj] == 1:
+                        s = dual[i] + dual[j] - w2[k]
+                        if bj not in bestto or s < bestto[bj][1]:
+                            bestto[bj] = (k, s)
             bestedges[bv], bestedge[bv] = None, -1
-        bestedges[b] = [k for k in bestto if k != -1]
-        best = -1
-        for k in bestedges[b]:
-            if best == -1 or slack(k) < slack(best):
-                best = k
-        bestedge[b] = best
+        best, best_s, ks = -1, 0.0, []
+        for bj in sorted(bestto):
+            k, s = bestto[bj]
+            ks.append(k)
+            if best == -1 or s < best_s:
+                best, best_s = k, s
+        bestedges[b], bestedge[b], bestslk[b] = ks, best, best_s
 
     def expand_blossom(b, endstage):
         for s in bchilds[b]:
@@ -466,7 +508,7 @@ def _max_weight_matching(n: int, edges: list[tuple[int, int, float]]) -> list[in
             elif endstage and dual[s] == 0:
                 expand_blossom(s, endstage)
             else:
-                for v in leaves(s):
+                for v in leaves[s]:
                     inblossom[v] = s
         if not endstage and label[b] == 2:
             # Relabel the sub-blossoms of an expanding T-blossom along the
@@ -482,7 +524,7 @@ def _max_weight_matching(n: int, edges: list[tuple[int, int, float]]) -> list[in
             while j != 0:
                 label[endpoint[p ^ 1]] = 0
                 label[endpoint[ends[j - trick] ^ trick ^ 1]] = 0
-                assign_label(endpoint[p ^ 1], 2, p)
+                label_t(endpoint[p ^ 1], p)
                 allowed[ends[j - trick] >> 1] = True
                 j += jstep
                 p = ends[j - trick] ^ trick
@@ -492,17 +534,18 @@ def _max_weight_matching(n: int, edges: list[tuple[int, int, float]]) -> list[in
             label[endpoint[p ^ 1]] = label[bv] = 2
             labelend[endpoint[p ^ 1]] = labelend[bv] = p
             bestedge[bv] = -1
+            t_list.append(bv)
             j += jstep
             while ch[j] != entry:
                 bv = ch[j]
                 j += jstep
                 if label[bv] == 1:
                     continue
-                for v in leaves(bv):
+                for v in leaves[bv]:
                     if label[v] != 0:
                         label[v] = 0
                         label[endpoint[mate[bbase[bv]]]] = 0
-                        assign_label(v, 2, labelend[v])
+                        label_t(v, labelend[v])
                         break
         label[b] = labelend[b] = bbase[b] = bestedge[b] = -1
         bchilds[b] = bendps[b] = bestedges[b] = None
@@ -533,11 +576,16 @@ def _max_weight_matching(n: int, edges: list[tuple[int, int, float]]) -> list[in
             mate[endpoint[p]], mate[endpoint[p ^ 1]] = p ^ 1, p
         bchilds[b], bendps[b] = ch[i:] + ch[:i], ends[i:] + ends[:i]
         bbase[b] = bbase[bchilds[b][0]]
+        leaves[b] = [v for c in bchilds[b] for v in leaves[c]]
 
     def augment_matching(k):
         for s, p in ((endpoint[2 * k], 2 * k + 1), (endpoint[2 * k + 1], 2 * k)):
             while True:
                 bs = inblossom[s]
+                if labelend[bs] == -1:
+                    # The root of this side's tree: its base was single.
+                    single.remove(bbase[bs])
+                    single_label[bbase[bs]] = 0
                 if bs >= n:
                     augment_blossom(bs, s)
                 mate[s] = p
@@ -550,80 +598,106 @@ def _max_weight_matching(n: int, edges: list[tuple[int, int, float]]) -> list[in
                 mate[j] = labelend[bt]
                 p = labelend[bt] ^ 1
 
+    single_in_blossom = False
     for _ in range(n):
         # One stage: grow alternating trees from every single vertex until
         # an augmenting path is found, adjusting duals when none is tight.
-        label[:] = [0] * (2 * n)
-        bestedge[:] = [-1] * (2 * n)
-        bestedges[n:] = [None] * n
-        allowed[:] = [False] * len(edges)
+        label[:] = single_label
+        bestedge[:] = no_edge
+        bestedges[n:] = no_edges
+        allowed[:] = none_allowed
         queue.clear()
-        for v in range(n):
-            if mate[v] == -1 and label[inblossom[v]] == 0:
-                assign_label(v, 1, -1)
+        vert_best.clear()
+        s_list[:] = single
+        t_list.clear()
+        if single_in_blossom:
+            for v in single:
+                b = inblossom[v]
+                if b == v:
+                    queue.append(v)
+                else:
+                    label[b], labelend[b] = 1, -1
+                    queue.extend(leaves[b])
+                    s_list.append(b)
+        else:
+            queue.extend(single)
         augmented = False
         while True:
             while queue and not augmented:
                 v = queue.pop()
-                for p in neighbend[v]:
-                    k, w = p >> 1, endpoint[p]
-                    if inblossom[v] == inblossom[w]:
+                bv, dv = inblossom[v], dual[v]
+                for w, k, wk in nb[v]:
+                    bw = inblossom[w]
+                    if bv == bw:
                         continue
+                    lw = label[bw]
                     if not allowed[k]:
-                        kslack = dual[v] + dual[w] - w2[k]
-                        if kslack <= 0:
-                            allowed[k] = True
-                    if allowed[k]:
-                        lw = label[inblossom[w]]
-                        if lw == 0:
-                            assign_label(w, 2, p ^ 1)
-                        elif lw == 1:
-                            base = scan_blossom(v, w)
-                            if base >= 0:
-                                add_blossom(base, k)
-                            else:
-                                augment_matching(k)
-                                augmented = True
-                                break
-                        elif label[w] == 0:
-                            label[w], labelend[w] = 2, p ^ 1
-                    elif label[inblossom[w]] == 1:
-                        b = inblossom[v]
-                        if bestedge[b] == -1 or kslack < slack(bestedge[b]):
-                            bestedge[b] = k
+                        kslack = dv + dual[w] - wk
+                        if kslack > 0:
+                            if lw == 1:
+                                if bestedge[bv] == -1 or kslack < bestslk[bv]:
+                                    bestedge[bv], bestslk[bv] = k, kslack
+                            elif label[w] == 0:
+                                if bestedge[w] == -1 or kslack < bestslk[w]:
+                                    bestedge[w], bestslk[w] = k, kslack
+                                    vert_best.append(w)
+                            continue
+                        allowed[k] = True
+                    p = 2 * k if endpoint[2 * k] == w else 2 * k + 1
+                    if lw == 0:
+                        label_t(w, p ^ 1)
+                    elif lw == 1:
+                        base = scan_blossom(v, w)
+                        if base >= 0:
+                            add_blossom(base, k)
+                            bv = inblossom[v]
+                        else:
+                            augment_matching(k)
+                            augmented = True
+                            break
                     elif label[w] == 0:
-                        if bestedge[w] == -1 or kslack < slack(bestedge[w]):
-                            bestedge[w] = k
+                        label[w], labelend[w] = 2, p ^ 1
             if augmented:
                 break
-            deltatype, delta, at = -1, 0.0, -1
-            for v in range(n):
-                if label[inblossom[v]] == 0 and bestedge[v] != -1:
-                    d = slack(bestedge[v])
-                    if deltatype == -1 or d < delta:
-                        deltatype, delta, at = 2, d, bestedge[v]
-            for b in range(2 * n):
-                if bparent[b] == -1 and label[b] == 1 and bestedge[b] != -1:
-                    d = slack(bestedge[b]) / 2
-                    if deltatype == -1 or d < delta:
-                        deltatype, delta, at = 3, d, bestedge[b]
-            for b in range(n, 2 * n):
-                if (bbase[b] >= 0 and bparent[b] == -1 and label[b] == 2
-                        and (deltatype == -1 or dual[b] < delta)):
-                    deltatype, delta, at = 4, dual[b], b
+            # The first least delta in the plain port's order (free vertices,
+            # S-blossoms, T-blossoms, each by number): within a type, equal
+            # deltas resolve to the lower number.
+            deltatype, delta, at, by = -1, 0.0, -1, -1
+            for v in vert_best:
+                if bestedge[v] != -1 and label[inblossom[v]] == 0:
+                    d = bestslk[v]
+                    if deltatype == -1 or d < delta or (d == delta and v < by):
+                        deltatype, delta, at, by = 2, d, bestedge[v], v
+            for b in s_list:
+                if bestedge[b] != -1 and bparent[b] == -1 and label[b] == 1:
+                    d = bestslk[b] / 2
+                    if (deltatype == -1 or d < delta
+                            or (deltatype == 3 and d == delta and b < by)):
+                        deltatype, delta, at, by = 3, d, bestedge[b], b
+            for b in t_list:
+                if b >= n and bparent[b] == -1 and label[b] == 2 and bbase[b] >= 0:
+                    d = dual[b]
+                    if (deltatype == -1 or d < delta
+                            or (deltatype == 4 and d == delta and b < at)):
+                        deltatype, delta, at = 4, d, b
             if deltatype == -1:
                 break  # no augmenting path left: the cardinality is maximum
-            for v in range(n):
-                if label[inblossom[v]] == 1:
-                    dual[v] -= delta
-                elif label[inblossom[v]] == 2:
-                    dual[v] += delta
-            for b in range(n, 2 * n):
-                if bbase[b] >= 0 and bparent[b] == -1:
-                    if label[b] == 1:
+            for b in set(s_list):
+                if bparent[b] == -1 and label[b] == 1:
+                    if b >= n:
                         dual[b] += delta
-                    elif label[b] == 2:
+                    for v in leaves[b]:
+                        dual[v] -= delta
+            for b in set(t_list):
+                if bparent[b] == -1 and label[b] == 2 and bbase[b] >= 0:
+                    if b >= n:
                         dual[b] -= delta
+                    for v in leaves[b]:
+                        dual[v] += delta
+            for x in vert_best + s_list:
+                k = bestedge[x]
+                if k != -1:
+                    bestslk[x] = dual[endpoint[2 * k]] + dual[endpoint[2 * k + 1]] - w2[k]
             if deltatype == 4:
                 expand_blossom(at, False)
             else:
@@ -634,10 +708,14 @@ def _max_weight_matching(n: int, edges: list[tuple[int, int, float]]) -> list[in
                 queue.append(i)
         if not augmented:
             break
-        for b in range(n, 2 * n):
-            if (bparent[b] == -1 and bbase[b] >= 0 and label[b] == 1
-                    and dual[b] == 0):
-                expand_blossom(b, True)
+        if len(unused) < n:
+            for b in sorted({b for b in s_list if b >= n}):
+                if (bparent[b] == -1 and bbase[b] >= 0 and label[b] == 1
+                        and dual[b] == 0):
+                    expand_blossom(b, True)
+            single_in_blossom = any(inblossom[v] != v for v in single)
+        else:
+            single_in_blossom = False
     return [endpoint[p] if p >= 0 else -1 for p in mate]
 
 
@@ -730,14 +808,28 @@ def _match_clusters(row, B, a, b, W) -> tuple[np.ndarray, np.ndarray]:
         w = np.concatenate((big[tc] - Be[twin], big[kc] - pw[keep], big[kc]))
         order = np.argsort(3 * c + np.repeat([0, 1, 2], (tc.size, kc.size, kc.size)),
                            kind="stable")
-        u, v, w = u[order].tolist(), v[order].tolist(), w[order].tolist()
-        ends = np.cumsum(np.bincount(c, minlength=k.size)).tolist()
+        # Doubling a float is exact, so w2 holds the same weights.
+        c, u, v, w2 = c[order], u[order], v[order], 2.0 * w[order]
+        ne = np.bincount(c, minlength=k.size)
+        ke = np.arange(c.size) - (np.cumsum(ne) - ne)[c]
+        # Each edge at both of its ends, by vertex (cluster c's vertices
+        # numbered from 2 start[c] on), then by edge.
+        gv, ke = np.concatenate((u, v)) + np.tile(2 * start[c], 2), np.tile(ke, 2)
+        by = np.lexsort((ke, gv))
+        flat = list(zip(np.concatenate((v, u))[by].tolist(), ke[by].tolist(),
+                        np.tile(w2, 2)[by].tolist()))
+        voff = np.searchsorted(gv[by], np.arange(2 * ev.size + 1)).tolist()
+        endpoint = np.stack((u, v), axis=1).ravel().tolist()
+        w2 = w2.tolist()
+        ends = np.cumsum(ne).tolist()
         mates: list[int] = []
         lo = 0
-        for r, kr, hi in zip(roots.tolist(), k.tolist(), ends):
+        for r, s0, kr, hi in zip(roots.tolist(), start.tolist(), k.tolist(), ends):
             if r > first_stuck:
                 break  # the lone event's error comes first
-            m = _max_weight_matching(2 * kr, list(zip(u[lo:hi], v[lo:hi], w[lo:hi])))
+            o = voff[2 * s0:2 * (s0 + kr) + 1]
+            nb = [flat[o[x]:o[x + 1]] for x in range(2 * kr)]
+            m = _max_weight_matching(2 * kr, endpoint[2 * lo:2 * hi], w2[lo:hi], nb)
             if -1 in m:
                 raise MatchingError("cluster admits no perfect matching")
             mates += m[:kr]

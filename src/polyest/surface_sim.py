@@ -589,7 +589,9 @@ def run_monte_carlo(
     that min_weight_perfect_matching gives shot by shot.  Shot i draws from
     its own substream of ``seed``, so a run split into chunks through
     ``first_shot_index`` and joined with SimResult.merged gives the counts
-    of the whole run.
+    of the whole run.  ``graphs``, when given, must be the pair that
+    matcher.build_graphs built for this layout's distance and these rates
+    (ValueError otherwise); without it they are built here.
     """
     rates = Rates(*rates)
     rates.validate()
@@ -602,6 +604,8 @@ def run_monte_carlo(
     faults = enumerate_single_faults(layout)
     if graphs is None:
         graphs = matcher.build_graphs(faults, rates, layout)
+    elif any(graph.built_for != (layout.d, rates) for graph in graphs):
+        raise ValueError(f"graphs were not built by build_graphs for d={layout.d} and {rates}")
     fails = [0, 0]
     done = 0
     while done < shots:

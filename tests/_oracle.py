@@ -14,8 +14,11 @@ and ``_linked``, copied verbatim), with ``oracle_batch_flips`` running it row
 by row as that version's ``min_weight_perfect_matching`` did.  The package
 now builds every cluster of a batch at once, for its batch and one-row
 decodes alike, so comparing those with each other checks nothing
-independent; this copy is the reference for both.  Only the blossom itself
-(``_max_weight_matching``) and ``MatchingError`` come from the package.
+independent; this copy is the reference for both.  Its blossom
+(``_max_weight_matching``) is the plain port of mwmatching.py that polyest
+0.2.0 shipped, also copied verbatim: the package's blossom skips work that
+this one does, so the two are compared mate for mate.  Only
+``MatchingError`` comes from the package.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import math
 
 import numpy as np
 
-from polyest.matcher import MatchingError, _max_weight_matching
+from polyest.matcher import MatchingError
 
 # Where a syndrome reaches in each of the four CNOT steps (steps 2..5).
 _REACH = {"n": (-1, 0), "w": (0, -1), "e": (0, 1), "s": (1, 0)}
@@ -192,6 +195,325 @@ def _linked(w, b_a, b_b):
     decode_batch both call it, so the two decode alike.
     """
     return w < b_a + b_b
+
+
+def _max_weight_matching(n: int, edges: list[tuple[int, int, float]]) -> list[int]:
+    """Maximum-cardinality matching of greatest weight on vertices 0..n-1.
+
+    A list-based port of the O(n^3) primal-dual blossom algorithm in Galil's
+    formulation, after van Rantwijk's mwmatching.py, always in its
+    maximum-cardinality mode.  Edge k joins endpoint[2k] and endpoint[2k+1];
+    a matched vertex v holds in mate[v] the endpoint index p of its partner
+    endpoint[p].  Blossoms are numbered n..2n-1.  Vertex duals are stored
+    doubled, so an edge's slack is dual[i] + dual[j] - 2w.  Labels are 0
+    (free), 1 (S), 2 (T) and 5 (S, marked while tracing).  Returns each
+    vertex's partner, or -1 where it stays single.
+    """
+    endpoint = [v for i, j, _ in edges for v in (i, j)]
+    w2 = [2.0 * w for _, _, w in edges]
+    neighbend: list[list[int]] = [[] for _ in range(n)]
+    for k, (i, j, _) in enumerate(edges):
+        neighbend[i].append(2 * k + 1)
+        neighbend[j].append(2 * k)
+    # Per vertex or blossom b: labelend[b] is the endpoint through which b
+    # got its label; inblossom[v] is v's top-level blossom; bparent, bchilds
+    # and bbase give the blossom tree, bchilds[b] running round the blossom
+    # from its base with bendps[b][i] the endpoint joining child i to child
+    # i+1; bestedge[b] is the least-slack edge towards another S-blossom (or,
+    # for a free vertex, from an S-vertex) and bestedges[b] an S-blossom's
+    # list of such edges; allowed[k] marks edges known to be tight.
+    mate = [-1] * n
+    label = [0] * (2 * n)
+    labelend = [-1] * (2 * n)
+    inblossom = list(range(n))
+    bparent = [-1] * (2 * n)
+    bchilds: list = [None] * (2 * n)
+    bbase = list(range(n)) + [-1] * n
+    bendps: list = [None] * (2 * n)
+    bestedge = [-1] * (2 * n)
+    bestedges: list = [None] * (2 * n)
+    unused = list(range(n, 2 * n))
+    dual = [max([0.0] + [w for _, _, w in edges])] * n + [0.0] * n
+    allowed = [False] * len(edges)
+    queue: list[int] = []
+
+    def slack(k):
+        return dual[endpoint[2 * k]] + dual[endpoint[2 * k + 1]] - w2[k]
+
+    def leaves(b):
+        if b < n:
+            return [b]
+        out, stack = [], [b]
+        while stack:
+            t = stack.pop()
+            if t < n:
+                out.append(t)
+            else:
+                stack.extend(reversed(bchilds[t]))
+        return out
+
+    def assign_label(w, t, p):
+        b = inblossom[w]
+        label[w] = label[b] = t
+        labelend[w] = labelend[b] = p
+        bestedge[w] = bestedge[b] = -1
+        if t == 1:
+            queue.extend(leaves(b))
+        else:
+            m = mate[bbase[b]]
+            assign_label(endpoint[m], 1, m ^ 1)
+
+    def scan_blossom(v, w):
+        # Trace back from v and w alternately; the first marked blossom met
+        # is the base of a new blossom, none means an augmenting path.
+        path, found = [], -1
+        while v != -1 or w != -1:
+            b = inblossom[v]
+            if label[b] & 4:
+                found = bbase[b]
+                break
+            path.append(b)
+            label[b] = 5
+            if labelend[b] == -1:
+                v = -1
+            else:
+                v = endpoint[labelend[inblossom[endpoint[labelend[b]]]]]
+            if w != -1:
+                v, w = w, v
+        for b in path:
+            label[b] = 1
+        return found
+
+    def add_blossom(base, k):
+        bb = inblossom[base]
+        bv, bw = inblossom[endpoint[2 * k]], inblossom[endpoint[2 * k + 1]]
+        b = unused.pop()
+        bbase[b], bparent[b], bparent[bb] = base, -1, b
+        path, ends = [], []
+        while bv != bb:
+            bparent[bv] = b
+            path.append(bv)
+            ends.append(labelend[bv])
+            bv = inblossom[endpoint[labelend[bv]]]
+        path.append(bb)
+        path.reverse()
+        ends.reverse()
+        ends.append(2 * k)
+        while bw != bb:
+            bparent[bw] = b
+            path.append(bw)
+            ends.append(labelend[bw] ^ 1)
+            bw = inblossom[endpoint[labelend[bw]]]
+        bchilds[b], bendps[b] = path, ends
+        label[b], labelend[b], dual[b] = 1, labelend[bb], 0.0
+        for v in leaves(b):
+            if label[inblossom[v]] == 2:
+                queue.append(v)
+            inblossom[v] = b
+        # Least-slack edges from the new blossom to each other S-blossom.
+        bestto = [-1] * (2 * n)
+        for bv in path:
+            if bestedges[bv] is None:
+                candidates = [p >> 1 for v in leaves(bv) for p in neighbend[v]]
+            else:
+                candidates = bestedges[bv]
+            for k in candidates:
+                bj = inblossom[endpoint[2 * k + 1]]
+                if bj == b:
+                    bj = inblossom[endpoint[2 * k]]
+                if bj != b and label[bj] == 1 and (
+                    bestto[bj] == -1 or slack(k) < slack(bestto[bj])
+                ):
+                    bestto[bj] = k
+            bestedges[bv], bestedge[bv] = None, -1
+        bestedges[b] = [k for k in bestto if k != -1]
+        best = -1
+        for k in bestedges[b]:
+            if best == -1 or slack(k) < slack(best):
+                best = k
+        bestedge[b] = best
+
+    def expand_blossom(b, endstage):
+        for s in bchilds[b]:
+            bparent[s] = -1
+            if s < n:
+                inblossom[s] = s
+            elif endstage and dual[s] == 0:
+                expand_blossom(s, endstage)
+            else:
+                for v in leaves(s):
+                    inblossom[v] = s
+        if not endstage and label[b] == 2:
+            # Relabel the sub-blossoms of an expanding T-blossom along the
+            # even-length path from its entry child to its base.
+            ch, ends = bchilds[b], bendps[b]
+            entry = inblossom[endpoint[labelend[b] ^ 1]]
+            j = ch.index(entry)
+            if j & 1:
+                j, jstep, trick = j - len(ch), 1, 0
+            else:
+                jstep, trick = -1, 1
+            p = labelend[b]
+            while j != 0:
+                label[endpoint[p ^ 1]] = 0
+                label[endpoint[ends[j - trick] ^ trick ^ 1]] = 0
+                assign_label(endpoint[p ^ 1], 2, p)
+                allowed[ends[j - trick] >> 1] = True
+                j += jstep
+                p = ends[j - trick] ^ trick
+                allowed[p >> 1] = True
+                j += jstep
+            bv = ch[j]
+            label[endpoint[p ^ 1]] = label[bv] = 2
+            labelend[endpoint[p ^ 1]] = labelend[bv] = p
+            bestedge[bv] = -1
+            j += jstep
+            while ch[j] != entry:
+                bv = ch[j]
+                j += jstep
+                if label[bv] == 1:
+                    continue
+                for v in leaves(bv):
+                    if label[v] != 0:
+                        label[v] = 0
+                        label[endpoint[mate[bbase[bv]]]] = 0
+                        assign_label(v, 2, labelend[v])
+                        break
+        label[b] = labelend[b] = bbase[b] = bestedge[b] = -1
+        bchilds[b] = bendps[b] = bestedges[b] = None
+        unused.append(b)
+
+    def augment_blossom(b, v):
+        # Swap matched and unmatched edges along the even path from v to the
+        # base of b, then make v's sub-blossom the base.
+        t = v
+        while bparent[t] != b:
+            t = bparent[t]
+        if t >= n:
+            augment_blossom(t, v)
+        ch, ends = bchilds[b], bendps[b]
+        i = j = ch.index(t)
+        if i & 1:
+            j, jstep, trick = j - len(ch), 1, 0
+        else:
+            jstep, trick = -1, 1
+        while j != 0:
+            j += jstep
+            p = ends[j - trick] ^ trick
+            if ch[j] >= n:
+                augment_blossom(ch[j], endpoint[p])
+            j += jstep
+            if ch[j] >= n:
+                augment_blossom(ch[j], endpoint[p ^ 1])
+            mate[endpoint[p]], mate[endpoint[p ^ 1]] = p ^ 1, p
+        bchilds[b], bendps[b] = ch[i:] + ch[:i], ends[i:] + ends[:i]
+        bbase[b] = bbase[bchilds[b][0]]
+
+    def augment_matching(k):
+        for s, p in ((endpoint[2 * k], 2 * k + 1), (endpoint[2 * k + 1], 2 * k)):
+            while True:
+                bs = inblossom[s]
+                if bs >= n:
+                    augment_blossom(bs, s)
+                mate[s] = p
+                if labelend[bs] == -1:
+                    break
+                bt = inblossom[endpoint[labelend[bs]]]
+                s, j = endpoint[labelend[bt]], endpoint[labelend[bt] ^ 1]
+                if bt >= n:
+                    augment_blossom(bt, j)
+                mate[j] = labelend[bt]
+                p = labelend[bt] ^ 1
+
+    for _ in range(n):
+        # One stage: grow alternating trees from every single vertex until
+        # an augmenting path is found, adjusting duals when none is tight.
+        label[:] = [0] * (2 * n)
+        bestedge[:] = [-1] * (2 * n)
+        bestedges[n:] = [None] * n
+        allowed[:] = [False] * len(edges)
+        queue.clear()
+        for v in range(n):
+            if mate[v] == -1 and label[inblossom[v]] == 0:
+                assign_label(v, 1, -1)
+        augmented = False
+        while True:
+            while queue and not augmented:
+                v = queue.pop()
+                for p in neighbend[v]:
+                    k, w = p >> 1, endpoint[p]
+                    if inblossom[v] == inblossom[w]:
+                        continue
+                    if not allowed[k]:
+                        kslack = dual[v] + dual[w] - w2[k]
+                        if kslack <= 0:
+                            allowed[k] = True
+                    if allowed[k]:
+                        lw = label[inblossom[w]]
+                        if lw == 0:
+                            assign_label(w, 2, p ^ 1)
+                        elif lw == 1:
+                            base = scan_blossom(v, w)
+                            if base >= 0:
+                                add_blossom(base, k)
+                            else:
+                                augment_matching(k)
+                                augmented = True
+                                break
+                        elif label[w] == 0:
+                            label[w], labelend[w] = 2, p ^ 1
+                    elif label[inblossom[w]] == 1:
+                        b = inblossom[v]
+                        if bestedge[b] == -1 or kslack < slack(bestedge[b]):
+                            bestedge[b] = k
+                    elif label[w] == 0:
+                        if bestedge[w] == -1 or kslack < slack(bestedge[w]):
+                            bestedge[w] = k
+            if augmented:
+                break
+            deltatype, delta, at = -1, 0.0, -1
+            for v in range(n):
+                if label[inblossom[v]] == 0 and bestedge[v] != -1:
+                    d = slack(bestedge[v])
+                    if deltatype == -1 or d < delta:
+                        deltatype, delta, at = 2, d, bestedge[v]
+            for b in range(2 * n):
+                if bparent[b] == -1 and label[b] == 1 and bestedge[b] != -1:
+                    d = slack(bestedge[b]) / 2
+                    if deltatype == -1 or d < delta:
+                        deltatype, delta, at = 3, d, bestedge[b]
+            for b in range(n, 2 * n):
+                if (bbase[b] >= 0 and bparent[b] == -1 and label[b] == 2
+                        and (deltatype == -1 or dual[b] < delta)):
+                    deltatype, delta, at = 4, dual[b], b
+            if deltatype == -1:
+                break  # no augmenting path left: the cardinality is maximum
+            for v in range(n):
+                if label[inblossom[v]] == 1:
+                    dual[v] -= delta
+                elif label[inblossom[v]] == 2:
+                    dual[v] += delta
+            for b in range(n, 2 * n):
+                if bbase[b] >= 0 and bparent[b] == -1:
+                    if label[b] == 1:
+                        dual[b] += delta
+                    elif label[b] == 2:
+                        dual[b] -= delta
+            if deltatype == 4:
+                expand_blossom(at, False)
+            else:
+                allowed[at] = True
+                i = endpoint[2 * at]
+                if label[inblossom[i]] == 0:
+                    i = endpoint[2 * at + 1]
+                queue.append(i)
+        if not augmented:
+            break
+        for b in range(n, 2 * n):
+            if (bparent[b] == -1 and bbase[b] >= 0 and label[b] == 1
+                    and dual[b] == 0):
+                expand_blossom(b, True)
+    return [endpoint[p] if p >= 0 else -1 for p in mate]
 
 
 def _blossom_cluster(members, W, B):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracle import _max_weight_matching as oracle_blossom
 from _oracle import oracle_batch_flips, solve_matching as oracle_solve
 from polyest.matcher import (
     Matching,
@@ -19,8 +20,14 @@ from polyest.matcher import (
     min_weight_perfect_matching,
     solve_matching,
 )
-from polyest import surface_sim
-from polyest.surface_sim import FaultEffect, Rates, enumerate_single_faults, get_layout
+from polyest import matcher, surface_sim
+from polyest.surface_sim import (
+    FaultEffect,
+    Rates,
+    enumerate_single_faults,
+    get_layout,
+    run_monte_carlo,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -748,3 +755,70 @@ def test_batch_decode_raises_the_first_failing_rows_error(rows, message):
     b = len(rows) + 1
     assert _outcome(oracle_batch_flips, graph_x, row, site, rnd, b) == message
     assert _outcome(_batch_flips, graph_x, row, site, rnd, b) == message
+
+
+# ---------------------------------------------------------------------------
+# The blossom against the plain port of 0.2.0
+#
+# The package's _max_weight_matching skips work whose outcome is known, but
+# it must make every decision that the plain port in _oracle makes, so the
+# two are compared mate for mate: on every blossom input of a seeded Monte
+# Carlo run, and on general graphs where ties are common.
+# ---------------------------------------------------------------------------
+
+
+def _blossom_args(n, edges):
+    # The package blossom's arguments for a list of (i, j, weight) edges.
+    endpoint = [v for i, j, _ in edges for v in (i, j)]
+    w2 = [2.0 * w for _, _, w in edges]
+    nb = [[] for _ in range(n)]
+    for k, (i, j, _) in enumerate(edges):
+        nb[i].append((j, k, w2[k]))
+        nb[j].append((i, k, w2[k]))
+    return n, endpoint, w2, nb
+
+
+def test_blossom_mates_equal_the_plain_port_on_a_recorded_run(monkeypatch):
+    # d=5, p=3e-3, 25 rounds: every blossom input of the run, clusters of
+    # three to a few dozen events.  The neighbour lists that decode_batch
+    # builds for a whole batch must also be the ones the edges give.
+    calls = []
+    blossom = matcher._max_weight_matching
+
+    def record(*args):
+        mates = blossom(*args)
+        calls.append((args, mates))
+        return mates
+
+    monkeypatch.setattr(matcher, "_max_weight_matching", record)
+    run_monte_carlo(get_layout(5), Rates(*(3e-3,) * 5), 200, 25, 5)
+    assert len(calls) >= 1000
+    assert max(args[0] for args, _ in calls) >= 50
+    for args, mates in calls:
+        n, endpoint, w2, _ = args
+        # Halving a doubled weight is exact.
+        edges = [(endpoint[2 * k], endpoint[2 * k + 1], w / 2) for k, w in enumerate(w2)]
+        assert _blossom_args(n, edges) == args
+        assert mates == oracle_blossom(n, edges)
+
+
+@st.composite
+def _general_graphs(draw):
+    # Up to 16 vertices with small-integer weights, either endpoint first;
+    # odd or sparse graphs have no perfect matching.
+    n = draw(st.integers(0, 16))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=40)) if pairs else []
+    edges = []
+    for i, j in chosen:
+        if draw(st.booleans()):
+            i, j = j, i
+        edges.append((i, j, float(draw(st.integers(0, 4)))))
+    return n, edges
+
+
+@settings(max_examples=500, deadline=None)
+@given(_general_graphs())
+def test_blossom_mates_equal_the_plain_port_on_general_graphs(graph):
+    n, edges = graph
+    assert matcher._max_weight_matching(*_blossom_args(n, edges)) == oracle_blossom(n, edges)

@@ -503,6 +503,8 @@ _PINNED_COUNTS = [
     ((6, Rates(4e-3, 4e-3, 4e-3, 4e-3, 1e-2), 64, 12, 3, 0), (14, 6)),
     ((3, Rates(2e-2, 1e-2, 5e-3, 5e-3, 0.0), 100, 10, 11, 17), (5, 3)),
     ((3, Rates(1e-3, 1e-3, 1e-3, 1e-3, 2e-3), 600, 6, 2, 300), (8, 1)),
+    # Large clusters: blossom inputs of up to 117 events.
+    ((6, Rates(5e-3, 5e-3, 5e-3, 5e-3, 5e-3), 64, 30, 1, 0), (22, 11)),
 ]
 
 
@@ -577,6 +579,25 @@ def test_monte_carlo_with_graphs_built_in_another_process(tmp_path):
     expected = run_monte_carlo(layout, rates, shots=60, rounds=4, seed=11)
     assert expected.fails_x + expected.fails_z > 0
     assert out.stdout == f"{expected!r}\n"
+
+
+def test_monte_carlo_rejects_graphs_built_for_another_point():
+    # Graphs of another distance or other rates would decode every shot
+    # against the wrong weights (d=5 graphs at d=3 gave 16/12 fails where
+    # the run's own give 1/3), so a run refuses them, also once pickled.
+    layout = get_layout(3)
+    rates = Rates(*(3e-3,) * 5)
+    d5 = matcher.build_graphs(enumerate_single_faults(get_layout(5)), rates, get_layout(5))
+    other = matcher.build_graphs(enumerate_single_faults(layout), Rates(*(2e-3,) * 5), layout)
+    own = pickle.loads(pickle.dumps(
+        matcher.build_graphs(enumerate_single_faults(layout), rates, layout)))
+    assert [g.built_for for g in own] == [(3, rates)] * 2
+    for graphs in (d5, other, pickle.loads(pickle.dumps(d5)), (own[0], other[1])):
+        with pytest.raises(ValueError, match="build_graphs for d=3"):
+            run_monte_carlo(layout, rates, 64, 5, 1, graphs=graphs)
+    result = run_monte_carlo(layout, rates, 64, 5, 1, graphs=own)
+    assert result == run_monte_carlo(layout, rates, 64, 5, 1)
+    assert (result.fails_x, result.fails_z) == (1, 3)
 
 
 def test_zero_rates_never_fail():
