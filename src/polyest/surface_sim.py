@@ -442,22 +442,115 @@ class SimResult:
         )
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): its pool size
+# and the constants of its hashmix, mix and generate_state steps.
+_SEED_POOL = 4
+_SEED_INIT_A, _SEED_MULT_A = 0x43B0D7E5, 0x931E8875
+_SEED_INIT_B, _SEED_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SEED_MIX_L, _SEED_MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _powers(first: int, mult: int, count: int) -> np.ndarray:
+    """first * mult**k mod 2**32 for k = 0..count, as uint32."""
+    out = [first]
+    for _ in range(count):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32)
+
+
+def _seed_sequence_keys(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence(row).generate_state(2, uint64) of each row of ``entropy``.
+
+    ``entropy`` is a (sequences, words) uint32 array, one row of entropy
+    words per sequence, as SeedSequence assembles them from its entropy.
+    SeedSequence's algorithm runs on uint32 columns, so the arithmetic wraps
+    as its C code does: hash the words into a pool of four, mix every pool
+    word into every other, mix in the words past the pool, then hash the
+    pool out into four words, read in little-endian pairs.  Its hash
+    constants do not depend on the data: hashmix call k xors with
+    INIT_A * MULT_A**k and multiplies by INIT_A * MULT_A**(k + 1).  So each
+    step hashes all the pool words it touches at once.
+    """
+    n, words = entropy.shape
+    consts = _powers(_SEED_INIT_A, _SEED_MULT_A, _SEED_POOL * max(words, _SEED_POOL))
+    calls = 0
+
+    def hashmix(value, count):
+        # The next ``count`` hashmix calls, one per column, on ``value``
+        # broadcast to ``count`` columns.
+        nonlocal calls
+        value = (value ^ consts[calls : calls + count]) * consts[calls + 1 : calls + count + 1]
+        calls += count
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        value = np.uint32(_SEED_MIX_L) * x - np.uint32(_SEED_MIX_R) * y
+        return value ^ (value >> np.uint32(16))
+
+    pool = np.zeros((n, _SEED_POOL), dtype=np.uint32)
+    pool[:, : min(words, _SEED_POOL)] = entropy[:, :_SEED_POOL]
+    pool = hashmix(pool, _SEED_POOL)
+    for src in range(_SEED_POOL):
+        dst = [i for i in range(_SEED_POOL) if i != src]
+        pool[:, dst] = mix(pool[:, dst], hashmix(pool[:, src : src + 1], len(dst)))
+    for src in range(_SEED_POOL, words):
+        pool = mix(pool, hashmix(entropy[:, src : src + 1], _SEED_POOL))
+    consts = _powers(_SEED_INIT_B, _SEED_MULT_B, _SEED_POOL)
+    state = (pool ^ consts[:-1]) * consts[1:]
+    state ^= state >> np.uint32(16)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _word_count(n: int) -> int:
+    """The 32-bit words SeedSequence splits an integer >= 0 into (one for 0)."""
+    return max(1, -(-n.bit_length() // 32))
+
+
+def _shot_keys(seed: int, shots: range) -> np.ndarray:
+    """Philox key of each shot: SeedSequence((seed, shot)).generate_state(2, uint64).
+
+    Returns a (len(shots), 2) uint64 array.  SeedSequence splits each
+    integer into its 32-bit words, low word first (one word for 0), so the
+    shots are hashed in runs of equal word count: the runs break where a
+    shot index reaches 2**32, 2**64 and so on.
+    """
+    seed = int(seed)
+    seed_words = [(seed >> (32 * j)) & _MASK32 for j in range(_word_count(seed))]
+    keys = np.empty((len(shots), 2), dtype=np.uint64)
+    start = shots.start
+    while start < shots.stop:
+        width = _word_count(start)
+        stop = min(shots.stop, 1 << (32 * width))
+        values = np.arange(start, stop, dtype=object)
+        entropy = np.empty((stop - start, len(seed_words) + width), dtype=np.uint32)
+        entropy[:, : len(seed_words)] = seed_words
+        for j in range(width):
+            entropy[:, len(seed_words) + j] = (values >> (32 * j)) & _MASK32
+        keys[start - shots.start : stop - shots.start] = _seed_sequence_keys(entropy)
+        start = stop
+    return keys
+
+
 def _draw_noise(
     seed: int, shot_indices: range, R: int, comp: _Compiled, rates: Rates
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw every fault of a batch of shots as (row, cycle, fault id) hits.
 
     Each shot owns a counter-based substream keyed by (seed, shot index), so
-    results are independent of batch partitioning.  A shot draws its faults
-    by count, so its cost grows with the faults it holds, not with the
-    number of sites: first the hit count k ~ Binomial(sites, rate) of each
-    class of _Compiled.classes, in class order, then one block of uniforms
-    that Floyd's algorithm turns into k distinct sites per class, each CNOT
-    hit also taking a uniform Pauli index from its uniform.  In distribution
-    this is one independent Bernoulli draw per site (up to the 2**-53
-    resolution of a double, as for a direct per-site draw); a class at rate
-    0 has no hits, and one at rate 1 hits every site.  Fault ids are the
-    rows of the fault table (see _Compiled).
+    results are independent of batch partitioning: shot i draws from Philox
+    keyed by SeedSequence((seed, i)).generate_state(2, uint64), starting at
+    counter 0, whatever batch it is drawn in.  The keys of a batch are
+    hashed at once (_shot_keys) and one Philox is rekeyed per shot.  A shot
+    draws its faults by count, so its cost grows with the faults it holds,
+    not with the number of sites: first the hit count k ~ Binomial(sites,
+    rate) of each class of _Compiled.classes, in class order, then one
+    block of uniforms that Floyd's algorithm turns into k distinct sites per
+    class, each CNOT hit also taking a uniform Pauli index from its uniform.
+    In distribution this is one independent Bernoulli draw per site (up to
+    the 2**-53 resolution of a double, as for a direct per-site draw); a
+    class at rate 0 has no hits and draws nothing, and one at rate 1 hits
+    every site.  Fault ids are the rows of the fault table (see _Compiled).
     """
     # Per class: sites, rate per site, Pauli choices, sites per cycle, first
     # fault id, fault id stride.
@@ -465,10 +558,27 @@ def _draw_noise(
         (R * len(c.sites), c.site_rate(rates), len(c.paulis), len(c.sites), c.first, c.stride)
         for c in comp.classes
     ]
+    draws = [(n, q) for n, q, *_ in classes]
+    bit_gen = np.random.Philox(key=0)
+    g = np.random.Generator(bit_gen)
+    binomial = g.binomial
+    # A fresh stream: counter 0, empty output buffer; the key is set per
+    # shot.  Philox's state setter reads these element by element, which
+    # is quicker from Python ints than from uint64 arrays.
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": None},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     rows, cycles, fids = [], [], []
-    for row, shot in enumerate(shot_indices):
-        g = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, shot))))
-        counts = [g.binomial(n, q) for n, q, *_ in classes]
+    for row, key in enumerate(_shot_keys(seed, shot_indices).tolist()):
+        state["state"]["key"] = key
+        bit_gen.state = state
+        # numpy's binomial returns 0 without drawing when the rate is 0.
+        counts = [binomial(n, q) if q else 0 for n, q in draws]
         total = sum(counts)
         if not total:
             continue
@@ -587,7 +697,9 @@ def run_monte_carlo(
     set.  Shots are drawn and decoded in batches: matcher.decode_batch
     gives the correction flips of a whole batch per graph, the same flips
     that min_weight_perfect_matching gives shot by shot.  Shot i draws from
-    its own substream of ``seed``, so a run split into chunks through
+    its own substream of ``seed``: Philox keyed by SeedSequence((seed,
+    i)).generate_state(2, uint64), starting at counter 0, whatever the
+    batching (see _draw_noise).  So a run split into chunks through
     ``first_shot_index`` and joined with SimResult.merged gives the counts
     of the whole run.  ``graphs``, when given, must be the pair that
     matcher.build_graphs built for this layout's distance and these rates

@@ -19,6 +19,11 @@ independent; this copy is the reference for both.  Its blossom
 0.2.0 shipped, also copied verbatim: the package's blossom skips work that
 this one does, so the two are compared mate for mate.  Only
 ``MatchingError`` comes from the package.
+
+Last, ``draw_noise`` is polyest 0.2.0's noise draw as it first shipped,
+building one Generator per shot: the package now hashes the shot keys of a
+whole batch at once and rekeys one Philox per shot, and must draw the same
+hits.
 """
 
 from __future__ import annotations
@@ -617,3 +622,39 @@ def oracle_batch_flips(graph, row, site, rnd, b):
         atoms, _ = solve_matching(W, graph.B[ss])
         flips[r] = sum(bool(graph.BM[ss[atom[1]]]) for atom in atoms if atom[0] == "boundary") % 2
     return flips
+
+
+def draw_noise(seed, shot_indices, R, comp, rates):
+    """polyest 0.2.0's ``_draw_noise``, one Generator built per shot.
+
+    The body is the package's as it shipped before the shot keys were
+    hashed for a whole batch at once: the package must draw exactly these
+    (row, cycle, fault id) hits.
+    """
+    # Per class: sites, rate per site, Pauli choices, sites per cycle, first
+    # fault id, fault id stride.
+    classes = [
+        (R * len(c.sites), c.site_rate(rates), len(c.paulis), len(c.sites), c.first, c.stride)
+        for c in comp.classes
+    ]
+    rows, cycles, fids = [], [], []
+    for row, shot in enumerate(shot_indices):
+        g = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, shot))))
+        counts = [g.binomial(n, q) for n, q, *_ in classes]
+        total = sum(counts)
+        if not total:
+            continue
+        uniforms = iter(g.random(total).tolist())
+        for (n, _, width, per_cycle, first, stride), k in zip(classes, counts):
+            # Floyd: for j = n-k .. n-1 take t uniform in 0..j, or j if t is
+            # taken; the width-way Pauli index rides in the same uniform.
+            hit: dict[int, int] = {}
+            for j in range(n - k, n):
+                t, pauli = divmod(int(next(uniforms) * ((j + 1) * width)), width)
+                hit[j if t in hit else t] = pauli
+            for t, pauli in hit.items():
+                cycle, r = divmod(t, per_cycle)
+                rows.append(row)
+                cycles.append(cycle)
+                fids.append(first + stride * r + pauli)
+    return tuple(np.array(a, dtype=np.int64) for a in (rows, cycles, fids))

@@ -8,9 +8,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from _oracle import fault_injection, footprint
-from polyest import matcher, surface_sim
+from _oracle import draw_noise, fault_injection, footprint
+from polyest import matcher, ratedb, surface_sim
 from polyest.surface_sim import (
     IDLE_STEPS,
     Layout,
@@ -493,6 +495,76 @@ def test_sparse_draw_matches_bernoulli_distribution(mix):
         assert paulis.size == 15 and stat < _chi2_critical(14), (name, stat)
 
 
+# Word boundaries of SeedSequence's integer split: a shot index past one of
+# them adds an entropy word.
+_WORD_BOUNDARIES = (2**32, 2**64)
+
+
+def _oracle_draw_cases():
+    # (d, R, shots, seed, rates): every d, R from 1 to 60, batches of 1 to
+    # 256 shots, 64-bit point seeds, and first shots of 0 or just before a
+    # word boundary.  At the edge rates every site of a rate-1 class is hit,
+    # so those batches stay small.
+    rng = np.random.default_rng(2024)
+    cases = [(3, 1, 1, 0, _EDGE_RATES[3]), (6, 60, 256, 0, None)]
+    for i in range(16):
+        if i < len(_EDGE_RATES):
+            R, b = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+        else:
+            R, b = int(rng.integers(1, 61)), int(rng.integers(2, 257))
+        back = int(rng.integers(b // 2, b))  # at least 1 when b > 1: the batch straddles
+        first = (0, *(edge - back for edge in _WORD_BOUNDARIES))[i % 3]
+        rates = _EDGE_RATES[i] if i < len(_EDGE_RATES) else None
+        cases.append((3 + i % 4, R, b, first, rates))
+    params = []
+    for i, (d, R, b, first, rates) in enumerate(cases):
+        if rates is None:
+            rates = Rates(*10.0 ** rng.uniform(-4.0, -2.0, 5))
+        seed = ratedb._point_seeds(i, d, 2.0, 1.0, 1e-3)[i % 2]
+        params.append(pytest.param(
+            d, R, range(first, first + b), seed, rates, id=f"d{d}-R{R}-b{b}-first{first}"
+        ))
+    return params
+
+
+@pytest.mark.parametrize("d, R, shots, seed, rates", _oracle_draw_cases())
+def test_draw_noise_matches_frozen_per_shot_draw(d, R, shots, seed, rates):
+    # Hashing the keys of a batch at once and rekeying one Philox per shot
+    # must draw exactly the hits of one Generator built per shot.
+    comp = surface_sim._compiled(d)
+    got = surface_sim._draw_noise(seed, shots, R, comp, rates)
+    want = draw_noise(seed, shots, R, comp, rates)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        np.testing.assert_array_equal(g, w)
+
+
+@given(
+    seed=st.one_of(
+        st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1, 2**64]),
+        st.integers(0, 2**130 - 1),
+    ),
+    start=st.one_of(
+        st.integers(0, 2**70),
+        st.builds(
+            lambda edge, back: edge - back, st.sampled_from(_WORD_BOUNDARIES), st.integers(0, 40)
+        ),
+    ),
+    n=st.integers(1, 40),
+)
+@example(seed=0, start=0, n=1)
+@example(seed=2**32 - 1, start=2**32 - 3, n=6)
+@example(seed=2**32, start=2**64 - 3, n=6)
+@example(seed=2**64 - 1, start=2**32 - 1, n=2)
+@example(seed=2**64, start=2**64 - 1, n=2)
+def test_shot_keys_equal_seed_sequence_state(seed, start, n):
+    shots = range(start, start + n)
+    want = [np.random.SeedSequence((seed, shot)).generate_state(2, np.uint64) for shot in shots]
+    keys = surface_sim._shot_keys(seed, shots)
+    assert keys.dtype == np.uint64 and keys.shape == (n, 2)
+    np.testing.assert_array_equal(keys, np.array(want))
+
+
 # (d, rates, shots, rounds, seed, first_shot_index) -> (fails_x, fails_z),
 # recorded with the by-count fault draw (binomial hit counts per class, then
 # Floyd's algorithm for the sites) and footprint XOR of this version.
@@ -505,6 +577,8 @@ _PINNED_COUNTS = [
     ((3, Rates(1e-3, 1e-3, 1e-3, 1e-3, 2e-3), 600, 6, 2, 300), (8, 1)),
     # Large clusters: blossom inputs of up to 117 events.
     ((6, Rates(5e-3, 5e-3, 5e-3, 5e-3, 5e-3), 64, 30, 1, 0), (22, 11)),
+    # Shot indices that cross 2**32, where a shot's key gains an entropy word.
+    ((3, Rates(1e-2, 1e-2, 1e-2, 1e-2, 1e-2), 300, 3, 7, 2**32 - 150), (34, 29)),
 ]
 
 
@@ -630,6 +704,17 @@ def test_monte_carlo_is_deterministic_and_batch_independent():
     ]
     assert a == functools.reduce(SimResult.merged, chunks)
     assert a.fails_x + a.fails_z > 0  # rates chosen high enough to exercise decoding
+
+
+def test_monte_carlo_chunks_across_a_key_word_boundary_merge_to_the_run():
+    layout = get_layout(3)
+    rates = Rates(1e-2, 1e-2, 1e-2, 1e-2, 1e-2)
+    full = run_monte_carlo(layout, rates, 300, 3, 7, first_shot_index=2**32 - 150)
+    chunks = [
+        run_monte_carlo(layout, rates, 150, 3, 7, first_shot_index=first)
+        for first in (2**32 - 150, 2**32)
+    ]
+    assert chunks[0].merged(chunks[1]) == full
 
 
 def test_monte_carlo_split_accumulation_matches_single_run():
