@@ -153,8 +153,15 @@ def _cmd_generate(args) -> int:
             except json.JSONDecodeError as err:
                 raise DbError(f"grid spec {args.grid}: {err}") from None
         grid = GridSpec.from_dict(data)
+    run = {key: str(getattr(args, key)) for key in ("seed", "target_fails", "max_shots")}
     if os.path.exists(args.out):
         db = RateDatabase.load(args.out)
+        # One stamp describes every row, so rows of another run may not join.
+        clash = [f"{k}={db.metadata[k]} (given {v})" for k, v in run.items()
+                 if db.metadata.get(k, v) != v]
+        if clash:
+            raise DbError(f"{args.out} was generated with {', '.join(clash)}; "
+                          "extend it with the same values or write a new --out")
         print(f"extending {args.out} ({len(db)} entries present)", file=sys.stderr)
         stamp = db.metadata.get("polyest_version")
         if stamp != __version__:
@@ -167,9 +174,7 @@ def _cmd_generate(args) -> int:
     else:
         db = RateDatabase()
     db.metadata["polyest_version"] = __version__
-    db.metadata["seed"] = str(args.seed)
-    db.metadata["target_fails"] = str(args.target_fails)
-    db.metadata["max_shots"] = str(args.max_shots)
+    db.metadata.update(run)
     # Saved after every point, so an interrupted run resumes where it stopped.
     added, skipped = generate(
         db, grid, args.seed,

@@ -29,7 +29,8 @@ class ModelError(ValueError):
     """Raised for out-of-range probabilities or malformed model input."""
 
 
-def _check_probability(name: str, value: float) -> None:
+def check_probability(name: str, value: float) -> None:
+    """Raise ModelError unless ``value`` is a number (not a bool) in [0, 1]."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ModelError(f"{name} must be a number, got {value!r}")
     if math.isnan(value) or not 0.0 <= value <= 1.0:
@@ -51,12 +52,12 @@ class SingleQubitChannel:
 
     def __post_init__(self) -> None:
         for name in ("px", "py", "pz"):
-            _check_probability(name, getattr(self, name))
+            check_probability(name, getattr(self, name))
         _check_sum("single-qubit channel", self.px + self.py + self.pz)
 
     @classmethod
     def depolarizing(cls, p: float) -> "SingleQubitChannel":
-        _check_probability("depolarizing rate", p)
+        check_probability("depolarizing rate", p)
         return cls(p / 3.0, p / 3.0, p / 3.0)
 
 
@@ -67,7 +68,7 @@ class FlipChannel:
     flip: float = 0.0
 
     def __post_init__(self) -> None:
-        _check_probability("flip", self.flip)
+        check_probability("flip", self.flip)
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,7 @@ class TwoQubitChannel:
         total = 0.0
         for f in fields(self):
             value = getattr(self, f.name)
-            _check_probability(f.name, value)
+            check_probability(f.name, value)
             total += value
         _check_sum("two-qubit channel", total)
 
@@ -105,7 +106,7 @@ class TwoQubitChannel:
 
     @classmethod
     def depolarizing(cls, p: float) -> "TwoQubitChannel":
-        _check_probability("depolarizing rate", p)
+        check_probability("depolarizing rate", p)
         return cls(**{name: p / 15.0 for name in TWO_QUBIT_PAULIS})
 
 

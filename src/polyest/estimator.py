@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .error_model import GateErrorModel, ReducedRates, reduce
-from .store import AXES, DISTANCES, RateDatabase, format_value, ladder_neighbors
+from .store import AXES, DISTANCES, RateDatabase, check_int, format_value, ladder_neighbors
 
 MAX_SCAN_DISTANCE = 1001
 
@@ -153,8 +153,11 @@ def fit(p3: float, p4: float, p5: float, p6: float) -> ExtrapolationFit:
 
 def evaluate(fit_result: ExtrapolationFit, d: int) -> float:
     """Rate at distance d: direct through 6, parity extrapolation past it."""
-    if not isinstance(d, int) or isinstance(d, bool) or d < 3:
-        raise ValueError(f"distance must be an integer >= 3, got {d!r}")
+    return _evaluate(fit_result, check_int(ValueError, "distance", d, 3))
+
+
+def _evaluate(fit_result: ExtrapolationFit, d: int) -> float:
+    # evaluate at a checked distance, so a distance scan checks none of its steps.
     if d <= 6:
         return fit_result.direct[d - 3]
     if fit_result.above_threshold:
@@ -221,7 +224,7 @@ class _KindQuery:
             return 0.0
         if d <= 6:
             return self.direct(db, d, warnings)
-        return evaluate(self.fitted(db, warnings), d)
+        return _evaluate(self.fitted(db, warnings), d)
 
 
 def _first_meeting(
@@ -261,9 +264,8 @@ def estimate(
     asymmetry_threshold: float = 2.0,
 ) -> Estimate:
     """Logical X and Z rates of a detailed error model at one distance."""
-    if not isinstance(d, int) or isinstance(d, bool) or d < 3:
-        raise ValueError(f"distance must be an integer >= 3, got {d!r}")
-    return _first_meeting(db, model, (d,), math.inf, asymmetry_threshold)
+    distances = (check_int(ValueError, "distance", d, 3),)
+    return _first_meeting(db, model, distances, math.inf, asymmetry_threshold)
 
 
 def solve_distance(

@@ -69,9 +69,10 @@ and boundary weights, so equal-weight solutions compare bit-identically.
 Monte Carlo needs each shot's correction flip only: decode_batch gives it
 for a whole batch of shots (rows) at once, as the parity of BM over the
 events that go to the boundary.  solve_matching (and so
-min_weight_perfect_matching) runs the same core on one row, so the two
-cluster, tie-break and raise alike: the first failing cluster in row
-order, then event order, raises MatchingError.
+min_weight_perfect_matching, which sorts its events into the batch's
+round-then-site order) runs the same core on one row, so the two cluster,
+tie-break and raise alike: the first failing cluster in row order, then
+event order, raises MatchingError.
 """
 
 from __future__ import annotations
@@ -83,7 +84,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .surface_sim import FaultEffect, Layout, Rates, is_int
+from .store import is_int
+from .surface_sim import FaultEffect, Layout, Rates
 
 _P_FLOOR = 1e-300
 _T_CAP = 64
@@ -273,7 +275,7 @@ class MatchingGraph:
         Its weight is their left-to-right sum, as a search adds them.
         """
         if self._t_safe is None:
-            steps = np.zeros((self.n_sites, int(np.max(dt)) + 1))
+            steps = np.zeros((self.n_sites, int(np.max(dt, initial=0)) + 1))
             steps[:, 1:] = np.diagonal(self.D[:, :, 1])[:, None]
             return np.where(sa == sb, np.add.accumulate(steps, axis=1)[sa, dt], np.inf)
         return np.where(dt > self.T, np.inf, self.D[sa, sb, np.minimum(dt, self.T)])
@@ -882,7 +884,11 @@ def solve_matching(weights, boundary) -> tuple[list[tuple], float]:
 def min_weight_perfect_matching(
     graph: MatchingGraph, events: Sequence[tuple[int, int]]
 ) -> Matching:
-    """Decode a set of (site, round) detection events against one graph."""
+    """Decode a set of (site, round) detection events against one graph.
+
+    Events are decoded by round, then site, as decode_batch orders them, so
+    the Matching does not depend on the order they are listed in.
+    """
     seen = set()
     for s, t in events:
         if not (is_int(s) and is_int(t) and 0 <= s < graph.n_sites and t >= 0):
@@ -894,25 +900,15 @@ def min_weight_perfect_matching(
     n = len(events)
     if n == 0:
         return Matching((), 0.0, False)
-    ss = np.array([s for s, _ in events], dtype=int)
-    tt = np.array([t for _, t in events], dtype=int)
-    dt = tt[None, :] - tt[:, None]
-    i_early = (dt > 0) | ((dt == 0) & (ss[:, None] <= ss[None, :]))
-    sa = np.where(i_early, ss[:, None], ss[None, :])
-    sb = np.where(i_early, ss[None, :], ss[:, None])
-    W = graph.pair_distances(sa, sb, np.abs(dt))
-    np.fill_diagonal(W, np.inf)
+    tt, ss = np.array(sorted((t, s) for s, t in events), dtype=int).T
+    W = np.full((n, n), np.inf)
+    a, b = np.triu_indices(n, 1)
+    W[a, b] = W[b, a] = graph.pair_distances(ss[a], ss[b], tt[b] - tt[a])
     atoms, total = solve_matching(W, graph.B[ss])
     nodes = list(zip(ss.tolist(), tt.tolist()))
-    flip = False
-    pairs = []
-    for atom in atoms:
-        if atom[0] == "pair":
-            pairs.append((nodes[atom[1]], nodes[atom[2]]))
-        else:
-            pairs.append((nodes[atom[1]], None))
-            flip ^= bool(graph.BM[ss[atom[1]]])
-    return Matching(tuple(pairs), total, flip)
+    pairs = tuple((nodes[t[1]], nodes[t[2]] if t[0] == "pair" else None) for t in atoms)
+    legs = [t[1] for t in atoms if t[0] == "boundary"]
+    return Matching(pairs, total, bool(np.count_nonzero(graph.BM[ss[legs]]) % 2))
 
 
 def decode_batch(graph: MatchingGraph, row, site, rnd, actual: np.ndarray) -> None:
@@ -946,7 +942,7 @@ def decode_batch(graph: MatchingGraph, row, site, rnd, actual: np.ndarray) -> No
     first_pair = np.cumsum(m) - m
     a = np.repeat(np.arange(n), m)
     b = a + 1 + np.arange(a.size) - np.repeat(first_pair, m)
-    W = graph.pair_distances(site[a], site[b], rnd[b] - rnd[a]) if a.size else np.empty(0)
+    W = graph.pair_distances(site[a], site[b], rnd[b] - rnd[a])
     _, mate = _match_clusters(row, graph.B[site], a, b, W)
     flips = np.bincount(row[(mate < 0) & graph.BM[site]], minlength=actual.size)
     actual ^= flips % 2 == 1

@@ -9,16 +9,15 @@ results do not depend on which grid spec includes the point.
 from __future__ import annotations
 
 import math
+from dataclasses import astuple
 from typing import Callable
 
 import numpy as np
 
 from .store import (
-    DbEntry, DbError, GridSpec, RateDatabase, format_value, ladder_decompose,
+    DbEntry, DbError, GridSpec, RateDatabase, check_int, format_value, ladder_decompose,
 )
-from .surface_sim import (
-    Rates, check_ints, enumerate_single_faults, get_layout, run_monte_carlo,
-)
+from .surface_sim import Rates, SimResult, enumerate_single_faults, get_layout, run_monte_carlo
 
 
 def _point_seeds(master_seed: int, d: int, r0: float, r1: float, p2: float):
@@ -80,9 +79,9 @@ def generate(
 
     Returns (added_keys, skipped) where skipped pairs each key with a reason.
     """
-    check_ints(
-        DbError, ("seed", seed, 0), ("target_fails", target_fails, 1), ("max_shots", max_shots, 1),
-    )
+    seed, target_fails, max_shots = (check_int(DbError, *check) for check in (
+        ("seed", seed, 0), ("target_fails", target_fails, 1), ("max_shots", max_shots, 1),
+    ))
     note = progress or (lambda msg: None)
     added: list[tuple] = []
     skipped: list[tuple] = []
@@ -110,30 +109,21 @@ def generate(
         pilot = run_monte_carlo(
             layout, rates, PILOT_SHOTS, d, pilot_seed, graphs=graphs
         )
-        p_hat = max(pilot.fails_x, pilot.fails_z) / (PILOT_SHOTS * d)
-        if p_hat == 0.0:
-            p_hat = 1.0 / (PILOT_SHOTS * d)
-        rounds = choose_rounds(d, p_hat)
-        fails_x = fails_z = shots = 0
-        while shots < max_shots:
-            chunk = min(2048, max_shots - shots)
-            result = run_monte_carlo(
-                layout, rates, chunk, rounds, main_seed,
-                graphs=graphs, first_shot_index=shots,
-            )
-            shots += chunk
-            fails_x += result.fails_x
-            fails_z += result.fails_z
-            if fails_x >= target_fails and fails_z >= target_fails:
-                break
-        entry = DbEntry.from_counts(d, r0, r1, p2, shots, rounds, fails_x, fails_z)
+        # A pilot without failures gets 10 d rounds, as one failure would.
+        total = SimResult(0, choose_rounds(d, max(pilot.p_xl, pilot.p_zl)), 0, 0)
+        while total.shots < max_shots and min(total.fails_x, total.fails_z) < target_fails:
+            total = total.merged(run_monte_carlo(
+                layout, rates, min(2048, max_shots - total.shots), total.rounds, main_seed,
+                graphs=graphs, first_shot_index=total.shots,
+            ))
+        entry = DbEntry.from_counts(d, r0, r1, p2, *astuple(total))
         db.add(entry)
         added.append(key)
         if checkpoint is not None:
             checkpoint(db)
         note(
-            f"done {label}: rounds={rounds} shots={shots} "
-            f"fails_x={fails_x} fails_z={fails_z}"
+            f"done {label}: rounds={total.rounds} shots={total.shots} "
+            f"fails_x={total.fails_x} fails_z={total.fails_z}"
             + (" (low confidence)" if entry.low_confidence else "")
         )
     return added, skipped

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
@@ -39,12 +40,35 @@ AXES: dict[str, tuple[float, float]] = {
     "p2": (1e-4, 0.02),
 }
 DISTANCES = (3, 4, 5, 6)
-# An entry with fewer failures than this of either kind is flagged low-confidence.
 LOW_CONFIDENCE_FAILS = 100
 
 
 class DbError(ValueError):
     """Raised for malformed database files, entries or grid specs."""
+
+
+def is_int(value) -> bool:
+    """Whether ``value`` is an integer: numpy integer scalars count, bools never do."""
+    if isinstance(value, int):
+        return not isinstance(value, bool)
+    return isinstance(value, numbers.Integral)
+
+
+def check_int(error: type[Exception], name: str, value, low: int) -> int:
+    """``value`` as a Python int; raises ``error`` unless it is an integer >= low."""
+    if not is_int(value) or value < low:
+        raise error(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def per_round_rate(fails: float, shots: int, rounds: int) -> float:
+    """Logical rate per round of ``fails`` in shots of rounds each; 0.0 without shots."""
+    return fails / (shots * rounds) if shots else 0.0
+
+
+def is_low_confidence(fails_x: int, fails_z: int) -> bool:
+    """An entry's flag: whether either failure count is below LOW_CONFIDENCE_FAILS."""
+    return bool(min(fails_x, fails_z) < LOW_CONFIDENCE_FAILS)
 
 
 def ladder_decompose(value: float) -> tuple[int, int] | None:
@@ -135,6 +159,8 @@ def ladder_neighbors(value: float, axis: str) -> LadderBracket:
 
 
 def _check_axis(name: str, value: float) -> float:
+    if type(value) is float and value in _AXIS_LADDERS[name]:
+        return value  # a rung: on the ladder and in range
     if ladder_decompose(value) is None:
         raise DbError(f"{name}={value!r} is not on the 1-2-5 ladder")
     lo, hi = AXES[name]
@@ -147,10 +173,11 @@ def _check_axis(name: str, value: float) -> float:
 class DbEntry:
     """One measured grid point.
 
-    Entries built from counts keep p_xl == fails_x / (shots * rounds) exactly
-    (checked); seeded entries, used to install externally known rates, carry
-    shots == rounds == fails_x == fails_z == 0 (checked) and are exempt from
-    the rate and flag consistency checks.
+    Entries built from counts keep p_xl == per_round_rate(fails_x, shots,
+    rounds) exactly (checked); seeded entries, used to install externally
+    known rates, carry shots == rounds == fails_x == fails_z == 0 (checked)
+    and are exempt from the rate and flag consistency checks.  Numpy scalars
+    are stored as Python ints and floats, so save writes what load reads.
     """
 
     d: int
@@ -166,18 +193,18 @@ class DbEntry:
     low_confidence: bool
 
     def __post_init__(self):
-        if self.d not in DISTANCES:
+        if not is_int(self.d) or self.d not in DISTANCES:
             raise DbError(f"d={self.d!r} not in {DISTANCES}")
+        object.__setattr__(self, "d", int(self.d))
         for name in ("r0", "r1", "p2"):
-            _check_axis(name, getattr(self, name))
+            object.__setattr__(self, name, _check_axis(name, getattr(self, name)))
         for name in ("shots", "rounds", "fails_x", "fails_z"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                raise DbError(f"{name} must be a non-negative integer, got {v!r}")
+            object.__setattr__(self, name, check_int(DbError, name, getattr(self, name), 0))
         for name in ("p_xl", "p_zl"):
             v = getattr(self, name)
             if not isinstance(v, float) or not 0.0 <= v <= 1.0:
                 raise DbError(f"{name} must be a float in [0, 1], got {v!r}")
+            object.__setattr__(self, name, float(v))
         if self.shots == 0:
             nonzero = [n for n in ("rounds", "fails_x", "fails_z") if getattr(self, n)]
             if nonzero:
@@ -185,16 +212,13 @@ class DbEntry:
         else:
             if self.rounds == 0:
                 raise DbError(f"rounds must be positive when shots={self.shots}")
-            denom = self.shots * self.rounds
             for name, fails, p in (
                 ("p_xl", self.fails_x, self.p_xl), ("p_zl", self.fails_z, self.p_zl),
             ):
-                if not math.isclose(p, fails / denom, rel_tol=1e-12, abs_tol=0.0):
-                    raise DbError(f"{name}={p!r} inconsistent with {fails}/{denom}")
-            expected = (
-                self.fails_x < LOW_CONFIDENCE_FAILS or self.fails_z < LOW_CONFIDENCE_FAILS
-            )
-            if self.low_confidence != expected:
+                rate = per_round_rate(fails, self.shots, self.rounds)
+                if not math.isclose(p, rate, rel_tol=1e-12, abs_tol=0.0):
+                    raise DbError(f"{name}={p!r} inconsistent with {rate!r} from the counts")
+            if self.low_confidence != is_low_confidence(self.fails_x, self.fails_z):
                 raise DbError("low_confidence flag inconsistent with failure counts")
 
     @property
@@ -203,16 +227,14 @@ class DbEntry:
 
     @classmethod
     def from_counts(cls, d, r0, r1, p2, shots, rounds, fails_x, fails_z) -> "DbEntry":
-        if shots <= 0 or rounds <= 0:
-            raise DbError("from_counts requires positive shots and rounds")
-        denom = shots * rounds
+        shots = check_int(DbError, "shots", shots, 1)
+        rounds = check_int(DbError, "rounds", rounds, 1)
         return cls(
             d=d, r0=float(r0), r1=float(r1), p2=float(p2),
             shots=shots, rounds=rounds, fails_x=fails_x, fails_z=fails_z,
-            p_xl=fails_x / denom, p_zl=fails_z / denom,
-            low_confidence=(
-                fails_x < LOW_CONFIDENCE_FAILS or fails_z < LOW_CONFIDENCE_FAILS
-            ),
+            p_xl=per_round_rate(fails_x, shots, rounds),
+            p_zl=per_round_rate(fails_z, shots, rounds),
+            low_confidence=is_low_confidence(fails_x, fails_z),
         )
 
     @classmethod
@@ -349,15 +371,12 @@ class RateDatabase:
                 raise DbError(
                     f"line {lineno}: expected {len(_COLUMNS)} fields, got {len(texts)}"
                 )
-            try:
-                entry = DbEntry(*[
+            try:  # add raises on a duplicate key
+                db.add(DbEntry(*[
                     parse(text) for (_, parse, _), text in zip(_COLUMNS, texts)
-                ])
+                ]))
             except ValueError as err:  # DbError included
                 raise DbError(f"line {lineno}: {err}") from None
-            if entry.key in db:
-                raise DbError(f"line {lineno}: duplicate entry for {entry.key}")
-            db.add(entry)
         if not header_seen:
             raise DbError("missing header line")
         return db
@@ -387,8 +406,9 @@ class GridSpec:
     p2_values: tuple[float, ...]
 
     def __post_init__(self):
-        if not self.distances or any(d not in DISTANCES for d in self.distances):
+        if not self.distances or not all(is_int(d) and d in DISTANCES for d in self.distances):
             raise DbError(f"distances must be a non-empty subset of {DISTANCES}")
+        object.__setattr__(self, "distances", tuple(map(int, self.distances)))
 
     @classmethod
     def full(cls) -> "GridSpec":
@@ -423,8 +443,6 @@ class GridSpec:
             if not isinstance(data[key], list):
                 raise DbError(f"grid spec {key} must be an array, got {data[key]!r}")
         distances = data["distances"]
-        if any(not isinstance(d, int) or isinstance(d, bool) for d in distances):
-            raise DbError(f"grid spec distances must be integers, got {distances!r}")
         try:
             return cls(
                 distances=tuple(sorted(set(distances))),

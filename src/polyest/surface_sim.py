@@ -60,7 +60,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .error_model import TWO_QUBIT_PAULIS
+from .error_model import TWO_QUBIT_PAULIS, check_probability
+from .store import check_int, per_round_rate
 
 Coord = tuple[int, int]
 
@@ -87,8 +88,7 @@ class Rates(NamedTuple):
 
     def validate(self) -> None:
         for name, value in zip(self._fields, self):
-            if math.isnan(value) or not 0.0 <= value <= 1.0:
-                raise ValueError(f"rate {name} must lie in [0, 1], got {value!r}")
+            check_probability(f"rate {name}", value)
 
 
 class Layout:
@@ -99,8 +99,7 @@ class Layout:
     """
 
     def __init__(self, d: int):
-        check_ints(LayoutError, ("code distance", d, 3))
-        self.d = d = int(d)
+        self.d = d = check_int(LayoutError, "code distance", d, 3)
         self.size = 2 * d - 1
         span = range(self.size)
         self.data: tuple[Coord, ...] = tuple(
@@ -150,7 +149,7 @@ class Layout:
 
 def get_layout(d: int) -> Layout:
     """Shared layout instance per distance; layouts are immutable in practice."""
-    return _compiled(d).layout
+    return _compiled(check_int(LayoutError, "code distance", d, 3)).layout
 
 
 class _Footprints(NamedTuple):
@@ -417,19 +416,19 @@ class SimResult:
 
     @property
     def p_xl(self) -> float:
-        return self.fails_x / (self.shots * self.rounds) if self.shots else 0.0
+        return per_round_rate(self.fails_x, self.shots, self.rounds)
 
     @property
     def p_zl(self) -> float:
-        return self.fails_z / (self.shots * self.rounds) if self.shots else 0.0
+        return per_round_rate(self.fails_z, self.shots, self.rounds)
 
     @property
     def stderr_x(self) -> float:
-        return math.sqrt(self.fails_x) / (self.shots * self.rounds) if self.shots else 0.0
+        return per_round_rate(math.sqrt(self.fails_x), self.shots, self.rounds)
 
     @property
     def stderr_z(self) -> float:
-        return math.sqrt(self.fails_z) / (self.shots * self.rounds) if self.shots else 0.0
+        return per_round_rate(math.sqrt(self.fails_z), self.shots, self.rounds)
 
     def merged(self, other: "SimResult") -> "SimResult":
         if other.rounds != self.rounds:
@@ -657,24 +656,12 @@ def _simulate_batch(comp: _Compiled, hits, b: int, cycles: int):
     return det_x, det_z, actual_x, actual_z
 
 
-def is_int(value) -> bool:
-    """Whether ``value`` is an integer: numpy integers count, bools do not."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def check_ints(error: type[Exception], *checks: tuple[str, object, int]) -> None:
-    """Raise ``error`` unless each (name, value, low) holds an integer >= low."""
-    for name, value, low in checks:
-        if not is_int(value) or value < low:
-            raise error(f"{name} must be an integer >= {low}, got {value!r}")
-
-
-def check_run_args(shots, rounds, seed, first_shot_index=0) -> None:
-    """Raise ValueError unless the run_monte_carlo counts are integers in range."""
-    check_ints(
-        ValueError, ("shots", shots, 0), ("rounds", rounds, 1),
+def check_run_args(shots, rounds, seed, first_shot_index=0) -> list[int]:
+    """The run_monte_carlo counts as Python ints; ValueError unless in range."""
+    return [check_int(ValueError, *check) for check in (
+        ("shots", shots, 0), ("rounds", rounds, 1),
         ("seed", seed, 0), ("first_shot_index", first_shot_index, 0),
-    )
+    )]
 
 
 def run_monte_carlo(
@@ -707,7 +694,7 @@ def run_monte_carlo(
     """
     rates = Rates(*rates)
     rates.validate()
-    check_run_args(shots, rounds, seed, first_shot_index)
+    shots, rounds, seed, first_shot_index = check_run_args(shots, rounds, seed, first_shot_index)
     comp = _compiled(layout.d)
     from . import matcher
 
@@ -730,4 +717,4 @@ def run_monte_carlo(
             matcher.decode_batch(graph, *events, actual)
             fails[k] += int(np.count_nonzero(actual))
         done += b
-    return SimResult(shots=int(shots), rounds=int(rounds), fails_x=fails[0], fails_z=fails[1])
+    return SimResult(shots, rounds, *fails)

@@ -330,6 +330,34 @@ def test_generate_stamps_version_and_warns_on_other_versions(capsys, tmp_path):
         assert out_path.read_bytes() == stamped
 
 
+def test_generate_refuses_to_extend_a_file_stamped_with_other_settings(capsys, tmp_path):
+    # One stamp describes every row of a file, so a run with another seed,
+    # target_fails or max_shots must not add rows to it and relabel them all.
+    grid = _grid_file(tmp_path)
+    out_path = tmp_path / "db.csv"
+    first = ["generate", "--grid", grid, "--out", str(out_path),
+             "--seed", "1", "--target-fails", "5", "--max-shots", "256"]
+    assert run(capsys, *first)[0] == 0
+    stamped = out_path.read_bytes()
+    for flag, value, recorded in (
+        ("--seed", "2", "seed=1"), ("--target-fails", "7", "target_fails=5"),
+        ("--max-shots", "512", "max_shots=256"),
+    ):
+        argv = list(first)
+        argv[argv.index(flag) + 1] = value
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert f"{recorded} (given {value})" in err
+        assert out_path.read_bytes() == stamped
+    # A file without these stamps takes the run's, as before.
+    kept = [ln for ln in stamped.decode().splitlines()
+            if not ln.startswith(("# seed=", "# target_fails=", "# max_shots="))]
+    out_path.write_text("\n".join(kept) + "\n")
+    code, _, err = run(capsys, *argv)
+    assert code == 0 and "already present" in err
+    assert "# max_shots=512" in out_path.read_text().splitlines()
+
+
 def test_generate_resumes_after_kill_byte_identical(capsys, tmp_path):
     # A generate run killed after its first grid point keeps that point on
     # disk; rerunning completes the grid with the bytes of an unbroken run.

@@ -735,6 +735,31 @@ def test_batch_decode_equals_per_row_decode_on_simulated_batches(d, rates, round
         assert len(rows) - hard >= min_easy * len(rows)
 
 
+@pytest.mark.parametrize("d, p", [(3, 1e-2), (4, 8e-3), (5, 5e-3)])
+def test_decode_does_not_depend_on_the_order_events_are_listed(d, p):
+    # Simulated rows of three or more events, each relisted in random
+    # orders: the same Matching every time, with decode_batch's flip.
+    layout = get_layout(d)
+    rates = Rates(*(p,) * 5)
+    graphs = build_graphs(enumerate_single_faults(layout), rates, layout)
+    comp = surface_sim._compiled(d)
+    b, rounds = 128, 10
+    hits = surface_sim._draw_noise(7, range(b), rounds, comp, rates)
+    rng = np.random.default_rng(7)
+    for graph, ((row, site, rnd), _) in zip(
+        graphs, surface_sim._detection_events(comp, hits, b, rounds)
+    ):
+        flips = _batch_flips(graph, row, site, rnd, b)
+        for r, events in zip(np.unique(row).tolist(), _rows_of(row, site, rnd)):
+            if len(events) < 3:
+                continue
+            listed = min_weight_perfect_matching(graph, events)
+            assert listed.correction_flip == flips[r]
+            for _ in range(3):
+                relisted = [events[i] for i in rng.permutation(len(events))]
+                assert min_weight_perfect_matching(graph, relisted) == listed
+
+
 @pytest.mark.parametrize("rows, message", [
     # Rows 1 and 2 fail, each its own way: row 1's error is raised.
     ([{(0, 1), (0, 2)}, {(1, 0), (1, 1), (1, 2)}, {(2, 0)}],

@@ -3,14 +3,19 @@ import math
 import os
 import re
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import BENCH_X, build_bench_db
 from polyest import ratedb, store
+from polyest.error_model import depolarizing_model
+from polyest.estimator import estimate, evaluate, fit
 from polyest.ratedb import choose_rounds, generate
+from polyest.surface_sim import Layout, LayoutError, Rates, SimResult, get_layout, run_monte_carlo
 from polyest.store import (
     AXES,
     CSV_HEADER,
@@ -24,6 +29,7 @@ from polyest.store import (
     ladder_decompose,
     ladder_neighbors,
     ladder_values,
+    per_round_rate,
 )
 
 
@@ -207,6 +213,27 @@ def test_save_load_roundtrip_is_exact(tmp_path):
     assert again.read_text() == path.read_text()
 
 
+def test_numpy_scalars_save_as_python_scalars(tmp_path):
+    # np.float64 passes a float check and np.int64 an integer one.  Entries
+    # hold Python scalars, so the file loads back, byte for byte as written
+    # for the same entries built from Python scalars.
+    def numpy(v):
+        return np.int64(v) if isinstance(v, int) else np.float64(v)
+
+    texts = []
+    for scalar in (lambda v: v, numpy):
+        db = RateDatabase()
+        db.add(DbEntry.from_counts(*map(scalar, (3, 1.0, 0.5, 1e-2, 4096, 7, 311, 228))))
+        db.add(DbEntry.seeded(*map(scalar, (4, 2.0, 1.0, 1e-3, 1e-4, 2e-4))))
+        for entry in db.entries():
+            for f in fields(DbEntry):
+                assert type(getattr(entry, f.name)) in (int, float, bool), f.name
+        db.save(tmp_path / "rates.csv")
+        assert RateDatabase.load(tmp_path / "rates.csv").entries() == db.entries()
+        texts.append((tmp_path / "rates.csv").read_bytes())
+    assert texts[0] == texts[1]
+
+
 def test_failed_save_leaves_previous_file_intact(tmp_path, monkeypatch):
     path = tmp_path / "rates.csv"
     old = RateDatabase(metadata={"seed": "1"})
@@ -343,6 +370,58 @@ def test_save_load_roundtrip_property(entries):
         loaded.save(second)
         with open(first, "rb") as fa, open(second, "rb") as fb:
             assert fa.read() == fb.read()
+
+
+def _integer_entry_points():
+    # For each public call that takes an integer, call(n) passing n as that
+    # integer and the error it raises for a non-integer.
+    db = build_bench_db()
+    model = depolarizing_model(1e-3)
+    fitted = fit(*(BENCH_X[d] for d in DISTANCES))
+    rates = Rates(*(1e-2,) * 5)
+    return {
+        "estimate": (lambda n: estimate(db, model, n), ValueError),
+        "evaluate": (lambda n: evaluate(fitted, n), ValueError),
+        "from_counts d": (lambda n: DbEntry.from_counts(n, 1.0, 1.0, 1e-3, 400, 5, 3, 2), DbError),
+        "from_counts shots": (lambda n: DbEntry.from_counts(3, 1.0, 1.0, 1e-3, n, 5, 3, 2), DbError),
+        "from_counts fails": (lambda n: DbEntry.from_counts(3, 1.0, 1.0, 1e-3, 400, 5, n, 2), DbError),
+        "Layout": (lambda n: Layout(n).d, LayoutError),
+        "get_layout": (lambda n: get_layout(n).d, LayoutError),
+        "GridSpec": (lambda n: GridSpec((n,), (1.0,), (1.0,), (1e-3,)).distances, DbError),
+        "run_monte_carlo shots": (lambda n: run_monte_carlo(get_layout(3), rates, n, 3, 1), ValueError),
+        "run_monte_carlo rounds": (lambda n: run_monte_carlo(get_layout(3), rates, 8, n, 1), ValueError),
+    }
+
+
+def _scalars(value):
+    # The value and the type of every field of a result, recursively.
+    if is_dataclass(value):
+        return [_scalars(getattr(value, f.name)) for f in fields(value)]
+    if isinstance(value, tuple):
+        return [_scalars(v) for v in value]
+    return (value, type(value))
+
+
+@pytest.mark.parametrize("name", list(_integer_entry_points()))
+def test_numpy_integers_count_and_bools_never_do(name):
+    call, error = _integer_entry_points()[name]
+    want = _scalars(call(5))
+    for np_int in (np.int64, np.int32, np.uint8):
+        assert _scalars(call(np_int(5))) == want, name
+    for bad in (True, np.bool_(True), 5.0):
+        with pytest.raises(error):
+            call(bad)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 10**7), st.integers(1, 600), st.data())
+def test_a_run_and_its_entry_report_the_same_rates(shots, rounds, data):
+    fails = st.integers(0, min(shots * rounds, 10**6))
+    fails_x, fails_z = data.draw(fails), data.draw(fails)
+    run = SimResult(shots, rounds, fails_x, fails_z)
+    entry = DbEntry.from_counts(3, 1.0, 1.0, 1e-3, shots, rounds, fails_x, fails_z)
+    assert (run.p_xl, run.p_zl) == (entry.p_xl, entry.p_zl)
+    assert run.stderr_x == per_round_rate(math.sqrt(fails_x), shots, rounds)
 
 
 @pytest.mark.parametrize("metadata", [

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from _oracle import draw_noise, fault_injection, footprint
 from polyest import matcher, ratedb, surface_sim
+from polyest.error_model import FlipChannel, ModelError
 from polyest.surface_sim import (
     IDLE_STEPS,
     Layout,
@@ -599,6 +600,17 @@ def test_rates_validation():
     with pytest.raises(ValueError):
         Rates(0, 0, float("nan"), 0, 0).validate()
     Rates(0, 0, 0, 0, 0).validate()
+
+
+def test_rates_take_the_model_probability_check():
+    # The one probability check of error_model: a bool is not a rate.
+    for bad in (True, "0.1", None):
+        with pytest.raises(ModelError, match="^flip must be a number"):
+            FlipChannel(bad)
+        with pytest.raises(ModelError, match="^rate p1z must be a number"):
+            Rates(0, 0, 0, bad, 0).validate()
+    with pytest.raises(ModelError, match=r"^rate p2 must lie in \[0, 1\], got 1.5$"):
+        Rates(0, 0, 0, 0, 1.5).validate()
 
 
 def test_run_monte_carlo_input_validation():
