@@ -193,9 +193,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_simulate(args) -> int:
     from .matcher import build_graphs, dump_edge_classes
-    from .surface_sim import (
-        Rates, check_run_args, enumerate_single_faults, get_layout, run_monte_carlo,
-    )
+    from .surface_sim import Rates, check_run_args, get_layout, run_monte_carlo
 
     rates = Rates(
         p0x=args.p0x, p0z=args.p0z, p1x=args.p1x, p1z=args.p1z, p2=args.p2
@@ -203,8 +201,7 @@ def _cmd_simulate(args) -> int:
     rates.validate()
     check_run_args(args.shots, args.rounds, args.seed)
     layout = get_layout(args.distance)
-    faults = enumerate_single_faults(layout)
-    graphs = build_graphs(faults, rates, layout)
+    graphs = build_graphs(layout.faults, rates, layout)
     if args.dump_graph:
         rows = dump_edge_classes(graphs[0]) + dump_edge_classes(graphs[1])
         with open(args.dump_graph, "w", encoding="utf-8") as fh:

@@ -22,6 +22,8 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields
 
+from .store import is_real
+
 # Absorbs float dust when checking that probabilities sum to at most 1.
 _SUM_TOL = 1e-9
 
@@ -31,7 +33,7 @@ class ModelError(ValueError):
 
 def check_probability(name: str, value: float) -> None:
     """Raise ModelError unless ``value`` is a number (not a bool) in [0, 1]."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if not is_real(value):
         raise ModelError(f"{name} must be a number, got {value!r}")
     if math.isnan(value) or not 0.0 <= value <= 1.0:
         raise ModelError(f"{name} must lie in [0, 1], got {value!r}")
@@ -231,7 +233,7 @@ def reduce_syndrome(model: GateErrorModel) -> tuple[float, float]:
 
 def reduce(model: GateErrorModel, asymmetry_threshold: float = 2.0) -> ReducedRates:
     """Reduce a full gate error model to the six scalar rates."""
-    if not asymmetry_threshold >= 1.0:
+    if not is_real(asymmetry_threshold) or not asymmetry_threshold >= 1.0:
         raise ModelError("asymmetry threshold must be >= 1")
     p0x, p0z = reduce_syndrome(model)
     p1x, p1z = reduce_data_idle(model)

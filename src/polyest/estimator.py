@@ -29,7 +29,9 @@ from dataclasses import dataclass
 from itertools import product
 
 from .error_model import GateErrorModel, ReducedRates, reduce
-from .store import AXES, DISTANCES, RateDatabase, check_int, format_value, ladder_neighbors
+from .store import (
+    AXES, DISTANCES, RateDatabase, check_int, format_value, is_int, is_real, ladder_neighbors,
+)
 
 MAX_SCAN_DISTANCE = 1001
 
@@ -86,7 +88,8 @@ def interpolate(
     warnings: set[str] | None = None,
 ) -> float:
     """Trilinear log-space interpolation of the stored rate of one kind."""
-    if d not in DISTANCES:
+    # An int is an integer; testing its type first spares each query a call.
+    if d not in DISTANCES or type(d) is not int and not is_int(d):
         raise ValueError(f"interpolation is defined for d in {DISTANCES}, got {d}")
     if kind not in ("x", "z"):
         raise ValueError(f"kind must be 'x' or 'z', got {kind!r}")
@@ -137,7 +140,7 @@ def fit(p3: float, p4: float, p5: float, p6: float) -> ExtrapolationFit:
     """Fit the odd and even geometric decays to the four direct rates."""
     direct = (p3, p4, p5, p6)
     for name, v in zip(("p3", "p4", "p5", "p6"), direct):
-        if not isinstance(v, (int, float)) or not math.isfinite(v) or v <= 0.0:
+        if not is_real(v) or not math.isfinite(v) or v <= 0.0:
             raise FitRangeError(f"extrapolation requires positive finite {name}, got {v!r}")
     x = p5 / p3
     y = p6 / p4

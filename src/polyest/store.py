@@ -54,6 +54,11 @@ def is_int(value) -> bool:
     return isinstance(value, numbers.Integral)
 
 
+def is_real(value) -> bool:
+    """Whether ``value`` is a real number: an int or a float, never a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def check_int(error: type[Exception], name: str, value, low: int) -> int:
     """``value`` as a Python int; raises ``error`` unless it is an integer >= low."""
     if not is_int(value) or value < low:
@@ -73,9 +78,7 @@ def is_low_confidence(fails_x: int, fails_z: int) -> bool:
 
 def ladder_decompose(value: float) -> tuple[int, int] | None:
     """Return (mantissa, exponent) if value is exactly on the 1-2-5 ladder."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        return None
-    if not math.isfinite(value) or value <= 0.0:
+    if not is_real(value) or not math.isfinite(value) or value <= 0.0:
         return None
     e0 = round(math.log10(value))
     for e in range(e0 - 1, e0 + 2):
@@ -140,7 +143,8 @@ def ladder_neighbors(value: float, axis: str) -> LadderBracket:
     """
     if axis not in AXES:
         raise DbError(f"unknown axis {axis!r}")
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    # A float is real; testing its type first spares the query path a call.
+    if type(value) is not float and not is_real(value):
         raise DbError(f"axis value must be a number, got {value!r}")
     if not math.isfinite(value) or value <= 0.0:
         raise DbError(f"axis {axis} value must be positive and finite, got {value!r}")
@@ -177,7 +181,8 @@ class DbEntry:
     rounds) exactly (checked); seeded entries, used to install externally
     known rates, carry shots == rounds == fails_x == fails_z == 0 (checked)
     and are exempt from the rate and flag consistency checks.  Numpy scalars
-    are stored as Python ints and floats, so save writes what load reads.
+    are stored as Python ints, floats and bools, so save writes what load
+    reads; a low_confidence that is not a bool raises DbError.
     """
 
     d: int
@@ -205,6 +210,11 @@ class DbEntry:
             if not isinstance(v, float) or not 0.0 <= v <= 1.0:
                 raise DbError(f"{name} must be a float in [0, 1], got {v!r}")
             object.__setattr__(self, name, float(v))
+        flag = self.low_confidence
+        if type(flag) is not bool:  # a numpy bool scalar (dtype kind "b") is stored as a bool
+            if getattr(flag, "dtype", None) != bool or flag.ndim:
+                raise DbError(f"low_confidence must be a bool, got {flag!r}")
+            object.__setattr__(self, "low_confidence", bool(flag))
         if self.shots == 0:
             nonzero = [n for n in ("rounds", "fails_x", "fails_z") if getattr(self, n)]
             if nonzero:

@@ -17,14 +17,14 @@ Z-stabilizer circuits use the data qubit as CNOT control, X-stabilizer
 circuits the syndrome qubit.  A missing neighbor leaves an identity of CNOT
 duration in the slot.  Because every syndrome reaches in the same compass
 direction per step, each data qubit meets its adjacent syndromes in the
-complementary order and no qubit is touched twice in one step.  _Compiled
+complementary order and no qubit is touched twice in one step.  Layout
 (the CNOT slots) and _run_cycle (the step order) are the one definition of
 this cycle.
 
 The simulator tracks X/Z Pauli frames only (CNOT propagates control-X onto
 the target and target-Z onto the control; Hadamard exchanges the two bits).
 Errors follow the reduced six-rate model as five independent fault classes
-per cycle (_Compiled.classes), each striking just after a step of the cycle:
+per cycle (Layout.classes), each striking just after a step of the cycle:
 
 * a uniform 15-way two-qubit depolarizing flip of probability p2 after every
   executed CNOT;
@@ -50,6 +50,8 @@ decoded.  A shot's faults are drawn by count: a binomial number of hits per
 fault class, placed on distinct uniformly random sites.  That is the
 independent per-site draw in distribution, at a cost that grows with the
 faults a shot holds rather than with its sites.
+
+A Layout holds all of this for one distance, built once by its constructor.
 """
 
 from __future__ import annotations
@@ -92,10 +94,21 @@ class Rates(NamedTuple):
 
 
 class Layout:
-    """Qubit coordinates, stabilizer supports and logical operators.
+    """Everything the simulator keeps per distance, built once.
 
-    Qubit ids are assigned data qubits first, then Z-stabilizer syndromes,
-    then X-stabilizer syndromes, each block in sorted coordinate order.
+    The lattice: qubit coordinates, stabilizer supports and logical
+    operators, with qubit ids assigned data qubits first, then Z-stabilizer
+    syndromes, then X-stabilizer syndromes, each block in sorted coordinate
+    order.  The cycle: the CNOT slots of each CNOT step, built from the
+    stabilizer neighbors in its direction, Z stabilizers first, and the
+    fault classes placed on this distance's sites.  A fault id is a row of
+    the fault table: CNOT faults (slot * 15 + Pauli index) from 0, idle
+    faults (idle slot, data qubit, X|Z) next, then the outcome flips of Z
+    and of X stabilizers.  ``by_id`` gives each fault id's (class, site,
+    choice); the strike tables give its step, its two qubits and the X and
+    Z bits it leaves on each.  Last, the single-fault table ``faults`` and
+    its X- and Z-graph ``footprints``.  get_layout shares one layout per
+    distance; a layout built directly has its own, equal tables.
     """
 
     def __init__(self, d: int):
@@ -137,6 +150,64 @@ class Layout:
         self.logical_x_ids = np.array([self.qubit_id[c] for c in self.logical_x_support])
         self.logical_z_ids = np.array([self.qubit_id[c] for c in self.logical_z_support])
 
+        qid = self.qubit_id
+        self.cnot_ctrl: list[np.ndarray] = []
+        self.cnot_tgt: list[np.ndarray] = []
+        cnot_sites = []
+        for k, direction in enumerate(DIRECTIONS):
+            ctrl, tgt = [], []
+            for stab, coords, nbrs in (
+                ("z", self.z_stabs, self.z_neighbors),
+                ("x", self.x_stabs, self.x_neighbors),
+            ):
+                for idx, coord in enumerate(coords):
+                    nbr = nbrs[idx][k]
+                    if nbr is None:
+                        continue
+                    s, q = qid[coord], qid[nbr]
+                    # Z-stabilizer circuits: data controls; X-stabilizer: syndrome.
+                    c, t = (q, s) if stab == "z" else (s, q)
+                    ctrl.append(c)
+                    tgt.append(t)
+                    cnot_sites.append(((stab, idx, direction), 2 + k, (c, t)))
+            if len(set(ctrl + tgt)) != 2 * len(ctrl):
+                raise LayoutError(f"a qubit takes two CNOTs in step cnot_{direction}")
+            self.cnot_ctrl.append(np.array(ctrl))
+            self.cnot_tgt.append(np.array(tgt))
+        idle_sites = tuple(
+            (("data", di, slot), step, (di, di))
+            for slot, step in enumerate(IDLE_STEPS) for di in range(self.n_data)
+        )
+        z_flips, x_flips = (
+            tuple(((stab, idx), 7, (q, q)) for idx, q in enumerate(ids.tolist()))
+            for stab, ids in (("z", self.zsyn_ids), ("x", self.xsyn_ids))
+        )
+        idle0 = 15 * len(cnot_sites)
+        flip0 = idle0 + 2 * len(idle_sites)
+        cnot, idle_x, idle_z, flip_x, flip_z = _CLASSES
+        # Z-stabilizer outcomes are flipped at rate p0x, X-stabilizer ones at p0z.
+        self.classes = (
+            cnot._replace(first=0, stride=15, sites=tuple(cnot_sites)),
+            idle_x._replace(first=idle0, stride=2, sites=idle_sites),
+            idle_z._replace(first=idle0 + 1, stride=2, sites=idle_sites),
+            flip_x._replace(first=flip0, stride=1, sites=z_flips),
+            flip_z._replace(first=flip0 + self.n_z, stride=1, sites=x_flips),
+        )
+
+        self.by_id: list = [None] * sum(len(c.sites) * len(c.paulis) for c in self.classes)
+        for cls in self.classes:
+            for s, site in enumerate(cls.sites):
+                for k in range(len(cls.paulis)):
+                    self.by_id[cls.first + cls.stride * s + k] = (cls, site, k)
+        self.strike_step = np.array([site[1] for _, site, _ in self.by_id])
+        self.strike_qubit = np.array([site[2] for _, site, _ in self.by_id])
+        self.strike_x, self.strike_z = (
+            np.array([[p in letters for p in cls.strikes[k]] for cls, _, k in self.by_id])
+            for letters in ("xy", "yz")
+        )
+
+        self.faults, self.footprints = _single_faults(self)
+
     def _neighbors(self, coord: Coord) -> tuple[Coord | None, ...]:
         i, j = coord
         out = []
@@ -147,9 +218,16 @@ class Layout:
         return tuple(out)
 
 
+_layouts: dict[int, Layout] = {}
+
+
 def get_layout(d: int) -> Layout:
     """Shared layout instance per distance; layouts are immutable in practice."""
-    return _compiled(check_int(LayoutError, "code distance", d, 3)).layout
+    d = check_int(LayoutError, "code distance", d, 3)
+    layout = _layouts.get(d)
+    if layout is None:
+        layout = _layouts.setdefault(d, Layout(d))
+    return layout
 
 
 class _Footprints(NamedTuple):
@@ -173,7 +251,7 @@ class _FaultClass(NamedTuple):
     Each site is hit at ``site_rate(rates)`` per cycle, and a hit takes one
     of ``paulis`` (its fault-table labels) uniformly, so one fault has
     probability site_rate / len(paulis); choice k leaves ``strikes[k]``, a
-    Pauli letter per qubit of the site.  _Compiled places the class: per
+    Pauli letter per qubit of the site.  Layout places the class: per
     site, ``sites`` holds its FaultEffect.site, the step it strikes after and
     its two qubits (a one-qubit site names its qubit twice and strikes I on
     the second); choice k at site s is fault id first + stride * s + k.
@@ -189,7 +267,7 @@ class _FaultClass(NamedTuple):
     sites: tuple = ()
 
 
-# The five fault classes, in draw order, before _Compiled places them.
+# The five fault classes, in draw order, before Layout places them.
 _CLASSES = (
     _FaultClass("cnot", "p2", lambda r: r.p2, TWO_QUBIT_PAULIS, TWO_QUBIT_PAULIS),
     _FaultClass("idle", "idle_x", lambda r: 2.0 * r.p1x / 3.0, ("x",), ("xi",)),
@@ -198,92 +276,6 @@ _CLASSES = (
     _FaultClass("flip", "flip_z", lambda r: r.p0z, ("flip",), ("xi",)),
 )
 _CLASS_OF = {c.rate_kind: c for c in _CLASSES}
-
-
-class _Compiled:
-    """Everything the simulator keeps per distance, cached by _compiled.
-
-    Holds the layout, the CNOT slots of the four CNOT steps, the fault
-    classes placed on this distance's sites and, once enumerated, the
-    single-fault table with its X- and Z-graph footprints.  The slots of
-    each step are built from the stabilizer neighbors in that step's
-    direction, Z stabilizers first, then X stabilizers.  A fault id is a
-    row of the fault table: CNOT faults (slot * 15 + Pauli index) from 0,
-    idle faults (idle slot, data qubit, X|Z) next, then the outcome flips of
-    Z and of X stabilizers.  ``by_id`` gives each fault id's (class, site,
-    choice), and the strike tables give, per fault id, the step it strikes
-    after, its two qubits and the X and Z bits it leaves on each.
-    """
-
-    def __init__(self, d: int):
-        self.layout = layout = Layout(d)
-        self.faults: tuple[FaultEffect, ...] | None = None
-        self.footprints: tuple[_Footprints, _Footprints] | None = None
-        qid = layout.qubit_id
-        self.cnot_ctrl: list[np.ndarray] = []
-        self.cnot_tgt: list[np.ndarray] = []
-        cnot_sites = []
-        for k, direction in enumerate(DIRECTIONS):
-            ctrl, tgt = [], []
-            for stab, coords, nbrs in (
-                ("z", layout.z_stabs, layout.z_neighbors),
-                ("x", layout.x_stabs, layout.x_neighbors),
-            ):
-                for idx, coord in enumerate(coords):
-                    nbr = nbrs[idx][k]
-                    if nbr is None:
-                        continue
-                    s, q = qid[coord], qid[nbr]
-                    # Z-stabilizer circuits: data controls; X-stabilizer: syndrome.
-                    c, t = (q, s) if stab == "z" else (s, q)
-                    ctrl.append(c)
-                    tgt.append(t)
-                    cnot_sites.append(((stab, idx, direction), 2 + k, (c, t)))
-            if len(set(ctrl + tgt)) != 2 * len(ctrl):
-                raise LayoutError(f"a qubit takes two CNOTs in step cnot_{direction}")
-            self.cnot_ctrl.append(np.array(ctrl))
-            self.cnot_tgt.append(np.array(tgt))
-        idle_sites = tuple(
-            (("data", di, slot), step, (di, di))
-            for slot, step in enumerate(IDLE_STEPS) for di in range(layout.n_data)
-        )
-        z_flips, x_flips = (
-            tuple(((stab, idx), 7, (q, q)) for idx, q in enumerate(ids.tolist()))
-            for stab, ids in (("z", layout.zsyn_ids), ("x", layout.xsyn_ids))
-        )
-        idle0 = 15 * len(cnot_sites)
-        flip0 = idle0 + 2 * len(idle_sites)
-        cnot, idle_x, idle_z, flip_x, flip_z = _CLASSES
-        # Z-stabilizer outcomes are flipped at rate p0x, X-stabilizer ones at p0z.
-        self.classes = (
-            cnot._replace(first=0, stride=15, sites=tuple(cnot_sites)),
-            idle_x._replace(first=idle0, stride=2, sites=idle_sites),
-            idle_z._replace(first=idle0 + 1, stride=2, sites=idle_sites),
-            flip_x._replace(first=flip0, stride=1, sites=z_flips),
-            flip_z._replace(first=flip0 + layout.n_z, stride=1, sites=x_flips),
-        )
-
-        self.by_id: list = [None] * sum(len(c.sites) * len(c.paulis) for c in self.classes)
-        for cls in self.classes:
-            for s, site in enumerate(cls.sites):
-                for k in range(len(cls.paulis)):
-                    self.by_id[cls.first + cls.stride * s + k] = (cls, site, k)
-        self.strike_step = np.array([site[1] for _, site, _ in self.by_id])
-        self.strike_qubit = np.array([site[2] for _, site, _ in self.by_id])
-        self.strike_x, self.strike_z = (
-            np.array([[p in letters for p in cls.strikes[k]] for cls, _, k in self.by_id])
-            for letters in ("xy", "yz")
-        )
-
-
-_cache: dict[int, _Compiled] = {}
-
-
-def _compiled(d: int) -> _Compiled:
-    comp = _cache.get(d)
-    if comp is None:
-        comp = _cache.setdefault(d, _Compiled(d))
-    return comp
 
 
 @dataclass(frozen=True)
@@ -315,20 +307,22 @@ class FaultEffect:
 
 
 def enumerate_single_faults(layout: Layout) -> tuple[FaultEffect, ...]:
+    """The single-fault table of ``layout``'s cycle, one FaultEffect per fault id."""
+    return layout.faults
+
+
+def _single_faults(layout: Layout) -> tuple[tuple[FaultEffect, ...], tuple[_Footprints, ...]]:
     """Propagate every elementary fault of one cycle in isolation.
 
     Fault id f runs alone in frame row f of one noisy cycle, followed by two
     noiseless cycles.  Residual data errors are static after the faulty
     cycle, so all detection events land within a one-round offset
-    (checked).  The table, and the footprint tables that Monte Carlo XORs
-    (_Compiled.footprints), are computed once per distance.
+    (checked).  Returns the fault table and the footprint tables that Monte
+    Carlo XORs, which the Layout constructor stores.
     """
-    comp = _compiled(layout.d)
-    if comp.faults is not None:
-        return comp.faults
-    n = len(comp.by_id)
+    n = len(layout.by_id)
     ids = np.arange(n)
-    det_x, det_z, flips_x, flips_z = _simulate_batch(comp, (ids, np.zeros_like(ids), ids), n, 3)
+    det_x, det_z, flips_x, flips_z = _simulate_batch(layout, (ids, np.zeros_like(ids), ids), n, 3)
     footprints, events = [], []
     for det, flips in ((det_x, flips_x), (det_z, flips_z)):
         rows, offset, site = np.nonzero(det)  # sorted by row, then offset, then site
@@ -338,7 +332,7 @@ def enumerate_single_faults(layout: Layout) -> tuple[FaultEffect, ...]:
         bounds = ptr.tolist()
         events.append([tuple(pairs[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
     faults = []
-    for row, (cls, (site, step, _), k) in enumerate(comp.by_id):
+    for row, (cls, (site, step, _), k) in enumerate(layout.by_id):
         evx, evz = events[0][row], events[1][row]
         for ev in (evx, evz):
             if len(ev) > 2 or any(t > 1 for _, t in ev):
@@ -350,32 +344,29 @@ def enumerate_single_faults(layout: Layout) -> tuple[FaultEffect, ...]:
             pauli=cls.paulis[k], events_x=evx, events_z=evz,
             flip_x=bool(flips_x[row]), flip_z=bool(flips_z[row]),
         ))
-    comp.faults = tuple(faults)
-    comp.footprints = tuple(footprints)
-    return comp.faults
+    return tuple(faults), tuple(footprints)
 
 
-def _run_cycle(comp, fx, fz, meas_z, meas_x, row, fid):
+def _run_cycle(layout, fx, fz, meas_z, meas_x, row, fid):
     """Advance frames through one extraction cycle, recording its outcomes.
 
     The eight steps of the module docstring run in order.  ``row`` and
     ``fid`` are the (frame row, fault id) hits of this cycle: after each
     step, the hits whose site strikes after it XOR their bits from the
-    _Compiled strike tables into the frames (with bitwise_xor.at, as an idle
+    layout's strike tables into the frames (with bitwise_xor.at, as an idle
     X and an idle Z may hit one qubit in the same step).  An outcome flip is
     an X on the syndrome qubit after step 7, just before it is measured.
     """
-    layout = comp.layout
     xsyn = layout.xsyn_ids
     syn = layout.syn_ids
-    step_of = comp.strike_step[fid]
+    step_of = layout.strike_step[fid]
 
     def strike(step):
         at = step_of == step
         f = fid[at]
-        index = (row[at, None], comp.strike_qubit[f])
-        np.bitwise_xor.at(fx, index, comp.strike_x[f])
-        np.bitwise_xor.at(fz, index, comp.strike_z[f])
+        index = (row[at, None], layout.strike_qubit[f])
+        np.bitwise_xor.at(fx, index, layout.strike_x[f])
+        np.bitwise_xor.at(fz, index, layout.strike_z[f])
 
     def swap_had():
         tmp = fx[:, xsyn].copy()
@@ -391,8 +382,8 @@ def _run_cycle(comp, fx, fz, meas_z, meas_x, row, fid):
     strike(1)
     # steps 2..5: CNOT sweeps
     for k in range(4):
-        c = comp.cnot_ctrl[k]
-        tg = comp.cnot_tgt[k]
+        c = layout.cnot_ctrl[k]
+        tg = layout.cnot_tgt[k]
         fx[:, tg] = fx[:, tg] ^ fx[:, c]
         fz[:, c] = fz[:, c] ^ fz[:, tg]
         strike(2 + k)
@@ -532,7 +523,7 @@ def _shot_keys(seed: int, shots: range) -> np.ndarray:
 
 
 def _draw_noise(
-    seed: int, shot_indices: range, R: int, comp: _Compiled, rates: Rates
+    seed: int, shot_indices: range, R: int, layout: Layout, rates: Rates
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw every fault of a batch of shots as (row, cycle, fault id) hits.
 
@@ -543,19 +534,19 @@ def _draw_noise(
     hashed at once (_shot_keys) and one Philox is rekeyed per shot.  A shot
     draws its faults by count, so its cost grows with the faults it holds,
     not with the number of sites: first the hit count k ~ Binomial(sites,
-    rate) of each class of _Compiled.classes, in class order, then one
+    rate) of each class of layout.classes, in class order, then one
     block of uniforms that Floyd's algorithm turns into k distinct sites per
     class, each CNOT hit also taking a uniform Pauli index from its uniform.
     In distribution this is one independent Bernoulli draw per site (up to
     the 2**-53 resolution of a double, as for a direct per-site draw); a
     class at rate 0 has no hits and draws nothing, and one at rate 1 hits
-    every site.  Fault ids are the rows of the fault table (see _Compiled).
+    every site.  Fault ids are the rows of the fault table (see Layout).
     """
     # Per class: sites, rate per site, Pauli choices, sites per cycle, first
     # fault id, fault id stride.
     classes = [
         (R * len(c.sites), c.site_rate(rates), len(c.paulis), len(c.sites), c.first, c.stride)
-        for c in comp.classes
+        for c in layout.classes
     ]
     draws = [(n, q) for n, q, *_ in classes]
     bit_gen = np.random.Philox(key=0)
@@ -597,7 +588,7 @@ def _draw_noise(
     return tuple(np.array(a, dtype=np.int64) for a in (rows, cycles, fids))
 
 
-def _detection_events(comp: _Compiled, hits, b: int, R: int) -> list[tuple[tuple, np.ndarray]]:
+def _detection_events(layout: Layout, hits, b: int, R: int) -> list[tuple[tuple, np.ndarray]]:
     """Detection events and actual logical flips of a batch, by footprint XOR.
 
     ``hits`` are _draw_noise's (row, cycle, fault id) arrays for ``b`` shots
@@ -612,7 +603,7 @@ def _detection_events(comp: _Compiled, hits, b: int, R: int) -> list[tuple[tuple
     """
     row, cycle, fid = hits
     out = []
-    for fp in comp.footprints:
+    for fp in layout.footprints:
         # k runs over the footprint events of every hit, hit by hit.
         n = fp.ptr[fid + 1] - fp.ptr[fid]
         k = np.repeat(fp.ptr[fid] - (np.cumsum(n) - n), n) + np.arange(n.sum())
@@ -625,7 +616,7 @@ def _detection_events(comp: _Compiled, hits, b: int, R: int) -> list[tuple[tuple
     return out
 
 
-def _simulate_batch(comp: _Compiled, hits, b: int, cycles: int):
+def _simulate_batch(layout: Layout, hits, b: int, cycles: int):
     """Propagate ``b`` frame rows from clean frames through ``cycles`` cycles.
 
     ``hits`` are (row, cycle, fault id) arrays as _draw_noise returns them;
@@ -634,7 +625,6 @@ def _simulate_batch(comp: _Compiled, hits, b: int, cycles: int):
     events of each cycle, (row, cycle, site) per graph, and the actual
     logical flips of the residual frames.
     """
-    layout = comp.layout
     row, cycle, fid = hits
     fx = np.zeros((b, layout.n_qubits), dtype=bool)
     fz = np.zeros((b, layout.n_qubits), dtype=bool)
@@ -646,7 +636,7 @@ def _simulate_batch(comp: _Compiled, hits, b: int, cycles: int):
     out_x = np.empty_like(prev_x)
     for t in range(cycles):
         at = cycle == t
-        _run_cycle(comp, fx, fz, out_z, out_x, row[at], fid[at])
+        _run_cycle(layout, fx, fz, out_z, out_x, row[at], fid[at])
         det_x[:, t] = out_z ^ prev_z
         det_z[:, t] = out_x ^ prev_x
         prev_z, out_z = out_z, prev_z
@@ -695,14 +685,10 @@ def run_monte_carlo(
     rates = Rates(*rates)
     rates.validate()
     shots, rounds, seed, first_shot_index = check_run_args(shots, rounds, seed, first_shot_index)
-    comp = _compiled(layout.d)
     from . import matcher
 
-    # Always enumerated (a cache hit after the first call), since the
-    # footprints it fills are needed even when the caller brings graphs.
-    faults = enumerate_single_faults(layout)
     if graphs is None:
-        graphs = matcher.build_graphs(faults, rates, layout)
+        graphs = matcher.build_graphs(layout.faults, rates, layout)
     elif any(graph.built_for != (layout.d, rates) for graph in graphs):
         raise ValueError(f"graphs were not built by build_graphs for d={layout.d} and {rates}")
     fails = [0, 0]
@@ -710,9 +696,9 @@ def run_monte_carlo(
     while done < shots:
         b = min(_BATCH_SHOTS, shots - done)
         lo = first_shot_index + done
-        hits = _draw_noise(seed, range(lo, lo + b), rounds, comp, rates)
+        hits = _draw_noise(seed, range(lo, lo + b), rounds, layout, rates)
         for k, (graph, (events, actual)) in enumerate(
-            zip(graphs, _detection_events(comp, hits, b, rounds))
+            zip(graphs, _detection_events(layout, hits, b, rounds))
         ):
             matcher.decode_batch(graph, *events, actual)
             fails[k] += int(np.count_nonzero(actual))

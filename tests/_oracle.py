@@ -624,7 +624,7 @@ def oracle_batch_flips(graph, row, site, rnd, b):
     return flips
 
 
-def draw_noise(seed, shot_indices, R, comp, rates):
+def draw_noise(seed, shot_indices, R, layout, rates):
     """polyest 0.2.0's ``_draw_noise``, one Generator built per shot.
 
     The body is the package's as it shipped before the shot keys were
@@ -635,7 +635,7 @@ def draw_noise(seed, shot_indices, R, comp, rates):
     # fault id, fault id stride.
     classes = [
         (R * len(c.sites), c.site_rate(rates), len(c.paulis), len(c.sites), c.first, c.stride)
-        for c in comp.classes
+        for c in layout.classes
     ]
     rows, cycles, fids = [], [], []
     for row, shot in enumerate(shot_indices):

@@ -72,6 +72,9 @@ def test_asymmetry_warning_respects_threshold():
         reduce(model, asymmetry_threshold=0.5)
     with pytest.raises(ModelError):
         reduce(model, asymmetry_threshold=float("nan"))
+    for bad in (True, "3", None):
+        with pytest.raises(ModelError, match="asymmetry threshold must be >= 1"):
+            reduce(model, asymmetry_threshold=bad)
 
 
 def test_measurement_flip_feeds_both_syndrome_rates():

@@ -74,6 +74,13 @@ def test_fit_rejects_nonpositive_rates():
             fit(1e-3, bad, 1e-4, 1e-5)
 
 
+def test_fit_rejects_non_numbers():
+    # A bool is not a rate: True would otherwise fit as 1.0.
+    for bad in (True, np.bool_(True), "1e-3", None):
+        with pytest.raises(FitRangeError, match="positive finite p3"):
+            fit(bad, 0.5, 0.25, 0.125)
+
+
 def test_fit_above_threshold_blocks_extrapolation_only():
     f = fit(1e-3, 1e-3, 2e-3, 1e-3)  # rates grow with distance
     assert f.above_threshold
@@ -174,6 +181,10 @@ def test_interpolate_flags_low_confidence():
 def test_interpolate_validation(bench_db):
     with pytest.raises(ValueError):
         interpolate(bench_db, 7, 1.0, 1.0, 1e-3)
+    for bad in (5.0, True, "5"):
+        with pytest.raises(ValueError, match="interpolation is defined for d in"):
+            interpolate(bench_db, bad, 2.0, 1.0, 1e-3)
+    assert interpolate(bench_db, np.int64(5), 2.0, 1.0, 1e-3) == BENCH_X[5]
     with pytest.raises(ValueError):
         interpolate(bench_db, 3, 1.0, 1.0, 1e-3, "q")
     with pytest.raises(MissingEntryError, match=r"d=3.*r0=1\b"):

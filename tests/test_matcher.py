@@ -716,11 +716,10 @@ def test_batch_decode_validates_events():
 def test_batch_decode_equals_per_row_decode_on_simulated_batches(d, rates, rounds, min_easy):
     layout = get_layout(d)
     graphs = build_graphs(enumerate_single_faults(layout), rates, layout)
-    comp = surface_sim._compiled(d)
     b = 256
-    hits = surface_sim._draw_noise(d, range(b), rounds, comp, rates)
+    hits = surface_sim._draw_noise(d, range(b), rounds, layout, rates)
     for graph, ((row, site, rnd), _) in zip(
-        graphs, surface_sim._detection_events(comp, hits, b, rounds)
+        graphs, surface_sim._detection_events(layout, hits, b, rounds)
     ):
         assert (_batch_flips(graph, row, site, rnd, b)
                 == oracle_batch_flips(graph, row, site, rnd, b)).all()
@@ -742,12 +741,11 @@ def test_decode_does_not_depend_on_the_order_events_are_listed(d, p):
     layout = get_layout(d)
     rates = Rates(*(p,) * 5)
     graphs = build_graphs(enumerate_single_faults(layout), rates, layout)
-    comp = surface_sim._compiled(d)
     b, rounds = 128, 10
-    hits = surface_sim._draw_noise(7, range(b), rounds, comp, rates)
+    hits = surface_sim._draw_noise(7, range(b), rounds, layout, rates)
     rng = np.random.default_rng(7)
     for graph, ((row, site, rnd), _) in zip(
-        graphs, surface_sim._detection_events(comp, hits, b, rounds)
+        graphs, surface_sim._detection_events(layout, hits, b, rounds)
     ):
         flips = _batch_flips(graph, row, site, rnd, b)
         for r, events in zip(np.unique(row).tolist(), _rows_of(row, site, rnd)):

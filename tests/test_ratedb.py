@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import BENCH_X, build_bench_db
 from polyest import ratedb, store
 from polyest.error_model import depolarizing_model
-from polyest.estimator import estimate, evaluate, fit
+from polyest.estimator import estimate, evaluate, fit, interpolate
 from polyest.ratedb import choose_rounds, generate
 from polyest.surface_sim import Layout, LayoutError, Rates, SimResult, get_layout, run_monte_carlo
 from polyest.store import (
@@ -167,6 +167,28 @@ def test_seeded_entries_skip_count_consistency():
     assert e.shots == 0 and e.rounds == 0
     assert e.p_xl == 1.1e-3 and e.p_zl == 1.4e-3
     assert not e.low_confidence
+
+
+def test_low_confidence_flag_is_a_bool(tmp_path):
+    # Only a bool or a numpy bool is a flag; the numpy bool is stored as a
+    # bool, so save and load give back the entry's own flag.
+    for bad in ("no", 1, 0, None, np.array([True])):
+        with pytest.raises(DbError, match="low_confidence must be a bool"):
+            DbEntry.seeded(3, 1.0, 1.0, 1e-3, 1e-4, 1e-4, low_confidence=bad)
+    db = RateDatabase()
+    for r0, flag in ((1.0, np.bool_(True)), (2.0, np.bool_(False)), (5.0, True)):
+        entry = DbEntry.seeded(3, r0, 1.0, 1e-3, 1e-4, 1e-4, low_confidence=flag)
+        assert type(entry.low_confidence) is bool and entry.low_confidence == flag
+        db.add(entry)
+    db.save(tmp_path / "flags.csv")
+    assert RateDatabase.load(tmp_path / "flags.csv").entries() == db.entries()
+
+
+def test_is_real_is_int_or_float_never_bool():
+    for good in (0, 3, -2.5, float("nan"), np.float64(0.5)):
+        assert store.is_real(good)
+    for bad in (True, False, np.bool_(True), "1", None, 1j, np.float32(0.5)):
+        assert not store.is_real(bad)
 
 
 def test_database_add_get_and_duplicates():
@@ -385,6 +407,7 @@ def _integer_entry_points():
         "from_counts d": (lambda n: DbEntry.from_counts(n, 1.0, 1.0, 1e-3, 400, 5, 3, 2), DbError),
         "from_counts shots": (lambda n: DbEntry.from_counts(3, 1.0, 1.0, 1e-3, n, 5, 3, 2), DbError),
         "from_counts fails": (lambda n: DbEntry.from_counts(3, 1.0, 1.0, 1e-3, 400, 5, n, 2), DbError),
+        "interpolate": (lambda n: interpolate(db, n, 2.0, 1.0, 1e-3), ValueError),
         "Layout": (lambda n: Layout(n).d, LayoutError),
         "get_layout": (lambda n: get_layout(n).d, LayoutError),
         "GridSpec": (lambda n: GridSpec((n,), (1.0,), (1.0,), (1e-3,)).distances, DbError),

@@ -61,6 +61,7 @@ def test_layout_rejects_bad_distance(bad):
 def test_layout_accepts_numpy_distance():
     layout = get_layout(np.int64(3))
     assert type(layout.d) is int and layout.d == 3
+    assert layout is get_layout(3)
     assert Layout(np.int32(4)).size == 7
     with pytest.raises(LayoutError, match="^code distance must be an integer >= 3, got "):
         Layout(np.int64(2))
@@ -68,19 +69,18 @@ def test_layout_accepts_numpy_distance():
 
 @pytest.mark.parametrize("d", [3, 4])
 def test_schedule_structure(d):
-    comp = surface_sim._compiled(d)
-    layout = comp.layout
+    layout = get_layout(d)
     assert IDLE_STEPS == (0, 1, 6, 7)
-    for ctrl, tgt in zip(comp.cnot_ctrl, comp.cnot_tgt):
+    for ctrl, tgt in zip(layout.cnot_ctrl, layout.cnot_tgt):
         touched = [int(q) for q in (*ctrl, *tgt)]
         assert len(touched) == len(set(touched))
 
     cnots = [
         (int(c), int(t))
-        for ctrl, tgt in zip(comp.cnot_ctrl, comp.cnot_tgt)
+        for ctrl, tgt in zip(layout.cnot_ctrl, layout.cnot_tgt)
         for c, t in zip(ctrl, tgt)
     ]
-    assert len(cnots) == len(comp.classes[0].sites) == 4 * (d - 1) * (2 * d - 1)
+    assert len(cnots) == len(layout.classes[0].sites) == 4 * (d - 1) * (2 * d - 1)
 
     # orientation: data controls Z-stabilizer circuits, syndrome controls X
     zsyn = set(int(q) for q in layout.zsyn_ids)
@@ -100,11 +100,15 @@ _FAULT_TABLE_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("d", sorted(_FAULT_TABLE_SHA256))
-def test_fault_table_is_pinned(d):
+@pytest.mark.parametrize("d, make", [
+    *(pytest.param(d, get_layout, id=str(d)) for d in sorted(_FAULT_TABLE_SHA256)),
+    # A Layout built directly holds tables of its own, equal to the shared ones.
+    *(pytest.param(d, Layout, id=f"direct-{d}") for d in sorted(_FAULT_TABLE_SHA256)),
+])
+def test_fault_table_is_pinned(d, make):
     # The single-fault table (sites, slot order, footprints) defines every
     # detection graph; any change to the cycle or its slot order shows here.
-    table = repr(enumerate_single_faults(get_layout(d))).encode()
+    table = repr(enumerate_single_faults(make(d))).encode()
     assert hashlib.sha256(table).hexdigest() == _FAULT_TABLE_SHA256[d]
 
 
@@ -230,11 +234,11 @@ def test_fault_classes_cover_the_fault_table(d):
     # cover the fault table exactly once, each id's class has the row's rate
     # kind, and a fault's probability is its class's per-site rate over the
     # class's Pauli choices, bit for bit.
-    comp = surface_sim._compiled(d)
-    faults = enumerate_single_faults(comp.layout)
+    layout = get_layout(d)
+    faults = enumerate_single_faults(layout)
     rates = Rates(p0x=1e-3, p0z=2e-3, p1x=3e-3, p1z=4e-3, p2=1.5e-2)
     ids = []
-    for c in comp.classes:
+    for c in layout.classes:
         q = _class_rates(rates)[c.rate_kind]
         assert c.site_rate(rates) == q
         for s in range(len(c.sites)):
@@ -335,33 +339,33 @@ def _class_rates(rates):
     }
 
 
-def _dense_zeros(comp, b, R):
+def _dense_zeros(layout, b, R):
     """Zeroed dense noise: per fault class, hit flags and Pauli choices.
 
     One (hit, pauli) pair of (b, R, sites per cycle) arrays per class of
-    comp.classes, in class order.
+    layout.classes, in class order.
     """
-    shape = [(b, R, len(c.sites)) for c in comp.classes]
+    shape = [(b, R, len(c.sites)) for c in layout.classes]
     return [(np.zeros(n, dtype=bool), np.zeros(n, dtype=np.uint8)) for n in shape]
 
 
-def _dense_draw(seed, shot_indices, R, comp, rates):
+def _dense_draw(seed, shot_indices, R, layout, rates):
     """Per-shot noise as dense arrays, one Bernoulli draw per site.
 
     The direct draw that _draw_noise must match in distribution: every site
     of every cycle is hit independently at its class's rate, and every site
     carries a uniform Pauli choice, read only where the site is hit.
     """
-    noise = _dense_zeros(comp, len(shot_indices), R)
+    noise = _dense_zeros(layout, len(shot_indices), R)
     for row, shot in enumerate(shot_indices):
         g = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, shot))))
-        for c, (hit, pauli) in zip(comp.classes, noise):
+        for c, (hit, pauli) in zip(layout.classes, noise):
             hit[row] = g.random(hit.shape[1:]) < _class_rates(rates)[c.rate_kind]
             pauli[row] = g.integers(0, len(c.paulis), size=hit.shape[1:])
     return noise
 
 
-def _noise_from_hits(comp, hits, b, R):
+def _noise_from_hits(layout, hits, b, R):
     """Dense noise arrays holding the faults of _draw_noise's hits.
 
     Checks that every fault id lies in exactly one class's id range (site s,
@@ -370,8 +374,8 @@ def _noise_from_hits(comp, hits, b, R):
     """
     row, t, fid = hits
     owners = np.zeros(fid.size, dtype=int)
-    noise = _dense_zeros(comp, b, R)
-    for c, (hit, pauli) in zip(comp.classes, noise):
+    noise = _dense_zeros(layout, b, R)
+    for c, (hit, pauli) in zip(layout.classes, noise):
         site, k = np.divmod(fid - c.first, c.stride)
         mine = (fid >= c.first) & (site < len(c.sites)) & (k < len(c.paulis))
         owners += mine
@@ -405,22 +409,21 @@ def test_footprint_xor_matches_frame_simulation(seed):
         rates = _EDGE_RATES[seed]
     else:
         rates = Rates(*rng.uniform(0.0, 0.05, 5) * rng.uniform(0.0, 1.0, 5))
-    comp = surface_sim._compiled(d)
-    enumerate_single_faults(comp.layout)
+    layout = get_layout(d)
 
-    hits = surface_sim._draw_noise(seed, shots, R, comp, rates)
+    hits = surface_sim._draw_noise(seed, shots, R, layout, rates)
     assert all(h.dtype == np.int64 and h.shape == hits[0].shape for h in hits)
     assert all(0 <= row < b for row in hits[0].tolist())
     assert all(0 <= t < R for t in hits[1].tolist())
-    for c, (hit, _) in zip(comp.classes, _noise_from_hits(comp, hits, b, R)):
+    for c, (hit, _) in zip(layout.classes, _noise_from_hits(layout, hits, b, R)):
         q = _class_rates(rates)[c.rate_kind]
         if q == 0.0:
             assert not hit.any(), c.rate_kind
         if q == 1.0:
             assert hit.all(), c.rate_kind
 
-    det_x, det_z, actual_x, actual_z = surface_sim._simulate_batch(comp, hits, b, R + 1)
-    got = surface_sim._detection_events(comp, hits, b, R)
+    det_x, det_z, actual_x, actual_z = surface_sim._simulate_batch(layout, hits, b, R + 1)
+    got = surface_sim._detection_events(layout, hits, b, R)
     for ((rows, sites, rnds), actual), det, want_actual in zip(
         got, (det_x, det_z), (actual_x, actual_z)
     ):
@@ -465,13 +468,12 @@ def test_sparse_draw_matches_bernoulli_distribution(mix):
     # Pauli indices as independent per-site draws do.  Both draws are
     # tested, so a miscalibrated statistic shows on the oracle too.
     rates, shots, R = _DRAW_MIXES[mix], 2000, 2
-    comp = surface_sim._compiled(3)
-    enumerate_single_faults(comp.layout)
+    layout = get_layout(3)
     sparse = _noise_from_hits(
-        comp, surface_sim._draw_noise(101, range(shots), R, comp, rates), shots, R
+        layout, surface_sim._draw_noise(101, range(shots), R, layout, rates), shots, R
     )
-    dense = _dense_draw(202, range(shots), R, comp, rates)
-    for i, c in enumerate(comp.classes):
+    dense = _dense_draw(202, range(shots), R, layout, rates)
+    for i, c in enumerate(layout.classes):
         key, q = c.rate_kind, _class_rates(rates)[c.rate_kind]
         per_cycle = len(c.sites)
         n = R * per_cycle  # sites of the class in R cycles
@@ -487,7 +489,7 @@ def test_sparse_draw_matches_bernoulli_distribution(mix):
             ):
                 stat, df = _binomial_chi2(counts, trials, q)
                 assert stat < _chi2_critical(df), (name, key, axis, stat, df)
-    assert comp.classes[0].rate_kind == "p2"
+    assert layout.classes[0].rate_kind == "p2"
     for name, draw in (("sparse", sparse), ("dense", dense)):
         hit, pauli = draw[0]
         paulis = np.bincount(pauli[hit], minlength=15)
@@ -532,9 +534,9 @@ def _oracle_draw_cases():
 def test_draw_noise_matches_frozen_per_shot_draw(d, R, shots, seed, rates):
     # Hashing the keys of a batch at once and rekeying one Philox per shot
     # must draw exactly the hits of one Generator built per shot.
-    comp = surface_sim._compiled(d)
-    got = surface_sim._draw_noise(seed, shots, R, comp, rates)
-    want = draw_noise(seed, shots, R, comp, rates)
+    layout = get_layout(d)
+    got = surface_sim._draw_noise(seed, shots, R, layout, rates)
+    want = draw_noise(seed, shots, R, layout, rates)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype
         np.testing.assert_array_equal(g, w)
@@ -583,11 +585,16 @@ _PINNED_COUNTS = [
 ]
 
 
-@pytest.mark.parametrize("config, counts", _PINNED_COUNTS)
-def test_monte_carlo_counts_are_pinned(config, counts):
+@pytest.mark.parametrize("config, counts, make", [
+    *(pytest.param(*pin, get_layout, id=f"config{i}-counts{i}")
+      for i, pin in enumerate(_PINNED_COUNTS)),
+    # run_monte_carlo reads the layout it is given, here one of its own.
+    pytest.param(*_PINNED_COUNTS[2], Layout, id="direct-config2-counts2"),
+])
+def test_monte_carlo_counts_are_pinned(config, counts, make):
     d, rates, shots, rounds, seed, first = config
     result = run_monte_carlo(
-        get_layout(d), rates, shots, rounds, seed, first_shot_index=first
+        make(d), rates, shots, rounds, seed, first_shot_index=first
     )
     assert (result.fails_x, result.fails_z) == counts
 
