@@ -40,6 +40,7 @@ from .store import (
     AXES,
     DISTANCES,
     LOW_CONFIDENCE_FAILS,
+    MAX_SHOTS,
     DbError,
     GridSpec,
     RateDatabase,
@@ -153,6 +154,10 @@ def _cmd_generate(args) -> int:
             except json.JSONDecodeError as err:
                 raise DbError(f"grid spec {args.grid}: {err}") from None
         grid = GridSpec.from_dict(data)
+    # Checked now, not at the first checkpoint after a point's simulation.
+    out_dir = os.path.dirname(args.out) or "."
+    if not os.path.isdir(out_dir):
+        raise DbError(f"--out directory {out_dir} does not exist")
     run = {key: str(getattr(args, key)) for key in ("seed", "target_fails", "max_shots")}
     if os.path.exists(args.out):
         db = RateDatabase.load(args.out)
@@ -311,12 +316,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="database CSV to create or extend")
     p.add_argument("--seed", type=int, default=1, help="master seed (default 1)")
     p.add_argument(
-        "--target-fails", type=int, default=100,
-        help="failure count per type to stop at (default 100)",
+        "--target-fails", type=int, default=LOW_CONFIDENCE_FAILS,
+        help=f"failure count per type to stop at (default {LOW_CONFIDENCE_FAILS})",
     )
     p.add_argument(
-        "--max-shots", type=int, default=200_000,
-        help="shot budget per grid point (default 200000)",
+        "--max-shots", type=int, default=MAX_SHOTS,
+        help=f"shot budget per grid point (default {MAX_SHOTS})",
     )
     p.set_defaults(func=_cmd_generate)
 

@@ -293,6 +293,8 @@ def build_graphs(
 ) -> tuple[MatchingGraph, MatchingGraph]:
     """Aggregate single-fault footprints into the X and Z detection graphs."""
     rates = Rates(*rates)
+    # A fault's probability is its class's per-site rate over its Pauli choices.
+    fault_rate = {c.rate_kind: c.site_rate(rates) / len(c.paulis) for c in layout.classes}
     # Per graph: edge and boundary classes as [probability sum, mask].
     acc = (({}, {}), ({}, {}))
 
@@ -310,7 +312,7 @@ def build_graphs(
         slot[0] += p
 
     for fault in faults:
-        p = fault.probability(rates)
+        p = fault_rate[fault.rate_kind]
         if p <= 0.0:
             continue
         if fault.events_x:
@@ -327,8 +329,8 @@ def build_graphs(
         return out
 
     graphs = tuple(
-        MatchingGraph(kind, n_sites, classes(edges), classes(boundary))
-        for kind, n_sites, (edges, boundary) in zip("xz", (layout.n_z, layout.n_x), acc)
+        MatchingGraph(kind, fp.n_sites, classes(edges), classes(boundary))
+        for kind, fp, (edges, boundary) in zip("xz", layout.footprints, acc)
     )
     for graph in graphs:
         graph.built_for = (layout.d, rates)

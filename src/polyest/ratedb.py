@@ -15,7 +15,8 @@ from typing import Callable
 import numpy as np
 
 from .store import (
-    DbEntry, DbError, GridSpec, RateDatabase, check_int, format_value, ladder_decompose,
+    LOW_CONFIDENCE_FAILS, MAX_SHOTS, DbEntry, DbError, GridSpec, RateDatabase, check_int,
+    format_value, ladder_decompose,
 )
 from .surface_sim import Rates, SimResult, enumerate_single_faults, get_layout, run_monte_carlo
 
@@ -59,8 +60,8 @@ def generate(
     grid: GridSpec,
     seed: int,
     *,
-    target_fails: int = 100,
-    max_shots: int = 200_000,
+    target_fails: int = LOW_CONFIDENCE_FAILS,
+    max_shots: int = MAX_SHOTS,
     progress: Callable[[str], None] | None = None,
     checkpoint: Callable[[RateDatabase], None] | None = None,
 ) -> tuple[list[tuple], list[tuple]]:

@@ -41,6 +41,9 @@ AXES: dict[str, tuple[float, float]] = {
 }
 DISTANCES = (3, 4, 5, 6)
 LOW_CONFIDENCE_FAILS = 100
+# generate's shot budget per grid point.  Its failure target is
+# LOW_CONFIDENCE_FAILS, so a point that stops at its target is never flagged.
+MAX_SHOTS = 200_000
 
 
 class DbError(ValueError):
@@ -392,7 +395,7 @@ class RateDatabase:
         return db
 
 
-def _axis_tuple(name: str, values: Iterable) -> tuple[float, ...]:
+def _axis_tuple(name: str, values: Iterable) -> tuple:
     out = []
     for v in values:
         if isinstance(v, str):
@@ -400,15 +403,17 @@ def _axis_tuple(name: str, values: Iterable) -> tuple[float, ...]:
                 v = float(v)
             except ValueError:
                 raise DbError(f"bad {name} value {v!r}") from None
-        out.append(_check_axis(name, float(v)))
-    if not out:
-        raise DbError(f"axis {name} has no values")
-    return tuple(sorted(set(out)))
+        out.append(v)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """The set of (d, r0, r1, p2) points one generation run should cover."""
+    """The set of (d, r0, r1, p2) points one generation run should cover.
+
+    Construction checks every value (each d in DISTANCES, each axis value a
+    rung within its AXES range, no axis empty), then sorts and deduplicates.
+    """
 
     distances: tuple[int, ...]
     r0_values: tuple[float, ...]
@@ -418,17 +423,17 @@ class GridSpec:
     def __post_init__(self):
         if not self.distances or not all(is_int(d) and d in DISTANCES for d in self.distances):
             raise DbError(f"distances must be a non-empty subset of {DISTANCES}")
-        object.__setattr__(self, "distances", tuple(map(int, self.distances)))
+        object.__setattr__(self, "distances", tuple(sorted(set(map(int, self.distances)))))
+        for name in AXES:
+            values = {_check_axis(name, v) for v in getattr(self, f"{name}_values")}
+            if not values:
+                raise DbError(f"axis {name} has no values")
+            object.__setattr__(self, f"{name}_values", tuple(sorted(values)))
 
     @classmethod
     def full(cls) -> "GridSpec":
         """Every ladder point of every axis; the complete published grid."""
-        return cls(
-            distances=DISTANCES,
-            r0_values=_AXIS_LADDERS["r0"],
-            r1_values=_AXIS_LADDERS["r1"],
-            p2_values=_AXIS_LADDERS["p2"],
-        )
+        return cls(DISTANCES, *_AXIS_LADDERS.values())
 
     @classmethod
     def desk(cls) -> "GridSpec":
@@ -444,24 +449,16 @@ class GridSpec:
     def from_dict(cls, data: dict) -> "GridSpec":
         if not isinstance(data, dict):
             raise DbError("grid spec must be a JSON object")
-        unknown = set(data) - {"distances", "r0", "r1", "p2"}
+        keys = ("distances", *AXES)
+        unknown = set(data) - set(keys)
         if unknown:
             raise DbError(f"unknown grid spec keys: {sorted(unknown)}")
-        for key in ("distances", "r0", "r1", "p2"):
+        for key in keys:
             if key not in data:
                 raise DbError(f"grid spec missing key {key!r}")
             if not isinstance(data[key], list):
                 raise DbError(f"grid spec {key} must be an array, got {data[key]!r}")
-        distances = data["distances"]
-        try:
-            return cls(
-                distances=tuple(sorted(set(distances))),
-                r0_values=_axis_tuple("r0", data["r0"]),
-                r1_values=_axis_tuple("r1", data["r1"]),
-                p2_values=_axis_tuple("p2", data["p2"]),
-            )
-        except TypeError as err:
-            raise DbError(f"bad grid spec: {err}") from None
+        return cls(tuple(data["distances"]), *(_axis_tuple(name, data[name]) for name in AXES))
 
     def points(self) -> list[tuple[int, float, float, float]]:
         return [

@@ -275,7 +275,6 @@ _CLASSES = (
     _FaultClass("flip", "flip_x", lambda r: r.p0x, ("flip",), ("xi",)),
     _FaultClass("flip", "flip_z", lambda r: r.p0z, ("flip",), ("xi",)),
 )
-_CLASS_OF = {c.rate_kind: c for c in _CLASSES}
 
 
 @dataclass(frozen=True)
@@ -299,11 +298,6 @@ class FaultEffect:
     events_z: tuple[tuple[int, int], ...]
     flip_x: bool
     flip_z: bool
-
-    def probability(self, rates: Rates) -> float:
-        """Its class's per-site rate over the class's Pauli choices."""
-        cls = _CLASS_OF[self.rate_kind]
-        return cls.site_rate(rates) / len(cls.paulis)
 
 
 def enumerate_single_faults(layout: Layout) -> tuple[FaultEffect, ...]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -307,6 +308,22 @@ def test_generate_rejects_zero_target_fails(capsys, tmp_path):
     assert not out_path.exists()
 
 
+def test_generate_rejects_missing_out_directory_before_simulating(capsys, tmp_path, monkeypatch):
+    from polyest import ratedb
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("run_monte_carlo called")
+
+    monkeypatch.setattr(ratedb, "run_monte_carlo", no_simulation)
+    out_path = tmp_path / "missing" / "db.csv"
+    code, out, err = run(
+        capsys, "generate", "--grid", _grid_file(tmp_path), "--out", str(out_path),
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: --out directory {out_path.parent} does not exist\n"
+    assert not out_path.parent.exists()
+
+
 def test_generate_stamps_version_and_warns_on_other_versions(capsys, tmp_path):
     grid = _grid_file(tmp_path)
     out_path = tmp_path / "db.csv"
@@ -452,6 +469,28 @@ def test_simulate_dump_graph(capsys, tmp_path):
         assert a[0] in "xz"
         assert float(w) > 0
         assert m in ("0", "1")
+
+
+# sha256 of the --dump-graph file of both graphs at p0x, p0z, p1x, p1z, p2 =
+# 1e-3, 2e-3, 3e-3, 4e-3, 1.5e-2, recorded with polyest 0.2.0.
+_DUMP_GRAPH_SHA256 = {
+    3: "8025fc039e4e010843846b56843db829d0cf0f1b6b3b7f3a1551a4aa1dfb7732",
+    4: "480cd398309afe71fa448e81393969042004eadbbfa8b495e93f2c1c567e1ecc",
+    5: "7f92340e93ae0dd1e151be1b7a8fd5292f5c672db6f15fdc43d413eda05a927e",
+    6: "248053a3bcdba5c4e1f78ce5ac9dc976b920cb2773698c140bdd36abd32e318a",
+}
+
+
+@pytest.mark.parametrize("d", sorted(_DUMP_GRAPH_SHA256))
+def test_simulate_dump_graph_bytes_are_pinned(capsys, tmp_path, d):
+    dump = tmp_path / "graph.csv"
+    code, _, _ = run(
+        capsys, "simulate", "--distance", str(d), "--p0x", "1e-3", "--p0z", "2e-3",
+        "--p1x", "3e-3", "--p1z", "4e-3", "--p2", "1.5e-2", "--shots", "1", "--rounds", "1",
+        "--dump-graph", str(dump),
+    )
+    assert code == 0
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == _DUMP_GRAPH_SHA256[d]
 
 
 @pytest.mark.parametrize("flag, value", [("--rounds", "0"), ("--shots", "-1"), ("--seed", "-2")])

@@ -210,6 +210,39 @@ def test_edge_probabilities_accumulate_across_faults():
         assert w == -math.log(p)
 
 
+@pytest.mark.parametrize("kind, rates, p", [
+    ("p2", Rates(0, 0, 0, 0, 1.5e-2), 1.5e-2 / 15),
+    ("idle_x", Rates(0, 0, 3e-3, 0, 0), 2 * 3e-3 / 3),
+    ("idle_z", Rates(0, 0, 0, 4e-3, 0), 2 * 4e-3 / 3),
+    ("flip_x", Rates(1e-3, 0, 0, 0, 0), 1e-3),
+    ("flip_z", Rates(0, 2e-3, 0, 0, 0), 2e-3),
+])
+@pytest.mark.parametrize("d", [3, 4])
+def test_single_class_graph_probabilities_sum_their_faults(d, kind, rates, p):
+    # With one fault class at a nonzero rate, each graph class holds the sum,
+    # in fault-table order, of that class's per-fault probability over the
+    # faults of the class whose events it joins, and no other class exists.
+    layout = get_layout(d)
+    want = ({}, {})
+    for fault in enumerate_single_faults(layout):
+        if fault.rate_kind != kind:
+            continue
+        for sums, events in zip(want, (fault.events_x, fault.events_z)):
+            if len(events) == 1:
+                key = ("boundary", events[0][0])
+            elif events:
+                (s1, t1), (s2, t2) = sorted(events, key=lambda e: (e[1], e[0]))
+                key = (s1, s2, t2 - t1)
+            else:
+                continue
+            sums[key] = sums.get(key, 0.0) + p
+    assert want[0] or want[1]
+    for graph, sums in zip(build_graphs(enumerate_single_faults(layout), rates, layout), want):
+        got = {key: cls[0] for key, cls in graph.edges.items()}
+        got.update((("boundary", s), cls[0]) for s, cls in graph.boundary.items())
+        assert got == sums
+
+
 @pytest.mark.parametrize("events", [((0, 0), (1, 0)), ((2, 0),)])
 def test_contributors_disagreeing_on_the_logical_flip_are_rejected(events):
     # An edge or boundary class has one mask bit, so every fault feeding it

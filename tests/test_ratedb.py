@@ -511,10 +511,30 @@ def test_grid_from_dict():
     {"distances": [3.9, 5.2], "r0": [1], "r1": [1], "p2": [1e-3]},
     {"distances": "36", "r0": [1], "r1": [1], "p2": [1e-3]},
     {"distances": [3], "r0": "1", "r1": [1], "p2": [1e-3]},
-], ids=["float_distances", "string_distances", "string_axis"])
+    {"distances": [3], "r0": [True], "r1": [1], "p2": [1e-3]},
+], ids=["float_distances", "string_distances", "string_axis", "bool_axis"])
 def test_grid_from_dict_rejects_malformed_specs(spec):
     with pytest.raises(DbError):
         GridSpec.from_dict(spec)
+
+
+@pytest.mark.parametrize("values", [(500.0,), (0.3,), (True,), ()],
+                         ids=["above_range", "off_ladder", "bool", "empty"])
+@pytest.mark.parametrize("axis", ["r0", "r1", "p2"])
+def test_grid_checks_its_axes_when_built(axis, values):
+    spec = {"distances": (3,), "r0_values": (1.0,), "r1_values": (1.0,), "p2_values": (1e-3,)}
+    spec[f"{axis}_values"] = values
+    with pytest.raises(DbError, match=axis):
+        GridSpec(**spec)
+
+
+def test_grid_sorts_and_dedupes_its_values():
+    grid = GridSpec(distances=(6, 3, 3), r0_values=(2.0, 1, 1.0), r1_values=(1.0, 0.5),
+                    p2_values=(2e-3, 1e-3, 2e-3))
+    assert grid == GridSpec((3, 6), (1.0, 2.0), (0.5, 1.0), (1e-3, 2e-3))
+    assert all(type(v) is float for v in grid.r0_values)
+    points = grid.points()
+    assert len(points) == len(set(points)) == 2 * 2 * 2 * 2
 
 
 def test_choose_rounds_bounds():

@@ -213,7 +213,10 @@ def test_fault_census_d3():
 
 
 def test_fault_probabilities_follow_rate_kinds():
-    faults = enumerate_single_faults(get_layout(3))
+    # A fault's probability is its class's per-site rate over the class's
+    # Pauli choices: p2/15 per CNOT Pauli, 2 p1/3 per idle flip, p0 per
+    # outcome flip.
+    layout = get_layout(3)
     rates = Rates(p0x=1e-3, p0z=2e-3, p1x=3e-3, p1z=4e-3, p2=1.5e-2)
     expected = {
         "p2": 1.5e-2 / 15,
@@ -222,18 +225,19 @@ def test_fault_probabilities_follow_rate_kinds():
         "flip_x": 1e-3,
         "flip_z": 2e-3,
     }
-    seen = {f.rate_kind for f in faults}
-    assert seen == set(expected)
-    for f in faults:
-        assert f.probability(rates) == expected[f.rate_kind]
+    assert {f.rate_kind for f in enumerate_single_faults(layout)} == set(expected)
+    assert [c.rate_kind for c in layout.classes] == list(expected)
+    for c in layout.classes:
+        p = c.site_rate(rates) / len(c.paulis)
+        assert p == expected[c.rate_kind]
+        assert p == _class_rates(rates)[c.rate_kind] / len(c.paulis)
 
 
 @pytest.mark.parametrize("d", [3, 4, 5, 6])
 def test_fault_classes_cover_the_fault_table(d):
     # The class table is the one source of fault ids and rates: its ids
     # cover the fault table exactly once, each id's class has the row's rate
-    # kind, and a fault's probability is its class's per-site rate over the
-    # class's Pauli choices, bit for bit.
+    # kind, and the class's per-site rate is _class_rates's, bit for bit.
     layout = get_layout(d)
     faults = enumerate_single_faults(layout)
     rates = Rates(p0x=1e-3, p0z=2e-3, p1x=3e-3, p1z=4e-3, p2=1.5e-2)
@@ -241,12 +245,12 @@ def test_fault_classes_cover_the_fault_table(d):
     for c in layout.classes:
         q = _class_rates(rates)[c.rate_kind]
         assert c.site_rate(rates) == q
+        assert c.site_rate(rates) / len(c.paulis) == q / len(c.paulis)
         for s in range(len(c.sites)):
             for k in range(len(c.paulis)):
                 f = c.first + c.stride * s + k
                 ids.append(f)
                 assert faults[f].rate_kind == c.rate_kind
-                assert faults[f].probability(rates) == q / len(c.paulis)
     assert sorted(ids) == list(range(len(faults)))
 
 
