@@ -202,8 +202,7 @@ def _cmd_simulate(args) -> int:
 
     rates = Rates(
         p0x=args.p0x, p0z=args.p0z, p1x=args.p1x, p1z=args.p1z, p2=args.p2
-    )
-    rates.validate()
+    ).validate()
     check_run_args(args.shots, args.rounds, args.seed)
     layout = get_layout(args.distance)
     graphs = build_graphs(layout.faults, rates, layout)

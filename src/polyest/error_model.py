@@ -31,12 +31,13 @@ class ModelError(ValueError):
     """Raised for out-of-range probabilities or malformed model input."""
 
 
-def check_probability(name: str, value: float) -> None:
-    """Raise ModelError unless ``value`` is a number (not a bool) in [0, 1]."""
+def check_probability(name: str, value: float) -> float:
+    """``value`` as a Python float; ModelError unless it is a number (not a bool) in [0, 1]."""
     if not is_real(value):
         raise ModelError(f"{name} must be a number, got {value!r}")
     if math.isnan(value) or not 0.0 <= value <= 1.0:
         raise ModelError(f"{name} must lie in [0, 1], got {value!r}")
+    return float(value)
 
 
 def _check_sum(name: str, total: float) -> None:
@@ -54,12 +55,12 @@ class SingleQubitChannel:
 
     def __post_init__(self) -> None:
         for name in ("px", "py", "pz"):
-            check_probability(name, getattr(self, name))
+            object.__setattr__(self, name, check_probability(name, getattr(self, name)))
         _check_sum("single-qubit channel", self.px + self.py + self.pz)
 
     @classmethod
     def depolarizing(cls, p: float) -> "SingleQubitChannel":
-        check_probability("depolarizing rate", p)
+        p = check_probability("depolarizing rate", p)
         return cls(p / 3.0, p / 3.0, p / 3.0)
 
 
@@ -70,7 +71,7 @@ class FlipChannel:
     flip: float = 0.0
 
     def __post_init__(self) -> None:
-        check_probability("flip", self.flip)
+        object.__setattr__(self, "flip", check_probability("flip", self.flip))
 
 
 @dataclass(frozen=True)
@@ -96,8 +97,8 @@ class TwoQubitChannel:
     def __post_init__(self) -> None:
         total = 0.0
         for f in fields(self):
-            value = getattr(self, f.name)
-            check_probability(f.name, value)
+            value = check_probability(f.name, getattr(self, f.name))
+            object.__setattr__(self, f.name, value)
             total += value
         _check_sum("two-qubit channel", total)
 
@@ -108,7 +109,7 @@ class TwoQubitChannel:
 
     @classmethod
     def depolarizing(cls, p: float) -> "TwoQubitChannel":
-        check_probability("depolarizing rate", p)
+        p = check_probability("depolarizing rate", p)
         return cls(**{name: p / 15.0 for name in TWO_QUBIT_PAULIS})
 
 

@@ -138,10 +138,10 @@ class ExtrapolationFit:
 
 def fit(p3: float, p4: float, p5: float, p6: float) -> ExtrapolationFit:
     """Fit the odd and even geometric decays to the four direct rates."""
-    direct = (p3, p4, p5, p6)
-    for name, v in zip(("p3", "p4", "p5", "p6"), direct):
+    for name, v in zip(("p3", "p4", "p5", "p6"), (p3, p4, p5, p6)):
         if not is_real(v) or not math.isfinite(v) or v <= 0.0:
             raise FitRangeError(f"extrapolation requires positive finite {name}, got {v!r}")
+    direct = p3, p4, p5, p6 = tuple(map(float, (p3, p4, p5, p6)))
     x = p5 / p3
     y = p6 / p4
     return ExtrapolationFit(

@@ -58,8 +58,10 @@ def is_int(value) -> bool:
 
 
 def is_real(value) -> bool:
-    """Whether ``value`` is a real number: an int or a float, never a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """Whether ``value`` is a real number: numpy scalars count, bools never do."""
+    if type(value) is float:
+        return True
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def check_int(error: type[Exception], name: str, value, low: int) -> int:
@@ -83,6 +85,7 @@ def ladder_decompose(value: float) -> tuple[int, int] | None:
     """Return (mantissa, exponent) if value is exactly on the 1-2-5 ladder."""
     if not is_real(value) or not math.isfinite(value) or value <= 0.0:
         return None
+    value = float(value)  # a float32 would compare with each rung in float32
     e0 = round(math.log10(value))
     for e in range(e0 - 1, e0 + 2):
         for m in LADDER_MANTISSAS:
@@ -147,8 +150,10 @@ def ladder_neighbors(value: float, axis: str) -> LadderBracket:
     if axis not in AXES:
         raise DbError(f"unknown axis {axis!r}")
     # A float is real; testing its type first spares the query path a call.
-    if type(value) is not float and not is_real(value):
-        raise DbError(f"axis value must be a number, got {value!r}")
+    if type(value) is not float:
+        if not is_real(value):
+            raise DbError(f"axis value must be a number, got {value!r}")
+        value = float(value)
     if not math.isfinite(value) or value <= 0.0:
         raise DbError(f"axis {axis} value must be positive and finite, got {value!r}")
     values = _AXIS_LADDERS[axis]

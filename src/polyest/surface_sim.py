@@ -49,13 +49,20 @@ logical flip is the parity of their flip bits.  Only shots with events are
 decoded.  A shot's faults are drawn by count: a binomial number of hits per
 fault class, placed on distinct uniformly random sites.  That is the
 independent per-site draw in distribution, at a cost that grows with the
-faults a shot holds rather than with its sites.
+faults a shot holds rather than with its sites.  A batch is drawn with
+array operations: each shot only rekeys its generator and fills a row of
+doubles, and whole-batch arithmetic turns the rows into counts and sites.
+The hits are those of the per-shot draw, because the binomial's inversion
+reads the same doubles and the arithmetic repeats numpy's operations in
+numpy's order; where numpy would leave its inversion regime, and where a
+Floyd pick may repeat, the sequential rule runs (see _draw_noise).
 
 A Layout holds all of this for one distance, built once by its constructor.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -88,9 +95,11 @@ class Rates(NamedTuple):
     p1z: float
     p2: float
 
-    def validate(self) -> None:
-        for name, value in zip(self._fields, self):
-            check_probability(f"rate {name}", value)
+    def validate(self) -> "Rates":
+        """These rates as Python floats; ModelError unless each lies in [0, 1]."""
+        return Rates(*(
+            check_probability(f"rate {name}", v) for name, v in zip(self._fields, self)
+        ))
 
 
 class Layout:
@@ -516,6 +525,118 @@ def _shot_keys(seed: int, shots: range) -> np.ndarray:
     return keys
 
 
+@functools.lru_cache(maxsize=64)
+def _inversion_tables(draws: tuple[tuple[int, float], ...]) -> np.ndarray | None:
+    """numpy's binomial inversion tables for the (n, p) of each class, or None.
+
+    numpy's random_binomial draws a count by inversion when p <= 0.5 and
+    p * n <= 30, and by BTPE otherwise (None here).  Inversion takes one
+    next_double U_0 and returns the first x <= bound with U_x <= px[x],
+    where U_x = U_{x-1} - px[x-1], or starts over with a fresh double past
+    bound.  px is built by numpy's C arithmetic operation for operation,
+    with the C library's exp, log and sqrt as math calls them, so it holds
+    the same doubles.  Column c of the result holds class c's px[0 ..
+    bound-1], then zeros: past its table a lane that has not stopped
+    (U_x > 0) never stops, so it is left to the per-shot rule, and so is a
+    lane that gets as far as bound.  Neither a restart nor a bound computed
+    one off (by an FMA contraction in numpy's build, say) can change a count.
+    """
+    tables = []
+    for n, p in draws:
+        if p > 0.5 or p * n > 30.0:
+            return None
+        q = 1.0 - p
+        mean = n * p
+        bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
+        table = [math.exp(n * math.log(q))]
+        for x in range(1, bound):
+            table.append((n - x + 1) * p * table[-1] / (x * q))
+        tables.append(table)
+    px = np.zeros((max(map(len, tables)), len(tables)))
+    for c, table in enumerate(tables):
+        px[: len(table), c] = table
+    px.flags.writeable = False  # shared by every call with these draws
+    return px
+
+
+def _floyd(uniforms: list[float], n: int, width: int) -> dict[int, int]:
+    """Floyd's k = len(uniforms) distinct sites of 0..n-1, each with a Pauli index.
+
+    For j = n-k .. n-1 take t uniform in 0..j, or j if t is taken; the
+    width-way Pauli index rides in the same uniform.  Returns site -> Pauli
+    index in pick order.
+    """
+    hit: dict[int, int] = {}
+    for j, u in zip(range(n - len(uniforms), n), uniforms):
+        t, pauli = divmod(int(u * ((j + 1) * width)), width)
+        hit[j if t in hit else t] = pauli
+    return hit
+
+
+def _shot_hits(g: np.random.Generator, classes) -> list[tuple[int, int, int]]:
+    """One shot's (class, site, Pauli index) hits by the per-shot rule.
+
+    The hit count of each class in turn by ``g.binomial``, then one block of
+    uniforms that _floyd turns into each class's sites, in class order.
+    """
+    counts = [g.binomial(n, q) for n, q, *_ in classes]
+    total = sum(counts)
+    uniforms = g.random(total).tolist() if total else []
+    hits = []
+    for c, ((n, _, width, *_), k) in enumerate(zip(classes, counts)):
+        hits += ((c, t, pauli) for t, pauli in _floyd(uniforms[:k], n, width).items())
+        del uniforms[:k]
+    return hits
+
+
+def _block_hits(block: np.ndarray, n: np.ndarray, paulis: np.ndarray, px: np.ndarray):
+    """The (row, class, site, Pauli index) hits ``block`` settles, and the rows it leaves.
+
+    Row r of ``block`` holds the first doubles of shot r's stream, those its
+    binomial and random calls would take in turn; class c has n[c] sites,
+    paulis[c] Pauli choices and inversion table px[:, c].  Class c's count
+    is numpy's inversion loop on double c, run on every lane (row, class)
+    at once by the same subtractions in the same order: once U_x <= px[x],
+    U stays at or below px, so a lane's count is the steps it stays above.
+    The sites' uniforms follow, class by class, and each Floyd pick is one
+    array expression over all hits.  A pick that repeats an earlier pick or
+    an earlier j needs the sequential rule; only a group with two equal
+    picks can hold one, and such a group runs _floyd on its own uniforms.
+    Rows whose counts the tables do not settle, or that need more doubles
+    than the block holds, are left to the per-shot rule.
+    """
+    b, width = block.shape
+    n_cls = len(n)
+    u = block[:, :n_cls].copy()
+    counts = np.zeros((b, n_cls), dtype=np.int64)
+    for row in px:
+        above = u > row
+        if not above.any():
+            break
+        counts += above
+        u -= row
+    totals = counts.sum(axis=1)
+    ok = (counts < len(px)).all(axis=1) & (totals <= width - n_cls)
+    counts[~ok] = 0
+
+    k = counts.ravel()
+    uniforms = block[:, n_cls:][np.arange(width - n_cls) < (totals * ok)[:, None]]
+    group = np.repeat(np.arange(k.size), k)
+    cls = group % n_cls
+    choices = paulis[cls]
+    # Group g's hits end at top[g]; its picks j = n-k .. n-1 take j + 1 here.
+    top = np.cumsum(k)
+    j1 = n[cls] - top[group] + np.arange(1, group.size + 1)
+    site, pauli = np.divmod((uniforms * (j1 * choices)).astype(np.int64), choices)
+    span = int(n.max())
+    picks = np.sort(group * span + site)
+    for grp in set((picks[1:][picks[1:] == picks[:-1]] // span).tolist()):
+        at = slice(top[grp] - k[grp], top[grp])
+        c = grp % n_cls
+        site[at] = list(_floyd(uniforms[at].tolist(), int(n[c]), int(paulis[c])))
+    return (group // n_cls, cls, site, pauli), np.flatnonzero(~ok).tolist()
+
+
 def _draw_noise(
     seed: int, shot_indices: range, R: int, layout: Layout, rates: Rates
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -524,28 +645,42 @@ def _draw_noise(
     Each shot owns a counter-based substream keyed by (seed, shot index), so
     results are independent of batch partitioning: shot i draws from Philox
     keyed by SeedSequence((seed, i)).generate_state(2, uint64), starting at
-    counter 0, whatever batch it is drawn in.  The keys of a batch are
-    hashed at once (_shot_keys) and one Philox is rekeyed per shot.  A shot
-    draws its faults by count, so its cost grows with the faults it holds,
-    not with the number of sites: first the hit count k ~ Binomial(sites,
-    rate) of each class of layout.classes, in class order, then one
-    block of uniforms that Floyd's algorithm turns into k distinct sites per
-    class, each CNOT hit also taking a uniform Pauli index from its uniform.
-    In distribution this is one independent Bernoulli draw per site (up to
-    the 2**-53 resolution of a double, as for a direct per-site draw); a
-    class at rate 0 has no hits and draws nothing, and one at rate 1 hits
-    every site.  Fault ids are the rows of the fault table (see Layout).
+    counter 0, whatever batch it is drawn in.  A shot draws its faults by
+    count, so its cost grows with the faults it holds, not with the number
+    of sites: first the hit count k ~ Binomial(sites, rate) of each class of
+    layout.classes with a nonzero rate, in class order, then one block of
+    uniforms that Floyd's algorithm turns into k distinct sites per class,
+    each CNOT hit also taking a uniform Pauli index from its uniform
+    (_shot_hits, the per-shot rule).  In distribution this is one
+    independent Bernoulli draw per site (up to the 2**-53 resolution of a
+    double, as for a direct per-site draw); a class at rate 0 has no hits
+    and draws nothing, and one at rate 1 hits every site.  Fault ids are the
+    rows of the fault table (see Layout).
+
+    The batch takes the per-shot rule's hits without running it per shot.
+    The keys are hashed at once (_shot_keys); each shot rekeys one Philox
+    and fills a row of a block with its first doubles, and _block_hits
+    settles the rows by whole-batch arithmetic.  That is the same draw
+    because numpy's binomial takes the same next_double as random, one per
+    count while it stays in its inversion regime and short of bound, and
+    _block_hits repeats numpy's IEEE operations in numpy's order.  Rows it
+    leaves run the per-shot rule, as does every row of a batch in which a
+    class falls outside the inversion regime (_inversion_tables).
     """
-    # Per class: sites, rate per site, Pauli choices, sites per cycle, first
-    # fault id, fault id stride.
+    # Per class with a nonzero rate: sites, rate per site, Pauli choices,
+    # sites per cycle, first fault id, fault id stride.
     classes = [
-        (R * len(c.sites), c.site_rate(rates), len(c.paulis), len(c.sites), c.first, c.stride)
-        for c in layout.classes
+        (R * len(c.sites), q, len(c.paulis), len(c.sites), c.first, c.stride)
+        for c in layout.classes if (q := float(c.site_rate(rates)))
     ]
-    draws = [(n, q) for n, q, *_ in classes]
+    if not classes:
+        return tuple(np.zeros(0, dtype=np.int64) for _ in range(3))
+    sites, paulis, per_cycle, first, stride = (
+        np.array(classes).T[[0, 2, 3, 4, 5]].astype(np.int64)
+    )
+    keys = _shot_keys(seed, shot_indices).tolist()
     bit_gen = np.random.Philox(key=0)
     g = np.random.Generator(bit_gen)
-    binomial = g.binomial
     # A fresh stream: counter 0, empty output buffer; the key is set per
     # shot.  Philox's state setter reads these element by element, which
     # is quicker from Python ints than from uint64 arrays.
@@ -557,29 +692,30 @@ def _draw_noise(
         "has_uint32": 0,
         "uinteger": 0,
     }
-    rows, cycles, fids = [], [], []
-    for row, key in enumerate(_shot_keys(seed, shot_indices).tolist()):
-        state["state"]["key"] = key
+    px = _inversion_tables(tuple((n, q) for n, q, *_ in classes))
+    if px is None:
+        hits, slow = (np.zeros(0, dtype=np.int64),) * 4, range(len(keys))
+    else:
+        # The counts' doubles, then the sites' with room for most rows.
+        mean = sum(n * q for n, q, *_ in classes)
+        block = np.empty((len(keys), len(classes) + int(mean + 4.0 * math.sqrt(mean)) + 4))
+        for key, out in zip(keys, block):
+            state["state"]["key"] = key
+            bit_gen.state = state
+            g.random(out=out)
+        hits, slow = _block_hits(block, sites, paulis, px)
+    more = []
+    for row in slow:
+        state["state"]["key"] = keys[row]
         bit_gen.state = state
-        # numpy's binomial returns 0 without drawing when the rate is 0.
-        counts = [binomial(n, q) if q else 0 for n, q in draws]
-        total = sum(counts)
-        if not total:
-            continue
-        uniforms = iter(g.random(total).tolist())
-        for (n, _, width, per_cycle, first, stride), k in zip(classes, counts):
-            # Floyd: for j = n-k .. n-1 take t uniform in 0..j, or j if t is
-            # taken; the width-way Pauli index rides in the same uniform.
-            hit: dict[int, int] = {}
-            for j in range(n - k, n):
-                t, pauli = divmod(int(next(uniforms) * ((j + 1) * width)), width)
-                hit[j if t in hit else t] = pauli
-            for t, pauli in hit.items():
-                cycle, r = divmod(t, per_cycle)
-                rows.append(row)
-                cycles.append(cycle)
-                fids.append(first + stride * r + pauli)
-    return tuple(np.array(a, dtype=np.int64) for a in (rows, cycles, fids))
+        more += ((row, *hit) for hit in _shot_hits(g, classes))
+    if more:
+        hits = [np.concatenate(pair) for pair in zip(hits, np.array(more, dtype=np.int64).T)]
+        order = np.argsort(hits[0], kind="stable")
+        hits = [h[order] for h in hits]
+    row, cls, site, pauli = hits
+    cycle, r = np.divmod(site, per_cycle[cls])
+    return row, cycle, first[cls] + stride[cls] * r + pauli
 
 
 def _detection_events(layout: Layout, hits, b: int, R: int) -> list[tuple[tuple, np.ndarray]]:
@@ -676,8 +812,7 @@ def run_monte_carlo(
     matcher.build_graphs built for this layout's distance and these rates
     (ValueError otherwise); without it they are built here.
     """
-    rates = Rates(*rates)
-    rates.validate()
+    rates = Rates(*rates).validate()
     shots, rounds, seed, first_shot_index = check_run_args(shots, rounds, seed, first_shot_index)
     from . import matcher
 

@@ -21,9 +21,12 @@ this one does, so the two are compared mate for mate.  Only
 ``MatchingError`` comes from the package.
 
 Last, ``draw_noise`` is polyest 0.2.0's noise draw as it first shipped,
-building one Generator per shot: the package now hashes the shot keys of a
-whole batch at once and rekeys one Philox per shot, and must draw the same
-hits.
+building one Generator per shot and calling its binomial and random per
+shot.  The package now hashes the shot keys of a whole batch at once,
+rekeys one Philox per shot only to fill a row of doubles, and turns the
+rows into counts and sites by whole-batch arithmetic that repeats numpy's
+binomial inversion and this Floyd loop; it keeps a per-shot draw for the
+rows that arithmetic leaves.  It must draw exactly these hits.
 """
 
 from __future__ import annotations

@@ -110,6 +110,22 @@ def test_channel_probability_validation(bad):
         TwoQubitChannel(ix=bad)
 
 
+def test_channels_store_numpy_scalars_as_floats():
+    # A numpy scalar is a number like any other: each channel stores the
+    # Python float of its value, so no float32 reaches the arithmetic.
+    for value in (np.float32(1e-3), np.int64(0), np.float64(2e-3), 1):
+        for channel, field in ((FlipChannel(value), "flip"), (SingleQubitChannel(px=value), "px"),
+                               (TwoQubitChannel(xz=value), "xz")):
+            stored = getattr(channel, field)
+            assert type(stored) is float and stored == float(value), (channel, field)
+    p = np.float32(3e-3)
+    assert SingleQubitChannel.depolarizing(p) == SingleQubitChannel.depolarizing(float(p))
+    assert TwoQubitChannel.depolarizing(p) == TwoQubitChannel.depolarizing(float(p))
+    for bad in (np.bool_(True), np.array(0.5)):
+        with pytest.raises(ModelError, match="^flip must be a number"):
+            FlipChannel(bad)
+
+
 def test_channel_sum_validation():
     with pytest.raises(ModelError):
         SingleQubitChannel(0.5, 0.4, 0.2)

@@ -81,6 +81,13 @@ def test_fit_rejects_non_numbers():
             fit(bad, 0.5, 0.25, 0.125)
 
 
+def test_fit_stores_numpy_scalars_as_floats():
+    rates = (np.float32(1e-3), np.int64(1), np.float64(1e-4), 1e-5)
+    f = fit(*rates)
+    assert all(type(v) is float for v in f.direct)
+    assert f == fit(*map(float, rates))
+
+
 def test_fit_above_threshold_blocks_extrapolation_only():
     f = fit(1e-3, 1e-3, 2e-3, 1e-3)  # rates grow with distance
     assert f.above_threshold

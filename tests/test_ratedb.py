@@ -185,10 +185,23 @@ def test_low_confidence_flag_is_a_bool(tmp_path):
 
 
 def test_is_real_is_int_or_float_never_bool():
-    for good in (0, 3, -2.5, float("nan"), np.float64(0.5)):
+    # numpy scalars count as the integer check counts them; bools never do.
+    for good in (0, 3, -2.5, float("nan"), np.float64(0.5), np.float32(0.5), np.int64(3)):
         assert store.is_real(good)
-    for bad in (True, False, np.bool_(True), "1", None, 1j, np.float32(0.5)):
+    for bad in (True, False, np.bool_(True), "1", None, 1j, np.array(0.5)):
         assert not store.is_real(bad)
+
+
+def test_axis_values_take_numpy_scalars_as_floats():
+    grid = GridSpec((3,), (np.float32(2.0), np.int64(5)), (np.float32(0.5),), (np.float64(1e-3),))
+    assert grid == GridSpec((3,), (2.0, 5.0), (0.5,), (1e-3,))
+    assert all(type(v) is float for v in (*grid.r0_values, *grid.r1_values, *grid.p2_values))
+    entry = DbEntry.seeded(3, np.float32(2.0), np.int64(1), 1e-3, 1e-4, 1e-4)
+    assert (type(entry.r0), type(entry.r1)) == (float, float)
+    assert ladder_neighbors(np.float32(2.0), "r0") == LadderBracket(2.0, 2.0, False)
+    # float32(1e-3) is a number, but not the rung 1e-3.
+    with pytest.raises(DbError, match="not on the 1-2-5 ladder"):
+        GridSpec((3,), (2.0,), (1.0,), (np.float32(1e-3),))
 
 
 def test_database_add_get_and_duplicates():

@@ -1,3 +1,4 @@
+import collections
 import functools
 import hashlib
 import math
@@ -8,7 +9,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracle import draw_noise, fault_injection, footprint
@@ -507,11 +508,32 @@ def test_sparse_draw_matches_bernoulli_distribution(mix):
 _WORD_BOUNDARIES = (2**32, 2**64)
 
 
+# Cases that each take one path of _draw_noise, named as draw_paths counts
+# them: (id, d, R, shots, seed, rates, path).
+_PATH_CASES = (
+    # gen_sparse's d=6 point: whole-batch arithmetic settles every row.
+    ("lanes", 6, 60, range(256), 1, Rates(4e-4, 4e-4, 2e-4, 2e-4, 2e-4), "lanes"),
+    # mc_dense's point: a few percent of rows hold a Floyd group with two
+    # equal picks.
+    ("floyd-group", 5, 25, range(256), 1, Rates(*(3e-3,) * 5), "group"),
+    # Every class at p*n = 30: shot 31455 needs 203 doubles after its
+    # counts, one more than its block holds.
+    ("outrun", 3, 60, range(31450, 31460), 0, Rates(0.083, 0.083, 0.0144, 0.0144, 0.0125),
+     "per_shot"),
+    ("rate-above-half", 4, 3, range(40), 5, Rates(0.7, 1e-3, 1e-3, 1e-3, 1e-3), "regime"),
+    # The CI simulate line's point: both outcome-flip classes at p*n = 60,
+    # which numpy draws by BTPE.
+    ("btpe", 3, 200, range(16), 1, Rates(0.05, 0.05, 1e-3, 1e-3, 1e-3), "regime"),
+    ("empty", 5, 25, range(0), 1, Rates(*(3e-3,) * 5), "empty"),
+)
+
+
 def _oracle_draw_cases():
-    # (d, R, shots, seed, rates): every d, R from 1 to 60, batches of 1 to
-    # 256 shots, 64-bit point seeds, and first shots of 0 or just before a
-    # word boundary.  At the edge rates every site of a rate-1 class is hit,
-    # so those batches stay small.
+    # (d, R, shots, seed, rates, path): every d, R from 1 to 60, batches of
+    # 1 to 256 shots, 64-bit point seeds, and first shots of 0 or just
+    # before a word boundary.  At the edge rates every site of a rate-1
+    # class is hit, so those batches stay small.  Then _PATH_CASES, which
+    # check that their path is taken.
     rng = np.random.default_rng(2024)
     cases = [(3, 1, 1, 0, _EDGE_RATES[3]), (6, 60, 256, 0, None)]
     for i in range(16):
@@ -529,21 +551,91 @@ def _oracle_draw_cases():
             rates = Rates(*10.0 ** rng.uniform(-4.0, -2.0, 5))
         seed = ratedb._point_seeds(i, d, 2.0, 1.0, 1e-3)[i % 2]
         params.append(pytest.param(
-            d, R, range(first, first + b), seed, rates, id=f"d{d}-R{R}-b{b}-first{first}"
+            d, R, range(first, first + b), seed, rates, None, id=f"d{d}-R{R}-b{b}-first{first}"
         ))
+    params += (pytest.param(*case[1:], id=f"path-{case[0]}") for case in _PATH_CASES)
     return params
 
 
-@pytest.mark.parametrize("d, R, shots, seed, rates", _oracle_draw_cases())
-def test_draw_noise_matches_frozen_per_shot_draw(d, R, shots, seed, rates):
-    # Hashing the keys of a batch at once and rekeying one Philox per shot
-    # must draw exactly the hits of one Generator built per shot.
-    layout = get_layout(d)
+@pytest.fixture
+def draw_paths(monkeypatch):
+    """Counts of the paths _draw_noise takes, by spying on its helpers.
+
+    ``lanes``: rows settled by whole-batch arithmetic; ``group``: Floyd
+    groups it resolves by the sequential rule; ``per_shot``: rows drawn by
+    the per-shot rule; ``regime``: calls with a class outside numpy's
+    binomial inversion regime.
+    """
+    paths = collections.Counter()
+    block_hits, shot_hits, floyd, tables = (
+        surface_sim._block_hits, surface_sim._shot_hits, surface_sim._floyd,
+        surface_sim._inversion_tables,
+    )
+    in_shot = []
+
+    def spy_block_hits(block, *args):
+        hits, left = block_hits(block, *args)
+        paths["lanes"] += len(block) - len(left)
+        return hits, left
+
+    def spy_shot_hits(*args):
+        paths["per_shot"] += 1
+        in_shot.append(True)
+        try:
+            return shot_hits(*args)
+        finally:
+            in_shot.pop()
+
+    def spy_floyd(*args):
+        paths["group"] += not in_shot
+        return floyd(*args)
+
+    def spy_tables(draws):
+        px = tables(draws)
+        paths["regime"] += px is None
+        return px
+
+    for name, spy in (("_block_hits", spy_block_hits), ("_shot_hits", spy_shot_hits),
+                      ("_floyd", spy_floyd), ("_inversion_tables", spy_tables)):
+        monkeypatch.setattr(surface_sim, name, spy)
+    return paths
+
+
+def _assert_oracle_hits(seed, shots, R, layout, rates):
     got = surface_sim._draw_noise(seed, shots, R, layout, rates)
     want = draw_noise(seed, shots, R, layout, rates)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype
         np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("d, R, shots, seed, rates, path", _oracle_draw_cases())
+def test_draw_noise_matches_frozen_per_shot_draw(d, R, shots, seed, rates, path, draw_paths):
+    # Drawing a batch by whole-batch arithmetic, with the per-shot rule for
+    # the rows it leaves, must draw exactly the hits of one Generator built
+    # per shot.
+    _assert_oracle_hits(seed, shots, R, get_layout(d), rates)
+    if path == "empty":
+        assert not any(draw_paths.values()), draw_paths
+    elif path is not None:
+        assert draw_paths[path] > 0, draw_paths
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.sampled_from((3, 4)),
+    R=st.integers(1, 60),
+    scale=st.sampled_from((1e-3, 1e-2, 0.1, 1.0)),
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5),
+    seed=st.integers(0, 2**64 - 1),
+    start=st.one_of(st.integers(0, 2**20), st.integers(2**32 - 64, 2**32 + 64)),
+    n=st.integers(0, 64),
+)
+def test_draw_noise_matches_frozen_draw_at_any_rates(d, R, scale, fractions, seed, start, n):
+    # Rates anywhere in [0, 1]; the scale keeps some draws wholly inside
+    # numpy's inversion regime, where the batch arithmetic does the work.
+    rates = Rates(*(scale * f for f in fractions))
+    _assert_oracle_hits(seed, range(start, start + n), R, get_layout(d), rates)
 
 
 @given(
@@ -622,6 +714,18 @@ def test_rates_take_the_model_probability_check():
             Rates(0, 0, 0, bad, 0).validate()
     with pytest.raises(ModelError, match=r"^rate p2 must lie in \[0, 1\], got 1.5$"):
         Rates(0, 0, 0, 0, 1.5).validate()
+
+
+def test_rates_run_as_python_floats():
+    # validate returns the rates as Python floats, and run_monte_carlo draws
+    # and decodes with those: float32 rates count as their float values.
+    f32 = np.float32
+    rates = Rates(f32(2e-3), f32(2e-3), np.int64(0), f32(1e-3), f32(1e-2))
+    checked = rates.validate()
+    assert all(type(v) is float for v in checked) and checked == rates
+    layout = get_layout(3)
+    want = run_monte_carlo(layout, Rates(*map(float, rates)), 64, 3, 7)
+    assert run_monte_carlo(layout, rates, 64, 3, 7) == want
 
 
 def test_run_monte_carlo_input_validation():
