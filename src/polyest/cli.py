@@ -31,9 +31,10 @@ from .error_model import ModelError, load_model, reduce
 from .estimator import (
     ComputationError,
     MissingEntryError,
+    _corners,
     _KindQuery,
+    _read_corners,
     estimate,
-    interpolate,
     solve_distance,
 )
 from .store import (
@@ -256,11 +257,9 @@ def _cmd_curve(args) -> int:
     print("p2," + ",".join(f"d{d}" for d in DISTANCES))
     if lo <= hi:
         for p2 in ladder_values(lo, hi):
+            corners = _corners(r0, r1, p2, warnings)  # one row's corners serve every distance
             try:
-                values = [
-                    interpolate(db, d, r0, r1, p2, args.kind, warnings)
-                    for d in DISTANCES
-                ]
+                values = [_read_corners(db, d, corners, args.kind, warnings) for d in DISTANCES]
             except MissingEntryError as err:
                 print(f"skipping p2={format_value(p2)}: {err}", file=sys.stderr)
                 continue

@@ -162,21 +162,28 @@ def fold_single(channel: SingleQubitChannel) -> tuple[float, float]:
     return channel.px + channel.py, channel.pz + channel.py
 
 
+# Per axis, the Paulis of each derived-triple member (only-target, only-control,
+# both) in TWO_QUBIT_PAULIS order.  A Pauli letter acts on the axis if it is the
+# axis letter itself or Y.
+_TRIPLE_NAMES = {
+    axis: tuple(
+        tuple(p for p in TWO_QUBIT_PAULIS if (p[0] in (axis, "y"), p[1] in (axis, "y")) == side)
+        for side in ((False, True), (True, False), (True, True))
+    )
+    for axis in ("x", "z")
+}
+
+
 def _derived_triple(channel: TwoQubitChannel, axis: str) -> tuple[float, float, float]:
-    # Membership: a Pauli letter contributes to the axis if it is the axis
-    # letter itself or Y.  The triple is (only-target, only-control, both).
-    hit = {axis, "y"}
-    only_target = only_control = both = 0.0
-    for pauli in TWO_QUBIT_PAULIS:
-        c, t = pauli
-        p = channel[pauli]
-        if c in hit and t in hit:
-            both += p
-        elif c in hit:
-            only_control += p
-        elif t in hit:
-            only_target += p
-    return only_target, only_control, both
+    # Each member is summed from 0.0 in TWO_QUBIT_PAULIS order.
+    probabilities = vars(channel)
+    triple = []
+    for names in _TRIPLE_NAMES[axis]:
+        total = 0.0
+        for name in names:
+            total += probabilities[name]
+        triple.append(total)
+    return tuple(triple)
 
 
 def reduce_cnot(channel: TwoQubitChannel) -> tuple[float, float, float, float]:

@@ -1,8 +1,10 @@
 """Logical-rate estimation from a rate database plus a reduced error model.
 
 For distances 3 to 6 the estimate is a trilinear interpolation of database
-entries in log10 space over (r0, r1, p2), querying only the requested
-distance.  Queries landing exactly on a grid point return the stored value
+entries in log10 space over (r0, r1, p2).  The grid corners around a query
+and their weights do not depend on the distance, so they are found once per
+error type, and each distance is a lookup of its own entries at them.
+Queries landing exactly on a grid point return the stored value
 bit-for-bit; queries outside an axis range are clamped to the nearest grid
 line and flagged.  Interpolated results are additionally clamped into the
 envelope of the participating corner values, so interpolation can never
@@ -25,6 +27,7 @@ past it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import product
 
@@ -67,15 +70,13 @@ def _axis_corners(value: float, axis: str, warnings: set[str]) -> list[tuple[flo
         # zero p2 is not clamped: _KindQuery answers it without the database.
         value = AXES[axis][0]
         warnings.add("clamped")
-    bracket = ladder_neighbors(value, axis)
-    if bracket.clamped:
+    low, high, clamped = ladder_neighbors(value, axis)
+    if clamped:
         warnings.add("clamped")
-    if bracket.low == bracket.high:
-        return [(bracket.low, 1.0)]
-    t = (math.log10(value) - math.log10(bracket.low)) / (
-        math.log10(bracket.high) - math.log10(bracket.low)
-    )
-    return [(bracket.low, 1.0 - t), (bracket.high, t)]
+    if low == high:
+        return [(low, 1.0)]
+    t = (math.log10(value) - math.log10(low)) / (math.log10(high) - math.log10(low))
+    return [(low, 1.0 - t), (high, t)]
 
 
 def interpolate(
@@ -95,33 +96,34 @@ def interpolate(
         raise ValueError(f"kind must be 'x' or 'z', got {kind!r}")
     if warnings is None:
         warnings = set()
-    axes = [
-        _axis_corners(r0, "r0", warnings),
-        _axis_corners(r1, "r1", warnings),
-        _axis_corners(p2, "p2", warnings),
-    ]
-    corners: list[tuple[float, float]] = []  # (value, weight)
-    for (v0, w0), (v1, w1), (v2, w2) in product(*axes):
-        entry = db.get(d, v0, v1, v2)
+    return _read_corners(db, d, _corners(r0, r1, p2, warnings), kind, warnings)
+
+
+def _corners(r0: float, r1: float, p2: float, warnings: set[str]) -> list:
+    """((r0, r1, p2) corner, weight) of each grid corner of a query, at any distance."""
+    axes = [_axis_corners(value, axis, warnings) for value, axis in zip((r0, r1, p2), AXES)]
+    return [((v0, v1, v2), w0 * w1 * w2) for (v0, w0), (v1, w1), (v2, w2) in product(*axes)]
+
+
+def _read_corners(db: RateDatabase, d: int, corners: list, kind: str, warnings: set[str]) -> float:
+    """One distance's stored rates of one kind at ``corners``, combined in log space."""
+    values, weights = [], []  # of the corners with a positive weight, in corner order
+    for key, weight in corners:
+        entry = db.get(d, *key)
         if entry is None:
-            raise MissingEntryError(
-                "missing database entry "
-                f"(d={d}, r0={format_value(v0)}, r1={format_value(v1)}, "
-                f"p2={format_value(v2)})"
-            )
+            raise MissingEntryError("missing database entry (d={}, r0={}, r1={}, p2={})".format(
+                d, *map(format_value, key)))
         if entry.low_confidence:
             warnings.add("low_confidence")
-        corners.append((entry.p_xl if kind == "x" else entry.p_zl, w0 * w1 * w2))
+        if weight > 0.0:
+            values.append(entry.p_xl if kind == "x" else entry.p_zl)
+            weights.append(weight)
     if len(corners) == 1:
-        return corners[0][0]  # bit-exact at grid points
-    used = [(v, w) for v, w in corners if w > 0.0]
-    if any(v == 0.0 for v, _ in used):
+        return values[0]  # bit-exact at grid points
+    if 0.0 in values:
         return 0.0  # a zero corner pins the geometric mean to zero
-    acc = sum(w * math.log10(v) for v, w in used)
-    result = 10.0 ** acc
-    lo = min(v for v, _ in used)
-    hi = max(v for v, _ in used)
-    return min(max(result, lo), hi)
+    result = 10.0 ** sum(map(operator.mul, weights, map(math.log10, values)))
+    return min(max(result, min(values)), max(values))  # within the corners' envelope
 
 
 @dataclass(frozen=True)
@@ -187,7 +189,11 @@ class Estimate:
 
 
 class _KindQuery:
-    """Per-kind ratios and rates shared by estimate, solve_distance and curve."""
+    """Per-kind ratios and rates shared by estimate, solve_distance and curve.
+
+    The grid corners are found once per error type, on the first direct rate
+    asked for; each distance is then a lookup of its entries at those corners.
+    """
 
     def __init__(self, rr: ReducedRates, kind: str):
         self.kind = kind
@@ -207,14 +213,15 @@ class _KindQuery:
             self.r0 = p0 / p2
             self.r1 = p1 / p2
             self.p2 = p2
+        self._corners: list | None = None
         self._direct: dict[int, float] = {}
         self._fit: ExtrapolationFit | None = None
 
     def direct(self, db, d: int, warnings: set[str]) -> float:
         if d not in self._direct:
-            self._direct[d] = interpolate(
-                db, d, self.r0, self.r1, self.p2, self.kind, warnings
-            )
+            if self._corners is None:
+                self._corners = _corners(self.r0, self.r1, self.p2, warnings)
+            self._direct[d] = _read_corners(db, d, self._corners, self.kind, warnings)
         return self._direct[d]
 
     def fitted(self, db, warnings: set[str]) -> ExtrapolationFit:
@@ -284,8 +291,9 @@ def solve_distance(
     parity extrapolation past it, so a database covering only the distances
     it needs is sufficient for targets met early.
     """
-    if not isinstance(target, float) or not 0.0 < target < 1.0:
+    if not is_real(target) or not 0.0 < target < 1.0:
         raise ValueError(f"target rate must be a float in (0, 1), got {target!r}")
+    target = float(target)
     result = _first_meeting(
         db, model, range(3, MAX_SCAN_DISTANCE + 1), target, asymmetry_threshold
     )

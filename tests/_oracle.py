@@ -27,16 +27,37 @@ rekeys one Philox per shot only to fill a row of doubles, and turns the
 rows into counts and sites by whole-batch arithmetic that repeats numpy's
 binomial inversion and this Floyd loop; it keeps a per-shot draw for the
 rows that arithmetic leaves.  It must draw exactly these hits.
+
+The last part is the query path of polyest 0.2.0 as it stood before a
+query found its grid corners once per error type: ``interpolate`` (which
+brackets (r0, r1, p2) on every call), ``_KindQuery`` calling it once per
+distance, ``estimate`` and ``solve_distance`` over them, and ``reduce`` with
+the ``_derived_triple`` that walks all 15 CNOT entries per axis.  The
+package must answer every query exactly as these do, float for float,
+warning for warning and error for error.  The unchanged pieces (``fit``,
+``_evaluate``, the reductions of the single-qubit channels, the result
+classes and the errors) come from the package.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from itertools import product
 
 import numpy as np
 
+from polyest.error_model import (
+    TWO_QUBIT_PAULIS, ModelError, ReducedRates, reduce_data_idle, reduce_syndrome,
+)
+from polyest.estimator import (
+    MAX_SCAN_DISTANCE, Estimate, ExtrapolationFit, MissingEntryError, ScanLimitError,
+    UndefinedRatioError, _evaluate, fit,
+)
 from polyest.matcher import MatchingError
+from polyest.store import (
+    AXES, DISTANCES, check_int, format_value, is_int, is_real, ladder_neighbors,
+)
 
 # Where a syndrome reaches in each of the four CNOT steps (steps 2..5).
 _REACH = {"n": (-1, 0), "w": (0, -1), "e": (0, 1), "s": (1, 0)}
@@ -661,3 +682,186 @@ def draw_noise(seed, shot_indices, R, layout, rates):
                 cycles.append(cycle)
                 fids.append(first + stride * r + pauli)
     return tuple(np.array(a, dtype=np.int64) for a in (rows, cycles, fids))
+
+
+# ---------------------------------------------------------------------------
+# Frozen query path of polyest 0.2.0
+# ---------------------------------------------------------------------------
+
+
+def _derived_triple(channel, axis):
+    hit = {axis, "y"}
+    only_target = only_control = both = 0.0
+    for pauli in TWO_QUBIT_PAULIS:
+        c, t = pauli
+        p = channel[pauli]
+        if c in hit and t in hit:
+            both += p
+        elif c in hit:
+            only_control += p
+        elif t in hit:
+            only_target += p
+    return only_target, only_control, both
+
+
+def reduce_cnot(channel):
+    out = []
+    for axis in ("x", "z"):
+        triple = _derived_triple(channel, axis)
+        m = max(triple)
+        lo = min(triple)
+        if m == 0.0:
+            asym = 1.0
+        elif lo == 0.0:
+            asym = math.inf
+        else:
+            asym = m / lo
+        out.append((15.0 * m / 4.0, asym))
+    (p2x, asym_x), (p2z, asym_z) = out
+    return p2x, p2z, asym_x, asym_z
+
+
+def reduce(model, asymmetry_threshold=2.0):
+    if not is_real(asymmetry_threshold) or not asymmetry_threshold >= 1.0:
+        raise ModelError("asymmetry threshold must be >= 1")
+    p0x, p0z = reduce_syndrome(model)
+    p1x, p1z = reduce_data_idle(model)
+    p2x, p2z, asym_x, asym_z = reduce_cnot(model.cnot)
+    return ReducedRates(
+        p0x=p0x, p0z=p0z, p1x=p1x, p1z=p1z, p2x=p2x, p2z=p2z,
+        asym_x=asym_x, asym_z=asym_z,
+        asymmetry_warning=max(asym_x, asym_z) > asymmetry_threshold,
+    )
+
+
+def _axis_corners(value, axis, warnings):
+    if value == 0.0 and axis != "p2":
+        value = AXES[axis][0]
+        warnings.add("clamped")
+    bracket = ladder_neighbors(value, axis)
+    if bracket.clamped:
+        warnings.add("clamped")
+    if bracket.low == bracket.high:
+        return [(bracket.low, 1.0)]
+    t = (math.log10(value) - math.log10(bracket.low)) / (
+        math.log10(bracket.high) - math.log10(bracket.low)
+    )
+    return [(bracket.low, 1.0 - t), (bracket.high, t)]
+
+
+def interpolate(db, d, r0, r1, p2, kind="x", warnings=None):
+    if d not in DISTANCES or type(d) is not int and not is_int(d):
+        raise ValueError(f"interpolation is defined for d in {DISTANCES}, got {d}")
+    if kind not in ("x", "z"):
+        raise ValueError(f"kind must be 'x' or 'z', got {kind!r}")
+    if warnings is None:
+        warnings = set()
+    axes = [
+        _axis_corners(r0, "r0", warnings),
+        _axis_corners(r1, "r1", warnings),
+        _axis_corners(p2, "p2", warnings),
+    ]
+    corners = []
+    for (v0, w0), (v1, w1), (v2, w2) in product(*axes):
+        entry = db.get(d, v0, v1, v2)
+        if entry is None:
+            raise MissingEntryError(
+                "missing database entry "
+                f"(d={d}, r0={format_value(v0)}, r1={format_value(v1)}, "
+                f"p2={format_value(v2)})"
+            )
+        if entry.low_confidence:
+            warnings.add("low_confidence")
+        corners.append((entry.p_xl if kind == "x" else entry.p_zl, w0 * w1 * w2))
+    if len(corners) == 1:
+        return corners[0][0]
+    used = [(v, w) for v, w in corners if w > 0.0]
+    if any(v == 0.0 for v, _ in used):
+        return 0.0
+    acc = sum(w * math.log10(v) for v, w in used)
+    result = 10.0 ** acc
+    lo = min(v for v, _ in used)
+    hi = max(v for v, _ in used)
+    return min(max(result, lo), hi)
+
+
+class _KindQuery:
+    def __init__(self, rr, kind):
+        self.kind = kind
+        p0 = rr.p0x if kind == "x" else rr.p0z
+        p1 = rr.p1x if kind == "x" else rr.p1z
+        p2 = rr.p2x if kind == "x" else rr.p2z
+        if p2 == 0.0:
+            if p0 > 0.0 or p1 > 0.0:
+                raise UndefinedRatioError(
+                    f"p2{kind.upper()} is zero while p0/p1 are not; "
+                    "the database ratios r0 and r1 are undefined"
+                )
+            self.trivial = True
+            self.r0 = self.r1 = self.p2 = 0.0
+        else:
+            self.trivial = False
+            self.r0 = p0 / p2
+            self.r1 = p1 / p2
+            self.p2 = p2
+        self._direct = {}
+        self._fit: ExtrapolationFit | None = None
+
+    def direct(self, db, d, warnings):
+        if d not in self._direct:
+            self._direct[d] = interpolate(
+                db, d, self.r0, self.r1, self.p2, self.kind, warnings
+            )
+        return self._direct[d]
+
+    def fitted(self, db, warnings):
+        if self._fit is None:
+            self._fit = fit(*(self.direct(db, dd, warnings) for dd in DISTANCES))
+        return self._fit
+
+    def at(self, db, d, warnings):
+        if self.trivial:
+            return 0.0
+        if d <= 6:
+            return self.direct(db, d, warnings)
+        return _evaluate(self.fitted(db, warnings), d)
+
+
+def _first_meeting(db, model, distances, target, asymmetry_threshold):
+    rr = reduce(model, asymmetry_threshold=asymmetry_threshold)
+    warnings = set()
+    if rr.asymmetry_warning:
+        warnings.add("asymmetric_cnot")
+    query_x, query_z = _KindQuery(rr, "x"), _KindQuery(rr, "z")
+    for d in distances:
+        p_xl = query_x.at(db, d, warnings)
+        p_zl = query_z.at(db, d, warnings)
+        if p_xl <= target and p_zl <= target:
+            return Estimate(
+                d=d,
+                p_xl=p_xl,
+                p_zl=p_zl,
+                warnings=tuple(sorted(warnings)),
+                rates=rr,
+                fit_x=query_x._fit,
+                fit_z=query_z._fit,
+            )
+    return None
+
+
+def estimate(db, model, d, *, asymmetry_threshold=2.0):
+    distances = (check_int(ValueError, "distance", d, 3),)
+    return _first_meeting(db, model, distances, math.inf, asymmetry_threshold)
+
+
+def solve_distance(db, model, target, *, asymmetry_threshold=2.0):
+    if not isinstance(target, float) or not 0.0 < target < 1.0:
+        raise ValueError(f"target rate must be a float in (0, 1), got {target!r}")
+    result = _first_meeting(
+        db, model, range(3, MAX_SCAN_DISTANCE + 1), target, asymmetry_threshold
+    )
+    if result is None:
+        raise ScanLimitError(
+            f"no distance up to {MAX_SCAN_DISTANCE} reaches target {target!r}"
+        )
+    return result

@@ -3,6 +3,7 @@ from itertools import product
 import pytest
 from hypothesis import settings
 
+from polyest import estimator
 from polyest.store import DbEntry, RateDatabase
 
 # Property tests draw their examples from a fixed seed and ignore the
@@ -40,3 +41,17 @@ def build_flat_db(r0s, r1s, p2s):
 @pytest.fixture()
 def bench_db():
     return build_bench_db()
+
+
+@pytest.fixture()
+def bracket_calls(monkeypatch):
+    """The axis of every ladder_neighbors call the estimator makes."""
+    calls = []
+    raw = estimator.ladder_neighbors
+
+    def spy(value, axis):
+        calls.append(axis)
+        return raw(value, axis)
+
+    monkeypatch.setattr(estimator, "ladder_neighbors", spy)
+    return calls

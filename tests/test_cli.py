@@ -14,7 +14,7 @@ import readme_examples
 from conftest import build_bench_db, build_flat_db
 from polyest.cli import main
 from polyest.error_model import depolarizing_model, load_model, reduce
-from polyest.store import CSV_HEADER, DbEntry, RateDatabase
+from polyest.store import AXES, CSV_HEADER, DbEntry, RateDatabase, ladder_values
 
 
 @pytest.fixture()
@@ -541,6 +541,18 @@ def test_curve_table(capsys, curve_db):
     assert lines[1].split(",")[0] == "1e-3"
     assert float(lines[1].split(",")[1]) == 2e-3
     assert float(lines[2].split(",")[4]) == 3e-6
+
+
+def test_curve_brackets_each_row_once(capsys, tmp_path, bracket_calls):
+    # One row's corners serve its four distances: three ladder_neighbors
+    # calls (one per axis) per printed row, not twelve.
+    path = tmp_path / "flat.csv"
+    build_flat_db((0.5, 1.0), (0.2, 0.5), ladder_values(*AXES["p2"])).save(path)
+    code, out, err = run(capsys, "curve", "--db", str(path), "--r0", "0.7", "--r1", "0.3")
+    assert code == 0 and err == ""
+    rows = out.splitlines()[1:]
+    assert len(rows) == len(ladder_values(*AXES["p2"]))
+    assert bracket_calls == ["r0", "r1", "p2"] * len(rows)
 
 
 def test_curve_skips_missing_points(capsys, curve_db):

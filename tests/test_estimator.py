@@ -1,14 +1,23 @@
+import functools
 import math
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import _oracle
 from conftest import BENCH_X, BENCH_Z, build_flat_db
 from polyest.error_model import (
+    TWO_QUBIT_PAULIS,
+    FlipChannel,
     GateErrorModel,
     SingleQubitChannel,
+    TwoQubitChannel,
     depolarizing_model,
     model_from_dict,
+    reduce,
 )
 from polyest.estimator import (
     MAX_SCAN_DISTANCE,
@@ -24,7 +33,7 @@ from polyest.estimator import (
     interpolate,
     solve_distance,
 )
-from polyest.store import DbEntry, RateDatabase
+from polyest.store import AXES, DISTANCES, DbEntry, RateDatabase, ladder_values
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +267,17 @@ def test_solve_distance_benchmark_targets(bench_db):
 
 def test_solve_distance_validation(bench_db):
     model = depolarizing_model(1e-3)
-    for bad in (0.0, 1.0, -1e-3, 1, "0.5"):
-        with pytest.raises(ValueError):
+    for bad in (0.0, 1.0, -1e-3, 1, "0.5", True, np.bool_(True), np.float32(0.0)):
+        with pytest.raises(ValueError, match="target rate must be a float in"):
             solve_distance(bench_db, model, bad)
+
+
+def test_solve_distance_takes_a_numpy_target_as_its_float(bench_db):
+    # A float32 target is a real number like any float: it answers as the
+    # equal Python float does.
+    model = depolarizing_model(1e-3)
+    target = np.float32(1e-9)
+    assert solve_distance(bench_db, model, target) == solve_distance(bench_db, model, float(target))
 
 
 def test_solve_distance_scan_limit():
@@ -305,3 +322,148 @@ def test_solve_distance_above_threshold():
         db.add(DbEntry.seeded(d, 5.0, 1.0, 1e-3, p, p))
     with pytest.raises(AboveThresholdError):
         solve_distance(db, depolarizing_model(1e-3), 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# The query path against its frozen per-distance form
+# ---------------------------------------------------------------------------
+
+# One corner left out and one zero corner, each on a query the examples make.
+_MISSING = (5, 5.0, 1.0, 2e-3)
+_ZERO_X = (6, 2.0, 1.0, 5e-4)
+
+
+@functools.cache
+def _query_db():
+    """Every grid point of the full axes, each with its own rates.
+
+    The rates fall with the distance below p2 = 1.5e-2 and grow above it, so
+    both fits and above-threshold refusals occur; every eleventh entry is low
+    confidence.
+    """
+    db = RateDatabase()
+    grid = product(DISTANCES, *(ladder_values(*AXES[axis]) for axis in AXES))
+    for k, key in enumerate(grid):
+        d, r0, r1, p2 = key
+        if key == _MISSING:
+            continue
+        rate = 1e-2 * (p2 / 1.5e-2) ** ((d + 1) / 2) * (1 + r0 / 200) * (1 + r1) / 2
+        p_xl = 0.0 if key == _ZERO_X else rate * (1 + (k % 97) / 1000)
+        db.add(DbEntry.seeded(*key, p_xl, 1.3 * rate * (1 + (k % 89) / 1000), k % 11 == 0))
+    return db
+
+
+def _answer(query, *args, **kwargs):
+    """A query's result, or the type and message of the error it raises."""
+    try:
+        return query(*args, **kwargs)
+    except Exception as err:  # any error, so that its type and message are compared
+        return type(err), str(err)
+
+
+def _log_floats(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+_small = st.just(0.0) | _log_floats(-6, -2)
+_single = st.builds(SingleQubitChannel, _small, _small, _small)
+_flip = st.builds(FlipChannel, st.just(0.0) | _log_floats(-6, -1))
+
+
+@st.composite
+def _asymmetric_cnots(draw):
+    # One to four Paulis carry the CNOT's noise; the others have little or none.
+    heavy = draw(st.sets(st.sampled_from(TWO_QUBIT_PAULIS), min_size=1, max_size=4))
+    big, small = draw(_log_floats(-4, -2.5)), draw(st.just(0.0) | _log_floats(-9, -6))
+    return TwoQubitChannel(**{name: big if name in heavy else small for name in TWO_QUBIT_PAULIS})
+
+
+_models = st.one_of(
+    # depolarizing, with or without a slower readout
+    st.builds(depolarizing_model, _log_floats(-4.5, -1.5), st.none() | _log_floats(-5, -1)),
+    # random full form
+    st.builds(
+        GateErrorModel, init=_flip, meas=_flip, hadamard=_single, id_init=_single,
+        id_had=_single, id_meas=_single, id_cnot=_single,
+        cnot=st.builds(
+            TwoQubitChannel, **{name: _small.map(lambda p: p / 8) for name in TWO_QUBIT_PAULIS}
+        ),
+    ),
+    # strongly asymmetric CNOT
+    st.builds(GateErrorModel, meas=_flip, id_had=_single, cnot=_asymmetric_cnots()),
+    # zero p2, with or without the single-qubit noise that leaves r0, r1 undefined
+    st.builds(GateErrorModel, meas=_flip, id_meas=_single),
+    # ratios and rates past the axis ends on either side
+    st.builds(
+        depolarizing_model,
+        st.sampled_from([1e-6, 5e-5, 3e-2, 0.1]),
+        st.sampled_from([None, 0.0, 1e-7, 0.3, 0.45]),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    model=_models,
+    d=st.integers(3, 40),
+    target=_log_floats(-30, -0.5),
+    threshold=st.just(2.0) | st.sampled_from([1.0, 50.0, 0.5]),
+)
+@example(model=depolarizing_model(1.5e-3), d=5, target=1e-9, threshold=2.0)  # missing z corner
+@example(model=depolarizing_model(7e-4), d=6, target=1e-9, threshold=2.0)  # zero x corner
+@example(model=depolarizing_model(7e-4), d=7, target=1e-3, threshold=2.0)
+@example(model=depolarizing_model(1e-3), d=3, target=1e-12, threshold=2.0)  # on grid points
+def test_queries_answer_as_the_frozen_per_distance_path(model, d, target, threshold):
+    # The package finds a query's corners once per error type and sums the
+    # CNOT triple from name tables; estimate, solve_distance and reduce must
+    # still give the frozen path's every float, warning and error.
+    db = _query_db()
+    for query, frozen, args, kwargs in (
+        (reduce, _oracle.reduce, (model, threshold), {}),
+        (estimate, _oracle.estimate, (db, model, d), {"asymmetry_threshold": threshold}),
+        (solve_distance, _oracle.solve_distance, (db, model, target),
+         {"asymmetry_threshold": threshold}),
+    ):
+        got, want = _answer(query, *args, **kwargs), _answer(frozen, *args, **kwargs)
+        assert got == want
+        assert repr(got) == repr(want)  # bit for bit, signed zeros included
+
+
+_ratio = _log_floats(-3, 3) | _log_floats(-1, 1) | st.just(0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    d=st.sampled_from(DISTANCES),
+    r0=_ratio,
+    r1=_ratio,
+    p2=_log_floats(-5, -1),
+    kind=st.sampled_from("xz"),
+)
+@example(d=3, r0=2.0, r1=1.0, p2=0.0, kind="x")  # not on the p2 axis at all
+@example(d=5, r0=10 / 3, r1=1.0, p2=1.5e-3, kind="z")  # the missing corner
+@example(d=6, r0=2.0, r1=1.0, p2=7e-4, kind="x")  # the zero corner
+def test_interpolate_answers_as_the_frozen_interpolate(d, r0, r1, p2, kind):
+    db = _query_db()
+    got_warnings, want_warnings = set(), set()
+    got = _answer(interpolate, db, d, r0, r1, p2, kind, got_warnings)
+    want = _answer(_oracle.interpolate, db, d, r0, r1, p2, kind, want_warnings)
+    assert repr(got) == repr(want)
+    assert got_warnings == want_warnings
+
+
+# ---------------------------------------------------------------------------
+# Work per query
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("query", [
+    lambda db, model: estimate(db, model, 7),
+    lambda db, model: solve_distance(db, model, 1e-20),
+], ids=["estimate_d7", "solve"])
+def test_a_query_brackets_each_error_type_once(bracket_calls, bench_db, query):
+    # Each error type's corners serve all four direct distances: at most one
+    # bracket per axis per type, where bracketing per distance takes twelve.
+    result = query(bench_db, depolarizing_model(1e-3))
+    assert result.fit_x is not None and result.fit_z is not None
+    assert len(bracket_calls) <= 3 * 2
