@@ -38,17 +38,24 @@ Decoding a syndrome:
   pair at once and finds the clusters of all rows in one vectorized pass
   (min-label propagation), each cluster numbered after its least event;
 * singleton clusters go to the boundary and two-event clusters pair
-  directly (the pair beats its two boundary legs).  Larger clusters are
-  solved exactly on a sparse twin graph: events are vertices 0..k-1 in
-  ascending order and their boundary twins k..2k-1.  An event meets its
-  twin where its boundary weight is finite, another event only where the
-  direct weight is at most the two legs (a tie keeps the pair), and each
-  kept pair comes with a free edge between the two twins.  A dominated
-  pair is rerouted through the twins at the same cost, so the sparse
-  optimum equals the complete graph's.  Weights are flipped against one
-  more than the cluster's largest finite boundary leg or min(direct, two
-  legs), so the maximum-cardinality max-weight matching is the
-  minimum-weight perfect one;
+  directly (the pair beats its two boundary legs).  decode_batch needs a
+  larger cluster's flip only.  Where the cluster's boundary legs are all
+  finite and every cheapest way to pair its events or send them to the
+  boundary gives the same flip, it settles that flip without matching
+  (_settle_flips): when the events share one boundary mask, or when there
+  are at most eight and the cheapest configurations of the two parities
+  differ by more than a margin far above float rounding.  A tie is left
+  to the blossom, so the flip is the blossom's in every case.
+  The other clusters are solved exactly on a sparse twin graph: events are
+  vertices 0..k-1 in ascending order and their boundary twins k..2k-1.
+  An event meets its twin where its boundary weight is finite, another
+  event only where the direct weight is at most the two legs (a tie keeps
+  the pair), and each kept pair comes with a free edge between the two
+  twins.  A dominated pair is rerouted through the twins at the same cost,
+  so the sparse optimum equals the complete graph's.  Weights are flipped
+  against one more than the cluster's largest finite boundary leg or
+  min(direct, two legs), so the maximum-cardinality max-weight matching is
+  the minimum-weight perfect one;
 * the twin graphs of all clusters of a batch are built by whole-array
   operations: per cluster the event-twin edges by event, the kept pairs in
   (a, b) order, then their twin-twin edges, with weights from the same
@@ -57,11 +64,12 @@ Decoding a syndrome:
   order and weights alike, so every mate and tie-break is too;
 * the matcher is an in-repo port of the O(n^3) primal-dual blossom
   algorithm (Galil's formulation, after van Rantwijk's mwmatching.py), run
-  once per cluster of three or more events.  It makes every decision of
-  the plain port, which tests/_oracle.py keeps, so the mates are the same;
-  it only skips work whose result is known (_max_weight_matching lists
-  what).  Each cluster's endpoint, doubled-weight and neighbour lists are
-  slices of lists built once per batch by array operations.
+  once per cluster of three or more events that solve_matching decodes or
+  decode_batch does not settle.  It makes every decision of the plain
+  port, which tests/_oracle.py keeps, so the mates are the same; it only
+  skips work whose result is known (_max_weight_matching lists what).
+  Each cluster's endpoint, doubled-weight and neighbour lists are slices
+  of lists built once per batch by array operations.
 
 The reported total weight is the exact sum (math.fsum) of the chosen pair
 and boundary weights, so equal-weight solutions compare bit-identically.
@@ -77,7 +85,9 @@ event order, raises MatchingError.
 
 from __future__ import annotations
 
+import functools
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -89,6 +99,12 @@ from .surface_sim import FaultEffect, Layout, Rates
 
 _P_FLOOR = 1e-300
 _T_CAP = 64
+# The flip certificate (_settle_flips): the largest cluster it enumerates,
+# its margin relative to the blossom's weight scale, and the most
+# configuration costs one block of its enumeration holds.
+_SETTLE_MAX = 8
+_SETTLE_MARGIN = 1e-9
+_SETTLE_BLOCK = 1 << 14
 
 
 class MatchingError(RuntimeError):
@@ -753,18 +769,131 @@ def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return root
 
 
-def _match_clusters(row, B, a, b, W) -> tuple[np.ndarray, np.ndarray]:
+@functools.cache
+def _configurations(k: int) -> np.ndarray:
+    """Every way to pair some of k events and send the rest to the boundary.
+
+    items[j, c] is configuration c's j-th term, as a column of a cluster's
+    term row: its k(k-1)/2 pairs in np.triu_indices(k, 1) order, then its k
+    boundary legs, then a zero term that pads every configuration to k.
+    There are 4, 10, 26, 76, 232 and 764 configurations for k = 3..8; each
+    size's table is built on its first use, not at import.
+    """
+    col = {pair: i for i, pair in enumerate(itertools.combinations(range(k), 2))}
+    pad = len(col) + k
+    rows = []
+
+    def walk(free, terms):
+        if not free:
+            rows.append(terms + [pad] * (k - len(terms)))
+            return
+        e, rest = free[0], free[1:]
+        walk(rest, terms + [len(col) + e])
+        for f in rest:
+            walk([x for x in rest if x != f], terms + [col[e, f]])
+
+    walk(list(range(k)), [])
+    items = np.array(rows).T.copy()
+    items.setflags(write=False)
+    return items
+
+
+def _settle_flips(root, size, B, BM, a, b, W) -> tuple[np.ndarray, np.ndarray]:
+    """The flips of clusters that every minimum-weight matching agrees on.
+
+    Arguments as for _match_clusters, with root and size its clusters and
+    BM each event's boundary mask.  Only clusters of three or more events
+    whose boundary legs are all finite are looked at.  Each has a perfect
+    twin matching (every event to its twin), and its perfect twin matchings
+    are exactly its configurations: every event paired with another over a
+    kept pair (direct weight finite and at most the two legs) or sent to
+    the boundary, at the cost of those pair weights and legs.  A dominated
+    pair never beats its two legs, so the blossom returns a configuration
+    of least cost, and the flip is the parity of BM over its boundary
+    events.  The cluster's flip is settled where the cheapest configurations
+    of the two parities differ by more than the margin:
+
+    * if all of the cluster's events share one BM, every configuration has
+      the parity of k BM (k minus its boundary events is even), at any k;
+    * otherwise clusters of up to _SETTLE_MAX events are enumerated, all
+      clusters of one size at once (_configurations), in blocks of at most
+      _SETTLE_BLOCK configuration costs.  At k = 8 a cluster has 764
+      configurations and its enumeration costs a fraction of a blossom
+      run; past that their number (2620 at k = 9, 9496 at k = 10) soon
+      costs more than the blossom.
+
+    The margin is _SETTLE_MARGIN times k (1 + 2 max leg).  The blossom's
+    weights are at most one more than twice the largest leg and its totals
+    are sums of k of them, so its float rounding, and that of the sums
+    here, are of order k 2**-52 times that scale: far below the margin.
+    A cluster whose parities come closer is not settled, and the blossom's
+    tie-breaking decides it exactly as without this certificate.
+
+    Returns (settled, odd) per event: settled[e] where e's cluster's flip
+    is settled, odd[e] at the root of each settled cluster whose flip is 1.
+    """
+    n = B.size
+    finite = np.ones(n, dtype=bool)
+    finite[root[~np.isfinite(B)]] = False
+    ok = (size >= 3) & finite[root]
+    ones = np.bincount(root[BM], minlength=n)[root]
+    settled = ok & ((ones == 0) | (ones == size))
+    odd = settled & (root == np.arange(n)) & (size % 2 == 1) & BM
+    enum = ok & ~settled & (size <= _SETTLE_MAX)
+    if not enum.any():
+        return settled, odd
+    # Each size's clusters by root, each cluster's events ascending and its
+    # pairs in (a, b) order, which is np.triu_indices order: a row lists
+    # every pair of its events.
+    ev = np.flatnonzero(enum)
+    ev = ev[np.lexsort((root[ev], size[ev]))]
+    p = np.flatnonzero(enum[a] & (root[a] == root[b]))
+    p = p[np.lexsort((root[a[p]], size[a[p]]))]
+    pa, pb = a[p], b[p]
+    kept = np.where(W[p] <= B[pa] + B[pb], W[p], np.inf)
+    # (np.unique would import numpy.ma, a megabyte of resident memory.)
+    for k in np.flatnonzero(np.bincount(size[ev])).tolist():
+        items = _configurations(k)
+        clusters = ev[size[ev] == k].reshape(-1, k)
+        pairs = kept[size[pa] == k].reshape(len(clusters), -1)
+        step = max(1, _SETTLE_BLOCK // items.shape[1])
+        for lo in range(0, len(clusters), step):
+            e, w = clusters[lo:lo + step], pairs[lo:lo + step]
+            terms = np.concatenate((w, B[e], np.zeros((len(e), 1))), axis=1)
+            # Whether each term is a boundary leg whose mask is set.
+            flags = np.zeros(terms.shape, dtype=bool)
+            flags[:, w.shape[1]:-1] = BM[e]
+            cost, parity = np.take(terms, items[0], axis=1), np.take(flags, items[0], axis=1)
+            for column in items[1:]:
+                cost += np.take(terms, column, axis=1)
+                parity ^= np.take(flags, column, axis=1)
+            c0 = np.where(parity, np.inf, cost).min(axis=1)
+            c1 = np.where(parity, cost, np.inf).min(axis=1)
+            sure = np.abs(c0 - c1) > _SETTLE_MARGIN * k * (1.0 + 2.0 * B[e].max(axis=1))
+            settled[e[sure]] = True
+            odd[e[sure, 0]] = c1[sure] < c0[sure]
+    return settled, odd
+
+
+def _match_clusters(row, B, a, b, W, BM=None):
     """Decode events cluster by cluster: each event's cluster and partner.
 
     ``row`` gives each event's row (sorted) and ``B`` its boundary weight;
     ``a``, ``b`` and ``W`` list every pair a < b of events in one row with
-    its direct weight, by a, then b.  Returns (root, mate): root[e] is the
-    least event of e's cluster, mate[e] the event that e pairs with, or -1
-    where e goes to the boundary.  The clusters of three or more events are
-    solved on twin graphs built for all of them at once (the module
-    docstring says why each equals its own per-cluster build).  Raises
-    MatchingError for the first failing cluster by root: a lone event
-    without a boundary route, or a cluster with no perfect matching.
+    its direct weight, by a, then b.  Returns (root, mate, flip): root[e]
+    is the least event of e's cluster, mate[e] the event that e pairs with,
+    or -1 where e goes to the boundary.  The clusters of three or more
+    events are solved on twin graphs built for all of them at once (the
+    module docstring says why each equals its own per-cluster build).
+    Raises MatchingError for the first failing cluster by root: a lone
+    event without a boundary route, or a cluster with no perfect matching.
+
+    Given the events' boundary masks ``BM`` (decode_batch, which needs only
+    flips), a cluster whose flip _settle_flips settles gets no twin graph
+    and no blossom run, and its events mate -2; flip[e] is then whether e
+    adds to its row's flip: a matched event sent to the boundary with its
+    mask set, or the root of a settled cluster whose flip is 1.  Without
+    ``BM``, flip is None.
     """
     n = B.size
     link = _linked(W, B[a], B[b])
@@ -776,7 +905,12 @@ def _match_clusters(row, B, a, b, W) -> tuple[np.ndarray, np.ndarray]:
     mate[la[two]], mate[lb[two]] = lb[two], la[two]
     stuck = np.flatnonzero((size == 1) & ~np.isfinite(B))
     first_stuck = int(stuck[0]) if stuck.size else n
-    ev = np.flatnonzero(size >= 3)
+    blossom = size >= 3
+    if BM is not None:
+        settled, odd = _settle_flips(root, size, B, BM, a, b, W)
+        mate[settled] = -2
+        blossom &= ~settled
+    ev = np.flatnonzero(blossom)
     if ev.size:
         # Cluster c holds events ev[start[c]:start[c] + k[c]], in ascending
         # order, and clusters run in root order; local[e] is e's vertex.
@@ -788,7 +922,7 @@ def _match_clusters(row, B, a, b, W) -> tuple[np.ndarray, np.ndarray]:
         local = np.zeros(n, dtype=np.int64)
         local[ev] = np.arange(ev.size) - start[cid]
         # Every pair within a cluster, each cluster's in triu order.
-        same = (size[a] >= 3) & (root[a] == root[b])
+        same = blossom[a] & (root[a] == root[b])
         pa, pb, pw = a[same], b[same], W[same]
         ps = B[pa] + B[pb]
         pc = np.searchsorted(roots, root[pa])
@@ -845,7 +979,9 @@ def _match_clusters(row, B, a, b, W) -> tuple[np.ndarray, np.ndarray]:
     if first_stuck < n:
         i = first_stuck - int(np.searchsorted(row, row[first_stuck]))
         raise MatchingError(f"event {i} has no usable edge to any partner or boundary")
-    return root, mate
+    if BM is None:
+        return root, mate, None
+    return root, mate, odd | ((mate == -1) & BM)
 
 
 def solve_matching(weights, boundary) -> tuple[list[tuple], float]:
@@ -871,7 +1007,7 @@ def solve_matching(weights, boundary) -> tuple[list[tuple], float]:
     if n == 0:
         return [], 0.0
     a, b = np.triu_indices(n, 1)
-    root, mate = _match_clusters(np.zeros(n, dtype=np.int64), B, a, b, W[a, b])
+    root, mate, _ = _match_clusters(np.zeros(n, dtype=np.int64), B, a, b, W[a, b])
     order = np.argsort(root, kind="stable")
     atoms: list[tuple] = []
     for i, j in zip(order.tolist(), mate[order].tolist()):
@@ -945,9 +1081,8 @@ def decode_batch(graph: MatchingGraph, row, site, rnd, actual: np.ndarray) -> No
     a = np.repeat(np.arange(n), m)
     b = a + 1 + np.arange(a.size) - np.repeat(first_pair, m)
     W = graph.pair_distances(site[a], site[b], rnd[b] - rnd[a])
-    _, mate = _match_clusters(row, graph.B[site], a, b, W)
-    flips = np.bincount(row[(mate < 0) & graph.BM[site]], minlength=actual.size)
-    actual ^= flips % 2 == 1
+    _, _, flip = _match_clusters(row, graph.B[site], a, b, W, graph.BM[site])
+    actual ^= np.bincount(row[flip], minlength=actual.size) % 2 == 1
 
 
 def apply_correction(matching: Matching, actual_flip: bool) -> bool:

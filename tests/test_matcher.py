@@ -1,3 +1,4 @@
+import collections
 import heapq
 import itertools
 import math
@@ -659,7 +660,34 @@ def _line_graph(rng, n_sites):
     return MatchingGraph("x", n_sites, edges, boundary)
 
 
-def test_batch_decode_equals_per_row_decode_on_synthetic_graphs():
+@pytest.fixture()
+def certified(monkeypatch):
+    """Counts of the clusters of three or more events that decode_batch sees.
+
+    "settled": its flip settled without the blossom; "handed": sent to the
+    blossom; "tied": sent to the blossom although the certificate looked at
+    it (all legs finite, at most _SETTLE_MAX events), as its two parities
+    came within the margin.
+    """
+    counts = collections.Counter()
+    raw = matcher._settle_flips
+
+    def spy(root, size, B, BM, a, b, W):
+        settled, odd = raw(root, size, B, BM, a, b, W)
+        n = B.size
+        roots = (root == np.arange(n)) & (size >= 3)
+        finite = np.bincount(root, weights=~np.isfinite(B), minlength=n) == 0
+        handed = roots & ~settled
+        counts["settled"] += int((roots & settled).sum())
+        counts["handed"] += int(handed.sum())
+        counts["tied"] += int((handed & finite & (size <= matcher._SETTLE_MAX)).sum())
+        return settled, odd
+
+    monkeypatch.setattr(matcher, "_settle_flips", spy)
+    return counts
+
+
+def test_batch_decode_equals_per_row_decode_on_synthetic_graphs(certified):
     rng = np.random.default_rng(14)
     ties = far = hard = easy = 0
     for _ in range(40):
@@ -681,6 +709,8 @@ def test_batch_decode_equals_per_row_decode_on_synthetic_graphs():
             hard += large
             easy += not large
     assert ties > 100 and far > 100 and hard > 50 and easy > 100
+    # Both of the certificate's outcomes occur, ties among them.
+    assert certified["settled"] > 50 and certified["tied"] > 0
 
 
 def test_batch_decode_on_a_graph_without_boundary():
@@ -746,7 +776,8 @@ def test_batch_decode_validates_events():
     (6, Rates(5e-5, 5e-5, 2e-5, 2e-5, 1e-4), 60, 0.8),
     (5, Rates(3e-3, 3e-3, 3e-3, 3e-3, 3e-3), 25, 0.0),
 ])
-def test_batch_decode_equals_per_row_decode_on_simulated_batches(d, rates, rounds, min_easy):
+def test_batch_decode_equals_per_row_decode_on_simulated_batches(d, rates, rounds, min_easy,
+                                                                  certified):
     layout = get_layout(d)
     graphs = build_graphs(enumerate_single_faults(layout), rates, layout)
     b = 256
@@ -765,6 +796,9 @@ def test_batch_decode_equals_per_row_decode_on_simulated_batches(d, rates, round
                 assert _same_solution(W, B)
         assert len(rows) > 100 and hard > 0
         assert len(rows) - hard >= min_easy * len(rows)
+    assert certified["settled"] > 0
+    if d == 5:
+        assert certified["handed"] > 0  # clusters larger than _SETTLE_MAX
 
 
 @pytest.mark.parametrize("d, p", [(3, 1e-2), (4, 8e-3), (5, 5e-3)])
@@ -814,6 +848,117 @@ def test_batch_decode_raises_the_first_failing_rows_error(rows, message):
 
 
 # ---------------------------------------------------------------------------
+# The flip certificate against brute force
+#
+# decode_batch settles a cluster's flip without the blossom where the
+# cheapest configurations of its two parities differ by more than a margin.
+# With weights in multiples of 1/2 every sum is exact, so a settled flip
+# must be the parity of every configuration of least cost.
+# ---------------------------------------------------------------------------
+
+
+def _cheapest_parities(W, B, BM):
+    # The parities of the least-cost ways to pair some of a cluster's events
+    # over finite direct weights and send the rest to the boundary.
+    best, parities = math.inf, set()
+
+    def walk(free, cost, parity):
+        nonlocal best, parities
+        if not free:
+            if cost < best:
+                best, parities = cost, {parity}
+            elif cost == best:
+                parities.add(parity)
+            return
+        e, rest = free[0], free[1:]
+        walk(rest, cost + B[e], parity ^ BM[e])
+        for f in rest:
+            if math.isfinite(W[e, f]):
+                walk([x for x in rest if x != f], cost + W[e, f], parity)
+
+    walk(list(range(len(B))), 0.0, 0)
+    return parities
+
+
+def _certificate_inputs(rng, per_size):
+    # per_size clusters of each size 3..8 with weights in multiples of 1/2,
+    # some with one mask for all events and some with an infinite leg.
+    # Three clusters share each row, their events interleaved, and the row
+    # lists every pair of its events, as decode_batch does.
+    clusters = []
+    for k in range(3, 9):
+        for _ in range(per_size):
+            W = rng.choice([0.5, 1.0, 1.5, 2.0, 3.0, 4.0, math.inf], size=(k, k))
+            W = np.triu(W, 1) + np.triu(W, 1).T
+            B = rng.choice([0.5, 1.0, 1.5, 2.0], size=k)
+            if rng.random() < 0.1:
+                B[rng.integers(k)] = math.inf
+            BM = np.full(k, rng.random() < 0.5) if rng.random() < 0.2 else rng.random(k) < 0.5
+            clusters.append((W, B, BM))
+    order = rng.permutation(len(clusters)).tolist()
+    n = sum(len(c[1]) for c in clusters)
+    root, size = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    B, BM = np.zeros(n), np.zeros(n, dtype=bool)
+    Wg, members, a, b, start = {}, {}, [], [], 0
+    for r in range(0, len(order), 3):
+        group = order[r:r + 3]
+        owner = [c for c in group for _ in range(len(clusters[c][1]))]
+        events = start + rng.permutation(len(owner))
+        for c in group:
+            at = events[[i for i, o in enumerate(owner) if o == c]]
+            at.sort()
+            members[c] = at
+            Wc, Bc, Mc = clusters[c]
+            root[at], size[at], B[at], BM[at] = at[0], len(at), Bc, Mc
+            for i, j in itertools.combinations(range(len(at)), 2):
+                Wg[int(at[i]), int(at[j])] = Wc[i, j]
+        for i, j in itertools.combinations(range(start, start + len(owner)), 2):
+            a.append(i)
+            b.append(j)
+        start += len(owner)
+    a, b = np.array(a), np.array(b)
+    W = np.array([Wg.get(pair, 1.0) for pair in zip(a.tolist(), b.tolist())])
+    return clusters, members, (root, size, B, BM, a, b, W)
+
+
+def test_settled_flips_are_the_parity_of_every_cheapest_configuration():
+    rng = np.random.default_rng(23)
+    # 60 clusters of 8 events take two blocks of the enumeration.
+    clusters, members, args = _certificate_inputs(rng, 60)
+    settled, odd = matcher._settle_flips(*args)
+    root = args[0]
+    outcomes = collections.Counter()
+    for c, (W, B, BM) in enumerate(clusters):
+        at = members[c]
+        assert settled[at].all() or not settled[at].any()
+        assert not odd[at[1:]].any()
+        parities = _cheapest_parities(W, B, BM.astype(int))
+        if not np.isfinite(B).all():
+            assert not settled[at].any()
+            outcomes["infinite leg"] += 1
+        elif settled[at[0]]:
+            assert parities == {int(odd[at[0]])}
+            outcomes["settled"] += 1
+        else:
+            assert not odd[at[0]] and parities == {0, 1}
+            outcomes["tied"] += 1
+    assert root.size > 1000
+    assert outcomes["settled"] > 200 and outcomes["tied"] > 20 and outcomes["infinite leg"] > 20
+
+
+def test_a_cluster_with_an_infinite_leg_still_raises_the_per_row_error(certified):
+    # Outcome flips only: every leg is infinite and every mask clear, so the
+    # three events on one site's time line share one mask, yet they have no
+    # perfect matching and must reach the blossom to raise.
+    graph_x, _ = _graphs(Rates(0.01, 0.02, 0, 0, 0))
+    row, site, rnd = _sorted_events([{(0, 0), (0, 1)}, {(1, 0), (1, 1), (1, 2)}])
+    message = "cluster admits no perfect matching"
+    assert _outcome(oracle_batch_flips, graph_x, row, site, rnd, 2) == message
+    assert _outcome(_batch_flips, graph_x, row, site, rnd, 2) == message
+    assert certified["settled"] == 0 and certified["handed"] == 1
+
+
+# ---------------------------------------------------------------------------
 # The blossom against the plain port of 0.2.0
 #
 # The package's _max_weight_matching skips work whose outcome is known, but
@@ -835,9 +980,11 @@ def _blossom_args(n, edges):
 
 
 def test_blossom_mates_equal_the_plain_port_on_a_recorded_run(monkeypatch):
-    # d=5, p=3e-3, 25 rounds: every blossom input of the run, clusters of
-    # three to a few dozen events.  The neighbour lists that decode_batch
-    # builds for a whole batch must also be the ones the edges give.
+    # d=5, p=3e-3, 25 rounds: every blossom input of the run.  decode_batch
+    # settles the flips of smaller clusters without the blossom, so these
+    # are clusters of nine to a few dozen events.  The neighbour lists that
+    # decode_batch builds for a whole batch must also be the ones the edges
+    # give.
     calls = []
     blossom = matcher._max_weight_matching
 
@@ -847,7 +994,7 @@ def test_blossom_mates_equal_the_plain_port_on_a_recorded_run(monkeypatch):
         return mates
 
     monkeypatch.setattr(matcher, "_max_weight_matching", record)
-    run_monte_carlo(get_layout(5), Rates(*(3e-3,) * 5), 200, 25, 5)
+    run_monte_carlo(get_layout(5), Rates(*(3e-3,) * 5), 600, 25, 5)
     assert len(calls) >= 1000
     assert max(args[0] for args, _ in calls) >= 50
     for args, mates in calls:
