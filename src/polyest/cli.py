@@ -27,7 +27,7 @@ import sys
 from dataclasses import fields
 
 from . import __version__
-from .error_model import ModelError, load_model, reduce
+from .error_model import ASYMMETRY_THRESHOLD, ModelError, load_model, reduce
 from .estimator import (
     ComputationError,
     MissingEntryError,
@@ -108,7 +108,7 @@ def _open_db(args) -> RateDatabase:
 def _cmd_reduce(args) -> int:
     model = load_model(args.model)
     rr = reduce(model, asymmetry_threshold=args.asymmetry_threshold)
-    warnings = ["asymmetric_cnot"] if rr.asymmetry_warning else []
+    warnings = list(rr.warnings)
     _warn(warnings)
     values = {
         f.name: getattr(rr, f.name) for f in fields(rr) if f.name != "asymmetry_warning"
@@ -236,8 +236,7 @@ def _cmd_curve(args) -> int:
     warnings: set[str] = set()
     if args.model:
         rr = reduce(load_model(args.model))
-        if rr.asymmetry_warning:
-            warnings.add("asymmetric_cnot")
+        warnings.update(rr.warnings)
         query = _KindQuery(rr, args.kind)
         if query.trivial:
             raise ComputationError(
@@ -257,12 +256,14 @@ def _cmd_curve(args) -> int:
     print("p2," + ",".join(f"d{d}" for d in DISTANCES))
     if lo <= hi:
         for p2 in ladder_values(lo, hi):
-            corners = _corners(r0, r1, p2, warnings)  # one row's corners serve every distance
+            found: set[str] = set()  # the row's warnings, kept only if it is printed
+            corners = _corners(r0, r1, p2, found)  # one row's corners serve every distance
             try:
-                values = [_read_corners(db, d, corners, args.kind, warnings) for d in DISTANCES]
+                values = [_read_corners(db, d, corners, args.kind, found) for d in DISTANCES]
             except MissingEntryError as err:
                 print(f"skipping p2={format_value(p2)}: {err}", file=sys.stderr)
                 continue
+            warnings |= found
             print(format_value(p2) + "," + ",".join(repr(v) for v in values))
     _warn(warnings)
     return 0
@@ -271,8 +272,9 @@ def _cmd_curve(args) -> int:
 def _add_model_flags(sub) -> None:
     sub.add_argument("--model", required=True, help="per-gate error model JSON file")
     sub.add_argument(
-        "--asymmetry-threshold", type=float, default=2.0,
-        help="cnot asymmetry ratio above which a warning is raised (default 2)",
+        "--asymmetry-threshold", type=float, default=ASYMMETRY_THRESHOLD,
+        help="cnot asymmetry ratio above which a warning is raised "
+        f"(default {ASYMMETRY_THRESHOLD:g})",
     )
     sub.add_argument("--json", action="store_true", help="emit JSON instead of text")
 

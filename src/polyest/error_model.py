@@ -13,7 +13,8 @@ six rates that drive simulation and lookup:
 Folding treats Y as both X and Z, so the X reduction never looks at pure-Z
 entries and vice versa.  CNOT channels whose derived one-sided rates are
 unbalanced are raised to their maximum before scaling, which overestimates;
-the asymmetry ratio is reported so callers can warn.
+the asymmetry ratio is reported, and a ratio above the threshold adds the
+``asymmetric_cnot`` warning to the reduction and to every answer built on it.
 """
 
 from __future__ import annotations
@@ -26,6 +27,10 @@ from .store import is_real
 
 # Absorbs float dust when checking that probabilities sum to at most 1.
 _SUM_TOL = 1e-9
+
+#: The CNOT asymmetry ratio above which a reduction warns, unless told otherwise.
+ASYMMETRY_THRESHOLD = 2.0
+
 
 class ModelError(ValueError):
     """Raised for out-of-range probabilities or malformed model input."""
@@ -143,7 +148,8 @@ class ReducedRates:
     ``asym_x`` / ``asym_z`` are the max/min ratios of the derived CNOT rate
     triples (1.0 for a fully balanced or fully zero triple, ``inf`` when the
     maximum is positive but the minimum is zero).  ``asymmetry_warning`` is
-    set when either ratio exceeds the threshold passed to ``reduce``.
+    set when either ratio exceeds the threshold passed to ``reduce``, and
+    ``warnings`` lists the codes every answer built on these rates carries.
     """
 
     p0x: float
@@ -155,6 +161,10 @@ class ReducedRates:
     asym_x: float = 1.0
     asym_z: float = 1.0
     asymmetry_warning: bool = False
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        return ("asymmetric_cnot",) if self.asymmetry_warning else ()
 
 
 def fold_single(channel: SingleQubitChannel) -> tuple[float, float]:
@@ -239,7 +249,9 @@ def reduce_syndrome(model: GateErrorModel) -> tuple[float, float]:
     return base, base + hx + hz
 
 
-def reduce(model: GateErrorModel, asymmetry_threshold: float = 2.0) -> ReducedRates:
+def reduce(
+    model: GateErrorModel, asymmetry_threshold: float = ASYMMETRY_THRESHOLD
+) -> ReducedRates:
     """Reduce a full gate error model to the six scalar rates."""
     if not is_real(asymmetry_threshold) or not asymmetry_threshold >= 1.0:
         raise ModelError("asymmetry threshold must be >= 1")

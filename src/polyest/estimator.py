@@ -31,7 +31,7 @@ import operator
 from dataclasses import dataclass
 from itertools import product
 
-from .error_model import GateErrorModel, ReducedRates, reduce
+from .error_model import ASYMMETRY_THRESHOLD, GateErrorModel, ReducedRates, reduce
 from .store import (
     AXES, DISTANCES, RateDatabase, check_int, format_value, is_int, is_real, ladder_neighbors,
 )
@@ -246,9 +246,7 @@ def _first_meeting(
 ) -> Estimate | None:
     """Estimate at the first of ``distances`` whose X and Z rates reach target."""
     rr = reduce(model, asymmetry_threshold=asymmetry_threshold)
-    warnings: set[str] = set()
-    if rr.asymmetry_warning:
-        warnings.add("asymmetric_cnot")
+    warnings = set(rr.warnings)
     query_x, query_z = _KindQuery(rr, "x"), _KindQuery(rr, "z")
     for d in distances:
         p_xl = query_x.at(db, d, warnings)
@@ -271,7 +269,7 @@ def estimate(
     model: GateErrorModel,
     d: int,
     *,
-    asymmetry_threshold: float = 2.0,
+    asymmetry_threshold: float = ASYMMETRY_THRESHOLD,
 ) -> Estimate:
     """Logical X and Z rates of a detailed error model at one distance."""
     distances = (check_int(ValueError, "distance", d, 3),)
@@ -283,7 +281,7 @@ def solve_distance(
     model: GateErrorModel,
     target: float,
     *,
-    asymmetry_threshold: float = 2.0,
+    asymmetry_threshold: float = ASYMMETRY_THRESHOLD,
 ) -> Estimate:
     """Smallest distance whose X and Z rates both reach the target.
 

@@ -49,13 +49,13 @@ Decoding a syndrome:
   The other clusters are solved exactly on a sparse twin graph: events are
   vertices 0..k-1 in ascending order and their boundary twins k..2k-1.
   An event meets its twin where its boundary weight is finite, another
-  event only where the direct weight is at most the two legs (a tie keeps
-  the pair), and each kept pair comes with a free edge between the two
-  twins.  A dominated pair is rerouted through the twins at the same cost,
-  so the sparse optimum equals the complete graph's.  Weights are flipped
-  against one more than the cluster's largest finite boundary leg or
-  min(direct, two legs), so the maximum-cardinality max-weight matching is
-  the minimum-weight perfect one;
+  event only where the direct weight is finite and at most the two legs
+  (_kept: a tie keeps the pair), and each kept pair comes with a free edge
+  between the two twins.  A dominated pair is rerouted through the twins
+  at the same cost, so the sparse optimum equals the complete graph's.
+  Weights are flipped against one more than the cluster's largest finite
+  boundary leg or min(direct, two legs), so the maximum-cardinality
+  max-weight matching is the minimum-weight perfect one;
 * the twin graphs of all clusters of a batch are built by whole-array
   operations: per cluster the event-twin edges by event, the kept pairs in
   (a, b) order, then their twin-twin edges, with weights from the same
@@ -135,8 +135,9 @@ class MatchingGraph:
     False (ValueError otherwise).  The boundary distances B, BM and the pair
     table D on time offsets 0..T are built here, once, and nothing changes
     them after: decoding only reads them.  ``built_for`` is the (distance,
-    rates) that build_graphs built the graph for (None for a graph built
-    directly), which run_monte_carlo checks against its own.
+    rates) that build_graphs built the graph for from the layout's own
+    fault table (None for any other graph), which run_monte_carlo checks
+    against its own.
     """
 
     built_for: tuple[int, Rates] | None = None
@@ -348,8 +349,9 @@ def build_graphs(
         MatchingGraph(kind, fp.n_sites, classes(edges), classes(boundary))
         for kind, fp, (edges, boundary) in zip("xz", layout.footprints, acc)
     )
-    for graph in graphs:
-        graph.built_for = (layout.d, rates)
+    if faults is layout.faults:
+        for graph in graphs:
+            graph.built_for = (layout.d, rates)
     return graphs
 
 
@@ -749,6 +751,15 @@ def _linked(w, b_a, b_b):
     return w < b_a + b_b
 
 
+def _kept(w, b_a, b_b):
+    """Whether a pair of weight ``w`` may be matched directly in its cluster.
+
+    The one rule for the pairs of the twin graph and of _settle_flips: a
+    finite weight at most the two boundary legs (a tie keeps the pair).
+    """
+    return np.isfinite(w) & (w <= b_a + b_b)
+
+
 def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Each of n events' least event in its component under the edges (a, b).
 
@@ -806,7 +817,7 @@ def _settle_flips(root, size, B, BM, a, b, W) -> tuple[np.ndarray, np.ndarray]:
     whose boundary legs are all finite are looked at.  Each has a perfect
     twin matching (every event to its twin), and its perfect twin matchings
     are exactly its configurations: every event paired with another over a
-    kept pair (direct weight finite and at most the two legs) or sent to
+    pair that _kept keeps, the twin graph's own rule, or sent to
     the boundary, at the cost of those pair weights and legs.  A dominated
     pair never beats its two legs, so the blossom returns a configuration
     of least cost, and the flip is the parity of BM over its boundary
@@ -850,7 +861,7 @@ def _settle_flips(root, size, B, BM, a, b, W) -> tuple[np.ndarray, np.ndarray]:
     p = np.flatnonzero(enum[a] & (root[a] == root[b]))
     p = p[np.lexsort((root[a[p]], size[a[p]]))]
     pa, pb = a[p], b[p]
-    kept = np.where(W[p] <= B[pa] + B[pb], W[p], np.inf)
+    kept = np.where(_kept(W[p], B[pa], B[pb]), W[p], np.inf)
     # (np.unique would import numpy.ma, a megabyte of resident memory.)
     for k in np.flatnonzero(np.bincount(size[ev])).tolist():
         items = _configurations(k)
@@ -936,7 +947,7 @@ def _match_clusters(row, B, a, b, W, BM=None):
         usable = np.isfinite(cost)
         np.maximum.at(big, pc[usable], cost[usable])
         big += 1.0
-        keep = np.isfinite(pw) & (pw <= ps)
+        keep = _kept(pw, B[pa], B[pb])
         tc, kc = cid[twin], pc[keep]
         tu, ku, kv = local[ev[twin]], local[pa[keep]], local[pb[keep]]
         # Per cluster: event-twin edges, kept pairs, then their twin-twin edges.
@@ -1083,11 +1094,6 @@ def decode_batch(graph: MatchingGraph, row, site, rnd, actual: np.ndarray) -> No
     W = graph.pair_distances(site[a], site[b], rnd[b] - rnd[a])
     _, _, flip = _match_clusters(row, graph.B[site], a, b, W, graph.BM[site])
     actual ^= np.bincount(row[flip], minlength=actual.size) % 2 == 1
-
-
-def apply_correction(matching: Matching, actual_flip: bool) -> bool:
-    """Residual logical flip after applying the matched correction."""
-    return bool(matching.correction_flip) ^ bool(actual_flip)
 
 
 def dump_edge_classes(graph: MatchingGraph) -> list[tuple[str, str, float, int]]:

@@ -809,8 +809,9 @@ def run_monte_carlo(
     batching (see _draw_noise).  So a run split into chunks through
     ``first_shot_index`` and joined with SimResult.merged gives the counts
     of the whole run.  ``graphs``, when given, must be the pair that
-    matcher.build_graphs built for this layout's distance and these rates
-    (ValueError otherwise); without it they are built here.
+    matcher.build_graphs built from this layout's own fault table
+    (``layout.faults``) at these rates (ValueError otherwise); without it
+    they are built here.
     """
     rates = Rates(*rates).validate()
     shots, rounds, seed, first_shot_index = check_run_args(shots, rounds, seed, first_shot_index)
@@ -819,7 +820,8 @@ def run_monte_carlo(
     if graphs is None:
         graphs = matcher.build_graphs(layout.faults, rates, layout)
     elif any(graph.built_for != (layout.d, rates) for graph in graphs):
-        raise ValueError(f"graphs were not built by build_graphs for d={layout.d} and {rates}")
+        raise ValueError(f"graphs were not built by build_graphs for d={layout.d} and {rates} "
+                         "from layout.faults")
     fails = [0, 0]
     done = 0
     while done < shots:

@@ -17,7 +17,7 @@ from test_matcher import OracleTables, brute_force_total
 
 from polyest.error_model import depolarizing_model, model_from_dict, reduce
 from polyest.estimator import estimate, evaluate, fit, interpolate, solve_distance
-from polyest.matcher import apply_correction, build_graphs, min_weight_perfect_matching
+from polyest.matcher import build_graphs, min_weight_perfect_matching
 from polyest.ratedb import generate
 from polyest.store import DbEntry, GridSpec, RateDatabase, ladder_neighbors
 from polyest.surface_sim import Rates, enumerate_single_faults, get_layout, run_monte_carlo
@@ -166,7 +166,7 @@ def test_c06_single_fault_correction(capsys):
             for t0 in (0, 2):
                 placed = [(s, t0 + off) for s, off in events]
                 matching = min_weight_perfect_matching(graph, placed)
-                if apply_correction(matching, flip):
+                if matching.correction_flip != flip:
                     failures.append((fault.kind, fault.step, fault.site, fault.pauli))
                 checked += 1
     ok = not failures and checked == len(faults) * 4

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -12,8 +13,9 @@ import pytest
 import polyest
 import readme_examples
 from conftest import build_bench_db, build_flat_db
-from polyest.cli import main
-from polyest.error_model import depolarizing_model, load_model, reduce
+from polyest.cli import _build_parser, main
+from polyest.error_model import ASYMMETRY_THRESHOLD, depolarizing_model, load_model, reduce
+from polyest.estimator import estimate, solve_distance
 from polyest.store import AXES, CSV_HEADER, DbEntry, RateDatabase, ladder_values
 
 
@@ -97,6 +99,17 @@ def test_nan_asymmetry_threshold_is_input_error(capsys, tmp_path, bench_file, co
     assert code == 1
     assert out == ""
     assert err == "error: asymmetry threshold must be >= 1\n"
+
+
+def test_every_asymmetry_threshold_default_is_the_one_constant():
+    parser = _build_parser()
+    flags = {"reduce": [], "estimate": ["--distance", "3"], "solve": ["--target", "1e-9"]}
+    for command, extra in flags.items():
+        args = parser.parse_args([command, "--model", "model.json", *extra])
+        assert args.asymmetry_threshold is ASYMMETRY_THRESHOLD
+    for function in (reduce, estimate, solve_distance):
+        default = inspect.signature(function).parameters["asymmetry_threshold"].default
+        assert default is ASYMMETRY_THRESHOLD
 
 
 def test_reduce_missing_model_file(capsys, tmp_path):
@@ -649,6 +662,39 @@ def test_curve_model_with_zero_p2_is_exit_2(capsys, tmp_path, curve_db, model):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_curve_warns_only_for_the_rows_it_prints(capsys, tmp_path):
+    # The one-point database CI generates holds only d = 3 entries, each with
+    # fewer than LOW_CONFIDENCE_FAILS failures, so curve skips every row.  The
+    # p2 = 5e-3 row reads its d = 3 entries before its d = 4 entry turns out
+    # to be missing, and that read once left a low_confidence warning under
+    # a table of the header alone.
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"distances": [3], "r0": [2, 5], "r1": [1], "p2": [5e-3]}))
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"depolarizing": 5e-3}))
+    db = tmp_path / "rates.csv"
+    code, _, _ = run(capsys, "generate", "--grid", str(grid), "--out", str(db),
+                     "--max-shots", "512")
+    assert code == 0
+    code, out, err = run(capsys, "curve", "--db", str(db), "--model", str(model))
+    assert code == 0
+    assert out == "p2,d3,d4,d5,d6\n"
+    lines = err.splitlines()
+    assert len(lines) == 8 and all(line.startswith("skipping p2=") for line in lines)
+    # Once the other distances are present the p2 = 5e-3 row is printed, and
+    # its low-confidence d = 3 entries warn.
+    full = RateDatabase.load(db)
+    for d in (4, 5, 6):
+        for r0 in (2.0, 5.0):
+            full.add(DbEntry.seeded(d, r0, 1.0, 5e-3, 1e-3, 1e-3))
+    full.save(db)
+    code, out, err = run(capsys, "curve", "--db", str(db), "--model", str(model))
+    assert code == 0
+    assert [row.split(",")[0] for row in out.splitlines()[1:]] == ["5e-3"]
+    assert err.splitlines()[-1].startswith("warning: low_confidence: ")
+    assert err.count("warning:") == 1
 
 
 def test_curve_kind_z(capsys, curve_db):

@@ -14,7 +14,6 @@ from polyest.matcher import (
     Matching,
     MatchingError,
     MatchingGraph,
-    apply_correction,
     build_graphs,
     decode_batch,
     dump_edge_classes,
@@ -331,15 +330,6 @@ def test_solve_matching_rejects_an_asymmetric_matrix():
     # A symmetric matrix with a zero diagonal is fine: the diagonal is never read.
     atoms, total = solve_matching([[0.0, inf], [inf, 0.0]], [1.0, 2.0])
     assert atoms == [("boundary", 0), ("boundary", 1)] and total == 3.0
-
-
-def test_apply_correction_truth_table():
-    m_flip = Matching((), 0.0, True)
-    m_none = Matching((), 0.0, False)
-    assert apply_correction(m_none, False) is False
-    assert apply_correction(m_none, True) is True
-    assert apply_correction(m_flip, False) is True
-    assert apply_correction(m_flip, True) is False
 
 
 # ---------------------------------------------------------------------------
