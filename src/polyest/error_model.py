@@ -23,7 +23,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields
 
-from .store import is_real
+from .store import check_probability, is_real
 
 # Absorbs float dust when checking that probabilities sum to at most 1.
 _SUM_TOL = 1e-9
@@ -34,15 +34,6 @@ ASYMMETRY_THRESHOLD = 2.0
 
 class ModelError(ValueError):
     """Raised for out-of-range probabilities or malformed model input."""
-
-
-def check_probability(name: str, value: float) -> float:
-    """``value`` as a Python float; ModelError unless it is a number (not a bool) in [0, 1]."""
-    if not is_real(value):
-        raise ModelError(f"{name} must be a number, got {value!r}")
-    if math.isnan(value) or not 0.0 <= value <= 1.0:
-        raise ModelError(f"{name} must lie in [0, 1], got {value!r}")
-    return float(value)
 
 
 def _check_sum(name: str, total: float) -> None:
@@ -60,12 +51,13 @@ class SingleQubitChannel:
 
     def __post_init__(self) -> None:
         for name in ("px", "py", "pz"):
-            object.__setattr__(self, name, check_probability(name, getattr(self, name)))
+            value = check_probability(ModelError, name, getattr(self, name))
+            object.__setattr__(self, name, value)
         _check_sum("single-qubit channel", self.px + self.py + self.pz)
 
     @classmethod
     def depolarizing(cls, p: float) -> "SingleQubitChannel":
-        p = check_probability("depolarizing rate", p)
+        p = check_probability(ModelError, "depolarizing rate", p)
         return cls(p / 3.0, p / 3.0, p / 3.0)
 
 
@@ -76,7 +68,7 @@ class FlipChannel:
     flip: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "flip", check_probability("flip", self.flip))
+        object.__setattr__(self, "flip", check_probability(ModelError, "flip", self.flip))
 
 
 @dataclass(frozen=True)
@@ -102,7 +94,7 @@ class TwoQubitChannel:
     def __post_init__(self) -> None:
         total = 0.0
         for f in fields(self):
-            value = check_probability(f.name, getattr(self, f.name))
+            value = check_probability(ModelError, f.name, getattr(self, f.name))
             object.__setattr__(self, f.name, value)
             total += value
         _check_sum("two-qubit channel", total)
@@ -114,7 +106,7 @@ class TwoQubitChannel:
 
     @classmethod
     def depolarizing(cls, p: float) -> "TwoQubitChannel":
-        p = check_probability("depolarizing rate", p)
+        p = check_probability(ModelError, "depolarizing rate", p)
         return cls(**{name: p / 15.0 for name in TWO_QUBIT_PAULIS})
 
 

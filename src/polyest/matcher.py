@@ -308,8 +308,8 @@ class MatchingGraph:
 def build_graphs(
     faults: Iterable[FaultEffect], rates: Rates, layout: Layout
 ) -> tuple[MatchingGraph, MatchingGraph]:
-    """Aggregate single-fault footprints into the X and Z detection graphs."""
-    rates = Rates(*rates)
+    """Aggregate fault footprints into the X and Z detection graphs; rates pass Rates.validate."""
+    rates = Rates(*rates).validate()
     # A fault's probability is its class's per-site rate over its Pauli choices.
     fault_rate = {c.rate_kind: c.site_rate(rates) / len(c.paulis) for c in layout.classes}
     # Per graph: edge and boundary classes as [probability sum, mask].
@@ -999,8 +999,8 @@ def solve_matching(weights, boundary) -> tuple[list[tuple], float]:
     """Minimum-weight matching of n events given direct and boundary weights.
 
     ``weights`` is a symmetric (n, n) matrix of direct pair weights and
-    ``boundary`` a length-n vector; math.inf marks unusable routes, and NaN
-    or an asymmetric matrix raises ValueError.  Every event must end up
+    ``boundary`` a length-n vector; math.inf marks unusable routes, and NaN,
+    -inf or an asymmetric matrix raises ValueError.  Every event must end up
     paired with exactly one partner or with the boundary.  Returns (atoms,
     total): atoms are ("pair", i, j) and ("boundary", i) records, cluster by
     cluster in the order of their least events, total the exact fsum of the
@@ -1011,8 +1011,8 @@ def solve_matching(weights, boundary) -> tuple[list[tuple], float]:
     n = B.shape[0]
     if W.shape != (n, n):
         raise ValueError("weights matrix shape does not match boundary vector")
-    if np.isnan(W).any() or np.isnan(B).any():
-        raise ValueError("weights and boundary must not hold NaN")
+    if not ((W > -np.inf).all() and (B > -np.inf).all()):
+        raise ValueError("weights and boundary must not hold NaN or -inf")
     if not np.array_equal(W, W.T):
         raise ValueError("weights matrix must be symmetric")
     if n == 0:

@@ -71,6 +71,15 @@ def check_int(error: type[Exception], name: str, value, low: int) -> int:
     return int(value)
 
 
+def check_probability(error: type[Exception], name: str, value) -> float:
+    """``value`` as a Python float; raises ``error`` unless it is a real number in [0, 1]."""
+    if not is_real(value):
+        raise error(f"{name} must be a number, got {value!r}")
+    if math.isnan(value) or not 0.0 <= value <= 1.0:
+        raise error(f"{name} must lie in [0, 1], got {value!r}")
+    return float(value)
+
+
 def per_round_rate(fails: float, shots: int, rounds: int) -> float:
     """Logical rate per round of ``fails`` in shots of rounds each; 0.0 without shots."""
     return fails / (shots * rounds) if shots else 0.0
@@ -188,9 +197,10 @@ class DbEntry:
     Entries built from counts keep p_xl == per_round_rate(fails_x, shots,
     rounds) exactly (checked); seeded entries, used to install externally
     known rates, carry shots == rounds == fails_x == fails_z == 0 (checked)
-    and are exempt from the rate and flag consistency checks.  Numpy scalars
-    are stored as Python ints, floats and bools, so save writes what load
-    reads; a low_confidence that is not a bool raises DbError.
+    and are exempt from the rate and flag consistency checks.  Every
+    constructor checks the values as given (axes on the ladder, rates by
+    check_probability, a bool flag), raising DbError; numpy scalars are
+    stored as Python ints, floats and bools, so save writes what load reads.
     """
 
     d: int
@@ -214,10 +224,7 @@ class DbEntry:
         for name in ("shots", "rounds", "fails_x", "fails_z"):
             object.__setattr__(self, name, check_int(DbError, name, getattr(self, name), 0))
         for name in ("p_xl", "p_zl"):
-            v = getattr(self, name)
-            if not isinstance(v, float) or not 0.0 <= v <= 1.0:
-                raise DbError(f"{name} must be a float in [0, 1], got {v!r}")
-            object.__setattr__(self, name, float(v))
+            object.__setattr__(self, name, check_probability(DbError, name, getattr(self, name)))
         flag = self.low_confidence
         if type(flag) is not bool:  # a numpy bool scalar (dtype kind "b") is stored as a bool
             if getattr(flag, "dtype", None) != bool or flag.ndim:
@@ -248,7 +255,7 @@ class DbEntry:
         shots = check_int(DbError, "shots", shots, 1)
         rounds = check_int(DbError, "rounds", rounds, 1)
         return cls(
-            d=d, r0=float(r0), r1=float(r1), p2=float(p2),
+            d=d, r0=r0, r1=r1, p2=p2,
             shots=shots, rounds=rounds, fails_x=fails_x, fails_z=fails_z,
             p_xl=per_round_rate(fails_x, shots, rounds),
             p_zl=per_round_rate(fails_z, shots, rounds),
@@ -259,9 +266,8 @@ class DbEntry:
     def seeded(cls, d, r0, r1, p2, p_xl, p_zl, low_confidence=False) -> "DbEntry":
         """Entry holding externally supplied rates instead of measured counts."""
         return cls(
-            d=d, r0=float(r0), r1=float(r1), p2=float(p2),
-            shots=0, rounds=0, fails_x=0, fails_z=0,
-            p_xl=float(p_xl), p_zl=float(p_zl), low_confidence=low_confidence,
+            d=d, r0=r0, r1=r1, p2=p2, shots=0, rounds=0, fails_x=0, fails_z=0,
+            p_xl=p_xl, p_zl=p_zl, low_confidence=low_confidence,
         )
 
 
@@ -377,6 +383,8 @@ class RateDatabase:
                 body = line[1:].strip()
                 if "=" in body:
                     k, _, v = body.partition("=")
+                    if k.strip() in db.metadata:
+                        raise DbError(f"line {lineno}: metadata key {k.strip()!r} repeats")
                     db.metadata[k.strip()] = v.strip()
                 continue
             if not header_seen:

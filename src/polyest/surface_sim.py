@@ -69,8 +69,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .error_model import TWO_QUBIT_PAULIS, check_probability
-from .store import check_int, per_round_rate
+from .error_model import TWO_QUBIT_PAULIS, ModelError
+from .store import check_int, check_probability, per_round_rate
 
 Coord = tuple[int, int]
 
@@ -98,7 +98,7 @@ class Rates(NamedTuple):
     def validate(self) -> "Rates":
         """These rates as Python floats; ModelError unless each lies in [0, 1]."""
         return Rates(*(
-            check_probability(f"rate {name}", v) for name, v in zip(self._fields, self)
+            check_probability(ModelError, f"rate {name}", v) for name, v in zip(self._fields, self)
         ))
 
 

@@ -195,6 +195,17 @@ def test_estimate_db_row_without_rounds_is_input_error(capsys, tmp_path, model_f
     assert err == "error: line 2: rounds must be positive when shots=1000\n"
 
 
+def test_estimate_db_rate_outside_unit_interval_is_input_error(capsys, tmp_path, model_file):
+    # A database rate takes the one probability rule, with its message.
+    path = tmp_path / "bad.csv"
+    path.write_text(f"{CSV_HEADER}\n3,1,1,0.01,0,0,0,0,1.5,0.06,0\n")
+    code, out, err = run(
+        capsys, "estimate", "--db", str(path), "--model", model_file, "--distance", "3",
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: line 2: p_xl must lie in [0, 1], got 1.5\n"
+
+
 def test_estimate_seeded_db_row_with_counts_is_input_error(capsys, tmp_path, model_file):
     path = tmp_path / "bad.csv"
     path.write_text(f"{CSV_HEADER}\n3,1,1,0.01,0,5,200,300,0.04,0.06,0\n")

@@ -21,6 +21,7 @@ from polyest.matcher import (
     solve_matching,
 )
 from polyest import matcher, surface_sim
+from polyest.error_model import ModelError
 from polyest.surface_sim import (
     FaultEffect,
     Rates,
@@ -256,6 +257,34 @@ def test_contributors_disagreeing_on_the_logical_flip_are_rejected(events):
         build_graphs(faults, Rates(0, 0, 1e-3, 1e-3, 0), get_layout(3))
 
 
+@pytest.mark.parametrize("p2", [7, -0.5, True, math.nan])
+def test_build_graphs_checks_rates_as_a_run_does(p2):
+    # build_graphs once took any rate: p2 = 7 made every boundary weight
+    # -0.0, -0.5 and True built graphs, and NaN failed converting to int.
+    layout = get_layout(3)
+    rates = Rates(1e-3, 1e-3, 1e-3, 1e-3, p2)
+    with pytest.raises(ModelError) as run_error:
+        run_monte_carlo(layout, rates, 1, 1, 0)
+    with pytest.raises(ModelError) as build_error:
+        build_graphs(layout.faults, rates, layout)
+    assert str(build_error.value) == str(run_error.value)
+    assert str(build_error.value).startswith("rate p2 must ")
+
+
+def test_float32_rates_build_the_graphs_of_their_floats():
+    # Graphs once summed float32 fault rates in float32: at d = 3 and every
+    # rate float32(3e-3), 20 of the 22 X-edge weights differed from the
+    # graphs a run builds for itself, yet a run accepted them.
+    layout = get_layout(3)
+    f32 = Rates(*(np.float32(3e-3),) * 5)
+    floats = Rates(*map(float, f32))
+    for got, want in zip(build_graphs(layout.faults, f32, layout),
+                         build_graphs(layout.faults, floats, layout)):
+        assert (got.edges, got.boundary) == (want.edges, want.boundary)
+        assert got.built_for == want.built_for == (3, floats)
+        assert all(type(v) is float for v in got.built_for[1])
+
+
 def test_dump_edge_classes_shape():
     graph_x, _ = _graphs(Rates(1e-3, 1e-3, 1e-3, 1e-3, 1e-2))
     rows = dump_edge_classes(graph_x)
@@ -318,6 +347,20 @@ def test_solve_matching_rejects_nan_weights():
         solve_matching([[inf, 1.0], [1.0, inf]], [1.0, nan])
     with pytest.raises(ValueError, match="NaN"):
         solve_matching([[nan, 1.0], [1.0, inf]], [1.0, 1.0])
+
+
+def test_solve_matching_rejects_negative_infinite_weights():
+    inf = math.inf
+    # A -inf pair weight once read as an unusable route: this input gave
+    # ([("boundary", 0), ("pair", 1, 2)], 2.5).
+    W = [[inf, -inf, inf], [-inf, inf, 1.5], [inf, 1.5, inf]]
+    with pytest.raises(ValueError, match="-inf"):
+        solve_matching(W, [1.0, 1.0, 1.0])
+    # A -inf boundary leg once raised MatchingError: "event 1 has no usable edge".
+    with pytest.raises(ValueError, match="-inf"):
+        solve_matching([[inf, 1.0], [1.0, inf]], [1.0, -inf])
+    with pytest.raises(ValueError, match="-inf"):
+        solve_matching([[-inf, 1.0], [1.0, inf]], [1.0, 1.0])
 
 
 def test_solve_matching_rejects_an_asymmetric_matrix():

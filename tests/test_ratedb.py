@@ -11,8 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BENCH_X, build_bench_db
-from polyest import ratedb, store
-from polyest.error_model import depolarizing_model
+from polyest import matcher, ratedb, store
+from polyest.error_model import (
+    FlipChannel,
+    ModelError,
+    SingleQubitChannel,
+    TwoQubitChannel,
+    depolarizing_model,
+)
 from polyest.estimator import estimate, evaluate, fit, interpolate
 from polyest.ratedb import choose_rounds, generate
 from polyest.surface_sim import Layout, LayoutError, Rates, SimResult, get_layout, run_monte_carlo
@@ -156,7 +162,7 @@ def test_entry_consistency_checks():
         DbEntry(**{**ok, "p2": 0.05})  # on the ladder but outside the axis
     with pytest.raises(DbError):
         DbEntry(**{**ok, "fails_x": -1, "p_xl": 0.0})
-    with pytest.raises(DbError):
+    with pytest.raises(DbError, match=r"^p_zl must lie in \[0, 1\], got 1.5$"):
         DbEntry(**{**ok, "p_zl": 1.5})
     with pytest.raises(DbError, match="rounds must be positive"):
         DbEntry(**{**ok, "rounds": 0})
@@ -202,6 +208,33 @@ def test_axis_values_take_numpy_scalars_as_floats():
     # float32(1e-3) is a number, but not the rung 1e-3.
     with pytest.raises(DbError, match="not on the 1-2-5 ladder"):
         GridSpec((3,), (2.0,), (1.0,), (np.float32(1e-3),))
+
+
+def test_entry_constructors_judge_the_values_as_given():
+    # seeded and from_counts once passed every axis value and seeded rate
+    # through float(), so a bool or a string was stored as its float: the
+    # first seeded call below was stored with r0 = 1.0.
+    for args in (
+        (3, True, "1", "1e-3", "0.1", 0.1),
+        (3, True, 1.0, 1e-3, 0.1, 0.1),
+        (3, 1.0, 1.0, "1e-3", 0.1, 0.1),
+        (3, 1.0, 1.0, 1e-3, True, 0.1),
+        (3, 1.0, 1.0, 1e-3, 0.1, "0.1"),
+    ):
+        with pytest.raises(DbError):
+            DbEntry.seeded(*args)
+    for bad in (True, np.bool_(True), "2", None):
+        with pytest.raises(DbError, match="not on the 1-2-5 ladder"):
+            DbEntry.seeded(3, bad, 1.0, 1e-3, 0.1, 0.1)
+        with pytest.raises(DbError, match="not on the 1-2-5 ladder"):
+            DbEntry.from_counts(3, 1.0, bad, 1e-3, 1000, 30, 5, 7)
+    with pytest.raises(DbError, match="r0='2' is not on the 1-2-5 ladder"):
+        DbEntry.from_counts(3, "2", 1.0, 1e-3, 1000, 30, 5, 7)
+    # The direct constructor once refused a float32 rate that the model
+    # channels take; it now stores the rate's Python float.
+    entry = DbEntry(3, 1.0, 1.0, 1e-3, 0, 0, 0, 0, np.float32(0.25), np.int64(0), False)
+    assert (entry.p_xl, entry.p_zl) == (0.25, 0.0)
+    assert (type(entry.p_xl), type(entry.p_zl)) == (float, float)
 
 
 def test_database_add_get_and_duplicates():
@@ -438,6 +471,42 @@ def _scalars(value):
     return (value, type(value))
 
 
+def _probability_entry_points():
+    # For each public call that takes a probability, call(p) passing p as
+    # that probability and returning what it keeps of it, and the error it
+    # raises for a value that is not a number in [0, 1].
+    layout = get_layout(3)
+
+    def graphs(p):
+        built = matcher.build_graphs(layout.faults, Rates(0, 0, 0, 0, p), layout)
+        return tuple(g.built_for for g in built)
+
+    return {
+        "SingleQubitChannel": (lambda p: SingleQubitChannel(py=p), ModelError),
+        "FlipChannel": (lambda p: FlipChannel(p), ModelError),
+        "TwoQubitChannel": (lambda p: TwoQubitChannel(zx=p), ModelError),
+        "SingleQubitChannel.depolarizing": (SingleQubitChannel.depolarizing, ModelError),
+        "TwoQubitChannel.depolarizing": (TwoQubitChannel.depolarizing, ModelError),
+        "Rates.validate": (lambda p: Rates(0, 0, p, 0, 0).validate(), ModelError),
+        "build_graphs": (graphs, ModelError),
+        "DbEntry": (lambda p: DbEntry(3, 1.0, 1.0, 1e-3, 0, 0, 0, 0, p, 0.0, False), DbError),
+        "DbEntry.seeded": (lambda p: DbEntry.seeded(3, 1.0, 1.0, 1e-3, 1e-4, p), DbError),
+    }
+
+
+@pytest.mark.parametrize("name", list(_probability_entry_points()))
+def test_every_probability_entry_point_takes_one_rule(name):
+    # One rule, store.check_probability, judges every probability as given:
+    # the same values pass everywhere and are kept as their Python floats,
+    # and the same values raise, naming the value.
+    call, error = _probability_entry_points()[name]
+    for good in (0, 1, 0.25, np.float32(0.25), np.int64(0)):
+        assert _scalars(call(good)) == _scalars(call(float(good))), (name, good)
+    for bad in (True, np.bool_(True), "0.5", None, math.nan, -1e-3, 1.5):
+        with pytest.raises(error, match=re.escape(f", got {bad!r}") + "$"):
+            call(bad)
+
+
 @pytest.mark.parametrize("name", list(_integer_entry_points()))
 def test_numpy_integers_count_and_bools_never_do(name):
     call, error = _integer_entry_points()[name]
@@ -479,6 +548,18 @@ def test_save_keeps_metadata_that_round_trips(tmp_path):
     path = tmp_path / "rates.csv"
     RateDatabase(metadata=metadata).save(path)
     assert RateDatabase.load(path).metadata == metadata
+
+
+def test_load_rejects_a_repeated_metadata_key(tmp_path):
+    # A repeated key once loaded as its last value, so generate checked its
+    # --seed against the last stamp only.  save writes each key once.
+    body = f"# seed=1\n# note=x\n#seed = 2\n{CSV_HEADER}\n"
+    with pytest.raises(DbError, match=r"^line 3: metadata key 'seed' repeats$"):
+        RateDatabase.load(_write(tmp_path, body))
+    body = f"# seed=1\n# note=x\n# Seed=1\n{CSV_HEADER}\n"
+    assert RateDatabase.load(_write(tmp_path, body)).metadata == {
+        "seed": "1", "note": "x", "Seed": "1"
+    }
 
 
 def test_load_accepts_blank_lines_and_metadata(tmp_path):
