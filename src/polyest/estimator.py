@@ -19,15 +19,17 @@ sequences: with x = p5/p3 and y = p6/p4,
 A ratio at or above 1 means the rates do not fall with distance (the model
 is at or above threshold) and extrapolation refuses to run.
 
-``solve_distance`` scans upward for the first distance whose X and Z rates
-both meet a target, using direct interpolation through 6 and the parity fits
-past it.
+``solve_distance`` finds the first distance whose X and Z rates both meet a
+target.  It reads d = 3 to 7 in turn, as every error past 6 arises at 7, then
+skips the distances where a parity fit's logarithmic bound keeps a rate above
+the target; a fit outside the bound's guard (``_skip_ahead``) skips nothing.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from itertools import product
 
@@ -37,6 +39,8 @@ from .store import (
 )
 
 MAX_SCAN_DISTANCE = 1001
+# The largest fit ratio whose logarithmic bound _skip_ahead uses.
+_BOUND_RATIO = 1.0 - 2.0 ** -20
 
 
 class MissingEntryError(LookupError):
@@ -237,10 +241,33 @@ class _KindQuery:
         return _evaluate(self.fitted(db, warnings), d)
 
 
+def _skip_ahead(fits: list[ExtrapolationFit], target: float) -> int:
+    """The first distance past 7 that no parity fit rules out for ``target``.
+
+    A parity's rate C * r**h, h = (d+1)//2, is above the target for h below
+    log(target/C) / log(r).  The bound counts if the rate two distances back
+    is confirmed above the target, r <= _BOUND_RATIO, and C is finite and
+    positive with C * float_info.min <= target: r**h is then a normal float
+    there, and at every earlier distance a larger one (each step shrinks it
+    by far more than rounding), so every earlier rate is above the target.
+    """
+    start = [8, 9]  # the first even and odd distance past 7
+    for f in fits:
+        for parity, ratio, coeff in ((0, f.y, f.coeff_even), (1, f.x, f.coeff_odd)):
+            if ratio <= _BOUND_RATIO and 0.0 < coeff < math.inf and (
+                coeff * sys.float_info.min <= target
+            ):
+                half = math.floor((math.log(target) - math.log(coeff)) / math.log(ratio))
+                d = 2 * min(half, MAX_SCAN_DISTANCE // 2 + 1) - parity
+                if d > start[parity] and _evaluate(f, d - 2) > target:
+                    start[parity] = d
+    return min(start)
+
+
 def _first_meeting(
     db: RateDatabase,
     model: GateErrorModel,
-    distances,
+    distances: range,
     target: float,
     asymmetry_threshold: float,
 ) -> Estimate | None:
@@ -248,7 +275,8 @@ def _first_meeting(
     rr = reduce(model, asymmetry_threshold=asymmetry_threshold)
     warnings = set(rr.warnings)
     query_x, query_z = _KindQuery(rr, "x"), _KindQuery(rr, "z")
-    for d in distances:
+    d = distances.start
+    while d < distances.stop:
         p_xl = query_x.at(db, d, warnings)
         p_zl = query_z.at(db, d, warnings)
         if p_xl <= target and p_zl <= target:
@@ -261,6 +289,10 @@ def _first_meeting(
                 fit_x=query_x._fit,
                 fit_z=query_z._fit,
             )
+        if d == 7:
+            d = _skip_ahead([q._fit for q in (query_x, query_z) if q._fit is not None], target)
+        else:
+            d += 1
     return None
 
 
@@ -272,8 +304,8 @@ def estimate(
     asymmetry_threshold: float = ASYMMETRY_THRESHOLD,
 ) -> Estimate:
     """Logical X and Z rates of a detailed error model at one distance."""
-    distances = (check_int(ValueError, "distance", d, 3),)
-    return _first_meeting(db, model, distances, math.inf, asymmetry_threshold)
+    d = check_int(ValueError, "distance", d, 3)
+    return _first_meeting(db, model, range(d, d + 1), math.inf, asymmetry_threshold)
 
 
 def solve_distance(
@@ -285,9 +317,11 @@ def solve_distance(
 ) -> Estimate:
     """Smallest distance whose X and Z rates both reach the target.
 
-    Scans d = 3, 4, ..., MAX_SCAN_DISTANCE using interpolation through 6 and the
-    parity extrapolation past it, so a database covering only the distances
-    it needs is sufficient for targets met early.
+    Reads d = 3 to 7 using interpolation through 6 and the parity
+    extrapolation past it, so a database covering only the distances it needs
+    is sufficient for targets met early, then skips what the fits rule out
+    (_skip_ahead) and steps on up to MAX_SCAN_DISTANCE.  The answer is the
+    one a scan of every distance gives.
     """
     if not is_real(target) or not 0.0 < target < 1.0:
         raise ValueError(f"target rate must be a float in (0, 1), got {target!r}")

@@ -26,6 +26,7 @@ solve, curve) never loads the simulation stack.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import math
 import numbers
@@ -166,17 +167,16 @@ def ladder_neighbors(value: float, axis: str) -> LadderBracket:
     if not math.isfinite(value) or value <= 0.0:
         raise DbError(f"axis {axis} value must be positive and finite, got {value!r}")
     values = _AXIS_LADDERS[axis]
-    for v in values:
+    k = bisect.bisect_left(values, value)  # values[k - 1] < value <= values[k]
+    # Rungs lie a factor of 2 or more apart, so only these two can snap.
+    for v in values[k - 1 if k else 0:k + 1]:
         if abs(value - v) <= SNAP_RELATIVE * v:
             return LadderBracket(v, v, False)
-    if value < values[0]:
+    if k == 0:
         return LadderBracket(values[0], values[0], True)
-    if value > values[-1]:
+    if k == len(values):
         return LadderBracket(values[-1], values[-1], True)
-    for k, v in enumerate(values):
-        if v > value:
-            return LadderBracket(values[k - 1], v, False)
-    raise AssertionError("unreachable")
+    return LadderBracket(values[k - 1], values[k], False)
 
 
 def _check_axis(name: str, value: float) -> float:
@@ -254,6 +254,8 @@ class DbEntry:
     def from_counts(cls, d, r0, r1, p2, shots, rounds, fails_x, fails_z) -> "DbEntry":
         shots = check_int(DbError, "shots", shots, 1)
         rounds = check_int(DbError, "rounds", rounds, 1)
+        fails_x = check_int(DbError, "fails_x", fails_x, 0)
+        fails_z = check_int(DbError, "fails_z", fails_z, 0)
         return cls(
             d=d, r0=r0, r1=r1, p2=p2,
             shots=shots, rounds=rounds, fails_x=fails_x, fails_z=fails_z,

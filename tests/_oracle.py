@@ -31,12 +31,14 @@ rows that arithmetic leaves.  It must draw exactly these hits.
 The last part is the query path of polyest 0.2.0 as it stood before a
 query found its grid corners once per error type: ``interpolate`` (which
 brackets (r0, r1, p2) on every call), ``_KindQuery`` calling it once per
-distance, ``estimate`` and ``solve_distance`` over them, and ``reduce`` with
-the ``_derived_triple`` that walks all 15 CNOT entries per axis.  The
-package must answer every query exactly as these do, float for float,
-warning for warning and error for error.  The unchanged pieces (``fit``,
-``_evaluate``, the reductions of the single-qubit channels, the result
-classes and the errors) come from the package.
+distance, ``estimate`` and ``solve_distance`` over them (reading every
+distance from 3 up), ``reduce`` with the ``_derived_triple`` that walks all
+15 CNOT entries per axis, and ``ladder_neighbors``, the bracket rule that
+walks every rung of an axis.  The package must answer every query exactly
+as these do, float for float, warning for warning and error for error.  The
+unchanged pieces (``fit``, ``_evaluate``, the reductions of the single-qubit
+channels, the axis ladders, the result classes and the errors) come from
+the package.
 """
 
 from __future__ import annotations
@@ -56,7 +58,8 @@ from polyest.estimator import (
 )
 from polyest.matcher import MatchingError
 from polyest.store import (
-    AXES, DISTANCES, check_int, format_value, is_int, is_real, ladder_neighbors,
+    AXES, DISTANCES, SNAP_RELATIVE, DbError, LadderBracket, check_int, format_value, is_int,
+    is_real, ladder_values,
 )
 
 # Where a syndrome reaches in each of the four CNOT steps (steps 2..5).
@@ -732,6 +735,32 @@ def reduce(model, asymmetry_threshold=2.0):
         asym_x=asym_x, asym_z=asym_z,
         asymmetry_warning=max(asym_x, asym_z) > asymmetry_threshold,
     )
+
+
+_AXIS_LADDERS = {axis: tuple(ladder_values(lo, hi)) for axis, (lo, hi) in AXES.items()}
+
+
+def ladder_neighbors(value, axis):
+    if axis not in AXES:
+        raise DbError(f"unknown axis {axis!r}")
+    if type(value) is not float:
+        if not is_real(value):
+            raise DbError(f"axis value must be a number, got {value!r}")
+        value = float(value)
+    if not math.isfinite(value) or value <= 0.0:
+        raise DbError(f"axis {axis} value must be positive and finite, got {value!r}")
+    values = _AXIS_LADDERS[axis]
+    for v in values:
+        if abs(value - v) <= SNAP_RELATIVE * v:
+            return LadderBracket(v, v, False)
+    if value < values[0]:
+        return LadderBracket(values[0], values[0], True)
+    if value > values[-1]:
+        return LadderBracket(values[-1], values[-1], True)
+    for k, v in enumerate(values):
+        if v > value:
+            return LadderBracket(values[k - 1], v, False)
+    raise AssertionError("unreachable")
 
 
 def _axis_corners(value, axis, warnings):

@@ -55,3 +55,17 @@ def bracket_calls(monkeypatch):
 
     monkeypatch.setattr(estimator, "ladder_neighbors", spy)
     return calls
+
+
+@pytest.fixture()
+def evaluate_calls(monkeypatch):
+    """The distance of every _evaluate call the estimator makes."""
+    calls = []
+    raw = estimator._evaluate
+
+    def spy(fit_result, d):
+        calls.append(d)
+        return raw(fit_result, d)
+
+    monkeypatch.setattr(estimator, "_evaluate", spy)
+    return calls

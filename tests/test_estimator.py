@@ -1,5 +1,6 @@
 import functools
 import math
+import sys
 from itertools import product
 
 import numpy as np
@@ -452,6 +453,69 @@ def test_interpolate_answers_as_the_frozen_interpolate(d, r0, r1, p2, kind):
     assert got_warnings == want_warnings
 
 
+_FIT_MODELS = (
+    depolarizing_model(1e-3),
+    # one error type only, so the other is trivial and reads no database
+    model_from_dict({"cnot": {"ix": 1e-3, "xi": 1e-3, "xx": 1e-3}}),
+    model_from_dict({"cnot": {"iz": 1e-3, "zi": 1e-3, "zz": 1e-3}}),
+)
+
+
+def _fit_db(px, pz):
+    """Direct rates px and pz (d = 3..6) at every corner of every _FIT_MODELS query."""
+    db = RateDatabase()
+    for (d, p_xl, p_zl), key in product(
+        zip(DISTANCES, px, pz), product((0.01, 2.0, 5.0), (0.01, 1.0), (1e-3, 2e-3, 5e-3))
+    ):
+        db.add(DbEntry.seeded(d, *key, p_xl, p_zl))
+    return db
+
+
+_decay = st.one_of(
+    _log_floats(-3, 0),
+    _log_floats(-150, -3),  # a coefficient p3 / ratio**2 far above 1
+    st.floats(1 - 2 ** -18, 1 - 2 ** -22),  # either side of 1 - 2**-20
+    _log_floats(-161.5, -157),  # so small that the coefficient overflows
+)
+
+
+@st.composite
+def _direct_rates(draw):
+    p3, p4 = draw(_log_floats(-30, -0.5)), draw(_log_floats(-30, -0.5))
+    return p3, p4, min(p3 * draw(_decay), 1.0), min(p4 * draw(_decay), 1.0)
+
+
+_BENCH = tuple(BENCH_X.values()), tuple(BENCH_Z.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    model=st.sampled_from(_FIT_MODELS),
+    rates=st.tuples(_direct_rates(), _direct_rates()),
+    target=_log_floats(-323.3, -0.01) | st.sampled_from(
+        [5e-324, sys.float_info.min, math.nextafter(sys.float_info.min, 0.0)]
+    ),
+)
+# targets equal to an extrapolated rate, on either parity and either error type
+@example(model=_FIT_MODELS[0], rates=_BENCH, target=evaluate(fit(*_BENCH[1]), 40))
+@example(model=_FIT_MODELS[0], rates=_BENCH, target=evaluate(fit(*_BENCH[1]), 101))
+@example(model=_FIT_MODELS[0], rates=_BENCH, target=evaluate(fit(*_BENCH[0]), 300))
+@example(model=_FIT_MODELS[1], rates=_BENCH, target=evaluate(fit(*_BENCH[0]), 301))
+@example(model=_FIT_MODELS[2], rates=_BENCH, target=evaluate(fit(*_BENCH[1]), 560))
+# x = 1e-70: x**5 underflows to 0, so d = 9 meets 1e-300 while the fit's bound
+# puts the crossing at d = 11
+@example(model=_FIT_MODELS[1], rates=((1e-3, 1e-3, 1e-73, 5e-4),) * 2, target=1e-300)
+def test_solve_distance_answers_as_the_frozen_scan(model, rates, target):
+    # solve_distance skips the distances its fits' bounds rule out; the
+    # frozen path reads every distance from 3 up.  Both must give the same
+    # answer, warnings and error, float for float.
+    db = _fit_db(*rates)
+    got = _answer(solve_distance, db, model, target)
+    want = _answer(_oracle.solve_distance, db, model, target)
+    assert got == want
+    assert repr(got) == repr(want)
+
+
 # ---------------------------------------------------------------------------
 # Work per query
 # ---------------------------------------------------------------------------
@@ -467,3 +531,10 @@ def test_a_query_brackets_each_error_type_once(bracket_calls, bench_db, query):
     result = query(bench_db, depolarizing_model(1e-3))
     assert result.fit_x is not None and result.fit_z is not None
     assert len(bracket_calls) <= 3 * 2
+
+
+def test_a_deep_solve_evaluates_a_handful_of_distances(evaluate_calls, bench_db):
+    # d = 548 meets 1e-300; a scan of every distance evaluates 2 * 542 rates
+    # past 6, the skip two at d = 7, at most four bounds and a few steps.
+    assert solve_distance(bench_db, depolarizing_model(1e-3), 1e-300).d == 548
+    assert len(evaluate_calls) <= 16

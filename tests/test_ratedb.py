@@ -7,9 +7,10 @@ from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import _oracle
 from conftest import BENCH_X, build_bench_db
 from polyest import matcher, ratedb, store
 from polyest.error_model import (
@@ -29,6 +30,7 @@ from polyest.store import (
     DbEntry,
     DbError,
     GridSpec,
+    SNAP_RELATIVE,
     LadderBracket,
     RateDatabase,
     format_value,
@@ -126,6 +128,54 @@ def test_ladder_neighbors_validation():
     for bad in (0.0, -1.0, float("inf"), float("nan"), "0.3"):
         with pytest.raises(DbError):
             ladder_neighbors(bad, "r0")
+
+
+_RUNGS = [(axis, v) for axis, (lo, hi) in AXES.items() for v in ladder_values(lo, hi)]
+
+
+def _ulps(value: float, n: int) -> float:
+    """``value`` moved ``n`` floats up (n > 0) or down (n < 0)."""
+    for _ in range(abs(n)):
+        value = math.nextafter(value, math.copysign(math.inf, n))
+    return value
+
+
+@st.composite
+def _near_rungs(draw):
+    # A rung, 1-4 ulp from it, or within 4 ulp of either end of its snap window.
+    axis, rung = draw(st.sampled_from(_RUNGS))
+    snap = draw(st.sampled_from((0, -1, 1))) * SNAP_RELATIVE * rung
+    return _ulps(rung + snap, draw(st.integers(-4, 4))), axis
+
+
+@st.composite
+def _past_ends(draw):
+    axis = draw(st.sampled_from(list(AXES)))
+    lo, hi = AXES[axis]
+    return draw(st.floats(0.0, lo, exclude_min=True) | st.floats(hi, 1e300)), axis
+
+
+def _bracket(rule, value, axis):
+    try:
+        return rule(value, axis)
+    except DbError as err:
+        return str(err)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(query=_near_rungs() | _past_ends() | st.sampled_from(list(AXES)).flatmap(
+    lambda axis: st.tuples(st.floats(*AXES[axis]), st.just(axis))))
+@example(query=(0.3, "p3"))
+@example(query=(0.0, "r0"))
+@example(query=(math.nan, "r1"))
+@example(query=(math.inf, "p2"))
+@example(query=("0.3", "r0"))
+@example(query=(np.float32(2.0), "r0"))
+def test_ladder_neighbors_brackets_as_the_frozen_rung_walk(query):
+    # The bracket is found by bisection; it must be the bracket, or the
+    # error, of the rule that walks every rung.
+    got, want = _bracket(ladder_neighbors, *query), _bracket(_oracle.ladder_neighbors, *query)
+    assert got == want and type(got) is type(want)
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +280,12 @@ def test_entry_constructors_judge_the_values_as_given():
             DbEntry.from_counts(3, 1.0, bad, 1e-3, 1000, 30, 5, 7)
     with pytest.raises(DbError, match="r0='2' is not on the 1-2-5 ladder"):
         DbEntry.from_counts(3, "2", 1.0, 1e-3, 1000, 30, 5, 7)
+    # A count that is no integer is refused before it is turned into a rate.
+    for bad in ("5", None, 5.5, True):
+        with pytest.raises(DbError, match=f"^fails_x must be an integer >= 0, got {bad!r}$"):
+            DbEntry.from_counts(3, 1.0, 1.0, 1e-3, 1000, 30, bad, 7)
+        with pytest.raises(DbError, match=f"^fails_z must be an integer >= 0, got {bad!r}$"):
+            DbEntry.from_counts(3, 1.0, 1.0, 1e-3, 1000, 30, 5, bad)
     # The direct constructor once refused a float32 rate that the model
     # channels take; it now stores the rate's Python float.
     entry = DbEntry(3, 1.0, 1.0, 1e-3, 0, 0, 0, 0, np.float32(0.25), np.int64(0), False)
