@@ -56,7 +56,7 @@ class AboveThresholdError(ComputationError):
 
 
 class FitRangeError(ComputationError):
-    """Extrapolation inputs outside the fit's domain (zero rates)."""
+    """Extrapolation inputs outside the fit's domain (zero rates, ratios too small to square)."""
 
 
 class UndefinedRatioError(ComputationError):
@@ -148,14 +148,19 @@ def fit(p3: float, p4: float, p5: float, p6: float) -> ExtrapolationFit:
         if not is_real(v) or not math.isfinite(v) or v <= 0.0:
             raise FitRangeError(f"extrapolation requires positive finite {name}, got {v!r}")
     direct = p3, p4, p5, p6 = tuple(map(float, (p3, p4, p5, p6)))
-    x = p5 / p3
-    y = p6 / p4
+    x, y = p5 / p3, p6 / p4
+    if x * x == 0.0 or y * y == 0.0:
+        raise FitRangeError(f"extrapolation ratios square to 0: x = {x!r}, y = {y!r}")
+    coeff_odd, coeff_even = p3 / (x * x), p4 / (y * y)
+    if max(coeff_odd, coeff_even) == math.inf:
+        raise FitRangeError(f"extrapolation coefficients p3/x**2 = {coeff_odd!r} and "
+                            f"p4/y**2 = {coeff_even!r} must be finite")
     return ExtrapolationFit(
         direct=direct,
         x=x,
         y=y,
-        coeff_odd=p3 / (x * x),
-        coeff_even=p4 / (y * y),
+        coeff_odd=coeff_odd,
+        coeff_even=coeff_even,
         above_threshold=(x >= 1.0 or y >= 1.0),
     )
 

@@ -5,9 +5,11 @@ where a site is a stabilizer index of the type that detects the error: X
 errors flip Z-stabilizer outcomes, Z errors flip X-stabilizer outcomes.
 Every elementary fault contributes its probability to the edge class joining
 the one or two detection events it produces; one-event faults feed per-site
-boundary classes.  Edge classes are time-translation invariant, keyed
-(site_a, site_b, dt) with the earlier event first and dt in {0, 1}, so the
-graph is described by a constant-size table regardless of the round count.
+boundary classes; build_graphs sums them from the footprint arrays that
+Monte Carlo XORs, so graphs and shots read one single-fault table.  Edge
+classes are time-translation invariant, keyed (site_a, site_b, dt) with the
+earlier event first and dt in {0, 1}, so the graph is described by a
+constant-size table regardless of the round count.
 
 Edge weights are -ln(p) of the accumulated class probability (summed over
 contributing faults, clamped to at most 1).  Each class carries a mask bit,
@@ -90,12 +92,12 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .store import is_int
-from .surface_sim import FaultEffect, Layout, Rates
+from .surface_sim import Layout, Rates
 
 _P_FLOOR = 1e-300
 _T_CAP = 64
@@ -135,9 +137,8 @@ class MatchingGraph:
     False (ValueError otherwise).  The boundary distances B, BM and the pair
     table D on time offsets 0..T are built here, once, and nothing changes
     them after: decoding only reads them.  ``built_for`` is the (distance,
-    rates) that build_graphs built the graph for from the layout's own
-    fault table (None for any other graph), which run_monte_carlo checks
-    against its own.
+    rates) that build_graphs built the graph for (None for a graph built
+    directly), which run_monte_carlo checks against its own.
     """
 
     built_for: tuple[int, Rates] | None = None
@@ -305,54 +306,43 @@ class MatchingGraph:
         """
 
 
-def build_graphs(
-    faults: Iterable[FaultEffect], rates: Rates, layout: Layout
-) -> tuple[MatchingGraph, MatchingGraph]:
-    """Aggregate fault footprints into the X and Z detection graphs; rates pass Rates.validate."""
+def build_graphs(faults, rates: Rates, layout: Layout) -> tuple[MatchingGraph, MatchingGraph]:
+    """Sum ``layout.footprints`` into the X and Z graphs; rates pass Rates.validate.
+
+    ``faults`` must be ``layout.faults`` (ValueError otherwise).  Each class
+    sums its faults' probabilities one by one, in fault-id order.
+    """
+    if faults is not layout.faults:
+        raise ValueError("build_graphs takes the layout's own fault table, layout.faults")
     rates = Rates(*rates).validate()
     # A fault's probability is its class's per-site rate over its Pauli choices.
-    fault_rate = {c.rate_kind: c.site_rate(rates) / len(c.paulis) for c in layout.classes}
-    # Per graph: edge and boundary classes as [probability sum, mask].
-    acc = (({}, {}), ({}, {}))
-
-    def add(sums, events, p, flip):
-        edges, boundary = sums
-        if len(events) == 1:
-            slot = boundary.setdefault(events[0][0], [0.0, flip])
-        else:
-            (s1, t1), (s2, t2) = events
-            if (t1, s1) > (t2, s2):
-                s1, t1, s2, t2 = s2, t2, s1, t1
-            slot = edges.setdefault((s1, s2, t2 - t1), [0.0, flip])
-        if slot[1] != flip:
-            raise RuntimeError(f"faults with events {events} disagree on the logical flip")
-        slot[0] += p
-
-    for fault in faults:
-        p = fault_rate[fault.rate_kind]
-        if p <= 0.0:
-            continue
-        if fault.events_x:
-            add(acc[0], fault.events_x, p, fault.flip_x)
-        if fault.events_z:
-            add(acc[1], fault.events_z, p, fault.flip_z)
-
-    def classes(sums):
-        out = {}
-        for key in sorted(sums):
-            p_sum, mask = sums[key]
-            p = min(p_sum, 1.0)
-            out[key] = (p, -math.log(max(p, _P_FLOOR)), mask)
-        return out
-
-    graphs = tuple(
-        MatchingGraph(kind, fp.n_sites, classes(edges), classes(boundary))
-        for kind, fp, (edges, boundary) in zip("xz", layout.footprints, acc)
-    )
-    if faults is layout.faults:
-        for graph in graphs:
-            graph.built_for = (layout.d, rates)
-    return graphs
+    p = np.zeros(len(layout.by_id))
+    for c in layout.classes:
+        ids = c.first + c.stride * np.arange(len(c.sites))[:, None] + np.arange(len(c.paulis))
+        p[ids] = c.site_rate(rates) / len(c.paulis)
+    graphs = []
+    for kind, fp in zip("xz", layout.footprints):
+        n, count = fp.n_sites, np.diff(fp.ptr)
+        used = np.flatnonzero((p > 0.0) & (count > 0))
+        a, b = fp.ptr[used], fp.ptr[used + 1] - 1  # first, last event by (offset, site)
+        # Class codes: (s1 * n + s2) * 2 + dt for a pair, n_pair + site for a boundary.
+        n_pair = 2 * n * n
+        code = np.where(a == b, n_pair + fp.site[a],
+                        (fp.site[a] * n + fp.site[b]) * 2 + fp.offset[b] - fp.offset[a])
+        sums = np.bincount(code, p[used], n_pair + n).tolist()
+        hits = np.bincount(code, None, n_pair + n).tolist()
+        flips = np.bincount(code[fp.flip[used]], None, n_pair + n).tolist()
+        classes = ({}, {})  # edges, boundary
+        for c in np.flatnonzero(hits).tolist():
+            key = (c // (2 * n), c // 2 % n, c % 2) if c < n_pair else c - n_pair
+            if 0 < flips[c] < hits[c]:
+                raise RuntimeError(
+                    f"faults of {kind}-graph class {key!r} disagree on the logical flip")
+            prob = min(sums[c], 1.0)
+            classes[c >= n_pair][key] = (prob, -math.log(max(prob, _P_FLOOR)), flips[c] > 0)
+        graphs.append(MatchingGraph(kind, n, *classes))
+        graphs[-1].built_for = (layout.d, rates)
+    return tuple(graphs)
 
 
 def _max_weight_matching(n: int, endpoint: list[int], w2: list[float],

@@ -115,9 +115,11 @@ class Layout:
     faults (idle slot, data qubit, X|Z) next, then the outcome flips of Z
     and of X stabilizers.  ``by_id`` gives each fault id's (class, site,
     choice); the strike tables give its step, its two qubits and the X and
-    Z bits it leaves on each.  Last, the single-fault table ``faults`` and
-    its X- and Z-graph ``footprints``.  get_layout shares one layout per
-    distance; a layout built directly has its own, equal tables.
+    Z bits it leaves on each.  Last, the single-fault table: X- and Z-graph
+    ``footprints``, which Monte Carlo XORs and matcher.build_graphs sums,
+    and ``faults``, their FaultEffect view, the one fault list build_graphs
+    takes.  get_layout shares one layout per distance; a layout built
+    directly has its own, equal tables.
     """
 
     def __init__(self, d: int):
@@ -290,12 +292,13 @@ _CLASSES = (
 class FaultEffect:
     """Detection footprint of one elementary fault within a single cycle.
 
-    Round offsets are relative to the cycle in which the fault occurs;
-    translation along the time axis is the graph builder's job.  ``events_x``
-    lists (Z-stabilizer index, offset) pairs (X-error detection), ``events_z``
-    the analogous X-stabilizer pairs.  ``flip_x`` / ``flip_z`` say whether the
-    residual data error anticommutes with the logical Z / logical X operator,
-    i.e. whether the fault alone flips the stored logical qubit.
+    A read-only view of one fault id's row of the footprint arrays, which
+    the package reads instead.  Round offsets are relative to the cycle in
+    which the fault occurs.  ``events_x`` lists (Z-stabilizer index, offset)
+    pairs (X-error detection), ``events_z`` the analogous X-stabilizer pairs.
+    ``flip_x`` / ``flip_z`` say whether the residual data error anticommutes
+    with the logical Z / logical X operator, i.e. whether the fault alone
+    flips the stored logical qubit.
     """
 
     kind: str        # 'cnot' | 'idle' | 'flip'
@@ -310,7 +313,7 @@ class FaultEffect:
 
 
 def enumerate_single_faults(layout: Layout) -> tuple[FaultEffect, ...]:
-    """The single-fault table of ``layout``'s cycle, one FaultEffect per fault id."""
+    """``layout.faults``, the one fault list build_graphs takes: one FaultEffect per fault id."""
     return layout.faults
 
 
@@ -318,36 +321,37 @@ def _single_faults(layout: Layout) -> tuple[tuple[FaultEffect, ...], tuple[_Foot
     """Propagate every elementary fault of one cycle in isolation.
 
     Fault id f runs alone in frame row f of one noisy cycle, followed by two
-    noiseless cycles.  Residual data errors are static after the faulty
-    cycle, so all detection events land within a one-round offset
-    (checked).  Returns the fault table and the footprint tables that Monte
-    Carlo XORs, which the Layout constructor stores.
+    noiseless cycles.  Each footprint holds at most two events per graph,
+    within a one-round offset (residual data errors are static after the
+    faulty cycle), and one at least where it flips the logical (checked).
+    Returns the FaultEffect view and the footprint tables, which Monte Carlo
+    XORs and build_graphs sums, for the Layout constructor to store.
     """
     n = len(layout.by_id)
     ids = np.arange(n)
     det_x, det_z, flips_x, flips_z = _simulate_batch(layout, (ids, np.zeros_like(ids), ids), n, 3)
     footprints, events = [], []
-    for det, flips in ((det_x, flips_x), (det_z, flips_z)):
+    for kind, det, flips in (("x", det_x, flips_x), ("z", det_z, flips_z)):
         rows, offset, site = np.nonzero(det)  # sorted by row, then offset, then site
         ptr = np.searchsorted(rows, np.arange(n + 1))
+        count = np.diff(ptr)
+        unseen_flip = flips & (count == 0)
+        bad = np.concatenate([rows[offset > 1], np.flatnonzero((count > 2) | unseen_flip)])
+        if bad.size:
+            cls, (label, _, _), k = layout.by_id[bad.min()]
+            raise RuntimeError(f"fault {label} {cls.paulis[k]} breaks the {kind} footprint rules")
         footprints.append(_Footprints(det.shape[2], ptr, site, offset, flips))
         pairs = list(zip(site.tolist(), offset.tolist()))
         bounds = ptr.tolist()
         events.append([tuple(pairs[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
-    faults = []
-    for row, (cls, (site, step, _), k) in enumerate(layout.by_id):
-        evx, evz = events[0][row], events[1][row]
-        for ev in (evx, evz):
-            if len(ev) > 2 or any(t > 1 for _, t in ev):
-                raise RuntimeError(f"fault {site} {cls.paulis[k]} produced {ev}")
-        if (flips_x[row] or flips_z[row]) and not (evx or evz):
-            raise RuntimeError(f"undetected logical fault at {site}")
-        faults.append(FaultEffect(
-            kind=cls.kind, rate_kind=cls.rate_kind, step=step, site=site,
-            pauli=cls.paulis[k], events_x=evx, events_z=evz,
-            flip_x=bool(flips_x[row]), flip_z=bool(flips_z[row]),
-        ))
-    return tuple(faults), tuple(footprints)
+    faults = tuple(
+        FaultEffect(kind=cls.kind, rate_kind=cls.rate_kind, step=step, site=site,
+                    pauli=cls.paulis[k], events_x=evx, events_z=evz,
+                    flip_x=bool(fx), flip_z=bool(fz))
+        for (cls, (site, step, _), k), evx, evz, fx, fz
+        in zip(layout.by_id, *events, flips_x, flips_z)
+    )
+    return faults, tuple(footprints)
 
 
 def _run_cycle(layout, fx, fz, meas_z, meas_x, row, fid):
@@ -809,9 +813,8 @@ def run_monte_carlo(
     batching (see _draw_noise).  So a run split into chunks through
     ``first_shot_index`` and joined with SimResult.merged gives the counts
     of the whole run.  ``graphs``, when given, must be the pair that
-    matcher.build_graphs built from this layout's own fault table
-    (``layout.faults``) at these rates (ValueError otherwise); without it
-    they are built here.
+    matcher.build_graphs built for this layout at these rates (ValueError
+    otherwise); without it they are built here.
     """
     rates = Rates(*rates).validate()
     shots, rounds, seed, first_shot_index = check_run_args(shots, rounds, seed, first_shot_index)

@@ -28,15 +28,23 @@ rows into counts and sites by whole-batch arithmetic that repeats numpy's
 binomial inversion and this Floyd loop; it keeps a per-shot draw for the
 rows that arithmetic leaves.  It must draw exactly these hits.
 
+Then ``build_graphs`` as it stood when it walked the FaultEffect table, one
+Python ``add`` per fault and graph.  The package now sums the footprint
+arrays that its shots XOR with array operations; it must build exactly
+these graphs from ``layout.faults``.
+
 The last part is the query path of polyest 0.2.0 as it stood before a
 query found its grid corners once per error type: ``interpolate`` (which
 brackets (r0, r1, p2) on every call), ``_KindQuery`` calling it once per
 distance, ``estimate`` and ``solve_distance`` over them (reading every
 distance from 3 up), ``reduce`` with the ``_derived_triple`` that walks all
 15 CNOT entries per axis, and ``ladder_neighbors``, the bracket rule that
-walks every rung of an axis.  The package must answer every query exactly
-as these do, float for float, warning for warning and error for error.  The
-unchanged pieces (``fit``, ``_evaluate``, the reductions of the single-qubit
+walks every rung of an axis, and ``fit`` as it stood before it refused a
+ratio whose square underflows or a coefficient that is not finite.  The
+package must answer every query exactly as these do, float for float,
+warning for warning and error for error, except where this ``fit`` gives
+a coefficient that is not finite: there the package raises FitRangeError.
+The unchanged pieces (``_evaluate``, the reductions of the single-qubit
 channels, the axis ladders, the result classes and the errors) come from
 the package.
 """
@@ -53,14 +61,15 @@ from polyest.error_model import (
     TWO_QUBIT_PAULIS, ModelError, ReducedRates, reduce_data_idle, reduce_syndrome,
 )
 from polyest.estimator import (
-    MAX_SCAN_DISTANCE, Estimate, ExtrapolationFit, MissingEntryError, ScanLimitError,
-    UndefinedRatioError, _evaluate, fit,
+    MAX_SCAN_DISTANCE, Estimate, ExtrapolationFit, FitRangeError, MissingEntryError,
+    ScanLimitError, UndefinedRatioError, _evaluate,
 )
-from polyest.matcher import MatchingError
+from polyest.matcher import _P_FLOOR, MatchingError, MatchingGraph
 from polyest.store import (
     AXES, DISTANCES, SNAP_RELATIVE, DbError, LadderBracket, check_int, format_value, is_int,
     is_real, ladder_values,
 )
+from polyest.surface_sim import Rates
 
 # Where a syndrome reaches in each of the four CNOT steps (steps 2..5).
 _REACH = {"n": (-1, 0), "w": (0, -1), "e": (0, 1), "s": (1, 0)}
@@ -688,6 +697,64 @@ def draw_noise(seed, shot_indices, R, layout, rates):
 
 
 # ---------------------------------------------------------------------------
+# Frozen graph builder
+# ---------------------------------------------------------------------------
+
+
+def build_graphs(faults, rates, layout):
+    """``build_graphs`` as it stood when it walked the FaultEffect table.
+
+    The body is the package's before it summed the footprint arrays: one
+    Python ``add`` per fault and graph, in fault-table order.  The package
+    must build exactly these graphs from ``layout.faults``.
+    """
+    rates = Rates(*rates).validate()
+    # A fault's probability is its class's per-site rate over its Pauli choices.
+    fault_rate = {c.rate_kind: c.site_rate(rates) / len(c.paulis) for c in layout.classes}
+    # Per graph: edge and boundary classes as [probability sum, mask].
+    acc = (({}, {}), ({}, {}))
+
+    def add(sums, events, p, flip):
+        edges, boundary = sums
+        if len(events) == 1:
+            slot = boundary.setdefault(events[0][0], [0.0, flip])
+        else:
+            (s1, t1), (s2, t2) = events
+            if (t1, s1) > (t2, s2):
+                s1, t1, s2, t2 = s2, t2, s1, t1
+            slot = edges.setdefault((s1, s2, t2 - t1), [0.0, flip])
+        if slot[1] != flip:
+            raise RuntimeError(f"faults with events {events} disagree on the logical flip")
+        slot[0] += p
+
+    for fault in faults:
+        p = fault_rate[fault.rate_kind]
+        if p <= 0.0:
+            continue
+        if fault.events_x:
+            add(acc[0], fault.events_x, p, fault.flip_x)
+        if fault.events_z:
+            add(acc[1], fault.events_z, p, fault.flip_z)
+
+    def classes(sums):
+        out = {}
+        for key in sorted(sums):
+            p_sum, mask = sums[key]
+            p = min(p_sum, 1.0)
+            out[key] = (p, -math.log(max(p, _P_FLOOR)), mask)
+        return out
+
+    graphs = tuple(
+        MatchingGraph(kind, fp.n_sites, classes(edges), classes(boundary))
+        for kind, fp, (edges, boundary) in zip("xz", layout.footprints, acc)
+    )
+    if faults is layout.faults:
+        for graph in graphs:
+            graph.built_for = (layout.d, rates)
+    return graphs
+
+
+# ---------------------------------------------------------------------------
 # Frozen query path of polyest 0.2.0
 # ---------------------------------------------------------------------------
 
@@ -776,6 +843,23 @@ def _axis_corners(value, axis, warnings):
         math.log10(bracket.high) - math.log10(bracket.low)
     )
     return [(bracket.low, 1.0 - t), (bracket.high, t)]
+
+
+def fit(p3, p4, p5, p6):
+    for name, v in zip(("p3", "p4", "p5", "p6"), (p3, p4, p5, p6)):
+        if not is_real(v) or not math.isfinite(v) or v <= 0.0:
+            raise FitRangeError(f"extrapolation requires positive finite {name}, got {v!r}")
+    direct = p3, p4, p5, p6 = tuple(map(float, (p3, p4, p5, p6)))
+    x = p5 / p3
+    y = p6 / p4
+    return ExtrapolationFit(
+        direct=direct,
+        x=x,
+        y=y,
+        coeff_odd=p3 / (x * x),
+        coeff_even=p4 / (y * y),
+        above_threshold=(x >= 1.0 or y >= 1.0),
+    )
 
 
 def interpolate(db, d, r0, r1, p2, kind="x", warnings=None):

@@ -251,6 +251,25 @@ def test_solve_above_threshold_is_exit_2(capsys, tmp_path, model_file):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("p5, message", [
+    (1e-170, "extrapolation ratios square to 0: x = 1e-167, y = 0.1"),
+    (1e-161, "extrapolation coefficients p3/x**2 = inf and p4/y**2 = 0.09999999999999998 "
+             "must be finite"),
+], ids=["square_underflows", "coeff_overflows"])
+def test_estimate_past_a_ratio_too_small_to_square_is_exit_2(capsys, tmp_path, model_file,
+                                                             p5, message):
+    # These fits once crashed the command with a traceback and exit 1.
+    db = RateDatabase()
+    for d, p in ((3, 1e-3), (4, 1e-3), (5, p5), (6, 1e-4)):
+        for r0 in (2.0, 5.0):
+            db.add(DbEntry.seeded(d, r0, 1.0, 1e-3, p, p))
+    path = tmp_path / "tiny.csv"
+    db.save(path)
+    code, out, err = run(capsys, "estimate", "--db", str(path), "--model", model_file,
+                         "--distance", "7")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_bad_flags_are_exit_1(capsys, model_file):
     assert run(capsys, "nonsense")[0] == 1
     assert run(capsys, "estimate", "--model", model_file)[0] == 1  # no --distance

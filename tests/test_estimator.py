@@ -24,6 +24,7 @@ from polyest.estimator import (
     MAX_SCAN_DISTANCE,
     AboveThresholdError,
     ComputationError,
+    Estimate,
     FitRangeError,
     MissingEntryError,
     ScanLimitError,
@@ -89,6 +90,42 @@ def test_fit_rejects_non_numbers():
     for bad in (True, np.bool_(True), "1e-3", None):
         with pytest.raises(FitRangeError, match="positive finite p3"):
             fit(bad, 0.5, 0.25, 0.125)
+
+
+# Once x*x underflowed: to 0 at p5 = 1e-170, a ZeroDivisionError, and to a
+# subnormal at p5 = 1e-161, which made coeff_odd inf, so d = 7 read nan and
+# a solve's skip-ahead raised OverflowError.  The CLI printed a traceback.
+_TINY_P5 = [
+    (1e-170, "extrapolation ratios square to 0: x = 1e-167, y = 0.1"),
+    (1e-161, "extrapolation coefficients p3/x**2 = inf and p4/y**2 = 0.09999999999999998 "
+             "must be finite"),
+]
+
+
+def _tiny_p5_db(p5):
+    """Seeded d = 3..6 rates 1e-3, 1e-3, p5, 1e-4 at the depolarizing(1e-3) corners."""
+    db = RateDatabase()
+    for d, p in zip(DISTANCES, (1e-3, 1e-3, p5, 1e-4)):
+        for r0 in (2.0, 5.0):
+            db.add(DbEntry.seeded(d, r0, 1.0, 1e-3, p, p))
+    return db
+
+
+@pytest.mark.parametrize("p5, message", _TINY_P5, ids=["square_underflows", "coeff_overflows"])
+def test_fit_refuses_a_ratio_too_small_to_square(p5, message):
+    with pytest.raises(FitRangeError) as err:
+        fit(1e-3, 1e-3, p5, 1e-4)
+    assert str(err.value) == message
+    db, model = _tiny_p5_db(p5), depolarizing_model(1e-3)
+    for query in (lambda: estimate(db, model, 7), lambda: solve_distance(db, model, 1e-300)):
+        with pytest.raises(FitRangeError) as err:
+            query()
+        assert str(err.value) == message
+    assert estimate(db, model, 6).p_xl == 1e-4
+    # a subnormal square with a finite coefficient still fits, as before
+    x = 1e-180 / 1e-20
+    assert 0.0 < x * x < sys.float_info.min
+    assert fit(1e-20, 1e-3, 1e-180, 1e-4).coeff_odd == 1e-20 / (x * x) < math.inf
 
 
 def test_fit_stores_numpy_scalars_as_floats():
@@ -488,6 +525,28 @@ def _direct_rates(draw):
 _BENCH = tuple(BENCH_X.values()), tuple(BENCH_Z.values())
 
 
+def _refused_fit(model, rates):
+    """The FitRangeError of the first fit at d = 7 that the frozen fit leaves non-finite.
+
+    A query at d = 7 fits and evaluates X, then Z, skipping a trivial kind;
+    an error from an earlier fit or an above-threshold X fit comes first,
+    and then this is None.  ``rates`` are the direct X and Z rates, which
+    _fit_db stores at every corner, so they are the ones a query fits.
+    """
+    rr = reduce(model)
+    for direct, p2 in zip(rates, (rr.p2x, rr.p2z)):
+        if p2 == 0.0:
+            continue
+        frozen = _answer(_oracle.fit, *direct)
+        if isinstance(frozen, tuple):
+            return _answer(fit, *direct) if frozen[0] is ZeroDivisionError else None
+        if not (math.isfinite(frozen.coeff_odd) and math.isfinite(frozen.coeff_even)):
+            return _answer(fit, *direct)
+        if frozen.above_threshold:
+            return None
+    return None
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     model=st.sampled_from(_FIT_MODELS),
@@ -508,10 +567,15 @@ _BENCH = tuple(BENCH_X.values()), tuple(BENCH_Z.values())
 def test_solve_distance_answers_as_the_frozen_scan(model, rates, target):
     # solve_distance skips the distances its fits' bounds rule out; the
     # frozen path reads every distance from 3 up.  Both must give the same
-    # answer, warnings and error, float for float.
+    # answer, warnings and error, float for float, except that a scan
+    # reaching d = 7 refuses a fit the frozen path ran with a coefficient
+    # that is not finite.
     db = _fit_db(*rates)
     got = _answer(solve_distance, db, model, target)
     want = _answer(_oracle.solve_distance, db, model, target)
+    refused = _refused_fit(model, rates)
+    if refused is not None and not (isinstance(want, Estimate) and want.d <= 6):
+        want = refused
     assert got == want
     assert repr(got) == repr(want)
 

@@ -2,6 +2,7 @@ import collections
 import heapq
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracle import _max_weight_matching as oracle_blossom
+from _oracle import build_graphs as oracle_build_graphs
 from _oracle import oracle_batch_flips, solve_matching as oracle_solve
 from polyest.matcher import (
     Matching,
@@ -23,7 +25,7 @@ from polyest.matcher import (
 from polyest import matcher, surface_sim
 from polyest.error_model import ModelError
 from polyest.surface_sim import (
-    FaultEffect,
+    Layout,
     Rates,
     enumerate_single_faults,
     get_layout,
@@ -244,17 +246,79 @@ def test_single_class_graph_probabilities_sum_their_faults(d, kind, rates, p):
         assert got == sums
 
 
-@pytest.mark.parametrize("events", [((0, 0), (1, 0)), ((2, 0),)])
+@pytest.mark.parametrize("events", [("pair", 2), ("boundary", 1)])
 def test_contributors_disagreeing_on_the_logical_flip_are_rejected(events):
     # An edge or boundary class has one mask bit, so every fault feeding it
-    # must flip the logical qubit alike.
-    faults = [
-        FaultEffect(kind="idle", rate_kind="idle_x", step=0, site=("data", i, 0),
-                    pauli="x", events_x=events, events_z=(), flip_x=flip, flip_z=False)
-        for i, flip in enumerate((False, True))
+    # must flip the logical qubit alike.  In a private layout, one of two
+    # idle X faults with the same X-graph events gets the other's flip
+    # inverted in the footprint table that build_graphs reads.
+    _, n_events = events
+    layout = Layout(3)
+    same_events = collections.defaultdict(list)
+    for f, fault in enumerate(layout.faults):
+        if fault.rate_kind == "idle_x" and len(fault.events_x) == n_events:
+            same_events[fault.events_x].append(f)
+    shared, (first, second, *_) = next(
+        (ev, fs) for ev, fs in same_events.items() if len(fs) > 1
+    )
+    flips = layout.footprints[0].flip
+    assert flips[first] == flips[second]
+    flips[second] = not flips[first]
+    if n_events == 1:
+        key = shared[0][0]
+    else:
+        (s1, t1), (s2, t2) = shared
+        key = (s1, s2, t2 - t1)
+    with pytest.raises(RuntimeError, match=re.escape(f"x-graph class {key!r} disagree")):
+        build_graphs(layout.faults, Rates(0, 0, 1e-3, 1e-3, 0), layout)
+
+
+# Rates of the frozen-builder comparison: zeros, ones, float32 values, and
+# all-ones rates, where an outcome flip of probability 1 and the CNOT faults
+# that feed the same time edge sum past 1 and the class is clamped.
+_BUILD_RATES = (
+    Rates(0, 0, 0, 0, 0),
+    Rates(1, 1, 1, 1, 1),
+    Rates(1, 0, 0, 1, 0),
+    Rates(*(np.float32(3e-3),) * 5),
+    Rates(np.float32(0.3), 1e-4, np.float32(1e-2), 0, 1),
+) + tuple(
+    Rates(*values) for values in np.random.default_rng(27).choice(
+        [0, 1e-4, 3e-3, 1e-2, 0.3, 1], size=(6, 5)
+    ).tolist()
+)
+
+
+def _exact(classes):
+    """Rows of (key, [(value, type, sign)]); equal rows hold equal bits and types."""
+    return [
+        (key, [(v, type(v), math.copysign(1.0, v)) for v in cls]) for key, cls in classes.items()
     ]
-    with pytest.raises(RuntimeError):
-        build_graphs(faults, Rates(0, 0, 1e-3, 1e-3, 0), get_layout(3))
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_build_graphs_sums_as_the_frozen_fault_loop(d):
+    # build_graphs sums the footprint arrays with array operations; the
+    # frozen builder walks the FaultEffect table one fault at a time.  Both
+    # must give the same classes in the same order, float for float and
+    # type for type, and so the same distance tables.
+    layout = get_layout(d)
+    for rates in _BUILD_RATES:
+        got = build_graphs(layout.faults, rates, layout)
+        want = oracle_build_graphs(layout.faults, rates, layout)
+        for g, w in zip(got, want):
+            assert _exact(g.edges) == _exact(w.edges), (d, rates, g.kind)
+            assert _exact(g.boundary) == _exact(w.boundary), (d, rates, g.kind)
+            assert all(type(k) is int for k in g.boundary)
+            assert all(type(v) is int for key in g.edges for v in key)
+            for table in ("B", "BM", "D"):
+                a, b = getattr(g, table), getattr(w, table)
+                assert a.dtype == b.dtype and a.shape == b.shape, (d, rates, table)
+                assert a.tobytes() == b.tobytes(), (d, rates, table)
+            assert g.built_for == w.built_for == (d, Rates(*map(float, rates)))
+    ones_x, _ = build_graphs(layout.faults, Rates(1, 1, 1, 1, 1), layout)
+    assert {s: ones_x.edges[(s, s, 1)][0] for s in range(ones_x.n_sites)} == dict.fromkeys(
+        range(ones_x.n_sites), 1.0)
 
 
 @pytest.mark.parametrize("p2", [7, -0.5, True, math.nan])

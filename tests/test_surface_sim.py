@@ -802,21 +802,60 @@ def test_monte_carlo_rejects_graphs_built_for_another_point():
 
 
 def test_monte_carlo_rejects_graphs_built_from_part_of_the_fault_table():
-    # Graphs built from the CNOT faults alone once passed the check, because
-    # build_graphs stamped them for the layout whatever faults it was given:
-    # at all rates 1e-2 they gave 254/205 fails over 2000 shots of 3 rounds
-    # (seed 5) where the layout's own graphs give 242/201.
+    # Graphs built from the CNOT faults alone once passed a run's check,
+    # because build_graphs stamped them for the layout whatever faults it was
+    # given: at all rates 1e-2 they gave 254/205 fails over 2000 shots of 3
+    # rounds (seed 5) where the layout's own graphs give 242/201.  Later
+    # they were built but left unstamped; now build_graphs refuses any fault
+    # list but the layout's own table, even a copy of it or an equal table.
     layout = get_layout(3)
     rates = Rates(*(1e-2,) * 5)
     part = tuple(f for f in layout.faults if f.rate_kind == "p2")
     assert 0 < len(part) < len(layout.faults)
-    graphs = matcher.build_graphs(part, rates, layout)
-    assert [g.built_for for g in graphs] == [None, None]
-    with pytest.raises(ValueError, match="build_graphs for d=3"):
-        run_monte_carlo(layout, rates, 64, 3, 5, graphs=graphs)
+    other = Layout(3).faults
+    assert other == layout.faults and other is not layout.faults
+    for faults in (part, list(layout.faults), other, get_layout(4).faults):
+        with pytest.raises(ValueError, match="layout.faults"):
+            matcher.build_graphs(faults, rates, layout)
     own = matcher.build_graphs(enumerate_single_faults(layout), rates, layout)
+    assert [g.built_for for g in own] == [(3, rates)] * 2
     assert run_monte_carlo(layout, rates, 64, 3, 5, graphs=own) == run_monte_carlo(
         layout, rates, 64, 3, 5)
+
+
+def test_single_fault_table_refuses_footprints_outside_its_rules(monkeypatch):
+    # Every graph class joins one or two events at most one round apart, and
+    # a fault that flips the logical must be seen on that graph; the table
+    # is checked on the footprint arrays that graphs and shots both read.
+    real = surface_sim._simulate_batch
+    n_faults = len(get_layout(3).by_id)
+
+    def doctored(edit):
+        def run(*args):
+            det_x, det_z, flips_x, flips_z = real(*args)
+            if args[2] == n_faults:  # the single-fault propagation
+                edit(det_x, flips_x)
+            return det_x, det_z, flips_x, flips_z
+        return run
+
+    def unseen(det, flips):
+        return np.flatnonzero(~det.any(axis=(1, 2)) & ~flips)[0]
+
+    def late_event(det, flips):
+        det[unseen(det, flips), 2, 0] = True
+
+    def three_events(det, flips):
+        det[unseen(det, flips), 0, :3] = True
+
+    def unseen_flip(det, flips):
+        flips[unseen(det, flips)] = True
+
+    for edit in (late_event, three_events, unseen_flip):
+        monkeypatch.setattr(surface_sim, "_simulate_batch", doctored(edit))
+        with pytest.raises(RuntimeError, match="breaks the x footprint rules"):
+            Layout(3)
+    monkeypatch.setattr(surface_sim, "_simulate_batch", real)
+    assert Layout(3).faults == get_layout(3).faults
 
 
 def test_zero_rates_never_fail():
