@@ -251,15 +251,15 @@ def _skip_ahead(fits: list[ExtrapolationFit], target: float) -> int:
 
     A parity's rate C * r**h, h = (d+1)//2, is above the target for h below
     log(target/C) / log(r).  The bound counts if the rate two distances back
-    is confirmed above the target, r <= _BOUND_RATIO, and C is finite and
-    positive with C * float_info.min <= target: r**h is then a normal float
+    is confirmed above the target, r <= _BOUND_RATIO, and C (finite, as fit
+    requires) is positive with C * float_info.min <= target: r**h is then a normal float
     there, and at every earlier distance a larger one (each step shrinks it
     by far more than rounding), so every earlier rate is above the target.
     """
     start = [8, 9]  # the first even and odd distance past 7
     for f in fits:
         for parity, ratio, coeff in ((0, f.y, f.coeff_even), (1, f.x, f.coeff_odd)):
-            if ratio <= _BOUND_RATIO and 0.0 < coeff < math.inf and (
+            if ratio <= _BOUND_RATIO and 0.0 < coeff and (
                 coeff * sys.float_info.min <= target
             ):
                 half = math.floor((math.log(target) - math.log(coeff)) / math.log(ratio))

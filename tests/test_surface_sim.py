@@ -819,6 +819,12 @@ def test_monte_carlo_rejects_graphs_built_from_part_of_the_fault_table():
             matcher.build_graphs(faults, rates, layout)
     own = matcher.build_graphs(enumerate_single_faults(layout), rates, layout)
     assert [g.built_for for g in own] == [(3, rates)] * 2
+    # A graph built directly carries no stamp, so a run cannot tell what it
+    # was built from and refuses it.
+    unstamped = tuple(matcher.MatchingGraph(g.kind, g.n_sites, g.edges, g.boundary) for g in own)
+    assert [g.built_for for g in unstamped] == [None, None]
+    with pytest.raises(ValueError, match="build_graphs for d=3"):
+        run_monte_carlo(layout, rates, 64, 3, 5, graphs=unstamped)
     assert run_monte_carlo(layout, rates, 64, 3, 5, graphs=own) == run_monte_carlo(
         layout, rates, 64, 3, 5)
 
