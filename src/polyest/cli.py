@@ -206,7 +206,7 @@ def _cmd_simulate(args) -> int:
     ).validate()
     check_run_args(args.shots, args.rounds, args.seed)
     layout = get_layout(args.distance)
-    graphs = build_graphs(layout.faults, rates, layout)
+    graphs = build_graphs(layout.footprints, rates, layout)
     if args.dump_graph:
         rows = dump_edge_classes(graphs[0]) + dump_edge_classes(graphs[1])
         with open(args.dump_graph, "w", encoding="utf-8") as fh:

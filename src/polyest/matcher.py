@@ -133,12 +133,13 @@ class MatchingGraph:
     """Edge classes and the distance tables of one detection graph.
 
     ``edges`` maps (site_a, site_b, dt) and ``boundary`` maps a site to the
-    (probability, weight, mask) of each class; an edge class's mask must be
-    False (ValueError otherwise).  The boundary distances B, BM and the pair
-    table D on time offsets 0..T are built here, once, and nothing changes
-    them after: decoding only reads them.  ``built_for`` is the (distance,
-    rates) that build_graphs built the graph for (None for a graph built
-    directly), which run_monte_carlo checks against its own.
+    (probability, weight, mask) of each class; every weight must be >= 0
+    and an edge class's mask False (ValueError otherwise).  The boundary
+    distances B, BM and the pair table D on time offsets 0..T are built
+    here, once, and nothing changes them after: decoding only reads them.
+    ``built_for`` is the (distance, rates) that build_graphs built the graph
+    for (None for a graph built directly), which run_monte_carlo checks
+    against its own.
     """
 
     built_for: tuple[int, Rates] | None = None
@@ -146,6 +147,11 @@ class MatchingGraph:
     def __init__(self, kind: str, n_sites: int, edges: dict, boundary: dict):
         if any(m for _, _, m in edges.values()):
             raise ValueError("an edge class has its mask set: pair classes cannot flip the logical")
+        for name, table in (("edge", edges), ("boundary", boundary)):
+            for key, (_, w, _) in table.items():
+                if not w >= 0.0:  # a NaN fails too
+                    raise ValueError(
+                        f"{kind}-graph {name} class {key!r} has weight {w!r}, not >= 0")
         self.kind = kind
         self.n_sites = n_sites
         self.edges: dict[tuple[int, int, int], tuple[float, float, bool]] = edges
@@ -309,11 +315,12 @@ class MatchingGraph:
 def build_graphs(faults, rates: Rates, layout: Layout) -> tuple[MatchingGraph, MatchingGraph]:
     """Sum ``layout.footprints`` into the X and Z graphs; rates pass Rates.validate.
 
-    ``faults`` must be ``layout.faults`` (ValueError otherwise).  Each class
-    sums its faults' probabilities one by one, in fault-id order.
+    ``faults`` must be ``layout.footprints`` itself (ValueError otherwise),
+    the table enumerate_single_faults returns.  Each class sums its faults'
+    probabilities one by one, in fault-id order.
     """
-    if faults is not layout.faults:
-        raise ValueError("build_graphs takes the layout's own fault table, layout.faults")
+    if faults is not layout.footprints:
+        raise ValueError("build_graphs takes the layout's own fault table, layout.footprints")
     rates = Rates(*rates).validate()
     # A fault's probability is its class's per-site rate over its Pauli choices.
     p = np.zeros(len(layout.by_id))

@@ -41,17 +41,17 @@ appended after the noisy rounds so that every error chain terminates in a
 detection event or boundary.
 
 Frames are propagated once per distance, one fault id per row, to build the
-single-fault table: each elementary fault's detection events (within one
-round of its cycle) and logical flip.  Frames are linear over GF(2), so a
-Monte Carlo shot never propagates a frame: its detection events are the
-XOR of its faults' footprints, shifted to the faults' cycles, and its actual
-logical flip is the parity of their flip bits.  Only shots with events are
-decoded.  A shot's faults are drawn by count: a binomial number of hits per
-fault class, placed on distinct uniformly random sites.  That is the
-independent per-site draw in distribution, at a cost that grows with the
-faults a shot holds rather than with its sites.  A batch is drawn with
-array operations: each shot only rekeys its generator and fills a row of
-doubles, and whole-batch arithmetic turns the rows into counts and sites.
+single-fault table (Layout.footprints): each elementary fault's detection
+events (within one round of its cycle) and logical flip.  Frames are linear
+over GF(2), so a Monte Carlo shot never propagates a frame: its detection
+events are the XOR of its faults' footprints, shifted to the faults' cycles,
+and its actual logical flip is the parity of their flip bits.  Only shots
+with events are decoded.  A shot's faults are drawn by count: a binomial
+number of hits per fault class, placed on distinct uniformly random sites.
+That is the independent per-site draw in distribution, at a cost that grows
+with the faults a shot holds rather than with its sites.  A batch is drawn
+with array operations: each shot only rekeys its generator and fills a row
+of doubles, and whole-batch arithmetic turns the rows into counts and sites.
 The hits are those of the per-shot draw, because the binomial's inversion
 reads the same doubles and the arithmetic repeats numpy's operations in
 numpy's order; where numpy would leave its inversion regime, and where a
@@ -115,11 +115,11 @@ class Layout:
     faults (idle slot, data qubit, X|Z) next, then the outcome flips of Z
     and of X stabilizers.  ``by_id`` gives each fault id's (class, site,
     choice); the strike tables give its step, its two qubits and the X and
-    Z bits it leaves on each.  Last, the single-fault table: X- and Z-graph
-    ``footprints``, which Monte Carlo XORs and matcher.build_graphs sums,
-    and ``faults``, their FaultEffect view, the one fault list build_graphs
-    takes.  get_layout shares one layout per distance; a layout built
-    directly has its own, equal tables.
+    Z bits it leaves on each.  Last, the one single-fault table:
+    ``footprints``, an X- and a Z-graph table whose row f holds fault id f's
+    events and logical flip, labelled by ``by_id`` and ``classes``; Monte
+    Carlo XORs it and matcher.build_graphs sums it.  get_layout shares one
+    layout per distance; a layout built directly has its own, equal tables.
     """
 
     def __init__(self, d: int):
@@ -217,7 +217,7 @@ class Layout:
             for letters in ("xy", "yz")
         )
 
-        self.faults, self.footprints = _single_faults(self)
+        self.footprints = _single_faults(self)
 
     def _neighbors(self, coord: Coord) -> tuple[Coord | None, ...]:
         i, j = coord
@@ -263,9 +263,10 @@ class _FaultClass(NamedTuple):
     of ``paulis`` (its fault-table labels) uniformly, so one fault has
     probability site_rate / len(paulis); choice k leaves ``strikes[k]``, a
     Pauli letter per qubit of the site.  Layout places the class: per
-    site, ``sites`` holds its FaultEffect.site, the step it strikes after and
-    its two qubits (a one-qubit site names its qubit twice and strikes I on
-    the second); choice k at site s is fault id first + stride * s + k.
+    site, ``sites`` holds its label (("z", 4) is Z stabilizer 4's outcome),
+    the step it strikes after and its two qubits (a one-qubit site names its
+    qubit twice and strikes I on the second); choice k at site s is fault id
+    first + stride * s + k.
     """
 
     kind: str
@@ -288,49 +289,25 @@ _CLASSES = (
 )
 
 
-@dataclass(frozen=True)
-class FaultEffect:
-    """Detection footprint of one elementary fault within a single cycle.
-
-    A read-only view of one fault id's row of the footprint arrays, which
-    the package reads instead.  Round offsets are relative to the cycle in
-    which the fault occurs.  ``events_x`` lists (Z-stabilizer index, offset)
-    pairs (X-error detection), ``events_z`` the analogous X-stabilizer pairs.
-    ``flip_x`` / ``flip_z`` say whether the residual data error anticommutes
-    with the logical Z / logical X operator, i.e. whether the fault alone
-    flips the stored logical qubit.
-    """
-
-    kind: str        # 'cnot' | 'idle' | 'flip'
-    rate_kind: str   # 'p2' | 'idle_x' | 'idle_z' | 'flip_x' | 'flip_z'
-    step: int
-    site: tuple
-    pauli: str
-    events_x: tuple[tuple[int, int], ...]
-    events_z: tuple[tuple[int, int], ...]
-    flip_x: bool
-    flip_z: bool
+def enumerate_single_faults(layout: Layout) -> tuple[_Footprints, ...]:
+    """``layout.footprints``, the layout's one single-fault table (see Layout)."""
+    return layout.footprints
 
 
-def enumerate_single_faults(layout: Layout) -> tuple[FaultEffect, ...]:
-    """``layout.faults``, the one fault list build_graphs takes: one FaultEffect per fault id."""
-    return layout.faults
-
-
-def _single_faults(layout: Layout) -> tuple[tuple[FaultEffect, ...], tuple[_Footprints, ...]]:
+def _single_faults(layout: Layout) -> tuple[_Footprints, ...]:
     """Propagate every elementary fault of one cycle in isolation.
 
     Fault id f runs alone in frame row f of one noisy cycle, followed by two
     noiseless cycles.  Each footprint holds at most two events per graph,
     within a one-round offset (residual data errors are static after the
     faulty cycle), and one at least where it flips the logical (checked).
-    Returns the FaultEffect view and the footprint tables, which Monte Carlo
-    XORs and build_graphs sums, for the Layout constructor to store.
+    Returns the X- and Z-graph footprint tables, which Monte Carlo XORs and
+    build_graphs sums, for the Layout constructor to store.
     """
     n = len(layout.by_id)
     ids = np.arange(n)
     det_x, det_z, flips_x, flips_z = _simulate_batch(layout, (ids, np.zeros_like(ids), ids), n, 3)
-    footprints, events = [], []
+    footprints = []
     for kind, det, flips in (("x", det_x, flips_x), ("z", det_z, flips_z)):
         rows, offset, site = np.nonzero(det)  # sorted by row, then offset, then site
         ptr = np.searchsorted(rows, np.arange(n + 1))
@@ -341,17 +318,7 @@ def _single_faults(layout: Layout) -> tuple[tuple[FaultEffect, ...], tuple[_Foot
             cls, (label, _, _), k = layout.by_id[bad.min()]
             raise RuntimeError(f"fault {label} {cls.paulis[k]} breaks the {kind} footprint rules")
         footprints.append(_Footprints(det.shape[2], ptr, site, offset, flips))
-        pairs = list(zip(site.tolist(), offset.tolist()))
-        bounds = ptr.tolist()
-        events.append([tuple(pairs[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
-    faults = tuple(
-        FaultEffect(kind=cls.kind, rate_kind=cls.rate_kind, step=step, site=site,
-                    pauli=cls.paulis[k], events_x=evx, events_z=evz,
-                    flip_x=bool(fx), flip_z=bool(fz))
-        for (cls, (site, step, _), k), evx, evz, fx, fz
-        in zip(layout.by_id, *events, flips_x, flips_z)
-    )
-    return faults, tuple(footprints)
+    return tuple(footprints)
 
 
 def _run_cycle(layout, fx, fz, meas_z, meas_x, row, fid):
@@ -813,18 +780,18 @@ def run_monte_carlo(
     batching (see _draw_noise).  So a run split into chunks through
     ``first_shot_index`` and joined with SimResult.merged gives the counts
     of the whole run.  ``graphs``, when given, must be the pair that
-    matcher.build_graphs built for this layout at these rates (ValueError
-    otherwise); without it they are built here.
+    matcher.build_graphs built from ``layout.footprints`` at these rates
+    (ValueError otherwise); without it they are built here.
     """
     rates = Rates(*rates).validate()
     shots, rounds, seed, first_shot_index = check_run_args(shots, rounds, seed, first_shot_index)
     from . import matcher
 
     if graphs is None:
-        graphs = matcher.build_graphs(layout.faults, rates, layout)
+        graphs = matcher.build_graphs(layout.footprints, rates, layout)
     elif any(graph.built_for != (layout.d, rates) for graph in graphs):
         raise ValueError(f"graphs were not built by build_graphs for d={layout.d} and {rates} "
-                         "from layout.faults")
+                         "from layout.footprints")
     fails = [0, 0]
     done = 0
     while done < shots:

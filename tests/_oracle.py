@@ -7,6 +7,10 @@ and no shared propagation code, so agreement with the package's batched
 implementation checks the package's circuit as well as its propagation.
 Injections are Pauli bits applied after a given step of a given cycle,
 mirroring the convention that errors strike after the faulty operation.
+``fault_effects`` reads the package's one single-fault table,
+``layout.footprints``, back as one ``FaultEffect`` per fault id, the view
+the package built alongside that table until it dropped it; the tests
+compare those rows with this propagator and pin their bytes.
 
 The second half is a frozen decoder: the per-row cluster split and twin-graph
 build of polyest 0.2.0 (``solve_matching``, ``_blossom_cluster``, ``_find``
@@ -29,9 +33,9 @@ binomial inversion and this Floyd loop; it keeps a per-shot draw for the
 rows that arithmetic leaves.  It must draw exactly these hits.
 
 Then ``build_graphs`` as it stood when it walked the FaultEffect table, one
-Python ``add`` per fault and graph.  The package now sums the footprint
-arrays that its shots XOR with array operations; it must build exactly
-these graphs from ``layout.faults``.
+Python ``add`` per fault and graph; it now walks ``fault_effects(layout)``.
+The package now sums the footprint arrays that its shots XOR with array
+operations; it must build exactly these graphs from ``layout.footprints``.
 
 The last part is the query path of polyest 0.2.0 as it stood before a
 query found its grid corners once per error type: ``interpolate`` (which
@@ -53,6 +57,7 @@ from __future__ import annotations
 
 import functools
 import math
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -178,8 +183,46 @@ def footprint(layout, injections, outcome_flips=(), cycles=3):
     return sorted(events_x), sorted(events_z), flip_x, flip_z
 
 
+@dataclass(frozen=True)
+class FaultEffect:
+    """Detection footprint of one elementary fault within a single cycle.
+
+    Round offsets are relative to the cycle in which the fault occurs.
+    ``events_x`` lists (Z-stabilizer index, offset) pairs (X-error
+    detection), ``events_z`` the analogous X-stabilizer pairs.  ``flip_x`` /
+    ``flip_z`` say whether the fault alone flips the stored logical qubit.
+    The name, fields and field order are those of the package's former
+    view, so its repr, which the fault-table pins hash, is unchanged.
+    """
+
+    kind: str        # 'cnot' | 'idle' | 'flip'
+    rate_kind: str   # 'p2' | 'idle_x' | 'idle_z' | 'flip_x' | 'flip_z'
+    step: int
+    site: tuple
+    pauli: str
+    events_x: tuple[tuple[int, int], ...]
+    events_z: tuple[tuple[int, int], ...]
+    flip_x: bool
+    flip_z: bool
+
+
+def fault_effects(layout):
+    """One FaultEffect per fault id, read from ``layout.footprints`` and ``layout.by_id``."""
+    events, flips = [], []
+    for fp in layout.footprints:
+        pairs = list(zip(fp.site.tolist(), fp.offset.tolist()))
+        bounds = fp.ptr.tolist()
+        events.append([tuple(pairs[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
+        flips.append(fp.flip.tolist())
+    return tuple(
+        FaultEffect(kind=cls.kind, rate_kind=cls.rate_kind, step=step, site=site,
+                    pauli=cls.paulis[k], events_x=evx, events_z=evz, flip_x=fx, flip_z=fz)
+        for (cls, (site, step, _), k), evx, evz, fx, fz in zip(layout.by_id, *events, *flips)
+    )
+
+
 def fault_injection(layout, fault):
-    """Translate a package FaultEffect site back into oracle injections.
+    """Translate a FaultEffect site back into oracle injections.
 
     Returns (injections, outcome_flips) reproducing the same physical fault,
     derived from cycle_ops rather than the package's compiled arrays.
@@ -706,7 +749,9 @@ def build_graphs(faults, rates, layout):
 
     The body is the package's before it summed the footprint arrays: one
     Python ``add`` per fault and graph, in fault-table order.  The package
-    must build exactly these graphs from ``layout.faults``.
+    must build exactly these graphs from ``layout.footprints``.  Graphs
+    built from ``fault_effects(layout)``, the layout's whole table, carry
+    ``built_for`` as the package's do.
     """
     rates = Rates(*rates).validate()
     # A fault's probability is its class's per-site rate over its Pauli choices.
@@ -748,7 +793,7 @@ def build_graphs(faults, rates, layout):
         MatchingGraph(kind, fp.n_sites, classes(edges), classes(boundary))
         for kind, fp, (edges, boundary) in zip("xz", layout.footprints, acc)
     )
-    if faults is layout.faults:
+    if faults == fault_effects(layout):
         for graph in graphs:
             graph.built_for = (layout.d, rates)
     return graphs

@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 
+from _oracle import fault_effects
 from conftest import build_bench_db
 from test_matcher import OracleTables, brute_force_total
 
@@ -154,9 +155,9 @@ def test_c05_matcher_optimality(capsys):
 
 def test_c06_single_fault_correction(capsys):
     layout = get_layout(3)
-    faults = enumerate_single_faults(layout)
+    faults = fault_effects(layout)
     rates = _sim_rates(reduce(depolarizing_model(1e-3)))
-    graph_x, graph_z = build_graphs(faults, rates, layout)
+    graph_x, graph_z = build_graphs(layout.footprints, rates, layout)
     checked = 0
     failures = []
     for fault in faults:

@@ -12,6 +12,9 @@ checked against the search on span-sized windows.
 
 import heapq
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -240,6 +243,38 @@ def test_edges_out_of_boundary_reach_must_be_time_lines():
     edges = {**x_graph.edges, (x_graph.n_sites, x_graph.n_sites, 1): (0.1, 2.3, False)}
     with pytest.raises(ValueError, match="same-site"):
         MatchingGraph("x", x_graph.n_sites + 1, edges, x_graph.boundary)
+
+
+@pytest.mark.parametrize("args, message", [
+    pytest.param("'x', 1, {(0, 0, 1): (2.0, -math.log(2.0), False)}, "
+                 "{0: (0.5, math.log(2.0), False)}",
+                 "x-graph edge class (0, 0, 1) has weight -0.6931471805599453, not >= 0",
+                 id="negative-edge"),
+    pytest.param("'x', 1, {(0, 0, 1): (0.5, math.nan, False)}, {0: (0.5, math.log(2.0), False)}",
+                 "x-graph edge class (0, 0, 1) has weight nan, not >= 0", id="nan-edge"),
+    pytest.param("'z', 2, {}, {0: (0.5, -1.0, False), 1: (1.0, 0.0, False)}",
+                 "z-graph boundary class 0 has weight -1.0, not >= 0", id="negative-boundary"),
+])
+def test_graph_refuses_negative_and_nan_weights(args, message):
+    # The table searches assume weights >= 0.  A negative edge is a negative
+    # cycle of the undirected graph, on which the boundary heap search once
+    # never returned; a NaN edge failed later with an unrelated error, and a
+    # negative boundary weight gave B = [-1, 0].  Each graph is built in a
+    # child process under a timeout, so a search that never returns fails
+    # this test instead of stalling the suite.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(matcher.__file__)))
+    code = ("import math\n"
+            "from polyest.matcher import MatchingGraph\n"
+            "try:\n"
+            f"    MatchingGraph({args})\n"
+            "except ValueError as error:\n"
+            "    print(error)\n")
+    try:
+        out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, timeout=30)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"MatchingGraph({args}) did not return within 30 s")
+    assert (out.returncode, out.stdout) == (0, f"{message}\n"), out.stderr
 
 
 @pytest.mark.parametrize("d", [3, 5])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from _oracle import _max_weight_matching as oracle_blossom
 from _oracle import build_graphs as oracle_build_graphs
+from _oracle import fault_effects
 from _oracle import oracle_batch_flips, solve_matching as oracle_solve
 from polyest.matcher import (
     Matching,
@@ -227,7 +228,7 @@ def test_single_class_graph_probabilities_sum_their_faults(d, kind, rates, p):
     # faults of the class whose events it joins, and no other class exists.
     layout = get_layout(d)
     want = ({}, {})
-    for fault in enumerate_single_faults(layout):
+    for fault in fault_effects(layout):
         if fault.rate_kind != kind:
             continue
         for sums, events in zip(want, (fault.events_x, fault.events_z)):
@@ -255,7 +256,7 @@ def test_contributors_disagreeing_on_the_logical_flip_are_rejected(events):
     _, n_events = events
     layout = Layout(3)
     same_events = collections.defaultdict(list)
-    for f, fault in enumerate(layout.faults):
+    for f, fault in enumerate(fault_effects(layout)):
         if fault.rate_kind == "idle_x" and len(fault.events_x) == n_events:
             same_events[fault.events_x].append(f)
     shared, (first, second, *_) = next(
@@ -270,7 +271,7 @@ def test_contributors_disagreeing_on_the_logical_flip_are_rejected(events):
         (s1, t1), (s2, t2) = shared
         key = (s1, s2, t2 - t1)
     with pytest.raises(RuntimeError, match=re.escape(f"x-graph class {key!r} disagree")):
-        build_graphs(layout.faults, Rates(0, 0, 1e-3, 1e-3, 0), layout)
+        build_graphs(layout.footprints, Rates(0, 0, 1e-3, 1e-3, 0), layout)
 
 
 # Rates of the frozen-builder comparison: zeros, ones, float32 values, and
@@ -299,13 +300,14 @@ def _exact(classes):
 @pytest.mark.parametrize("d", [3, 4, 5, 6])
 def test_build_graphs_sums_as_the_frozen_fault_loop(d):
     # build_graphs sums the footprint arrays with array operations; the
-    # frozen builder walks the FaultEffect table one fault at a time.  Both
+    # frozen builder walks fault_effects(layout) one fault at a time.  Both
     # must give the same classes in the same order, float for float and
     # type for type, and so the same distance tables.
     layout = get_layout(d)
+    effects = fault_effects(layout)
     for rates in _BUILD_RATES:
-        got = build_graphs(layout.faults, rates, layout)
-        want = oracle_build_graphs(layout.faults, rates, layout)
+        got = build_graphs(layout.footprints, rates, layout)
+        want = oracle_build_graphs(effects, rates, layout)
         for g, w in zip(got, want):
             assert _exact(g.edges) == _exact(w.edges), (d, rates, g.kind)
             assert _exact(g.boundary) == _exact(w.boundary), (d, rates, g.kind)
@@ -316,7 +318,7 @@ def test_build_graphs_sums_as_the_frozen_fault_loop(d):
                 assert a.dtype == b.dtype and a.shape == b.shape, (d, rates, table)
                 assert a.tobytes() == b.tobytes(), (d, rates, table)
             assert g.built_for == w.built_for == (d, Rates(*map(float, rates)))
-    ones_x, _ = build_graphs(layout.faults, Rates(1, 1, 1, 1, 1), layout)
+    ones_x, _ = build_graphs(layout.footprints, Rates(1, 1, 1, 1, 1), layout)
     assert {s: ones_x.edges[(s, s, 1)][0] for s in range(ones_x.n_sites)} == dict.fromkeys(
         range(ones_x.n_sites), 1.0)
 
@@ -330,7 +332,7 @@ def test_build_graphs_checks_rates_as_a_run_does(p2):
     with pytest.raises(ModelError) as run_error:
         run_monte_carlo(layout, rates, 1, 1, 0)
     with pytest.raises(ModelError) as build_error:
-        build_graphs(layout.faults, rates, layout)
+        build_graphs(layout.footprints, rates, layout)
     assert str(build_error.value) == str(run_error.value)
     assert str(build_error.value).startswith("rate p2 must ")
 
@@ -342,8 +344,8 @@ def test_float32_rates_build_the_graphs_of_their_floats():
     layout = get_layout(3)
     f32 = Rates(*(np.float32(3e-3),) * 5)
     floats = Rates(*map(float, f32))
-    for got, want in zip(build_graphs(layout.faults, f32, layout),
-                         build_graphs(layout.faults, floats, layout)):
+    for got, want in zip(build_graphs(layout.footprints, f32, layout),
+                         build_graphs(layout.footprints, floats, layout)):
         assert (got.edges, got.boundary) == (want.edges, want.boundary)
         assert got.built_for == want.built_for == (3, floats)
         assert all(type(v) is float for v in got.built_for[1])

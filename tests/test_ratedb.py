@@ -534,7 +534,7 @@ def _probability_entry_points():
     layout = get_layout(3)
 
     def graphs(p):
-        built = matcher.build_graphs(layout.faults, Rates(0, 0, 0, 0, p), layout)
+        built = matcher.build_graphs(layout.footprints, Rates(0, 0, 0, 0, p), layout)
         return tuple(g.built_for for g in built)
 
     return {

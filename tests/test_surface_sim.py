@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracle import draw_noise, fault_injection, footprint
+from _oracle import draw_noise, fault_effects, fault_injection, footprint
 from polyest import matcher, ratedb, surface_sim
 from polyest.error_model import FlipChannel, ModelError
 from polyest.surface_sim import (
@@ -109,7 +109,11 @@ _FAULT_TABLE_SHA256 = {
 def test_fault_table_is_pinned(d, make):
     # The single-fault table (sites, slot order, footprints) defines every
     # detection graph; any change to the cycle or its slot order shows here.
-    table = repr(enumerate_single_faults(make(d))).encode()
+    # enumerate_single_faults hands out the layout's own table, which the
+    # pin reads as one FaultEffect row per fault id.
+    layout = make(d)
+    assert enumerate_single_faults(layout) is layout.footprints
+    table = repr(fault_effects(layout)).encode()
     assert hashlib.sha256(table).hexdigest() == _FAULT_TABLE_SHA256[d]
 
 
@@ -194,14 +198,14 @@ def test_only_one_event_faults_flip_the_logical(d):
     # The logical reference cuts run along a boundary, so on each graph a
     # fault that flips the logical has exactly one event: its edge class is
     # a boundary class.  MatchingGraph relies on this to keep no pair masks.
-    faults = enumerate_single_faults(get_layout(d))
+    faults = fault_effects(get_layout(d))
     for side in ("x", "z"):
         flips = [len(getattr(f, f"events_{side}")) for f in faults if getattr(f, f"flip_{side}")]
         assert flips and set(flips) == {1}, side
 
 
 def test_fault_census_d3():
-    faults = enumerate_single_faults(get_layout(3))
+    faults = fault_effects(get_layout(3))
     assert len(faults) == 716
     by_kind = {}
     for f in faults:
@@ -226,7 +230,7 @@ def test_fault_probabilities_follow_rate_kinds():
         "flip_x": 1e-3,
         "flip_z": 2e-3,
     }
-    assert {f.rate_kind for f in enumerate_single_faults(layout)} == set(expected)
+    assert {f.rate_kind for f in fault_effects(layout)} == set(expected)
     assert [c.rate_kind for c in layout.classes] == list(expected)
     for c in layout.classes:
         p = c.site_rate(rates) / len(c.paulis)
@@ -240,7 +244,7 @@ def test_fault_classes_cover_the_fault_table(d):
     # cover the fault table exactly once, each id's class has the row's rate
     # kind, and the class's per-site rate is _class_rates's, bit for bit.
     layout = get_layout(d)
-    faults = enumerate_single_faults(layout)
+    faults = fault_effects(layout)
     rates = Rates(p0x=1e-3, p0z=2e-3, p1x=3e-3, p1z=4e-3, p2=1.5e-2)
     ids = []
     for c in layout.classes:
@@ -258,7 +262,7 @@ def test_fault_classes_cover_the_fault_table(d):
 @pytest.mark.parametrize("d", [3, 4, 5, 6])
 def test_every_single_fault_matches_scalar_oracle(d):
     layout = get_layout(d)
-    for fault in enumerate_single_faults(layout):
+    for fault in fault_effects(layout):
         injections, flips = fault_injection(layout, fault)
         events_x, events_z, flip_x, flip_z = footprint(layout, injections, flips)
         got = (sorted(fault.events_x), sorted(fault.events_z), fault.flip_x, fault.flip_z)
@@ -272,7 +276,7 @@ def test_multi_fault_footprints_combine_linearly(seed):
     rng = np.random.default_rng(seed)
     d = 3 if seed % 3 else 4
     layout = get_layout(d)
-    faults = enumerate_single_faults(layout)
+    faults = fault_effects(layout)
     picks = rng.choice(len(faults), size=int(rng.integers(2, 7)), replace=False)
 
     injections, flips = [], []
@@ -302,7 +306,7 @@ def _fault_by_site(faults, kind, site, pauli):
 
 def test_known_footprints_d3():
     layout = get_layout(3)
-    faults = enumerate_single_faults(layout)
+    faults = fault_effects(layout)
     corner = layout.data.index((0, 0))
     interior = layout.data.index((2, 2))
 
@@ -807,15 +811,26 @@ def test_monte_carlo_rejects_graphs_built_from_part_of_the_fault_table():
     # given: at all rates 1e-2 they gave 254/205 fails over 2000 shots of 3
     # rounds (seed 5) where the layout's own graphs give 242/201.  Later
     # they were built but left unstamped; now build_graphs refuses any fault
-    # list but the layout's own table, even a copy of it or an equal table.
+    # table but the layout's own, even a copy of it or an equal table.
     layout = get_layout(3)
     rates = Rates(*(1e-2,) * 5)
-    part = tuple(f for f in layout.faults if f.rate_kind == "p2")
-    assert 0 < len(part) < len(layout.faults)
-    other = Layout(3).faults
-    assert other == layout.faults and other is not layout.faults
-    for faults in (part, list(layout.faults), other, get_layout(4).faults):
-        with pytest.raises(ValueError, match="layout.faults"):
+    cnot = layout.classes[0]
+    n_cnot = len(cnot.sites) * len(cnot.paulis)
+    assert cnot.rate_kind == "p2" and cnot.first == 0 and 0 < n_cnot < len(layout.by_id)
+    # The CNOT faults' rows of each graph's table.
+    part = tuple(
+        fp._replace(ptr=fp.ptr[: n_cnot + 1], site=fp.site[: fp.ptr[n_cnot]],
+                    offset=fp.offset[: fp.ptr[n_cnot]], flip=fp.flip[:n_cnot])
+        for fp in layout.footprints
+    )
+    other = Layout(3).footprints
+    assert other is not layout.footprints
+    assert all(
+        np.array_equal(a, b) for mine, theirs in zip(layout.footprints, other, strict=True)
+        for a, b in zip(mine, theirs, strict=True)
+    )
+    for faults in (part, list(layout.footprints), other, get_layout(4).footprints):
+        with pytest.raises(ValueError, match="layout.footprints"):
             matcher.build_graphs(faults, rates, layout)
     own = matcher.build_graphs(enumerate_single_faults(layout), rates, layout)
     assert [g.built_for for g in own] == [(3, rates)] * 2
@@ -861,7 +876,7 @@ def test_single_fault_table_refuses_footprints_outside_its_rules(monkeypatch):
         with pytest.raises(RuntimeError, match="breaks the x footprint rules"):
             Layout(3)
     monkeypatch.setattr(surface_sim, "_simulate_batch", real)
-    assert Layout(3).faults == get_layout(3).faults
+    assert fault_effects(Layout(3)) == fault_effects(get_layout(3))
 
 
 def test_zero_rates_never_fail():
