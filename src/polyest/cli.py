@@ -27,7 +27,7 @@ import sys
 from dataclasses import fields
 
 from . import __version__
-from .error_model import ASYMMETRY_THRESHOLD, ModelError, load_model, reduce
+from .error_model import ModelError, load_model, reduce
 from .estimator import (
     ComputationError,
     MissingEntryError,
@@ -107,7 +107,7 @@ def _open_db(args) -> RateDatabase:
 
 def _cmd_reduce(args) -> int:
     model = load_model(args.model)
-    rr = reduce(model, asymmetry_threshold=args.asymmetry_threshold)
+    rr = reduce(model)
     warnings = list(rr.warnings)
     _warn(warnings)
     values = {
@@ -129,7 +129,7 @@ def _cmd_query(args) -> int:
         query, arg = estimate, args.distance
     else:
         query, arg = solve_distance, args.target
-    result = query(db, model, arg, asymmetry_threshold=args.asymmetry_threshold)
+    result = query(db, model, arg)
     _warn(result.warnings)
     if args.json:
         _print_estimate_json(result)
@@ -271,11 +271,6 @@ def _cmd_curve(args) -> int:
 
 def _add_model_flags(sub) -> None:
     sub.add_argument("--model", required=True, help="per-gate error model JSON file")
-    sub.add_argument(
-        "--asymmetry-threshold", type=float, default=ASYMMETRY_THRESHOLD,
-        help="cnot asymmetry ratio above which a warning is raised "
-        f"(default {ASYMMETRY_THRESHOLD:g})",
-    )
     sub.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
 

@@ -13,8 +13,9 @@ six rates that drive simulation and lookup:
 Folding treats Y as both X and Z, so the X reduction never looks at pure-Z
 entries and vice versa.  CNOT channels whose derived one-sided rates are
 unbalanced are raised to their maximum before scaling, which overestimates;
-the asymmetry ratio is reported, and a ratio above the threshold adds the
-``asymmetric_cnot`` warning to the reduction and to every answer built on it.
+the asymmetry ratio of each axis is reported, and a ratio above
+``ASYMMETRY_THRESHOLD`` adds the ``asymmetric_cnot`` warning to the reduction
+and to every answer built on it.
 """
 
 from __future__ import annotations
@@ -23,12 +24,12 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields
 
-from .store import check_probability, is_real
+from .store import check_probability
 
 # Absorbs float dust when checking that probabilities sum to at most 1.
 _SUM_TOL = 1e-9
 
-#: The CNOT asymmetry ratio above which a reduction warns, unless told otherwise.
+#: The CNOT asymmetry ratio above which a reduction warns.
 ASYMMETRY_THRESHOLD = 2.0
 
 
@@ -140,7 +141,7 @@ class ReducedRates:
     ``asym_x`` / ``asym_z`` are the max/min ratios of the derived CNOT rate
     triples (1.0 for a fully balanced or fully zero triple, ``inf`` when the
     maximum is positive but the minimum is zero).  ``asymmetry_warning`` is
-    set when either ratio exceeds the threshold passed to ``reduce``, and
+    set when either ratio exceeds ``ASYMMETRY_THRESHOLD``, and
     ``warnings`` lists the codes every answer built on these rates carries.
     """
 
@@ -241,19 +242,15 @@ def reduce_syndrome(model: GateErrorModel) -> tuple[float, float]:
     return base, base + hx + hz
 
 
-def reduce(
-    model: GateErrorModel, asymmetry_threshold: float = ASYMMETRY_THRESHOLD
-) -> ReducedRates:
+def reduce(model: GateErrorModel) -> ReducedRates:
     """Reduce a full gate error model to the six scalar rates."""
-    if not is_real(asymmetry_threshold) or not asymmetry_threshold >= 1.0:
-        raise ModelError("asymmetry threshold must be >= 1")
     p0x, p0z = reduce_syndrome(model)
     p1x, p1z = reduce_data_idle(model)
     p2x, p2z, asym_x, asym_z = reduce_cnot(model.cnot)
     return ReducedRates(
         p0x=p0x, p0z=p0z, p1x=p1x, p1z=p1z, p2x=p2x, p2z=p2z,
         asym_x=asym_x, asym_z=asym_z,
-        asymmetry_warning=max(asym_x, asym_z) > asymmetry_threshold,
+        asymmetry_warning=max(asym_x, asym_z) > ASYMMETRY_THRESHOLD,
     )
 
 

@@ -33,7 +33,7 @@ import sys
 from dataclasses import dataclass
 from itertools import product
 
-from .error_model import ASYMMETRY_THRESHOLD, GateErrorModel, ReducedRates, reduce
+from .error_model import GateErrorModel, ReducedRates, reduce
 from .store import (
     AXES, DISTANCES, RateDatabase, check_int, format_value, is_int, is_real, ladder_neighbors,
 )
@@ -92,9 +92,12 @@ def interpolate(
     kind: str = "x",
     warnings: set[str] | None = None,
 ) -> float:
-    """Trilinear log-space interpolation of the stored rate of one kind."""
-    # An int is an integer; testing its type first spares each query a call.
-    if d not in DISTANCES or type(d) is not int and not is_int(d):
+    """Trilinear log-space interpolation of the stored rate of one kind.
+
+    A library entry for one distance: the queries find a query's corners
+    once (_corners) and read each distance at them (_read_corners).
+    """
+    if not is_int(d) or d not in DISTANCES:
         raise ValueError(f"interpolation is defined for d in {DISTANCES}, got {d}")
     if kind not in ("x", "z"):
         raise ValueError(f"kind must be 'x' or 'z', got {kind!r}")
@@ -270,14 +273,10 @@ def _skip_ahead(fits: list[ExtrapolationFit], target: float) -> int:
 
 
 def _first_meeting(
-    db: RateDatabase,
-    model: GateErrorModel,
-    distances: range,
-    target: float,
-    asymmetry_threshold: float,
+    db: RateDatabase, model: GateErrorModel, distances: range, target: float
 ) -> Estimate | None:
     """Estimate at the first of ``distances`` whose X and Z rates reach target."""
-    rr = reduce(model, asymmetry_threshold=asymmetry_threshold)
+    rr = reduce(model)
     warnings = set(rr.warnings)
     query_x, query_z = _KindQuery(rr, "x"), _KindQuery(rr, "z")
     d = distances.start
@@ -301,25 +300,13 @@ def _first_meeting(
     return None
 
 
-def estimate(
-    db: RateDatabase,
-    model: GateErrorModel,
-    d: int,
-    *,
-    asymmetry_threshold: float = ASYMMETRY_THRESHOLD,
-) -> Estimate:
+def estimate(db: RateDatabase, model: GateErrorModel, d: int) -> Estimate:
     """Logical X and Z rates of a detailed error model at one distance."""
     d = check_int(ValueError, "distance", d, 3)
-    return _first_meeting(db, model, range(d, d + 1), math.inf, asymmetry_threshold)
+    return _first_meeting(db, model, range(d, d + 1), math.inf)
 
 
-def solve_distance(
-    db: RateDatabase,
-    model: GateErrorModel,
-    target: float,
-    *,
-    asymmetry_threshold: float = ASYMMETRY_THRESHOLD,
-) -> Estimate:
+def solve_distance(db: RateDatabase, model: GateErrorModel, target: float) -> Estimate:
     """Smallest distance whose X and Z rates both reach the target.
 
     Reads d = 3 to 7 using interpolation through 6 and the parity
@@ -331,9 +318,7 @@ def solve_distance(
     if not is_real(target) or not 0.0 < target < 1.0:
         raise ValueError(f"target rate must be a float in (0, 1), got {target!r}")
     target = float(target)
-    result = _first_meeting(
-        db, model, range(3, MAX_SCAN_DISTANCE + 1), target, asymmetry_threshold
-    )
+    result = _first_meeting(db, model, range(3, MAX_SCAN_DISTANCE + 1), target)
     if result is None:
         raise ScanLimitError(
             f"no distance up to {MAX_SCAN_DISTANCE} reaches target {target!r}"

@@ -133,10 +133,11 @@ class MatchingGraph:
     """Edge classes and the distance tables of one detection graph.
 
     ``edges`` maps (site_a, site_b, dt) and ``boundary`` maps a site to the
-    (probability, weight, mask) of each class; every weight must be >= 0
-    and an edge class's mask False (ValueError otherwise).  The boundary
-    distances B, BM and the pair table D on time offsets 0..T are built
-    here, once, and nothing changes them after: decoding only reads them.
+    (probability, weight, mask) of each class.  Every site must be an
+    integer in 0..n_sites-1, every dt 0 or 1, every weight >= 0 and an edge
+    class's mask False (ValueError otherwise).  The boundary distances B, BM
+    and the pair table D on time offsets 0..T are built here, once, and
+    nothing changes them after: decoding only reads them.
     ``built_for`` is the (distance, rates) that build_graphs built the graph
     for (None for a graph built directly), which run_monte_carlo checks
     against its own.
@@ -149,6 +150,13 @@ class MatchingGraph:
             raise ValueError("an edge class has its mask set: pair classes cannot flip the logical")
         for name, table in (("edge", edges), ("boundary", boundary)):
             for key, (_, w, _) in table.items():
+                sites, dt = (key[:2], key[2]) if name == "edge" else ((key,), 0)
+                if not (is_int(dt) and dt in (0, 1)):
+                    raise ValueError(f"{kind}-graph edge class {key!r} has dt {dt!r}, not 0 or 1")
+                for s in sites:
+                    if not (is_int(s) and 0 <= s < n_sites):
+                        raise ValueError(f"{kind}-graph {name} class {key!r} has site {s!r}, "
+                                         f"not an integer in 0..{n_sites - 1}")
                 if not w >= 0.0:  # a NaN fails too
                     raise ValueError(
                         f"{kind}-graph {name} class {key!r} has weight {w!r}, not >= 0")

@@ -13,8 +13,8 @@ import pytest
 import polyest
 import readme_examples
 from conftest import build_bench_db, build_flat_db
-from polyest.cli import _build_parser, main
-from polyest.error_model import ASYMMETRY_THRESHOLD, depolarizing_model, load_model, reduce
+from polyest.cli import main
+from polyest.error_model import depolarizing_model, load_model, reduce
 from polyest.estimator import estimate, solve_distance
 from polyest.store import AXES, CSV_HEADER, DbEntry, RateDatabase, ladder_values
 
@@ -88,28 +88,25 @@ def test_reduce_unbounded_asymmetry_serializes_as_inf(capsys, tmp_path):
     assert json.loads(out)["asym_x"] == "inf"
 
 
-@pytest.mark.parametrize("command", ["reduce", "estimate"])
-def test_nan_asymmetry_threshold_is_input_error(capsys, tmp_path, bench_file, command):
+@pytest.mark.parametrize("command", ["reduce", "estimate", "solve"])
+def test_asymmetry_threshold_flag_is_a_usage_error(capsys, tmp_path, bench_file, command):
+    # The cut-off is error_model.ASYMMETRY_THRESHOLD alone; no subcommand
+    # takes another.
     path = tmp_path / "asym.json"
     path.write_text(json.dumps({"cnot": {"ix": 1e-3}}))
-    extra = ["--db", bench_file, "--distance", "3"] if command == "estimate" else []
+    extra = {"reduce": [], "estimate": ["--db", bench_file, "--distance", "3"],
+             "solve": ["--db", bench_file, "--target", "1e-9"]}[command]
     code, out, err = run(
-        capsys, command, "--model", str(path), "--asymmetry-threshold", "nan", *extra
+        capsys, command, "--model", str(path), "--asymmetry-threshold", "5", *extra
     )
     assert code == 1
     assert out == ""
-    assert err == "error: asymmetry threshold must be >= 1\n"
+    assert err == "error: unrecognized arguments: --asymmetry-threshold 5\n"
 
 
-def test_every_asymmetry_threshold_default_is_the_one_constant():
-    parser = _build_parser()
-    flags = {"reduce": [], "estimate": ["--distance", "3"], "solve": ["--target", "1e-9"]}
-    for command, extra in flags.items():
-        args = parser.parse_args([command, "--model", "model.json", *extra])
-        assert args.asymmetry_threshold is ASYMMETRY_THRESHOLD
+def test_no_entry_point_takes_an_asymmetry_threshold():
     for function in (reduce, estimate, solve_distance):
-        default = inspect.signature(function).parameters["asymmetry_threshold"].default
-        assert default is ASYMMETRY_THRESHOLD
+        assert "asymmetry_threshold" not in inspect.signature(function).parameters
 
 
 def test_reduce_missing_model_file(capsys, tmp_path):

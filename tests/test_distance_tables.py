@@ -254,14 +254,31 @@ def test_edges_out_of_boundary_reach_must_be_time_lines():
                  "x-graph edge class (0, 0, 1) has weight nan, not >= 0", id="nan-edge"),
     pytest.param("'z', 2, {}, {0: (0.5, -1.0, False), 1: (1.0, 0.0, False)}",
                  "z-graph boundary class 0 has weight -1.0, not >= 0", id="negative-boundary"),
+    pytest.param("'x', 2, {(0, 1, 2): (0.5, 1.0, False)}, {0: (0.5, 1.0, False)}",
+                 "x-graph edge class (0, 1, 2) has dt 2, not 0 or 1", id="dt-2"),
+    pytest.param("'x', 2, {(0, 1, -1): (0.5, 1.0, False)}, {0: (0.5, 1.0, False)}",
+                 "x-graph edge class (0, 1, -1) has dt -1, not 0 or 1", id="dt-negative"),
+    pytest.param("'x', 1, {}, {3: (0.5, 1.0, False)}",
+                 "x-graph boundary class 3 has site 3, not an integer in 0..0",
+                 id="boundary-site-out-of-range"),
+    pytest.param("'z', 2, {(0, 5, 0): (0.5, 1.0, False)}, {0: (0.5, 1.0, False)}",
+                 "z-graph edge class (0, 5, 0) has site 5, not an integer in 0..1",
+                 id="edge-site-out-of-range"),
+    pytest.param("'z', 2, {}, {0: (0.5, 1.0, False), 1.5: (0.5, 1.0, False)}",
+                 "z-graph boundary class 1.5 has site 1.5, not an integer in 0..1",
+                 id="boundary-site-not-integer"),
 ])
 def test_graph_refuses_negative_and_nan_weights(args, message):
     # The table searches assume weights >= 0.  A negative edge is a negative
     # cycle of the undirected graph, on which the boundary heap search once
     # never returned; a NaN edge failed later with an unrelated error, and a
-    # negative boundary weight gave B = [-1, 0].  Each graph is built in a
-    # child process under a timeout, so a search that never returns fails
-    # this test instead of stalling the suite.
+    # negative boundary weight gave B = [-1, 0].  They also assume a class
+    # key's dt is 0 or 1 and its sites lie in 0..n_sites-1: an edge with dt 2
+    # or -1 was once dropped from the tables without a word (dt = 2 left
+    # T = 0, so its two events went to the boundary at 3.0 and not to each
+    # other at 1.0), and a site out of range failed with a bare IndexError.
+    # Each graph is built in a child process under a timeout, so a search
+    # that never returns fails this test instead of stalling the suite.
     src = os.path.dirname(os.path.dirname(os.path.abspath(matcher.__file__)))
     code = ("import math\n"
             "from polyest.matcher import MatchingGraph\n"

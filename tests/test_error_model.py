@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import build_flat_db
+from polyest.cli import main
 from polyest.error_model import (
+    ASYMMETRY_THRESHOLD,
     GateErrorModel,
     ModelError,
     SingleQubitChannel,
@@ -62,19 +65,36 @@ def test_cnot_asymmetry_unbounded_when_a_triple_rate_is_zero():
     assert asym_x == math.inf
 
 
-def test_asymmetry_warning_respects_threshold():
-    model = GateErrorModel(
-        cnot=TwoQubitChannel(ix=1e-4, xi=1e-5, xx=1e-6)
-    )
-    assert reduce(model, asymmetry_threshold=2.0).asymmetry_warning
-    assert not reduce(model, asymmetry_threshold=200.0).asymmetry_warning
-    with pytest.raises(ModelError):
-        reduce(model, asymmetry_threshold=0.5)
-    with pytest.raises(ModelError):
-        reduce(model, asymmetry_threshold=float("nan"))
-    for bad in (True, "3", None):
-        with pytest.raises(ModelError, match="asymmetry threshold must be >= 1"):
-            reduce(model, asymmetry_threshold=bad)
+def test_asymmetry_warning_respects_threshold(capsys, tmp_path):
+    # ASYMMETRY_THRESHOLD is the one cut-off.  An x triple (2e-4, 1e-4, 1e-4)
+    # has a ratio of exactly 2 and warns nowhere; one just above 2 adds the
+    # asymmetric_cnot line, and nothing else, to the warnings of reduce,
+    # estimate, solve and curve --model alike.
+    assert ASYMMETRY_THRESHOLD == 2.0
+    db = tmp_path / "flat.csv"
+    build_flat_db((0.01,), (0.01,), (5e-4, 1e-3)).save(db)
+    commands = {
+        "reduce": [],
+        "estimate": ["--db", str(db), "--distance", "5"],
+        "solve": ["--db", str(db), "--target", "1e-4"],
+        "curve": ["--db", str(db), "--p2-min", "5e-4", "--p2-max", "5e-4"],
+    }
+    err = {}
+    for ix, ratio in ((2e-4, 2.0), (2.000001e-4, 2.0000009999999997)):
+        channel = {"ix": ix, "xi": 1e-4, "xx": 1e-4}
+        rr = reduce(GateErrorModel(cnot=TwoQubitChannel(**channel)))
+        assert (rr.asym_x, rr.asym_z) == (ratio, 1.0)
+        assert rr.asymmetry_warning is (ratio > 2.0)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"cnot": channel}))
+        for command, extra in commands.items():
+            assert main([command, "--model", str(path), *extra]) == 0
+            err[ratio, command] = capsys.readouterr().err
+    line = ("warning: asymmetric_cnot: "
+            "cnot channel asymmetry exceeds the threshold; rates were balanced\n")
+    for command in commands:
+        assert "asymmetric_cnot" not in err[2.0, command]
+        assert err[2.0000009999999997, command] == line + err[2.0, command]
 
 
 def test_measurement_flip_feeds_both_syndrome_rates():

@@ -391,10 +391,10 @@ def _query_db():
     return db
 
 
-def _answer(query, *args, **kwargs):
+def _answer(query, *args):
     """A query's result, or the type and message of the error it raises."""
     try:
-        return query(*args, **kwargs)
+        return query(*args)
     except Exception as err:  # any error, so that its type and message are compared
         return type(err), str(err)
 
@@ -445,24 +445,22 @@ _models = st.one_of(
     model=_models,
     d=st.integers(3, 40),
     target=_log_floats(-30, -0.5),
-    threshold=st.just(2.0) | st.sampled_from([1.0, 50.0, 0.5]),
 )
-@example(model=depolarizing_model(1.5e-3), d=5, target=1e-9, threshold=2.0)  # missing z corner
-@example(model=depolarizing_model(7e-4), d=6, target=1e-9, threshold=2.0)  # zero x corner
-@example(model=depolarizing_model(7e-4), d=7, target=1e-3, threshold=2.0)
-@example(model=depolarizing_model(1e-3), d=3, target=1e-12, threshold=2.0)  # on grid points
-def test_queries_answer_as_the_frozen_per_distance_path(model, d, target, threshold):
+@example(model=depolarizing_model(1.5e-3), d=5, target=1e-9)  # missing z corner
+@example(model=depolarizing_model(7e-4), d=6, target=1e-9)  # zero x corner
+@example(model=depolarizing_model(7e-4), d=7, target=1e-3)
+@example(model=depolarizing_model(1e-3), d=3, target=1e-12)  # on grid points
+def test_queries_answer_as_the_frozen_per_distance_path(model, d, target):
     # The package finds a query's corners once per error type and sums the
     # CNOT triple from name tables; estimate, solve_distance and reduce must
     # still give the frozen path's every float, warning and error.
     db = _query_db()
-    for query, frozen, args, kwargs in (
-        (reduce, _oracle.reduce, (model, threshold), {}),
-        (estimate, _oracle.estimate, (db, model, d), {"asymmetry_threshold": threshold}),
-        (solve_distance, _oracle.solve_distance, (db, model, target),
-         {"asymmetry_threshold": threshold}),
+    for query, frozen, args in (
+        (reduce, _oracle.reduce, (model,)),
+        (estimate, _oracle.estimate, (db, model, d)),
+        (solve_distance, _oracle.solve_distance, (db, model, target)),
     ):
-        got, want = _answer(query, *args, **kwargs), _answer(frozen, *args, **kwargs)
+        got, want = _answer(query, *args), _answer(frozen, *args)
         assert got == want
         assert repr(got) == repr(want)  # bit for bit, signed zeros included
 
