@@ -152,7 +152,7 @@ def _cmd_generate(args) -> int:
         with open(args.grid, "r", encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
-            except json.JSONDecodeError as err:
+            except ValueError as err:  # a JSONDecodeError, or a UnicodeDecodeError
                 raise DbError(f"grid spec {args.grid}: {err}") from None
         grid = GridSpec.from_dict(data)
     # Checked now, not at the first checkpoint after a point's simulation.

@@ -331,6 +331,6 @@ def load_model(path: str) -> GateErrorModel:
             data = json.load(fh)
     except OSError as exc:
         raise ModelError(f"cannot read model file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError
         raise ModelError(f"model file {path} is not valid JSON: {exc}") from exc
     return model_from_dict(data)

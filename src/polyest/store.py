@@ -32,7 +32,7 @@ import math
 import numbers
 import os
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 LADDER_MANTISSAS = (1, 2, 5)
 AXES: dict[str, tuple[float, float]] = {
@@ -299,22 +299,34 @@ _COLUMNS = (
 CSV_HEADER = ",".join(name for name, _, _ in _COLUMNS)
 
 
-def _check_metadata(key, value) -> None:
-    """Raise DbError, naming ``key``, unless ``# key=value`` loads back as both.
+def _parse_stamp(line: str) -> tuple[str, str] | None:
+    """The (key, value) of a ``# key=value`` comment line; None if it holds no ``=``.
 
-    load reads one line per entry, strips the text around the key and the
-    value and splits at the first ``=``, so each must be a string on one
-    line without surrounding whitespace, and the key non-empty without ``=``.
+    The key is the text before the first ``=`` and the value the text after
+    it, each stripped; an empty key raises DbError.
     """
-    for part in (key, value):
-        if not isinstance(part, str):
-            raise DbError(f"metadata key {key!r}: keys and values must be strings")
-        if part.splitlines() not in ([], [part]):
-            raise DbError(f"metadata key {key!r}: line breaks do not round-trip")
-        if part != part.strip():
-            raise DbError(f"metadata key {key!r}: surrounding whitespace does not round-trip")
-    if not key or "=" in key:
-        raise DbError(f"metadata key {key!r}: a key must be non-empty and hold no '='")
+    body = line[1:].strip()
+    if "=" not in body:
+        return None
+    key, _, value = body.partition("=")
+    key = key.strip()
+    if not key:
+        raise DbError("metadata key '': a key must be non-empty")
+    return key, value.strip()
+
+
+def _stamp_line(key, value) -> str:
+    """The ``# key=value`` line save writes; DbError, naming ``key``, unless it loads back."""
+    if not (isinstance(key, str) and isinstance(value, str)):
+        raise DbError(f"metadata key {key!r}: keys and values must be strings")
+    line = f"# {key}={value}"
+    try:
+        loads_back = line.splitlines() == [line] and _parse_stamp(line) == (key, value)
+    except DbError:  # an empty key
+        loads_back = False
+    if not loads_back:
+        raise DbError(f"metadata key {key!r}: {line!r} does not load back as this key and value")
+    return line
 
 
 class RateDatabase:
@@ -350,9 +362,8 @@ class RateDatabase:
         removes its temporary file.  Metadata that would not load back as
         the same keys and values raises DbError before anything is written.
         """
-        for key, value in self.metadata.items():
-            _check_metadata(key, value)
-        lines = [f"# {k}={self.metadata[k]}" for k in sorted(self.metadata)]
+        stamps = {key: _stamp_line(key, value) for key, value in self.metadata.items()}
+        lines = [stamps[key] for key in sorted(stamps)]
         lines.append(CSV_HEADER)
         for e in self.entries():
             lines.append(",".join(fmt(getattr(e, name)) for name, _, fmt in _COLUMNS))
@@ -372,54 +383,39 @@ class RateDatabase:
     def load(cls, path) -> "RateDatabase":
         db = cls()
         with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read().splitlines()
-        lineno = 0
+            try:
+                raw = fh.read().splitlines()
+            except UnicodeDecodeError as err:
+                raise DbError(f"database {path}: {err}") from None
         header_seen = False
-        for line in raw:
-            lineno += 1
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                if header_seen:
-                    raise DbError(f"line {lineno}: comment after header")
-                body = line[1:].strip()
-                if "=" in body:
-                    k, _, v = body.partition("=")
-                    if k.strip() in db.metadata:
-                        raise DbError(f"line {lineno}: metadata key {k.strip()!r} repeats")
-                    db.metadata[k.strip()] = v.strip()
-                continue
-            if not header_seen:
-                if line != CSV_HEADER:
-                    raise DbError(f"line {lineno}: expected header {CSV_HEADER!r}")
-                header_seen = True
-                continue
-            texts = line.split(",")
-            if len(texts) != len(_COLUMNS):
-                raise DbError(
-                    f"line {lineno}: expected {len(_COLUMNS)} fields, got {len(texts)}"
-                )
-            try:  # add raises on a duplicate key
-                db.add(DbEntry(*[
-                    parse(text) for (_, parse, _), text in zip(_COLUMNS, texts)
-                ]))
-            except ValueError as err:  # DbError included
+        for lineno, line in enumerate(raw, 1):
+            try:  # every error names its line; the column parsers raise ValueError
+                if not line.strip():
+                    continue
+                if line.startswith("#"):
+                    if header_seen:
+                        raise DbError("comment after header")
+                    stamp = _parse_stamp(line)
+                    if stamp is not None:
+                        key, value = stamp
+                        if key in db.metadata:
+                            raise DbError(f"metadata key {key!r} repeats")
+                        db.metadata[key] = value
+                    continue
+                if not header_seen:
+                    if line != CSV_HEADER:
+                        raise DbError(f"expected header {CSV_HEADER!r}")
+                    header_seen = True
+                    continue
+                texts = line.split(",")
+                if len(texts) != len(_COLUMNS):
+                    raise DbError(f"expected {len(_COLUMNS)} fields, got {len(texts)}")
+                db.add(DbEntry(*[parse(text) for (_, parse, _), text in zip(_COLUMNS, texts)]))
+            except ValueError as err:
                 raise DbError(f"line {lineno}: {err}") from None
         if not header_seen:
             raise DbError("missing header line")
         return db
-
-
-def _axis_tuple(name: str, values: Iterable) -> tuple:
-    out = []
-    for v in values:
-        if isinstance(v, str):
-            try:
-                v = float(v)
-            except ValueError:
-                raise DbError(f"bad {name} value {v!r}") from None
-        out.append(v)
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -462,6 +458,7 @@ class GridSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GridSpec":
+        """The grid a JSON object describes; its arrays go to GridSpec as given."""
         if not isinstance(data, dict):
             raise DbError("grid spec must be a JSON object")
         keys = ("distances", *AXES)
@@ -473,7 +470,7 @@ class GridSpec:
                 raise DbError(f"grid spec missing key {key!r}")
             if not isinstance(data[key], list):
                 raise DbError(f"grid spec {key} must be an array, got {data[key]!r}")
-        return cls(tuple(data["distances"]), *(_axis_tuple(name, data[name]) for name in AXES))
+        return cls(*(data[key] for key in keys))
 
     def points(self) -> list[tuple[int, float, float, float]]:
         return [

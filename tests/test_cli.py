@@ -281,7 +281,7 @@ def test_bad_flags_are_exit_1(capsys, model_file):
 def _grid_file(tmp_path):
     path = tmp_path / "grid.json"
     path.write_text(json.dumps(
-        {"distances": [3], "r0": [1], "r1": [1], "p2": ["1e-2"]}
+        {"distances": [3], "r0": [1], "r1": [1], "p2": [1e-2]}
     ))
     return str(path)
 
@@ -335,6 +335,48 @@ def test_generate_rejects_bad_grid_file(capsys, tmp_path):
     )
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize("case", ["string_axis_value", "empty_stamp_key"])
+def test_generate_rejects_what_store_cannot_read_back_before_simulating(
+    capsys, tmp_path, monkeypatch, case
+):
+    # A grid axis value follows GridSpec's rule, and --out follows load's
+    # stamp rule, which is save's: both fail before the first point.
+    from polyest import ratedb
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("run_monte_carlo called")
+
+    monkeypatch.setattr(ratedb, "run_monte_carlo", no_simulation)
+    grid = _grid_file(tmp_path)
+    out_path = tmp_path / "db.csv"
+    if case == "string_axis_value":
+        with open(grid, "w") as fh:
+            json.dump({"distances": [3], "r0": ["2"], "r1": [1], "p2": [1e-2]}, fh)
+        want = "error: r0='2' is not on the 1-2-5 ladder\n"
+    else:
+        out_path.write_text(f"# =x\n{CSV_HEADER}\n")
+        want = "error: line 1: metadata key '': a key must be non-empty\n"
+    before = out_path.read_bytes() if out_path.exists() else None
+    code, out, err = run(capsys, "generate", "--grid", grid, "--out", str(out_path))
+    assert (code, out, err) == (1, "", want)
+    assert (out_path.read_bytes() if out_path.exists() else None) == before
+
+
+@pytest.mark.parametrize("role", ["database", "model", "grid"])
+def test_a_file_that_is_not_utf8_is_an_input_error_naming_it(capsys, tmp_path, model_file, role):
+    bad = tmp_path / "bin.dat"
+    bad.write_bytes(b"\xff\xfe{}\n")
+    argv = {
+        "database": ("estimate", "--db", str(bad), "--model", model_file, "--distance", "3"),
+        "model": ("reduce", "--model", str(bad)),
+        "grid": ("generate", "--grid", str(bad), "--out", str(tmp_path / "o.csv")),
+    }[role]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and str(bad) in err and "can't decode byte 0xff" in err
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_generate_rejects_zero_target_fails(capsys, tmp_path):
@@ -420,7 +462,7 @@ def test_generate_resumes_after_kill_byte_identical(capsys, tmp_path):
     # disk; rerunning completes the grid with the bytes of an unbroken run.
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps(
-        {"distances": [3], "r0": [1, 2, 5], "r1": [1], "p2": ["1e-2"]}
+        {"distances": [3], "r0": [1, 2, 5], "r1": [1], "p2": [1e-2]}
     ))
     flags = ["--seed", "3", "--target-fails", "1000000", "--max-shots", "1200"]
     killed = tmp_path / "killed.csv"

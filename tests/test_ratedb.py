@@ -618,6 +618,31 @@ def test_load_rejects_a_repeated_metadata_key(tmp_path):
     }
 
 
+@pytest.mark.parametrize("line", ["# =x", "#=", "#  = x"])
+def test_load_refuses_a_stamp_with_an_empty_key(tmp_path, line):
+    # save refuses an empty key, so load does too.
+    with pytest.raises(DbError, match=r"^line 1: metadata key '': "):
+        RateDatabase.load(_write(tmp_path, f"{line}\n{CSV_HEADER}\n"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="ab =#\t\xa0\u3000", max_size=8))
+def test_every_stamp_load_reads_saves_back(text):
+    # One stamp-line rule serves both: what load reads from "#text", save
+    # writes and load reads back unchanged.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "db.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(f"#{text}\n{CSV_HEADER}\n")
+        try:
+            metadata = RateDatabase.load(path).metadata
+        except DbError as err:
+            assert str(err).startswith("line 1: metadata key '': ")
+            return
+        RateDatabase(metadata=metadata).save(path)
+        assert RateDatabase.load(path).metadata == metadata
+
+
 def test_load_accepts_blank_lines_and_metadata(tmp_path):
     body = f"# seed=7\n\n{CSV_HEADER}\n\n3,1,1,0.01,1000,5,200,300,0.04,0.06,0\n"
     db = RateDatabase.load(_write(tmp_path, body))
@@ -637,7 +662,7 @@ def test_grid_sizes():
 
 def test_grid_from_dict():
     grid = GridSpec.from_dict(
-        {"distances": [3, 5], "r0": [1, "2"], "r1": [1], "p2": ["1e-3"]}
+        {"distances": [3, 5], "r0": [1, 2], "r1": [1], "p2": [1e-3]}
     )
     assert grid.distances == (3, 5)
     assert grid.r0_values == (1.0, 2.0)
@@ -666,6 +691,18 @@ def test_grid_from_dict():
 def test_grid_from_dict_rejects_malformed_specs(spec):
     with pytest.raises(DbError):
         GridSpec.from_dict(spec)
+
+
+@pytest.mark.parametrize("axis", ["r0", "r1", "p2"])
+def test_grid_from_dict_takes_axis_values_as_given(axis):
+    # A JSON string is no axis value: the spec raises what GridSpec raises.
+    spec = {"distances": [3], "r0": [1], "r1": [1], "p2": [1e-3]}
+    spec[axis] = ["2"]
+    with pytest.raises(DbError) as direct:
+        GridSpec(spec["distances"], *(spec[name] for name in AXES))
+    with pytest.raises(DbError) as given:
+        GridSpec.from_dict(spec)
+    assert str(given.value) == str(direct.value) == f"{axis}='2' is not on the 1-2-5 ladder"
 
 
 @pytest.mark.parametrize("values", [(500.0,), (0.3,), (True,), ()],
