@@ -28,15 +28,7 @@ from dataclasses import fields
 
 from . import __version__
 from .error_model import ModelError, load_model, reduce
-from .estimator import (
-    ComputationError,
-    MissingEntryError,
-    _corners,
-    _KindQuery,
-    _read_corners,
-    estimate,
-    solve_distance,
-)
+from .estimator import ComputationError, MissingEntryError, Query, estimate, solve_distance
 from .store import (
     AXES,
     DISTANCES,
@@ -237,18 +229,19 @@ def _cmd_curve(args) -> int:
     if args.model:
         rr = reduce(load_model(args.model))
         warnings.update(rr.warnings)
-        query = _KindQuery(rr, args.kind)
-        if query.trivial:
+        query = Query.of(rr, args.kind)
+        if query.p2 == 0.0:
             raise ComputationError(
                 "model has zero p2; the ratio axes are undefined for a curve"
             )
-        r0, r1 = query.r0, query.r1
+        r0, r1 = query.r0, query.r1  # past an axis end, clamped as every query is
     else:
         r0 = args.r0 if args.r0 is not None else 1.0
         r1 = args.r1 if args.r1 is not None else 1.0
-    bounds = (("--r0", r0), ("--r1", r1), ("--p2-min", args.p2_min), ("--p2-max", args.p2_max))
+    bounds = (("--r0", args.r0), ("--r1", args.r1),
+              ("--p2-min", args.p2_min), ("--p2-max", args.p2_max))
     for flag, value in bounds:
-        if not (math.isfinite(value) and value >= 0.0):
+        if value is not None and not (math.isfinite(value) and value >= 0.0):
             raise _UsageError(f"{flag} must be finite and >= 0, got {value!r}")
     axis_lo, axis_hi = AXES["p2"]
     lo = max(args.p2_min, axis_lo)
@@ -256,14 +249,13 @@ def _cmd_curve(args) -> int:
     print("p2," + ",".join(f"d{d}" for d in DISTANCES))
     if lo <= hi:
         for p2 in ladder_values(lo, hi):
-            found: set[str] = set()  # the row's warnings, kept only if it is printed
-            corners = _corners(r0, r1, p2, found)  # one row's corners serve every distance
+            row = Query(args.kind, r0, r1, p2)  # one row's corners serve every distance
             try:
-                values = [_read_corners(db, d, corners, args.kind, found) for d in DISTANCES]
+                values = [row.read(db, d) for d in DISTANCES]
             except MissingEntryError as err:
                 print(f"skipping p2={format_value(p2)}: {err}", file=sys.stderr)
                 continue
-            warnings |= found
+            warnings |= row.warnings  # only a printed row warns
             print(format_value(p2) + "," + ",".join(repr(v) for v in values))
     _warn(warnings)
     return 0

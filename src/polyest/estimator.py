@@ -1,12 +1,15 @@
 """Logical-rate estimation from a rate database plus a reduced error model.
 
 For distances 3 to 6 the estimate is a trilinear interpolation of database
-entries in log10 space over (r0, r1, p2).  The grid corners around a query
-and their weights do not depend on the distance, so they are found once per
-error type, and each distance is a lookup of its own entries at them.
+entries in log10 space over (r0, r1, p2).  ``Query`` is the one reader of a
+database: ``estimate``, ``solve_distance``, ``interpolate`` and ``polyest
+curve`` all read through it.  The grid corners around a query and their
+weights do not depend on the distance, so a Query brackets them once, on its
+first read, and each distance is a lookup of its own entries at them.
 Queries landing exactly on a grid point return the stored value
-bit-for-bit; queries outside an axis range are clamped to the nearest grid
-line and flagged.  Interpolated results are additionally clamped into the
+bit-for-bit; queries outside an axis range, a ratio of zero or one that
+overflows to infinity included, are clamped to the nearest grid line and
+flagged.  Interpolated results are additionally clamped into the
 envelope of the participating corner values, so interpolation can never
 overshoot its own inputs through rounding.
 
@@ -68,11 +71,13 @@ class ScanLimitError(ComputationError):
 
 
 def _axis_corners(value: float, axis: str, warnings: set[str]) -> list[tuple[float, float]]:
-    if value == 0.0 and axis != "p2":
+    if axis != "p2" and value in (0.0, math.inf):
         # A zero ratio (a model without idle, or without preparation and
-        # measurement noise) lies below the axis like any small ratio.  A
-        # zero p2 is not clamped: _KindQuery answers it without the database.
-        value = AXES[axis][0]
+        # measurement noise) lies below the axis like any small ratio, and
+        # one that overflows (p0 or p1 over a subnormal p2) above it like any
+        # large one.  A zero p2 is not clamped: Query.at answers it without
+        # the database.
+        value = AXES[axis][0] if value == 0.0 else AXES[axis][1]
         warnings.add("clamped")
     low, high, clamped = ladder_neighbors(value, axis)
     if clamped:
@@ -94,43 +99,17 @@ def interpolate(
 ) -> float:
     """Trilinear log-space interpolation of the stored rate of one kind.
 
-    A library entry for one distance: the queries find a query's corners
-    once (_corners) and read each distance at them (_read_corners).
+    One read of a Query, whose warnings go to ``warnings`` when given.  To
+    read several distances of one query, read them through one Query, which
+    brackets its corners once.
     """
     if not is_int(d) or d not in DISTANCES:
         raise ValueError(f"interpolation is defined for d in {DISTANCES}, got {d}")
     if kind not in ("x", "z"):
         raise ValueError(f"kind must be 'x' or 'z', got {kind!r}")
-    if warnings is None:
-        warnings = set()
-    return _read_corners(db, d, _corners(r0, r1, p2, warnings), kind, warnings)
-
-
-def _corners(r0: float, r1: float, p2: float, warnings: set[str]) -> list:
-    """((r0, r1, p2) corner, weight) of each grid corner of a query, at any distance."""
-    axes = [_axis_corners(value, axis, warnings) for value, axis in zip((r0, r1, p2), AXES)]
-    return [((v0, v1, v2), w0 * w1 * w2) for (v0, w0), (v1, w1), (v2, w2) in product(*axes)]
-
-
-def _read_corners(db: RateDatabase, d: int, corners: list, kind: str, warnings: set[str]) -> float:
-    """One distance's stored rates of one kind at ``corners``, combined in log space."""
-    values, weights = [], []  # of the corners with a positive weight, in corner order
-    for key, weight in corners:
-        entry = db.get(d, *key)
-        if entry is None:
-            raise MissingEntryError("missing database entry (d={}, r0={}, r1={}, p2={})".format(
-                d, *map(format_value, key)))
-        if entry.low_confidence:
-            warnings.add("low_confidence")
-        if weight > 0.0:
-            values.append(entry.p_xl if kind == "x" else entry.p_zl)
-            weights.append(weight)
-    if len(corners) == 1:
-        return values[0]  # bit-exact at grid points
-    if 0.0 in values:
-        return 0.0  # a zero corner pins the geometric mean to zero
-    result = 10.0 ** sum(map(operator.mul, weights, map(math.log10, values)))
-    return min(max(result, min(values)), max(values))  # within the corners' envelope
+    query = Query(kind, r0, r1, p2)
+    query.warnings = set() if warnings is None else warnings
+    return query.read(db, d)
 
 
 @dataclass(frozen=True)
@@ -200,53 +179,78 @@ class Estimate:
     fit_z: ExtrapolationFit | None
 
 
-class _KindQuery:
-    """Per-kind ratios and rates shared by estimate, solve_distance and curve.
+class Query:
+    """The rates of one error type at (r0, r1, p2): the one reader of a rate database.
 
-    The grid corners are found once per error type, on the first direct rate
-    asked for; each distance is then a lookup of its entries at those corners.
+    The grid corners around (r0, r1, p2) do not depend on the distance, so
+    they are bracketed once, on the first read, and each distance is a
+    lookup of its own entries at them.  ``warnings`` collects the query's
+    warning codes, and ``fit`` is its parity fit once a distance past 6 has
+    been asked for.
     """
 
-    def __init__(self, rr: ReducedRates, kind: str):
+    def __init__(self, kind: str, r0: float, r1: float, p2: float):
         self.kind = kind
-        p0 = rr.p0x if kind == "x" else rr.p0z
-        p1 = rr.p1x if kind == "x" else rr.p1z
-        p2 = rr.p2x if kind == "x" else rr.p2z
+        self.r0, self.r1, self.p2 = r0, r1, p2
+        self.warnings: set[str] = set()
+        self.fit: ExtrapolationFit | None = None
+        self._corners: list | None = None  # ((r0, r1, p2) corner, weight), on the first read
+        self._read: dict[int, float] = {}
+
+    @classmethod
+    def of(cls, rr: ReducedRates, kind: str) -> Query:
+        """The query of a reduced model's rates of one error type."""
+        p0, p1, p2 = (rr.p0x, rr.p1x, rr.p2x) if kind == "x" else (rr.p0z, rr.p1z, rr.p2z)
         if p2 == 0.0:
             if p0 > 0.0 or p1 > 0.0:
                 raise UndefinedRatioError(
                     f"p2{kind.upper()} is zero while p0/p1 are not; "
                     "the database ratios r0 and r1 are undefined"
                 )
-            self.trivial = True
-            self.r0 = self.r1 = self.p2 = 0.0
+            return cls(kind, 0.0, 0.0, 0.0)
+        return cls(kind, p0 / p2, p1 / p2, p2)
+
+    def read(self, db: RateDatabase, d: int) -> float:
+        """Distance d's (3 to 6) stored rates at the query's corners, combined in log space."""
+        if d in self._read:
+            return self._read[d]
+        corners = self._corners
+        if corners is None:
+            axes = [_axis_corners(value, axis, self.warnings)
+                    for value, axis in zip((self.r0, self.r1, self.p2), AXES)]
+            corners = self._corners = [((v0, v1, v2), w0 * w1 * w2)
+                                       for (v0, w0), (v1, w1), (v2, w2) in product(*axes)]
+        x = self.kind == "x"
+        values, weights = [], []  # of the corners with a positive weight, in corner order
+        for key, weight in corners:
+            entry = db.get(d, *key)
+            if entry is None:
+                raise MissingEntryError("missing database entry (d={}, r0={}, r1={}, p2={})".format(
+                    d, *map(format_value, key)))
+            if entry.low_confidence:
+                self.warnings.add("low_confidence")
+            if weight > 0.0:
+                values.append(entry.p_xl if x else entry.p_zl)
+                weights.append(weight)
+        if len(corners) == 1:
+            result = values[0]  # bit-exact at grid points
+        elif 0.0 in values:
+            result = 0.0  # a zero corner pins the geometric mean to zero
         else:
-            self.trivial = False
-            self.r0 = p0 / p2
-            self.r1 = p1 / p2
-            self.p2 = p2
-        self._corners: list | None = None
-        self._direct: dict[int, float] = {}
-        self._fit: ExtrapolationFit | None = None
+            result = 10.0 ** sum(map(operator.mul, weights, map(math.log10, values)))
+            result = min(max(result, min(values)), max(values))  # within the corners' envelope
+        self._read[d] = result
+        return result
 
-    def direct(self, db, d: int, warnings: set[str]) -> float:
-        if d not in self._direct:
-            if self._corners is None:
-                self._corners = _corners(self.r0, self.r1, self.p2, warnings)
-            self._direct[d] = _read_corners(db, d, self._corners, self.kind, warnings)
-        return self._direct[d]
-
-    def fitted(self, db, warnings: set[str]) -> ExtrapolationFit:
-        if self._fit is None:
-            self._fit = fit(*(self.direct(db, dd, warnings) for dd in DISTANCES))
-        return self._fit
-
-    def at(self, db, d: int, warnings: set[str]) -> float:
-        if self.trivial:
+    def at(self, db: RateDatabase, d: int) -> float:
+        """The rate at any distance: read through 6, the parity fit past it, 0.0 at p2 = 0."""
+        if self.p2 == 0.0:
             return 0.0
         if d <= 6:
-            return self.direct(db, d, warnings)
-        return _evaluate(self.fitted(db, warnings), d)
+            return self.read(db, d)
+        if self.fit is None:
+            self.fit = fit(*(self.read(db, dd) for dd in DISTANCES))
+        return _evaluate(self.fit, d)
 
 
 def _skip_ahead(fits: list[ExtrapolationFit], target: float) -> int:
@@ -277,24 +281,23 @@ def _first_meeting(
 ) -> Estimate | None:
     """Estimate at the first of ``distances`` whose X and Z rates reach target."""
     rr = reduce(model)
-    warnings = set(rr.warnings)
-    query_x, query_z = _KindQuery(rr, "x"), _KindQuery(rr, "z")
+    query_x, query_z = Query.of(rr, "x"), Query.of(rr, "z")
     d = distances.start
     while d < distances.stop:
-        p_xl = query_x.at(db, d, warnings)
-        p_zl = query_z.at(db, d, warnings)
+        p_xl = query_x.at(db, d)
+        p_zl = query_z.at(db, d)
         if p_xl <= target and p_zl <= target:
             return Estimate(
                 d=d,
                 p_xl=p_xl,
                 p_zl=p_zl,
-                warnings=tuple(sorted(warnings)),
+                warnings=tuple(sorted(query_x.warnings.union(query_z.warnings, rr.warnings))),
                 rates=rr,
-                fit_x=query_x._fit,
-                fit_z=query_z._fit,
+                fit_x=query_x.fit,
+                fit_z=query_z.fit,
             )
         if d == 7:
-            d = _skip_ahead([q._fit for q in (query_x, query_z) if q._fit is not None], target)
+            d = _skip_ahead([q.fit for q in (query_x, query_z) if q.fit is not None], target)
         else:
             d += 1
     return None

@@ -7,16 +7,21 @@ import signal
 import subprocess
 import sys
 import time
+from itertools import product
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import polyest
 import readme_examples
 from conftest import build_bench_db, build_flat_db
 from polyest.cli import main
 from polyest.error_model import depolarizing_model, load_model, reduce
-from polyest.estimator import estimate, solve_distance
-from polyest.store import AXES, CSV_HEADER, DbEntry, RateDatabase, ladder_values
+from polyest.estimator import MissingEntryError, estimate, interpolate, solve_distance
+from polyest.store import (
+    AXES, CSV_HEADER, DISTANCES, DbEntry, RateDatabase, format_value, ladder_values,
+)
 
 
 @pytest.fixture()
@@ -327,6 +332,27 @@ def test_generate_is_deterministic_across_files(capsys, tmp_path):
     assert blobs[0] == blobs[1]
 
 
+def test_one_point_generate_and_its_estimate_are_pinned(capsys, tmp_path):
+    # The database's bytes pin the noise draw and decode of generate; the
+    # model's z ratio r0 = 10/3 lies between the r0 = 2 and r0 = 5 rows, so
+    # the estimate's z rate runs the corner interpolation.
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"distances": [3], "r0": [2, 5], "r1": [1], "p2": [5e-3]}))
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"depolarizing": 5e-3}))
+    db = tmp_path / "rates.csv"
+    code, _, _ = run(capsys, "generate", "--grid", str(grid), "--out", str(db),
+                     "--max-shots", "512")
+    assert code == 0
+    assert hashlib.sha256(db.read_bytes()).hexdigest() == (
+        "131ed6f2f283b71177d9946a170b8885aba0a0af7fcbbfbdcf63975bd86ff641"
+    )
+    code, out, _ = run(capsys, "estimate", "--db", str(db), "--model", str(model),
+                       "--distance", "3")
+    assert code == 0
+    assert out == "p_xl = 0.014787946428571428\np_zl = 0.013160864601666966\n"
+
+
 def test_generate_rejects_bad_grid_file(capsys, tmp_path):
     bad = tmp_path / "grid.json"
     bad.write_text("{not json")
@@ -575,6 +601,47 @@ def test_simulate_dump_graph_bytes_are_pinned(capsys, tmp_path, d):
     assert hashlib.sha256(dump.read_bytes()).hexdigest() == _DUMP_GRAPH_SHA256[d]
 
 
+def test_simulate_dump_graph_at_unequal_rates_is_pinned(capsys, tmp_path):
+    # build_graphs sums the footprint arrays the shots XOR; the hash was
+    # recorded when it walked a per-fault table one fault at a time.
+    dump = tmp_path / "g.csv"
+    code, _, _ = run(
+        capsys, "simulate", "--distance", "4", "--p0x", "2e-3", "--p0z", "3e-3",
+        "--p1x", "1e-3", "--p1z", "4e-3", "--p2", "5e-3", "--shots", "1", "--rounds", "1",
+        "--seed", "1", "--dump-graph", str(dump),
+    )
+    assert code == 0
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == (
+        "3918d49a66eccdc7aefe86e6d9a3277e4859897ff0f971769ae6ffd47ccf254d"
+    )
+
+
+@pytest.mark.parametrize("d, p0, p1, p2, shots, rounds, line", [
+    # every decoded row has a cluster of three or more events
+    pytest.param(5, "3e-3", "3e-3", "3e-3", 256, 25,
+                 "5,0.003,0.003,0.003,0.003,0.003,256,25,11,13,0.00171875,0.00203125,"
+                 "0.0005182226234930312,0.0005633673867912483", id="blossom_d5"),
+    # most clusters of three or more events have their flip settled without
+    # the blossom; the line was recorded before that certificate existed
+    pytest.param(4, "2e-3", "2e-3", "2e-3", 1024, 40,
+                 "4,0.002,0.002,0.002,0.002,0.002,1024,40,76,67,0.00185546875,"
+                 "0.0016357421875,0.00021283686247757197,0.00019983771415704225",
+                 id="low_noise_d4"),
+    # both outcome-flip classes have p*n = 60, past numpy's inversion regime,
+    # so every shot takes the per-shot draw
+    pytest.param(3, "0.05", "1e-3", "1e-3", 64, 200,
+                 "3,0.05,0.05,0.001,0.001,0.001,64,200,14,15,0.00109375,0.001171875,"
+                 "0.0002923169833417142,0.00030257682392245444", id="per_shot_draw_d3"),
+])
+def test_simulate_lines_are_pinned(capsys, d, p0, p1, p2, shots, rounds, line):
+    code, out, err = run(
+        capsys, "simulate", "--distance", str(d), "--p0x", p0, "--p0z", p0,
+        "--p1x", p1, "--p1z", p1, "--p2", p2, "--shots", str(shots),
+        "--rounds", str(rounds), "--seed", "1",
+    )
+    assert (code, out, err) == (0, line + "\n", "")
+
+
 @pytest.mark.parametrize("flag, value", [("--rounds", "0"), ("--shots", "-1"), ("--seed", "-2")])
 def test_simulate_validates_before_dumping_graph(capsys, tmp_path, flag, value):
     dump = tmp_path / "graph.csv"
@@ -773,6 +840,116 @@ def test_curve_kind_z(capsys, curve_db):
     )
     assert code == 0
     assert float(out.splitlines()[1].split(",")[1]) == 4e-3
+
+
+@pytest.mark.parametrize("argv, out", [
+    (("estimate", "--distance", "3"), "p_xl = 0.001\np_zl = 0.002\n"),
+    (("solve", "--target", "1e-6"), "10\n"),
+    (("curve", "--p2-min", "1e-4", "--p2-max", "1e-4"),
+     "p2,d3,d4,d5,d6\n1e-4,0.001,0.0004,0.0001,3e-05\n"),
+    (("curve", "--kind", "z"), "p2,d3,d4,d5,d6\n1e-4,0.002,0.0008,0.0002,6e-05\n"),
+], ids=["estimate", "solve", "curve", "curve_z"])
+def test_a_model_ratio_that_overflows_is_clamped_as_a_large_one(capsys, tmp_path, argv, out):
+    # A model with no idle noise whose CNOT rates are all 1e-300 or 1e-320.
+    # At 1e-320 the reduced p2 is subnormal and r0 = p0/p2 overflows to inf,
+    # which once stopped estimate and solve with "axis r0 value must be
+    # positive and finite", and curve with an error blaming an --r0 flag that
+    # was not given.  Both models clamp to the seeded corner
+    # (r0, r1, p2) = (200, 0.01, 1e-4).
+    db = RateDatabase()
+    for d, p in zip(DISTANCES, (1e-3, 4e-4, 1e-4, 3e-5)):
+        db.add(DbEntry.seeded(d, 200.0, 0.01, 1e-4, p, 2 * p))
+    db.save(tmp_path / "seeded.csv")
+    answers = []
+    for p in ("1e-300", "1e-320"):
+        model = tmp_path / f"m{p}.json"
+        model.write_text('{"init": {"flip": 1e-3}, "cnot": {%s}}' % ", ".join(
+            f'"{name}": {p}' for name in ("ix", "xi", "xx", "iz", "zi", "zz")))
+        rr = reduce(load_model(model))
+        assert math.isinf(rr.p0x / rr.p2x) == (p == "1e-320")
+        answers.append(run(capsys, argv[0], "--db", str(tmp_path / "seeded.csv"),
+                           "--model", str(model), *argv[1:]))
+    code, got, err = answers[0]
+    assert (code, got) == (0, out)
+    assert err.splitlines()[-1].startswith("warning: clamped: ")
+    assert answers[1] == answers[0]
+
+
+def _agreement_db():
+    """Rates that vary with every key, over part of the axes.
+
+    The sub-grid holds every rung of r0 in [0.2, 5] and of r1 in [0.1, 1],
+    and the axis ends, where a zero ratio or one past an end clamps.  A query
+    off it misses entries, so curve skips its rows; one entry is missing and
+    one is zero inside it, and every 53rd entry is low confidence.
+    """
+    db = RateDatabase()
+    r0s, r1s = (0.01, 0.2, 0.5, 1.0, 2.0, 5.0, 200.0), (0.01, 0.1, 0.2, 0.5, 1.0)
+    keys = product(DISTANCES, r0s, r1s, ladder_values(*AXES["p2"]))
+    for k, key in enumerate(keys):
+        d, r0, r1, p2 = key
+        if key == (4, 1.0, 0.2, 2e-3):
+            continue
+        rate = 0.0 if key == (5, 0.5, 0.2, 5e-4) else (
+            1e-2 * (p2 / 1e-2) ** ((d + 1) / 2) * (1 + r0 / 100) * (1 + r1) * (1 + k % 13 / 100))
+        db.add(DbEntry.seeded(*key, rate, min(1.2 * rate, 1.0), k % 53 == 0))
+    return db
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    # on and off the sub-grid, on its rungs, zero and past either axis end
+    r0=st.floats(-1, 0.9).map(lambda e: 10.0 ** e) | st.sampled_from([0.0, 2.0, 200.0, 1e4]),
+    r1=st.floats(-1.2, 0).map(lambda e: 10.0 ** e) | st.sampled_from([0.0, 0.2, 1.0, 5.0]),
+    kind=st.sampled_from("xz"),
+)
+@example(r0=0.7, r1=0.3, kind="x")  # the zero corner at p2 = 5e-4, the missing one at 2e-3
+def test_curve_rows_are_interpolate_at_each_distance(capsys, tmp_path, r0, r1, kind):
+    # curve reads each row through one Query; interpolate is one read of a
+    # Query.  Every printed value, every skipped row and every warning of
+    # curve must be those of interpolate at the row's p2 and each distance.
+    path = tmp_path / "agree.csv"
+    if not path.exists():
+        _agreement_db().save(path)
+    db = RateDatabase.load(path)
+    rows, skipped, warnings = ["p2,d3,d4,d5,d6"], [], set()
+    for p2 in ladder_values(*AXES["p2"]):
+        found = set()
+        try:
+            values = [interpolate(db, d, r0, r1, p2, kind, found) for d in DISTANCES]
+        except MissingEntryError as err:
+            skipped.append(f"skipping p2={format_value(p2)}: {err}")
+            continue
+        warnings |= found
+        rows.append(format_value(p2) + "," + ",".join(repr(v) for v in values))
+    code, out, err = run(capsys, "curve", "--db", str(path), "--r0", repr(r0),
+                         "--r1", repr(r1), "--kind", kind)
+    assert code == 0
+    assert out.splitlines() == rows
+    lines = err.splitlines()
+    assert lines[:len(skipped)] == skipped
+    assert [line.split(":")[1].strip() for line in lines[len(skipped):]] == sorted(warnings)
+
+
+@pytest.mark.parametrize("kind", ["x", "z"])
+def test_curve_model_rows_are_the_estimate_at_each_distance(capsys, tmp_path, kind):
+    # models/depol_1e-3.json reduces to p2 = 1e-3, r1 = 1 and r0 = 2 (x) or
+    # 10/3 (z), which interpolates between the r0 = 2 and r0 = 5 rows.
+    model = str(readme_examples.README.parent / "models" / "depol_1e-3.json")
+    path = tmp_path / "agree.csv"
+    _agreement_db().save(path)
+    code, out, _ = run(capsys, "curve", "--db", str(path), "--model", model, "--kind", kind,
+                       "--p2-min", "1e-3", "--p2-max", "1e-3")
+    assert code == 0
+    _, row = out.splitlines()
+    p2, *values = row.split(",")
+    assert p2 == "1e-3"
+    for d, value in zip(DISTANCES, values):
+        code, out, _ = run(capsys, "estimate", "--db", str(path), "--model", model,
+                           "--distance", str(d))
+        assert code == 0
+        assert out.splitlines()["xz".index(kind)] == f"p_{kind}l = {value}"
 
 
 def test_version_flag(capsys):

@@ -27,6 +27,7 @@ from polyest.estimator import (
     Estimate,
     FitRangeError,
     MissingEntryError,
+    Query,
     ScanLimitError,
     UndefinedRatioError,
     estimate,
@@ -35,7 +36,7 @@ from polyest.estimator import (
     interpolate,
     solve_distance,
 )
-from polyest.store import AXES, DISTANCES, DbEntry, RateDatabase, ladder_values
+from polyest.store import AXES, DISTANCES, DbEntry, DbError, RateDatabase, ladder_values
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +215,20 @@ def test_interpolate_clamps_and_warns_beyond_axis_range(bench_db):
     warnings = set()
     assert interpolate(db, 3, 300.0, 1.0, 1e-3, "x", warnings) == 5e-3
     assert warnings == {"clamped"}
+
+
+def test_a_ratio_that_overflows_clamps_as_a_large_one():
+    # p0 or p1 over a subnormal p2 is inf: a ratio past the top of its axis,
+    # as a zero ratio is one past the bottom.  p2 itself takes no such rule.
+    db = RateDatabase()
+    db.add(DbEntry.seeded(3, 200.0, 1.0, 1e-4, 5e-3, 6e-3))
+    db.add(DbEntry.seeded(3, 200.0, 0.01, 1e-4, 1e-3, 2e-3))
+    for r0, r1, want in ((math.inf, 1.0, 5e-3), (math.inf, 0.0, 1e-3), (200.0, math.inf, 5e-3)):
+        warnings = set()
+        assert interpolate(db, 3, r0, r1, 1e-4, "x", warnings) == want
+        assert warnings == {"clamped"}
+    with pytest.raises(DbError, match="axis p2 value must be positive and finite, got inf"):
+        interpolate(db, 3, 200.0, 1.0, math.inf, "x")
 
 
 def test_interpolate_zero_corner_pins_result_to_zero():
@@ -593,6 +608,31 @@ def test_a_query_brackets_each_error_type_once(bracket_calls, bench_db, query):
     result = query(bench_db, depolarizing_model(1e-3))
     assert result.fit_x is not None and result.fit_z is not None
     assert len(bracket_calls) <= 3 * 2
+
+
+def test_a_query_reads_each_distance_once(monkeypatch, bench_db):
+    # estimate at d = 7 reads d = 3..6 and fits them; the fit reads no
+    # distance again.  X sits on one corner (r0 = 2), Z between two
+    # (r0 = 10/3), so 4 * 1 + 4 * 2 entries are looked up.
+    calls = []
+    raw = RateDatabase.get
+
+    def spy(db, d, *key):
+        calls.append((d, *key))
+        return raw(db, d, *key)
+
+    monkeypatch.setattr(RateDatabase, "get", spy)
+    result = estimate(bench_db, depolarizing_model(1e-3), 7)
+    assert result.fit_x is not None and result.fit_z is not None
+    assert len(calls) == 12 and len(set(calls)) == 8
+
+
+def test_a_query_at_zero_p2_reads_no_database():
+    # Query.at answers 0.0 at p2 = 0 for any distance, without a lookup.
+    query = Query.of(reduce(model_from_dict({"cnot": {"ix": 1e-3}})), "z")
+    assert (query.r0, query.r1, query.p2) == (0.0, 0.0, 0.0)
+    assert [query.at(RateDatabase(), d) for d in (3, 6, 7, 40)] == [0.0] * 4
+    assert query.warnings == set() and query.fit is None
 
 
 def test_a_deep_solve_evaluates_a_handful_of_distances(evaluate_calls, bench_db):
