@@ -151,7 +151,8 @@ def _cmd_generate(args) -> int:
     out_dir = os.path.dirname(args.out) or "."
     if not os.path.isdir(out_dir):
         raise DbError(f"--out directory {out_dir} does not exist")
-    run = {key: str(getattr(args, key)) for key in ("seed", "target_fails", "max_shots")}
+    run = {"polyest_version": __version__,
+           **{key: str(getattr(args, key)) for key in ("seed", "target_fails", "max_shots")}}
     if os.path.exists(args.out):
         db = RateDatabase.load(args.out)
         # One stamp describes every row, so rows of another run may not join.
@@ -161,17 +162,8 @@ def _cmd_generate(args) -> int:
             raise DbError(f"{args.out} was generated with {', '.join(clash)}; "
                           "extend it with the same values or write a new --out")
         print(f"extending {args.out} ({len(db)} entries present)", file=sys.stderr)
-        stamp = db.metadata.get("polyest_version")
-        if stamp != __version__:
-            written = f"polyest {stamp}" if stamp else "an unstamped polyest version"
-            print(
-                f"warning: {args.out} was written by {written}, not {__version__}; "
-                "fixed-seed rows differ between versions",
-                file=sys.stderr,
-            )
     else:
         db = RateDatabase()
-    db.metadata["polyest_version"] = __version__
     db.metadata.update(run)
     # Saved after every point, so an interrupted run resumes where it stopped.
     added, skipped = generate(
@@ -229,7 +221,7 @@ def _cmd_curve(args) -> int:
     if args.model:
         rr = reduce(load_model(args.model))
         warnings.update(rr.warnings)
-        query = Query.of(rr, args.kind)
+        query = Query.of(db, rr, args.kind)
         if query.p2 == 0.0:
             raise ComputationError(
                 "model has zero p2; the ratio axes are undefined for a curve"
@@ -249,9 +241,9 @@ def _cmd_curve(args) -> int:
     print("p2," + ",".join(f"d{d}" for d in DISTANCES))
     if lo <= hi:
         for p2 in ladder_values(lo, hi):
-            row = Query(args.kind, r0, r1, p2)  # one row's corners serve every distance
+            row = Query(db, args.kind, r0, r1, p2)  # one row's corners serve every distance
             try:
-                values = [row.read(db, d) for d in DISTANCES]
+                values = [row.read(d) for d in DISTANCES]
             except MissingEntryError as err:
                 print(f"skipping p2={format_value(p2)}: {err}", file=sys.stderr)
                 continue

@@ -103,13 +103,9 @@ def interpolate(
     read several distances of one query, read them through one Query, which
     brackets its corners once.
     """
-    if not is_int(d) or d not in DISTANCES:
-        raise ValueError(f"interpolation is defined for d in {DISTANCES}, got {d}")
-    if kind not in ("x", "z"):
-        raise ValueError(f"kind must be 'x' or 'z', got {kind!r}")
-    query = Query(kind, r0, r1, p2)
+    query = Query(db, kind, r0, r1, p2)
     query.warnings = set() if warnings is None else warnings
-    return query.read(db, d)
+    return query.read(d)
 
 
 @dataclass(frozen=True)
@@ -180,7 +176,7 @@ class Estimate:
 
 
 class Query:
-    """The rates of one error type at (r0, r1, p2): the one reader of a rate database.
+    """The rates of one error type at (r0, r1, p2) in one database: its one reader.
 
     The grid corners around (r0, r1, p2) do not depend on the distance, so
     they are bracketed once, on the first read, and each distance is a
@@ -189,38 +185,47 @@ class Query:
     been asked for.
     """
 
-    def __init__(self, kind: str, r0: float, r1: float, p2: float):
-        self.kind = kind
+    def __init__(self, db: RateDatabase, kind: str, r0: float, r1: float, p2: float):
+        if kind not in ("x", "z"):
+            raise ValueError(f"kind must be 'x' or 'z', got {kind!r}")
+        self.db, self.kind = db, kind
         self.r0, self.r1, self.p2 = r0, r1, p2
         self.warnings: set[str] = set()
         self.fit: ExtrapolationFit | None = None
         self._corners: list | None = None  # ((r0, r1, p2) corner, weight), on the first read
-        self._read: dict[int, float] = {}
+        self._memo: dict[int, float] = {}
 
     @classmethod
-    def of(cls, rr: ReducedRates, kind: str) -> Query:
+    def of(cls, db: RateDatabase, rr: ReducedRates, kind: str) -> Query:
         """The query of a reduced model's rates of one error type."""
         p0, p1, p2 = (rr.p0x, rr.p1x, rr.p2x) if kind == "x" else (rr.p0z, rr.p1z, rr.p2z)
         if p2 == 0.0:
+            query = cls(db, kind, 0.0, 0.0, 0.0)  # a bad kind is refused before the ratio
             if p0 > 0.0 or p1 > 0.0:
                 raise UndefinedRatioError(
                     f"p2{kind.upper()} is zero while p0/p1 are not; "
                     "the database ratios r0 and r1 are undefined"
                 )
-            return cls(kind, 0.0, 0.0, 0.0)
-        return cls(kind, p0 / p2, p1 / p2, p2)
+            return query
+        return cls(db, kind, p0 / p2, p1 / p2, p2)
 
-    def read(self, db: RateDatabase, d: int) -> float:
+    def read(self, d: int) -> float:
         """Distance d's (3 to 6) stored rates at the query's corners, combined in log space."""
-        if d in self._read:
-            return self._read[d]
+        if not is_int(d) or d not in DISTANCES:
+            raise ValueError(f"interpolation is defined for d in {DISTANCES}, got {d}")
+        return self._read(d)
+
+    def _read(self, d: int) -> float:
+        # read at a checked distance, so at and the fit check none of their reads.
+        if d in self._memo:
+            return self._memo[d]
         corners = self._corners
         if corners is None:
             axes = [_axis_corners(value, axis, self.warnings)
                     for value, axis in zip((self.r0, self.r1, self.p2), AXES)]
             corners = self._corners = [((v0, v1, v2), w0 * w1 * w2)
                                        for (v0, w0), (v1, w1), (v2, w2) in product(*axes)]
-        x = self.kind == "x"
+        db, x = self.db, self.kind == "x"
         values, weights = [], []  # of the corners with a positive weight, in corner order
         for key, weight in corners:
             entry = db.get(d, *key)
@@ -239,17 +244,19 @@ class Query:
         else:
             result = 10.0 ** sum(map(operator.mul, weights, map(math.log10, values)))
             result = min(max(result, min(values)), max(values))  # within the corners' envelope
-        self._read[d] = result
+        self._memo[d] = result
         return result
 
-    def at(self, db: RateDatabase, d: int) -> float:
-        """The rate at any distance: read through 6, the parity fit past it, 0.0 at p2 = 0."""
+    def at(self, d: int) -> float:
+        """The rate at any d >= 3: read through 6, the parity fit past it, 0.0 at p2 = 0."""
+        if type(d) is not int or d < 3:
+            d = check_int(ValueError, "distance", d, 3)
         if self.p2 == 0.0:
             return 0.0
         if d <= 6:
-            return self.read(db, d)
+            return self._read(d)
         if self.fit is None:
-            self.fit = fit(*(self.read(db, dd) for dd in DISTANCES))
+            self.fit = fit(*map(self._read, DISTANCES))
         return _evaluate(self.fit, d)
 
 
@@ -281,11 +288,11 @@ def _first_meeting(
 ) -> Estimate | None:
     """Estimate at the first of ``distances`` whose X and Z rates reach target."""
     rr = reduce(model)
-    query_x, query_z = Query.of(rr, "x"), Query.of(rr, "z")
+    query_x, query_z = Query.of(db, rr, "x"), Query.of(db, rr, "z")
     d = distances.start
     while d < distances.stop:
-        p_xl = query_x.at(db, d)
-        p_zl = query_z.at(db, d)
+        p_xl = query_x.at(d)
+        p_zl = query_z.at(d)
         if p_xl <= target and p_zl <= target:
             return Estimate(
                 d=d,

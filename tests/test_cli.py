@@ -446,13 +446,15 @@ def test_generate_stamps_version_and_warns_on_other_versions(capsys, tmp_path):
     code, _, err = run(capsys, *argv)  # same version: no warning
     assert code == 0 and "warning" not in err
 
-    for old, shown in (("# polyest_version=0.1.0", "polyest 0.1.0"), (None, "unstamped")):
-        kept = [ln for ln in lines if not ln.startswith("# polyest_version=")]
+    # Another version's stamp refuses the run; a file without one takes the
+    # run's, as a file without a seed stamp does, and draws no warning.
+    kept = [ln for ln in lines if not ln.startswith("# polyest_version=")]
+    for old, want in (("# polyest_version=0.1.0", 1), (None, 0)):
         out_path.write_text("\n".join(([old] if old else []) + kept) + "\n")
+        written = out_path.read_bytes()
         code, _, err = run(capsys, *argv)
-        assert code == 0
-        assert "warning:" in err and shown in err
-        assert out_path.read_bytes() == stamped
+        assert code == want and "warning" not in err
+        assert out_path.read_bytes() == (written if want else stamped)
 
 
 def test_generate_refuses_to_extend_a_file_stamped_with_other_settings(capsys, tmp_path):
@@ -474,6 +476,14 @@ def test_generate_refuses_to_extend_a_file_stamped_with_other_settings(capsys, t
         assert code == 1
         assert f"{recorded} (given {value})" in err
         assert out_path.read_bytes() == stamped
+    # Nor may a run add rows to a file another polyest version wrote.
+    version = f"# polyest_version={polyest.__version__}\n"
+    out_path.write_text(stamped.decode().replace(version, "# polyest_version=0.1.0\n"))
+    written = out_path.read_bytes()
+    code, _, err = run(capsys, *first)
+    assert code == 1
+    assert f"polyest_version=0.1.0 (given {polyest.__version__})" in err
+    assert out_path.read_bytes() == written
     # A file without these stamps takes the run's, as before.
     kept = [ln for ln in stamped.decode().splitlines()
             if not ln.startswith(("# seed=", "# target_fails=", "# max_shots="))]
@@ -481,6 +491,35 @@ def test_generate_refuses_to_extend_a_file_stamped_with_other_settings(capsys, t
     code, _, err = run(capsys, *argv)
     assert code == 0 and "already present" in err
     assert "# max_shots=512" in out_path.read_text().splitlines()
+
+
+def test_generate_refuses_a_file_of_another_version_before_simulating(
+    capsys, tmp_path, monkeypatch,
+):
+    # A file's polyest_version stamp takes the rule its seed stamp takes:
+    # another version's rows differ at a fixed seed, so none may join them.
+    from polyest import ratedb
+
+    grid = _grid_file(tmp_path)
+    out_path = tmp_path / "db.csv"
+    argv = ("generate", "--grid", grid, "--out", str(out_path), "--max-shots", "256")
+    assert run(capsys, *argv)[0] == 0
+    version = f"# polyest_version={polyest.__version__}\n"
+    text = out_path.read_text()
+    assert version in text
+    out_path.write_text(text.replace(version, "# polyest_version=0.1.0\n"))
+    written = out_path.read_bytes()
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("run_monte_carlo called")
+
+    monkeypatch.setattr(ratedb, "run_monte_carlo", no_simulation)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == (f"error: {out_path} was generated with polyest_version=0.1.0 "
+                   f"(given {polyest.__version__}); extend it with the same values "
+                   "or write a new --out\n")
+    assert out_path.read_bytes() == written
 
 
 def test_generate_resumes_after_kill_byte_identical(capsys, tmp_path):

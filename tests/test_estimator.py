@@ -1,5 +1,7 @@
 import functools
+import inspect
 import math
+import re
 import sys
 from itertools import product
 
@@ -629,9 +631,9 @@ def test_a_query_reads_each_distance_once(monkeypatch, bench_db):
 
 def test_a_query_at_zero_p2_reads_no_database():
     # Query.at answers 0.0 at p2 = 0 for any distance, without a lookup.
-    query = Query.of(reduce(model_from_dict({"cnot": {"ix": 1e-3}})), "z")
+    query = Query.of(RateDatabase(), reduce(model_from_dict({"cnot": {"ix": 1e-3}})), "z")
     assert (query.r0, query.r1, query.p2) == (0.0, 0.0, 0.0)
-    assert [query.at(RateDatabase(), d) for d in (3, 6, 7, 40)] == [0.0] * 4
+    assert [query.at(d) for d in (3, 6, 7, 40)] == [0.0] * 4
     assert query.warnings == set() and query.fit is None
 
 
@@ -640,3 +642,87 @@ def test_a_deep_solve_evaluates_a_handful_of_distances(evaluate_calls, bench_db)
     # past 6, the skip two at d = 7, at most four bounds and a few steps.
     assert solve_distance(bench_db, depolarizing_model(1e-3), 1e-300).d == 548
     assert len(evaluate_calls) <= 16
+
+
+# ---------------------------------------------------------------------------
+# One database per Query
+# ---------------------------------------------------------------------------
+
+
+def _scaled_db(scale):
+    """Seeded d = 3..6 rates at r0 in {2, 5}, r1 = 1, p2 = 1e-3, all times ``scale``.
+
+    The Z rates are 1.4 times the X rates.
+    """
+    db = RateDatabase()
+    for d, p in zip(DISTANCES, (1e-3, 4e-4, 1e-4, 3e-5)):
+        for r0 in (2.0, 5.0):
+            db.add(DbEntry.seeded(d, r0, 1.0, 1e-3, scale * p, 1.4 * scale * p))
+    return db
+
+
+_DB_A, _DB_B = _scaled_db(1.0), _scaled_db(2.0)
+
+
+def test_each_query_answers_from_the_database_it_is_bound_to():
+    # A Query's memo and fit belong to its one database: read in turns, a
+    # query of A and one of B at the same point each give their own rates.
+    query_a, query_b = (Query(db, "x", 3.0, 1.0, 1e-3) for db in (_DB_A, _DB_B))
+    assert (query_a.read(3), query_b.read(3)) == (1e-3, 2e-3)
+    assert query_a.at(9) == pytest.approx(1e-6, rel=1e-12)
+    assert query_b.at(9) == pytest.approx(2e-6, rel=1e-12)
+    assert (query_a.fit.direct[0], query_b.fit.direct[0]) == (1e-3, 2e-3)
+    for method in (Query.read, Query.at):
+        assert list(inspect.signature(method).parameters) == ["self", "d"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    db=st.sampled_from([_DB_A, _DB_B]),
+    d=st.sampled_from(DISTANCES),
+    r0=_log_floats(0, 1) | st.sampled_from([2.0, 5.0]),
+    r1=st.just(1.0) | _ratio,
+    p2=st.just(1e-3) | _log_floats(-4, -2),
+    kind=st.sampled_from("xz"),
+)
+def test_a_query_reads_as_the_frozen_interpolate(db, d, r0, r1, p2, kind):
+    query = Query(db, kind, r0, r1, p2)
+    want_warnings = set()
+    got = _answer(query.read, d)
+    want = _answer(_oracle.interpolate, db, d, r0, r1, p2, kind, want_warnings)
+    assert repr(got) == repr(want)
+    assert query.warnings == want_warnings
+
+
+@pytest.mark.parametrize("kind", ["q", "X"])
+def test_a_query_refuses_a_kind_other_than_x_or_z(bench_db, kind):
+    message = f"kind must be 'x' or 'z', got '{kind}'"
+    with pytest.raises(ValueError, match=message):
+        Query(bench_db, kind, 2.0, 1.0, 1e-3)
+    # Query.of refuses it too, before the ratio rule's zero-p2 check.
+    for model in (depolarizing_model(1e-3), model_from_dict({"init": {"flip": 1e-3}})):
+        with pytest.raises(ValueError, match=message):
+            Query.of(bench_db, reduce(model), kind)
+
+
+def test_a_query_reads_only_the_direct_distances(bench_db):
+    query = Query(bench_db, "x", 2.0, 1.0, 1e-3)
+    for bad in (7, 2, 5.0, True, "5"):
+        with pytest.raises(ValueError, match=re.escape(
+            f"interpolation is defined for d in {DISTANCES}, got {bad}"
+        )):
+            query.read(bad)
+    assert query.read(np.int64(5)) == BENCH_X[5]
+
+
+def test_a_query_at_refuses_what_evaluate_refuses(bench_db):
+    query = Query(bench_db, "x", 2.0, 1.0, 1e-3)
+    zero = Query(RateDatabase(), "x", 0.0, 0.0, 0.0)
+    for bad in (7.5, 2, True, "5"):
+        for q in (query, zero):
+            with pytest.raises(ValueError, match=re.escape(
+                f"distance must be an integer >= 3, got {bad!r}"
+            )):
+                q.at(bad)
+    assert query.at(np.int64(7)) == evaluate(_bench_fit(), 7)
+    assert query.at(np.int64(4)) == BENCH_X[4]
