@@ -5,7 +5,8 @@ entries in log10 space over (r0, r1, p2).  ``Query`` is the one reader of a
 database: ``estimate``, ``solve_distance``, ``interpolate`` and ``polyest
 curve`` all read through it.  The grid corners around a query and their
 weights do not depend on the distance, so a Query brackets them once, on its
-first read, and each distance is a lookup of its own entries at them.
+first read, and fetches each corner's database row, which holds all four
+distances, at the same time.  Each distance then indexes into those rows.
 Queries landing exactly on a grid point return the stored value
 bit-for-bit; queries outside an axis range, a ratio of zero or one that
 overflows to infinity included, are clamped to the nearest grid line and
@@ -179,8 +180,10 @@ class Query:
     """The rates of one error type at (r0, r1, p2) in one database: its one reader.
 
     The grid corners around (r0, r1, p2) do not depend on the distance, so
-    they are bracketed once, on the first read, and each distance is a
-    lookup of its own entries at them.  ``warnings`` collects the query's
+    they are bracketed once, on the first read, when each corner's row of
+    the database (``RateDatabase.row``) is fetched; each distance indexes
+    into those rows.  A missing entry or a low-confidence flag counts only
+    at a distance read.  ``warnings`` collects the query's
     warning codes, and ``fit`` is its parity fit once a distance past 6 has
     been asked for.
     """
@@ -192,7 +195,7 @@ class Query:
         self.r0, self.r1, self.p2 = r0, r1, p2
         self.warnings: set[str] = set()
         self.fit: ExtrapolationFit | None = None
-        self._corners: list | None = None  # ((r0, r1, p2) corner, weight), on the first read
+        self._corners: list | None = None  # (corner, its row, weight), on the first read
         self._memo: dict[int, float] = {}
 
     @classmethod
@@ -223,15 +226,16 @@ class Query:
         if corners is None:
             axes = [_axis_corners(value, axis, self.warnings)
                     for value, axis in zip((self.r0, self.r1, self.p2), AXES)]
-            corners = self._corners = [((v0, v1, v2), w0 * w1 * w2)
+            row = self.db.row
+            corners = self._corners = [((v0, v1, v2), row(v0, v1, v2), w0 * w1 * w2)
                                        for (v0, w0), (v1, w1), (v2, w2) in product(*axes)]
-        db, x = self.db, self.kind == "x"
+        slot, x = DISTANCES.index(d), self.kind == "x"
         values, weights = [], []  # of the corners with a positive weight, in corner order
-        for key, weight in corners:
-            entry = db.get(d, *key)
+        for point, row, weight in corners:
+            entry = row[slot]
             if entry is None:
                 raise MissingEntryError("missing database entry (d={}, r0={}, r1={}, p2={})".format(
-                    d, *map(format_value, key)))
+                    d, *map(format_value, point)))
             if entry.low_confidence:
                 self.warnings.add("low_confidence")
             if weight > 0.0:

@@ -10,7 +10,9 @@ different runs agree on their grid coordinates exactly.  Ladder values are
 
 plus the code distance d in {3, 4, 5, 6}.  Each entry stores the Monte Carlo
 counts it came from together with the derived per-round logical rates, and a
-low-confidence flag set whenever either failure count is below 100.
+low-confidence flag set whenever either failure count is below 100.  A
+database keeps one row per grid point (r0, r1, p2), with a slot for each
+distance, so a query reads all four distances of a corner from one lookup.
 
 The CSV format is one header line, one row per entry, with optional leading
 ``# key=value`` metadata comments.  The column table ``_COLUMNS`` is the
@@ -329,29 +331,51 @@ def _stamp_line(key, value) -> str:
     return line
 
 
+# The row of a point that holds no entry.
+_NO_ROW: tuple[None, ...] = (None,) * len(DISTANCES)
+
+
 class RateDatabase:
-    """In-memory entry store keyed by (d, r0, r1, p2)."""
+    """In-memory entry store keyed by grid point (r0, r1, p2).
+
+    Each point holds a row: its entries in DISTANCES order, None where a
+    distance has none, so one lookup serves all four distances of a point.
+    """
 
     def __init__(self, metadata: dict[str, str] | None = None):
-        self._entries: dict[tuple, DbEntry] = {}
+        self._rows: dict[tuple[float, float, float], tuple[DbEntry | None, ...]] = {}
         self.metadata: dict[str, str] = dict(metadata or {})
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return sum(entry is not None for row in self._rows.values() for entry in row)
 
     def __contains__(self, key: tuple) -> bool:
-        return key in self._entries
+        return isinstance(key, tuple) and len(key) == 4 and self.get(*key) is not None
 
     def add(self, entry: DbEntry) -> None:
-        if entry.key in self._entries:
+        point, slot = (entry.r0, entry.r1, entry.p2), DISTANCES.index(entry.d)
+        row = self._rows.get(point, _NO_ROW)
+        if row[slot] is not None:
             raise DbError(f"duplicate entry for {entry.key}")
-        self._entries[entry.key] = entry
+        self._rows[point] = (*row[:slot], entry, *row[slot + 1:])
 
     def get(self, d: int, r0: float, r1: float, p2: float) -> DbEntry | None:
-        return self._entries.get((d, r0, r1, p2))
+        row = self._rows.get((r0, r1, p2))
+        if row is None or d not in DISTANCES:  # 7, 3.5 or True is no distance
+            return None
+        return row[DISTANCES.index(d)]
+
+    def row(self, r0: float, r1: float, p2: float) -> tuple[DbEntry | None, ...]:
+        """The point's entries in DISTANCES order, None where a distance has none.
+
+        A row is a tuple as of this call: an entry added later goes into a new row.
+        """
+        return self._rows.get((r0, r1, p2), _NO_ROW)
 
     def entries(self) -> list[DbEntry]:
-        return [self._entries[k] for k in sorted(self._entries)]
+        """Every entry, sorted by key: by d, then by point."""
+        rows = [self._rows[point] for point in sorted(self._rows)]
+        return [entry for column in zip(*rows) for entry in column if entry is not None]
 
     def save(self, path) -> None:
         """Write the database as CSV to ``path``, replacing it only when complete.

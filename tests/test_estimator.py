@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import inspect
 import math
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _oracle
-from conftest import BENCH_X, BENCH_Z, build_flat_db
+from conftest import BENCH_X, BENCH_Z, build_bench_db, build_flat_db
 from polyest.error_model import (
     TWO_QUBIT_PAULIS,
     FlipChannel,
@@ -615,18 +616,47 @@ def test_a_query_brackets_each_error_type_once(bracket_calls, bench_db, query):
 def test_a_query_reads_each_distance_once(monkeypatch, bench_db):
     # estimate at d = 7 reads d = 3..6 and fits them; the fit reads no
     # distance again.  X sits on one corner (r0 = 2), Z between two
-    # (r0 = 10/3), so 4 * 1 + 4 * 2 entries are looked up.
-    calls = []
-    raw = RateDatabase.get
+    # (r0 = 10/3, so r0 = 2 and 5), and each query looks up each of its
+    # corners' rows, which hold all four distances, once: 1 + 2 rows, and
+    # no single entry.
+    rows, gets = [], []
+    raw_row, raw_get = RateDatabase.row, RateDatabase.get
 
-    def spy(db, d, *key):
-        calls.append((d, *key))
-        return raw(db, d, *key)
+    def row_spy(db, *point):
+        rows.append(point)
+        return raw_row(db, *point)
 
-    monkeypatch.setattr(RateDatabase, "get", spy)
+    def get_spy(db, *key):
+        gets.append(key)
+        return raw_get(db, *key)
+
+    monkeypatch.setattr(RateDatabase, "row", row_spy)
+    monkeypatch.setattr(RateDatabase, "get", get_spy)
     result = estimate(bench_db, depolarizing_model(1e-3), 7)
     assert result.fit_x is not None and result.fit_z is not None
-    assert len(calls) == 12 and len(set(calls)) == 8
+    assert rows == [(2.0, 1.0, 1e-3), (2.0, 1.0, 1e-3), (5.0, 1.0, 1e-3)]
+    assert gets == []
+
+
+def test_a_query_reads_only_the_distances_it_is_asked_for():
+    # The bench corners, but (r0, r1, p2) = (2, 1, 1e-3), the X corner and
+    # the first Z corner, has no d = 5 entry and a low-confidence d = 4 one.
+    # A missing entry or a low-confidence flag counts only at a distance read.
+    db = RateDatabase()
+    for entry in build_bench_db().entries():
+        if entry.key == (4, 2.0, 1.0, 1e-3):
+            entry = dataclasses.replace(entry, low_confidence=True)
+        if entry.key != (5, 2.0, 1.0, 1e-3):
+            db.add(entry)
+    model = depolarizing_model(1e-3)
+    assert estimate(db, model, 3).warnings == ()
+    assert estimate(db, model, 4).warnings == ("low_confidence",)
+    with pytest.raises(MissingEntryError, match=re.escape(
+        "missing database entry (d=5, r0=2, r1=1, p2=1e-3)"
+    )):
+        estimate(db, model, 7)
+    met = solve_distance(db, model, 2e-3)
+    assert (met.d, met.warnings) == (3, ())
 
 
 def test_a_query_at_zero_p2_reads_no_database():

@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import math
+import operator
 import os
 import re
 import tempfile
@@ -464,17 +466,21 @@ _KEYS = st.tuples(
 
 
 @st.composite
-def _counted_entries(draw):
+def _counted_entries(draw, keys=_KEYS):
     shots = draw(st.integers(1, 10**7))
     rounds = draw(st.integers(1, 600))
     fails = st.integers(0, min(shots * rounds, 10**6))
-    return DbEntry.from_counts(*draw(_KEYS), shots, rounds, draw(fails), draw(fails))
+    return DbEntry.from_counts(*draw(keys), shots, rounds, draw(fails), draw(fails))
 
 
-_SEEDED_ENTRIES = st.builds(
-    lambda key, p_xl, p_zl, flag: DbEntry.seeded(*key, p_xl, p_zl, low_confidence=flag),
-    _KEYS, st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.booleans(),
-)
+def _seeded_entries(keys=_KEYS):
+    return st.builds(
+        lambda key, p_xl, p_zl, flag: DbEntry.seeded(*key, p_xl, p_zl, low_confidence=flag),
+        keys, st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.booleans(),
+    )
+
+
+_SEEDED_ENTRIES = _seeded_entries()
 
 
 @settings(max_examples=60, deadline=None)
@@ -494,6 +500,65 @@ def test_save_load_roundtrip_property(entries):
         loaded.save(second)
         with open(first, "rb") as fa, open(second, "rb") as fb:
             assert fa.read() == fb.read()
+
+
+# A few points, so that random add sequences repeat keys and share rows.
+_FEW_AXES = ((0.5, 1.0, 200.0), (0.01, 1.0), (1e-4, 2e-3))
+_FEW_KEYS = st.tuples(st.sampled_from(DISTANCES), *map(st.sampled_from, _FEW_AXES))
+
+
+def _spellings(key):
+    # Other spellings of a key, and near misses: a dict keyed by entry.key
+    # finds the first three and none of the rest.
+    d, *point = key
+    return [
+        (float(d), *point), (np.int64(d), *point), (d, *map(np.float64, point)),
+        (True, *point), (1, *point), (7, *point), (d + 0.5, *point),
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(_counted_entries(_FEW_KEYS), _seeded_entries(_FEW_KEYS)), max_size=30))
+def test_the_store_answers_as_a_dict_keyed_by_entry_key(entries):
+    db, model = RateDatabase(), {}
+    for entry in entries:
+        if entry.key in model:
+            with pytest.raises(DbError, match=re.escape(f"duplicate entry for {entry.key}")):
+                db.add(entry)
+        else:
+            db.add(entry)
+            model[entry.key] = entry
+        assert len(db) == len(model)
+    for key in itertools.product(DISTANCES, *_FEW_AXES):
+        for spelling in (key, *_spellings(key)):
+            assert db.get(*spelling) is model.get(spelling)
+            assert (spelling in db) == (spelling in model)
+        for wrong_length in ((), key[:1], key[:3], (*key, 0)):
+            assert wrong_length not in db
+    assert all(map(operator.is_, db.entries(), (model[key] for key in sorted(model))))
+    assert len(db.entries()) == len(model)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = os.path.join(tmp, "a.csv"), os.path.join(tmp, "b.csv")
+        db.save(first)
+        loaded = RateDatabase.load(first)
+        assert loaded.entries() == db.entries() and len(loaded) == len(model)
+        loaded.save(second)
+        with open(first, "rb") as fa, open(second, "rb") as fb:
+            assert fa.read() == fb.read()
+
+
+def test_a_row_holds_a_points_entries_in_distance_order():
+    db = RateDatabase()
+    e3 = DbEntry.seeded(3, 1.0, 1.0, 1e-3, 1.1e-3, 1.4e-3)
+    db.add(e3)
+    row = db.row(1.0, 1.0, 1e-3)
+    assert row == (e3, None, None, None)
+    assert db.row(2.0, 1.0, 1e-3) == (None,) * len(DISTANCES)
+    # A row is a tuple as of the call; an entry added later goes into a new row.
+    e5 = DbEntry.seeded(5, 1.0, 1.0, 1e-3, 1e-4, 1.5e-4)
+    db.add(e5)
+    assert row == (e3, None, None, None)
+    assert db.row(1.0, 1.0, 1e-3) == (e3, None, e5, None)
 
 
 def _integer_entry_points():
