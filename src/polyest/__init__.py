@@ -8,4 +8,4 @@ rates of this hardware at distance d, and what distance does it need to
 reach a target rate.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -49,13 +49,12 @@ and its actual logical flip is the parity of their flip bits.  Only shots
 with events are decoded.  A shot's faults are drawn by count: a binomial
 number of hits per fault class, placed on distinct uniformly random sites.
 That is the independent per-site draw in distribution, at a cost that grows
-with the faults a shot holds rather than with its sites.  A batch is drawn
-with array operations: each shot only rekeys its generator and fills a row
-of doubles, and whole-batch arithmetic turns the rows into counts and sites.
-The hits are those of the per-shot draw, because the binomial's inversion
-reads the same doubles and the arithmetic repeats numpy's operations in
-numpy's order; where numpy would leave its inversion regime, and where a
-Floyd pick may repeat, the sequential rule runs (see _draw_noise).
+with the faults a shot holds rather than with its sites.  The draw is
+defined here: its doubles are raw Philox4x64-10 words (Salmon et al.,
+SC'11) under one key hashed from the seed, shot i reading the counter blocks
+(j, i), so one array evaluation of Philox gives a whole batch its doubles.
+A count is the inversion of its class's binomial CDF, a table built here,
+and Floyd's algorithm places the hits (see _draw_noise).
 
 A Layout holds all of this for one distance, built once by its constructor.
 """
@@ -406,128 +405,91 @@ class SimResult:
         )
 
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): its pool size
-# and the constants of its hashmix, mix and generate_state steps.
-_SEED_POOL = 4
-_SEED_INIT_A, _SEED_MULT_A = 0x43B0D7E5, 0x931E8875
-_SEED_INIT_B, _SEED_MULT_B = 0x8B51F9DD, 0x58F38DED
-_SEED_MIX_L, _SEED_MIX_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
+# Philox4x64-10 (Salmon et al., SC'11): the multipliers of counter words 0
+# and 2, and the key increments: round r runs under key + r * (_W0, _W1).
+# The tables are built from Python ints, since a numpy operation at import
+# would page in ufunc code that the query path never runs.
+_M0, _M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_W0, _W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+_PHILOX_M = np.array([[_M0], [_M1]], dtype=np.uint64)
+_PHILOX_M_LO = np.array([[_M0 & 0xFFFFFFFF], [_M1 & 0xFFFFFFFF]], dtype=np.uint64)
+_PHILOX_M_HI = np.array([[_M0 >> 32], [_M1 >> 32]], dtype=np.uint64)
+_PHILOX_BUMPS = np.array(
+    [[[r * _W0 % 2**64], [r * _W1 % 2**64]] for r in range(10)], dtype=np.uint64
+)
+# A shot index fills counter words 1 and 2, so a run's shots end by 2**128.
+SHOT_LIMIT = 2**128
 
 
-def _powers(first: int, mult: int, count: int) -> np.ndarray:
-    """first * mult**k mod 2**32 for k = 0..count, as uint32."""
-    out = [first]
-    for _ in range(count):
-        out.append(out[-1] * mult & _MASK32)
-    return np.array(out, dtype=np.uint32)
+def _philox(counter: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """Philox4x64-10 of each column of a (4, N) uint64 counter array under ``key``.
 
-
-def _seed_sequence_keys(entropy: np.ndarray) -> np.ndarray:
-    """SeedSequence(row).generate_state(2, uint64) of each row of ``entropy``.
-
-    ``entropy`` is a (sequences, words) uint32 array, one row of entropy
-    words per sequence, as SeedSequence assembles them from its entropy.
-    SeedSequence's algorithm runs on uint32 columns, so the arithmetic wraps
-    as its C code does: hash the words into a pool of four, mix every pool
-    word into every other, mix in the words past the pool, then hash the
-    pool out into four words, read in little-endian pairs.  Its hash
-    constants do not depend on the data: hashmix call k xors with
-    INIT_A * MULT_A**k and multiplies by INIT_A * MULT_A**(k + 1).  So each
-    step hashes all the pool words it touches at once.
+    Returns the (4, N) output words, the block numpy's Philox gives for
+    that key at that counter (numpy steps its counter before each block).
+    Each round multiplies counter words 0 and 2 by the multipliers: the
+    low halves of the 128-bit products become words 3 and 1, and their high
+    halves, xored with words 3 and 1 and the round key, words 2 and 0.  A
+    high half comes from 32-bit limbs, as uint64 products wrap.
     """
-    n, words = entropy.shape
-    consts = _powers(_SEED_INIT_A, _SEED_MULT_A, _SEED_POOL * max(words, _SEED_POOL))
-    calls = 0
-
-    def hashmix(value, count):
-        # The next ``count`` hashmix calls, one per column, on ``value``
-        # broadcast to ``count`` columns.
-        nonlocal calls
-        value = (value ^ consts[calls : calls + count]) * consts[calls + 1 : calls + count + 1]
-        calls += count
-        return value ^ (value >> np.uint32(16))
-
-    def mix(x, y):
-        value = np.uint32(_SEED_MIX_L) * x - np.uint32(_SEED_MIX_R) * y
-        return value ^ (value >> np.uint32(16))
-
-    pool = np.zeros((n, _SEED_POOL), dtype=np.uint32)
-    pool[:, : min(words, _SEED_POOL)] = entropy[:, :_SEED_POOL]
-    pool = hashmix(pool, _SEED_POOL)
-    for src in range(_SEED_POOL):
-        dst = [i for i in range(_SEED_POOL) if i != src]
-        pool[:, dst] = mix(pool[:, dst], hashmix(pool[:, src : src + 1], len(dst)))
-    for src in range(_SEED_POOL, words):
-        pool = mix(pool, hashmix(entropy[:, src : src + 1], _SEED_POOL))
-    consts = _powers(_SEED_INIT_B, _SEED_MULT_B, _SEED_POOL)
-    state = (pool ^ consts[:-1]) * consts[1:]
-    state ^= state >> np.uint32(16)
-    return state.astype("<u4").view("<u8").astype(np.uint64)
+    low, half = np.uint64(0xFFFFFFFF), np.uint64(32)
+    even, odd = counter[0::2], counter[1::2]
+    for round_key in key.reshape(2, 1) + _PHILOX_BUMPS:
+        x_lo, x_hi = even & low, even >> half
+        t = x_hi * _PHILOX_M_LO + ((x_lo * _PHILOX_M_LO) >> half)
+        w = x_lo * _PHILOX_M_HI + (t & low)
+        hi = x_hi * _PHILOX_M_HI + (t >> half) + (w >> half)
+        even, odd = hi[::-1] ^ odd ^ round_key, (even * _PHILOX_M)[::-1]
+    out = np.empty_like(counter)
+    out[0::2], out[1::2] = even, odd
+    return out
 
 
-def _word_count(n: int) -> int:
-    """The 32-bit words SeedSequence splits an integer >= 0 into (one for 0)."""
-    return max(1, -(-n.bit_length() // 32))
+def _doubles(key: np.ndarray, shots: np.ndarray, blocks: range) -> np.ndarray:
+    """Counter blocks ``blocks`` of each shot's stream, as doubles in [0, 1).
 
-
-def _shot_keys(seed: int, shots: range) -> np.ndarray:
-    """Philox key of each shot: SeedSequence((seed, shot)).generate_state(2, uint64).
-
-    Returns a (len(shots), 2) uint64 array.  SeedSequence splits each
-    integer into its 32-bit words, low word first (one word for 0), so the
-    shots are hashed in runs of equal word count: the runs break where a
-    shot index reaches 2**32, 2**64 and so on.
+    ``shots`` holds counter words 1 and 2 of each shot, a (2, b) uint64
+    array; block j of a shot is Philox at counter (j, words 1 and 2, 0).
+    Row r of the (b, 4 * len(blocks)) result holds shot r's blocks in
+    order, each word w read as (w >> 11) * 2**-53.
     """
-    seed = int(seed)
-    seed_words = [(seed >> (32 * j)) & _MASK32 for j in range(_word_count(seed))]
-    keys = np.empty((len(shots), 2), dtype=np.uint64)
-    start = shots.start
-    while start < shots.stop:
-        width = _word_count(start)
-        stop = min(shots.stop, 1 << (32 * width))
-        values = np.arange(start, stop, dtype=object)
-        entropy = np.empty((stop - start, len(seed_words) + width), dtype=np.uint32)
-        entropy[:, : len(seed_words)] = seed_words
-        for j in range(width):
-            entropy[:, len(seed_words) + j] = (values >> (32 * j)) & _MASK32
-        keys[start - shots.start : stop - shots.start] = _seed_sequence_keys(entropy)
-        start = stop
-    return keys
+    b = shots.shape[1]
+    counter = np.zeros((4, b, len(blocks)), dtype=np.uint64)
+    counter[0] = blocks
+    counter[1:3] = shots[:, :, None]
+    words = _philox(counter.reshape(4, -1), key)
+    return (words.T.reshape(b, 4 * len(blocks)) >> np.uint64(11)) * 2.0**-53
 
 
 @functools.lru_cache(maxsize=64)
-def _inversion_tables(draws: tuple[tuple[int, float], ...]) -> np.ndarray | None:
-    """numpy's binomial inversion tables for the (n, p) of each class, or None.
+def _binomial_cdf(n: int, q: float) -> np.ndarray:
+    """P(X <= k) for X ~ Binomial(n, q), k = 0, 1, ..., as far as a double tells it from 1.
 
-    numpy's random_binomial draws a count by inversion when p <= 0.5 and
-    p * n <= 30, and by BTPE otherwise (None here).  Inversion takes one
-    next_double U_0 and returns the first x <= bound with U_x <= px[x],
-    where U_x = U_{x-1} - px[x-1], or starts over with a fresh double past
-    bound.  px is built by numpy's C arithmetic operation for operation,
-    with the C library's exp, log and sqrt as math calls them, so it holds
-    the same doubles.  Column c of the result holds class c's px[0 ..
-    bound-1], then zeros: past its table a lane that has not stopped
-    (U_x > 0) never stops, so it is left to the per-shot rule, and so is a
-    lane that gets as far as bound.  Neither a restart nor a bound computed
-    one off (by an FMA contraction in numpy's build, say) can change a count.
+    Entry k adds P(X = k) to entry k - 1: the exp of log C(n, k) + k log q
+    + (n - k) log(1 - q), with log C(n, k) summed as log((n - j + 1) / j)
+    over j = 1..k.  The table stops at k = n, at the first sum that reaches
+    1, or past the mean before the first P(X = k) that no longer changes
+    the sum, and its last entry is then set to 1: a double u in [0, 1)
+    counts the entries at or below it, at most the last k.  The mass that
+    moves onto the last k is of the order of the sums' rounding.
     """
-    tables = []
-    for n, p in draws:
-        if p > 0.5 or p * n > 30.0:
-            return None
-        q = 1.0 - p
-        mean = n * p
-        bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
-        table = [math.exp(n * math.log(q))]
-        for x in range(1, bound):
-            table.append((n - x + 1) * p * table[-1] / (x * q))
-        tables.append(table)
-    px = np.zeros((max(map(len, tables)), len(tables)))
-    for c, table in enumerate(tables):
-        px[: len(table), c] = table
-    px.flags.writeable = False  # shared by every call with these draws
-    return px
+    log_q = math.log(q)
+    log_r = math.log1p(-q) if q < 1.0 else -math.inf
+    log_choose, total, table = 0.0, 0.0, []
+    for k in range(n + 1):
+        if k:
+            log_choose += math.log((n - k + 1) / k)
+        rest = (n - k) * log_r if k < n else 0.0
+        pmf = math.exp(log_choose + k * log_q + rest)
+        if k > n * q and total + pmf == total:
+            break
+        total += pmf
+        table.append(total)
+        if total >= 1.0:
+            break
+    table[-1] = 1.0
+    cdf = np.array(table)
+    cdf.flags.writeable = False  # shared by every call at this (n, q)
+    return cdf
 
 
 def _floyd(uniforms: list[float], n: int, width: int) -> dict[int, int]:
@@ -544,54 +506,21 @@ def _floyd(uniforms: list[float], n: int, width: int) -> dict[int, int]:
     return hit
 
 
-def _shot_hits(g: np.random.Generator, classes) -> list[tuple[int, int, int]]:
-    """One shot's (class, site, Pauli index) hits by the per-shot rule.
+def _block_hits(block: np.ndarray, counts: np.ndarray, n: np.ndarray, paulis: np.ndarray):
+    """The (row, class, site, Pauli index) hits of a batch whose counts are drawn.
 
-    The hit count of each class in turn by ``g.binomial``, then one block of
-    uniforms that _floyd turns into each class's sites, in class order.
+    Row r of ``block`` holds shot r's first doubles, at least as many as it
+    reads: one per class, which gave counts[r], then the uniforms of its
+    sites, class by class; class c has n[c] sites and paulis[c] Pauli
+    choices.  Each Floyd pick is one array expression over all hits.  A
+    pick that repeats an earlier pick or an earlier j needs the sequential
+    rule; only a group with two equal picks can hold one, and such a group
+    runs _floyd on its own uniforms.
     """
-    counts = [g.binomial(n, q) for n, q, *_ in classes]
-    total = sum(counts)
-    uniforms = g.random(total).tolist() if total else []
-    hits = []
-    for c, ((n, _, width, *_), k) in enumerate(zip(classes, counts)):
-        hits += ((c, t, pauli) for t, pauli in _floyd(uniforms[:k], n, width).items())
-        del uniforms[:k]
-    return hits
-
-
-def _block_hits(block: np.ndarray, n: np.ndarray, paulis: np.ndarray, px: np.ndarray):
-    """The (row, class, site, Pauli index) hits ``block`` settles, and the rows it leaves.
-
-    Row r of ``block`` holds the first doubles of shot r's stream, those its
-    binomial and random calls would take in turn; class c has n[c] sites,
-    paulis[c] Pauli choices and inversion table px[:, c].  Class c's count
-    is numpy's inversion loop on double c, run on every lane (row, class)
-    at once by the same subtractions in the same order: once U_x <= px[x],
-    U stays at or below px, so a lane's count is the steps it stays above.
-    The sites' uniforms follow, class by class, and each Floyd pick is one
-    array expression over all hits.  A pick that repeats an earlier pick or
-    an earlier j needs the sequential rule; only a group with two equal
-    picks can hold one, and such a group runs _floyd on its own uniforms.
-    Rows whose counts the tables do not settle, or that need more doubles
-    than the block holds, are left to the per-shot rule.
-    """
-    b, width = block.shape
-    n_cls = len(n)
-    u = block[:, :n_cls].copy()
-    counts = np.zeros((b, n_cls), dtype=np.int64)
-    for row in px:
-        above = u > row
-        if not above.any():
-            break
-        counts += above
-        u -= row
-    totals = counts.sum(axis=1)
-    ok = (counts < len(px)).all(axis=1) & (totals <= width - n_cls)
-    counts[~ok] = 0
-
+    n_cls = counts.shape[1]
     k = counts.ravel()
-    uniforms = block[:, n_cls:][np.arange(width - n_cls) < (totals * ok)[:, None]]
+    totals = counts.sum(axis=1)
+    uniforms = block[:, n_cls:][np.arange(block.shape[1] - n_cls) < totals[:, None]]
     group = np.repeat(np.arange(k.size), k)
     cls = group % n_cls
     choices = paulis[cls]
@@ -605,7 +534,7 @@ def _block_hits(block: np.ndarray, n: np.ndarray, paulis: np.ndarray, px: np.nda
         at = slice(top[grp] - k[grp], top[grp])
         c = grp % n_cls
         site[at] = list(_floyd(uniforms[at].tolist(), int(n[c]), int(paulis[c])))
-    return (group // n_cls, cls, site, pauli), np.flatnonzero(~ok).tolist()
+    return group // n_cls, cls, site, pauli
 
 
 def _draw_noise(
@@ -613,30 +542,27 @@ def _draw_noise(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw every fault of a batch of shots as (row, cycle, fault id) hits.
 
-    Each shot owns a counter-based substream keyed by (seed, shot index), so
-    results are independent of batch partitioning: shot i draws from Philox
-    keyed by SeedSequence((seed, i)).generate_state(2, uint64), starting at
-    counter 0, whatever batch it is drawn in.  A shot draws its faults by
-    count, so its cost grows with the faults it holds, not with the number
-    of sites: first the hit count k ~ Binomial(sites, rate) of each class of
-    layout.classes with a nonzero rate, in class order, then one block of
-    uniforms that Floyd's algorithm turns into k distinct sites per class,
-    each CNOT hit also taking a uniform Pauli index from its uniform
-    (_shot_hits, the per-shot rule).  In distribution this is one
+    Each shot reads its own stream, addressed by counter, so results are
+    independent of batch partitioning.  The seed is hashed once into the
+    key SeedSequence(seed).generate_state(2, uint64); block j of shot i is
+    Philox4x64-10 under that key at counter (j, i mod 2**64, i >> 64, 0),
+    and its four words, in order, give the doubles (w >> 11) * 2**-53.  A
+    shot draws its faults by count, so its cost grows with the faults it
+    holds, not with the number of sites.  It reads one double per class of
+    layout.classes with a nonzero rate, in class order, and counts its k
+    hits by inversion of the Binomial(sites, rate) CDF (_binomial_cdf).
+    Then one double per hit, class by class, that Floyd's algorithm turns
+    into k distinct sites of the class, each CNOT hit also taking a uniform
+    Pauli index from its double (_floyd).  In distribution this is one
     independent Bernoulli draw per site (up to the 2**-53 resolution of a
     double, as for a direct per-site draw); a class at rate 0 has no hits
-    and draws nothing, and one at rate 1 hits every site.  Fault ids are the
-    rows of the fault table (see Layout).
+    and reads nothing, and one at rate 1 hits every site.  Fault ids are
+    the rows of the fault table (see Layout).
 
-    The batch takes the per-shot rule's hits without running it per shot.
-    The keys are hashed at once (_shot_keys); each shot rekeys one Philox
-    and fills a row of a block with its first doubles, and _block_hits
-    settles the rows by whole-batch arithmetic.  That is the same draw
-    because numpy's binomial takes the same next_double as random, one per
-    count while it stays in its inversion regime and short of bound, and
-    _block_hits repeats numpy's IEEE operations in numpy's order.  Rows it
-    leaves run the per-shot rule, as does every row of a batch in which a
-    class falls outside the inversion regime (_inversion_tables).
+    A batch is drawn with array operations only.  One Philox call gives
+    every row its first blocks, enough for most rows; the rows whose counts
+    need more get their further blocks from a second call.  _block_hits
+    turns the doubles into sites.
     """
     # Per class with a nonzero rate: sites, rate per site, Pauli choices,
     # sites per cycle, first fault id, fault id stride.
@@ -649,42 +575,28 @@ def _draw_noise(
     sites, paulis, per_cycle, first, stride = (
         np.array(classes).T[[0, 2, 3, 4, 5]].astype(np.int64)
     )
-    keys = _shot_keys(seed, shot_indices).tolist()
-    bit_gen = np.random.Philox(key=0)
-    g = np.random.Generator(bit_gen)
-    # A fresh stream: counter 0, empty output buffer; the key is set per
-    # shot.  Philox's state setter reads these element by element, which
-    # is quicker from Python ints than from uint64 arrays.
-    state = {
-        "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": None},
-        "buffer": (0, 0, 0, 0),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    px = _inversion_tables(tuple((n, q) for n, q, *_ in classes))
-    if px is None:
-        hits, slow = (np.zeros(0, dtype=np.int64),) * 4, range(len(keys))
-    else:
-        # The counts' doubles, then the sites' with room for most rows.
-        mean = sum(n * q for n, q, *_ in classes)
-        block = np.empty((len(keys), len(classes) + int(mean + 4.0 * math.sqrt(mean)) + 4))
-        for key, out in zip(keys, block):
-            state["state"]["key"] = key
-            bit_gen.state = state
-            g.random(out=out)
-        hits, slow = _block_hits(block, sites, paulis, px)
-    more = []
-    for row in slow:
-        state["state"]["key"] = keys[row]
-        bit_gen.state = state
-        more += ((row, *hit) for hit in _shot_hits(g, classes))
-    if more:
-        hits = [np.concatenate(pair) for pair in zip(hits, np.array(more, dtype=np.int64).T)]
-        order = np.argsort(hits[0], kind="stable")
-        hits = [h[order] for h in hits]
-    row, cls, site, pauli = hits
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    start, b = shot_indices.start, len(shot_indices)
+    word1 = np.uint64(start % 2**64) + np.arange(b, dtype=np.uint64)
+    word2 = (word1 < np.uint64(start % 2**64)).astype(np.uint64) + np.uint64(start >> 64)
+    shots = np.stack([word1, word2])
+    # Every row's first blocks hold its counts' doubles and, for most rows,
+    # its sites'; the rows that read more get their further blocks next.
+    n_cls = len(classes)
+    mean = sum(n * q for n, q, *_ in classes)
+    blocks = -(-(n_cls + int(mean + 4.0 * math.sqrt(mean)) + 4) // 4)
+    block = _doubles(key, shots, range(blocks))
+    counts = np.stack([
+        np.searchsorted(_binomial_cdf(n, q), block[:, c], side="right")
+        for c, (n, q, *_) in enumerate(classes)
+    ], axis=1)
+    need = -(-(n_cls + counts.sum(axis=1)) // 4)
+    if need.max(initial=0) > blocks:
+        more = np.flatnonzero(need > blocks)
+        further = _doubles(key, shots[:, more], range(blocks, need.max()))
+        block = np.pad(block, ((0, 0), (0, further.shape[1])))
+        block[more, 4 * blocks:] = further
+    row, cls, site, pauli = _block_hits(block, counts, sites, paulis)
     cycle, r = np.divmod(site, per_cycle[cls])
     return row, cycle, first[cls] + stride[cls] * r + pauli
 
@@ -748,11 +660,19 @@ def _simulate_batch(layout: Layout, hits, b: int, cycles: int):
 
 
 def check_run_args(shots, rounds, seed, first_shot_index=0) -> list[int]:
-    """The run_monte_carlo counts as Python ints; ValueError unless in range."""
-    return [check_int(ValueError, *check) for check in (
+    """The run_monte_carlo counts as Python ints; ValueError unless in range.
+
+    Shot indices address Philox counters (see _draw_noise), so a run's
+    shots must end by SHOT_LIMIT.
+    """
+    counts = [check_int(ValueError, *check) for check in (
         ("shots", shots, 0), ("rounds", rounds, 1),
         ("seed", seed, 0), ("first_shot_index", first_shot_index, 0),
     )]
+    if counts[3] + counts[0] > SHOT_LIMIT:
+        raise ValueError("first_shot_index + shots must be at most 2**128, "
+                         f"got {counts[3] + counts[0]}")
+    return counts
 
 
 def run_monte_carlo(
@@ -775,9 +695,10 @@ def run_monte_carlo(
     set.  Shots are drawn and decoded in batches: matcher.decode_batch
     gives the correction flips of a whole batch per graph, the same flips
     that min_weight_perfect_matching gives shot by shot.  Shot i draws from
-    its own substream of ``seed``: Philox keyed by SeedSequence((seed,
-    i)).generate_state(2, uint64), starting at counter 0, whatever the
-    batching (see _draw_noise).  So a run split into chunks through
+    its own counter blocks of ``seed``'s stream: Philox4x64-10 under the key
+    SeedSequence(seed).generate_state(2, uint64), at counters (j, i mod
+    2**64, i >> 64, 0), whatever the batching (see _draw_noise); its index
+    must lie below SHOT_LIMIT = 2**128.  So a run split into chunks through
     ``first_shot_index`` and joined with SimResult.merged gives the counts
     of the whole run.  ``graphs``, when given, must be the pair that
     matcher.build_graphs built from ``layout.footprints`` at these rates

@@ -24,13 +24,15 @@ independent; this copy is the reference for both.  Its blossom
 this one does, so the two are compared mate for mate.  Only
 ``MatchingError`` comes from the package.
 
-Last, ``draw_noise`` is polyest 0.2.0's noise draw as it first shipped,
-building one Generator per shot and calling its binomial and random per
-shot.  The package now hashes the shot keys of a whole batch at once,
-rekeys one Philox per shot only to fill a row of doubles, and turns the
-rows into counts and sites by whole-batch arithmetic that repeats numpy's
-binomial inversion and this Floyd loop; it keeps a per-shot draw for the
-rows that arithmetic leaves.  It must draw exactly these hits.
+Next, ``draw_noise`` is the noise draw of polyest 0.3.0, one shot at a
+time in scalar Python: the key hashed from the seed by numpy's
+SeedSequence, each shot's doubles read one raw word at a time from numpy's
+own Philox set to the shot's counter, each count found by walking the
+binomial CDF up from 0, and Floyd's loop for the sites.  The package draws a
+whole batch at once, with its own uint64 Philox, CDF tables and vectorised
+Floyd picks; it must draw exactly these hits.  ``generator_draw_noise`` is
+polyest 0.2.0's draw as it first shipped, one numpy Generator per shot,
+kept as history: 0.3.0 replaced it, so fixed-seed counts moved.
 
 Then ``build_graphs`` as it stood when it walked the FaultEffect table, one
 Python ``add`` per fault and graph; it now walks ``fault_effects(layout)``.
@@ -703,12 +705,86 @@ def oracle_batch_flips(graph, row, site, rnd, b):
     return flips
 
 
+@functools.lru_cache(maxsize=None)
+def _binomial_sums(n, q):
+    """The running sums of Binomial(n, q) probabilities that a count walks.
+
+    Term k is exp(log C(n, k) + k log q + (n - k) log(1 - q)), with
+    log C(n, k) summed as log((n - j + 1) / j) over j = 1..k.  The sums end
+    at k = n, at the first sum that reaches 1, or past the mean before the
+    first term that no longer changes the sum: the rule treats the rest as
+    below the sums' rounding.
+    """
+    log_q = math.log(q)
+    log_r = math.log1p(-q) if q < 1.0 else -math.inf
+    log_choose, total, sums = 0.0, 0.0, []
+    for k in range(n + 1):
+        if k:
+            log_choose += math.log((n - k + 1) / k)
+        rest = (n - k) * log_r if k < n else 0.0
+        term = math.exp(log_choose + k * log_q + rest)
+        if k > n * q and total + term == total:
+            break
+        total += term
+        sums.append(total)
+        if total >= 1.0:
+            break
+    return tuple(sums)
+
+
+def _binomial_count(n, q, u):
+    """The count a double u in [0, 1) draws: the first k whose sum exceeds u, else the last."""
+    sums = _binomial_sums(n, q)
+    return next((k for k, total in enumerate(sums) if u < total), len(sums) - 1)
+
+
 def draw_noise(seed, shot_indices, R, layout, rates):
+    """polyest 0.3.0's ``_draw_noise``, one shot at a time.
+
+    Shot i reads numpy's Philox under the key SeedSequence(seed)
+    .generate_state(2, uint64), from counter (0, i mod 2**64, i >> 64, 0)
+    on; numpy steps its 256-bit counter before each block, so it starts one
+    below.  Each raw word w gives the double (w >> 11) * 2**-53.  The shot
+    reads one double per class with a nonzero rate for its count, then one
+    per hit, class by class, for Floyd's picks.
+    """
+    # Per class with a nonzero rate: sites, rate per site, Pauli choices,
+    # sites per cycle, first fault id, fault id stride.
+    classes = [
+        (R * len(c.sites), float(c.site_rate(rates)), len(c.paulis), len(c.sites), c.first,
+         c.stride)
+        for c in layout.classes if c.site_rate(rates)
+    ]
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    rows, cycles, fids = [], [], []
+    for row, shot in enumerate(shot_indices):
+        bits = np.random.Philox(counter=((shot << 64) - 1) % 2**256, key=key)
+
+        def double():
+            return (int(bits.random_raw()) >> 11) * 2.0**-53
+
+        counts = [_binomial_count(n, q, double()) for n, q, *_ in classes]
+        for (n, _, width, per_cycle, first, stride), k in zip(classes, counts):
+            # Floyd: for j = n-k .. n-1 take t uniform in 0..j, or j if t is
+            # taken; the width-way Pauli index rides in the same uniform.
+            hit: dict[int, int] = {}
+            for j in range(n - k, n):
+                t, pauli = divmod(int(double() * ((j + 1) * width)), width)
+                hit[j if t in hit else t] = pauli
+            for t, pauli in hit.items():
+                cycle, r = divmod(t, per_cycle)
+                rows.append(row)
+                cycles.append(cycle)
+                fids.append(first + stride * r + pauli)
+    return tuple(np.array(a, dtype=np.int64) for a in (rows, cycles, fids))
+
+
+def generator_draw_noise(seed, shot_indices, R, layout, rates):
     """polyest 0.2.0's ``_draw_noise``, one Generator built per shot.
 
     The body is the package's as it shipped before the shot keys were
-    hashed for a whole batch at once: the package must draw exactly these
-    (row, cycle, fault id) hits.
+    hashed for a whole batch at once.  Kept as history: polyest 0.3.0 draws
+    from raw Philox words by its own rule (``draw_noise``).
     """
     # Per class: sites, rate per site, Pauli choices, sites per cycle, first
     # fault id, fault id stride.

@@ -345,12 +345,12 @@ def test_one_point_generate_and_its_estimate_are_pinned(capsys, tmp_path):
                      "--max-shots", "512")
     assert code == 0
     assert hashlib.sha256(db.read_bytes()).hexdigest() == (
-        "131ed6f2f283b71177d9946a170b8885aba0a0af7fcbbfbdcf63975bd86ff641"
+        "25e663ebb85b48d55928f8f974b04f34a7c2b8a4074cb0a48951bbd4d6fed6a1"
     )
     code, out, _ = run(capsys, "estimate", "--db", str(db), "--model", str(model),
                        "--distance", "3")
     assert code == 0
-    assert out == "p_xl = 0.014787946428571428\np_zl = 0.013160864601666966\n"
+    assert out == "p_xl = 0.016927083333333332\np_zl = 0.014829030207455277\n"
 
 
 def test_generate_rejects_bad_grid_file(capsys, tmp_path):
@@ -658,19 +658,19 @@ def test_simulate_dump_graph_at_unequal_rates_is_pinned(capsys, tmp_path):
 @pytest.mark.parametrize("d, p0, p1, p2, shots, rounds, line", [
     # every decoded row has a cluster of three or more events
     pytest.param(5, "3e-3", "3e-3", "3e-3", 256, 25,
-                 "5,0.003,0.003,0.003,0.003,0.003,256,25,11,13,0.00171875,0.00203125,"
-                 "0.0005182226234930312,0.0005633673867912483", id="blossom_d5"),
+                 "5,0.003,0.003,0.003,0.003,0.003,256,25,12,9,0.001875,0.00140625,"
+                 "0.0005412658773652742,0.00046875", id="blossom_d5"),
     # most clusters of three or more events have their flip settled without
-    # the blossom; the line was recorded before that certificate existed
+    # the blossom
     pytest.param(4, "2e-3", "2e-3", "2e-3", 1024, 40,
-                 "4,0.002,0.002,0.002,0.002,0.002,1024,40,76,67,0.00185546875,"
-                 "0.0016357421875,0.00021283686247757197,0.00019983771415704225",
+                 "4,0.002,0.002,0.002,0.002,0.002,1024,40,62,53,0.001513671875,"
+                 "0.0012939453125,0.0001922365203616165,0.00017773705784376265",
                  id="low_noise_d4"),
-    # both outcome-flip classes have p*n = 60, past numpy's inversion regime,
-    # so every shot takes the per-shot draw
+    # both outcome-flip classes have p*n = 60, past where binomial samplers
+    # commonly leave inversion; the draw's one CDF table covers every rate
     pytest.param(3, "0.05", "1e-3", "1e-3", 64, 200,
-                 "3,0.05,0.05,0.001,0.001,0.001,64,200,14,15,0.00109375,0.001171875,"
-                 "0.0002923169833417142,0.00030257682392245444", id="per_shot_draw_d3"),
+                 "3,0.05,0.05,0.001,0.001,0.001,64,200,18,14,0.00140625,0.00109375,"
+                 "0.0003314563036811941,0.0002923169833417142", id="flip_p_n_60_d3"),
 ])
 def test_simulate_lines_are_pinned(capsys, d, p0, p1, p2, shots, rounds, line):
     code, out, err = run(

@@ -879,10 +879,11 @@ def test_generate_checkpoints_after_each_point():
     assert [keys for _, keys in seen] == [added[:1], added]
 
 
-# Recorded with the per-row decoder, before the batched decode: at this noise
-# level most decoded rows hold only singletons and linked pairs, so the pin
-# covers the flip-only path of the batched decode at scale.
-_LOW_NOISE_CSV_SHA256 = "084b320229f2e0023ea67c54df6b652342390ee79c5a4dc03aad93be087716e8"
+# At this noise level most decoded rows hold only singletons and linked
+# pairs, so the pin covers the flip-only path of the batched decode at scale.
+# First recorded with the per-row decoder, before the batched decode, and
+# re-recorded with polyest 0.3.0's noise draw.
+_LOW_NOISE_CSV_SHA256 = "ddd38b49cf0824b7b9785b89ea689646a8ae0d3cd68a2edac4f79c560943d2cb"
 
 
 def test_low_noise_generate_csv_is_pinned(tmp_path):

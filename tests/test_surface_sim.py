@@ -21,6 +21,7 @@ from polyest.surface_sim import (
     LayoutError,
     Rates,
     SimResult,
+    check_run_args,
     enumerate_single_faults,
     get_layout,
     run_monte_carlo,
@@ -507,37 +508,39 @@ def test_sparse_draw_matches_bernoulli_distribution(mix):
         assert paulis.size == 15 and stat < _chi2_critical(14), (name, stat)
 
 
-# Word boundaries of SeedSequence's integer split: a shot index past one of
-# them adds an entropy word.
+# Edges of the cases' first shots: 2**32 fills counter word 1's high 32-bit
+# limb, and at 2**64 a shot index carries into counter word 2.
 _WORD_BOUNDARIES = (2**32, 2**64)
 
 
 # Cases that each take one path of _draw_noise, named as draw_paths counts
 # them: (id, d, R, shots, seed, rates, path).
 _PATH_CASES = (
-    # gen_sparse's d=6 point: whole-batch arithmetic settles every row.
+    # gen_sparse's d=6 point: every row's first blocks hold all it reads.
     ("lanes", 6, 60, range(256), 1, Rates(4e-4, 4e-4, 2e-4, 2e-4, 2e-4), "lanes"),
     # mc_dense's point: a few percent of rows hold a Floyd group with two
     # equal picks.
     ("floyd-group", 5, 25, range(256), 1, Rates(*(3e-3,) * 5), "group"),
-    # Every class at p*n = 30: shot 31455 needs 203 doubles after its
-    # counts, one more than its block holds.
-    ("outrun", 3, 60, range(31450, 31460), 0, Rates(0.083, 0.083, 0.0144, 0.0144, 0.0125),
-     "per_shot"),
-    ("rate-above-half", 4, 3, range(40), 5, Rates(0.7, 1e-3, 1e-3, 1e-3, 1e-3), "regime"),
-    # The CI simulate line's point: both outcome-flip classes at p*n = 60,
-    # which numpy draws by BTPE.
-    ("btpe", 3, 200, range(16), 1, Rates(0.05, 0.05, 1e-3, 1e-3, 1e-3), "regime"),
+    # Every class at p*n = 30: shot 96875 reads more doubles than its first
+    # blocks hold, so it gets further blocks.
+    ("outrun", 3, 60, range(96870, 96880), 0, Rates(0.083, 0.083, 0.0144, 0.0144, 0.0125),
+     "more"),
+    # A rate above one half, and two classes at p*n = 60: past where
+    # binomial samplers commonly leave inversion, which the one CDF table
+    # covers at any rate.
+    ("rate-above-half", 4, 3, range(40), 5, Rates(0.7, 1e-3, 1e-3, 1e-3, 1e-3), "lanes"),
+    ("btpe", 3, 200, range(16), 1, Rates(0.05, 0.05, 1e-3, 1e-3, 1e-3), "lanes"),
     ("empty", 5, 25, range(0), 1, Rates(*(3e-3,) * 5), "empty"),
 )
 
 
 def _oracle_draw_cases():
     # (d, R, shots, seed, rates, path): every d, R from 1 to 60, batches of
-    # 1 to 256 shots, 64-bit point seeds, and first shots of 0 or just
-    # before a word boundary.  At the edge rates every site of a rate-1
-    # class is hit, so those batches stay small.  Then _PATH_CASES, which
-    # check that their path is taken.
+    # 1 to 256 shots, 64-bit point seeds, and first shots of 0, just before
+    # an edge of _WORD_BOUNDARIES, or just before the last shot index,
+    # 2**128 - 1.  At the edge rates every site of a rate-1 class is hit, so
+    # those batches stay small.  Then _PATH_CASES, which check that their
+    # path is taken.
     rng = np.random.default_rng(2024)
     cases = [(3, 1, 1, 0, _EDGE_RATES[3]), (6, 60, 256, 0, None)]
     for i in range(16):
@@ -549,6 +552,8 @@ def _oracle_draw_cases():
         first = (0, *(edge - back for edge in _WORD_BOUNDARIES))[i % 3]
         rates = _EDGE_RATES[i] if i < len(_EDGE_RATES) else None
         cases.append((3 + i % 4, R, b, first, rates))
+    limit = surface_sim.SHOT_LIMIT
+    cases += [(4, 7, 64, limit - 64, None), (3, 2, 5, limit - 5, _EDGE_RATES[0])]
     params = []
     for i, (d, R, b, first, rates) in enumerate(cases):
         if rates is None:
@@ -565,43 +570,28 @@ def _oracle_draw_cases():
 def draw_paths(monkeypatch):
     """Counts of the paths _draw_noise takes, by spying on its helpers.
 
-    ``lanes``: rows settled by whole-batch arithmetic; ``group``: Floyd
-    groups it resolves by the sequential rule; ``per_shot``: rows drawn by
-    the per-shot rule; ``regime``: calls with a class outside numpy's
-    binomial inversion regime.
+    ``lanes``: rows whose first blocks hold every double they read;
+    ``more``: rows given further blocks; ``group``: Floyd groups resolved by
+    the sequential rule.
     """
     paths = collections.Counter()
-    block_hits, shot_hits, floyd, tables = (
-        surface_sim._block_hits, surface_sim._shot_hits, surface_sim._floyd,
-        surface_sim._inversion_tables,
-    )
-    in_shot = []
+    doubles, floyd = surface_sim._doubles, surface_sim._floyd
 
-    def spy_block_hits(block, *args):
-        hits, left = block_hits(block, *args)
-        paths["lanes"] += len(block) - len(left)
-        return hits, left
-
-    def spy_shot_hits(*args):
-        paths["per_shot"] += 1
-        in_shot.append(True)
-        try:
-            return shot_hits(*args)
-        finally:
-            in_shot.pop()
+    def spy_doubles(key, shots, blocks):
+        rows = shots.shape[1]
+        if blocks.start:
+            paths["lanes"] -= rows
+            paths["more"] += rows
+        else:
+            paths["lanes"] += rows
+        return doubles(key, shots, blocks)
 
     def spy_floyd(*args):
-        paths["group"] += not in_shot
+        paths["group"] += 1
         return floyd(*args)
 
-    def spy_tables(draws):
-        px = tables(draws)
-        paths["regime"] += px is None
-        return px
-
-    for name, spy in (("_block_hits", spy_block_hits), ("_shot_hits", spy_shot_hits),
-                      ("_floyd", spy_floyd), ("_inversion_tables", spy_tables)):
-        monkeypatch.setattr(surface_sim, name, spy)
+    monkeypatch.setattr(surface_sim, "_doubles", spy_doubles)
+    monkeypatch.setattr(surface_sim, "_floyd", spy_floyd)
     return paths
 
 
@@ -615,9 +605,8 @@ def _assert_oracle_hits(seed, shots, R, layout, rates):
 
 @pytest.mark.parametrize("d, R, shots, seed, rates, path", _oracle_draw_cases())
 def test_draw_noise_matches_frozen_per_shot_draw(d, R, shots, seed, rates, path, draw_paths):
-    # Drawing a batch by whole-batch arithmetic, with the per-shot rule for
-    # the rows it leaves, must draw exactly the hits of one Generator built
-    # per shot.
+    # Drawing a batch by whole-batch arithmetic must draw exactly the hits
+    # of the oracle's scalar per-shot rule, which reads numpy's own Philox.
     _assert_oracle_hits(seed, shots, R, get_layout(d), rates)
     if path == "empty":
         assert not any(draw_paths.values()), draw_paths
@@ -631,57 +620,112 @@ def test_draw_noise_matches_frozen_per_shot_draw(d, R, shots, seed, rates, path,
     R=st.integers(1, 60),
     scale=st.sampled_from((1e-3, 1e-2, 0.1, 1.0)),
     fractions=st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5),
-    seed=st.integers(0, 2**64 - 1),
-    start=st.one_of(st.integers(0, 2**20), st.integers(2**32 - 64, 2**32 + 64)),
+    seed=st.one_of(st.integers(0, 2**64 - 1), st.integers(2**64, 2**200)),
+    start=st.one_of(
+        st.integers(0, 2**20),
+        st.builds(
+            lambda edge, back: edge - back, st.sampled_from(_WORD_BOUNDARIES), st.integers(-64, 64)
+        ),
+        st.integers(surface_sim.SHOT_LIMIT - 128, surface_sim.SHOT_LIMIT - 64),
+    ),
     n=st.integers(0, 64),
 )
+@example(d=3, R=5, scale=1e-2, fractions=[1.0] * 5, seed=2**64, start=2**64 - 9, n=20)
 def test_draw_noise_matches_frozen_draw_at_any_rates(d, R, scale, fractions, seed, start, n):
-    # Rates anywhere in [0, 1]; the scale keeps some draws wholly inside
-    # numpy's inversion regime, where the batch arithmetic does the work.
+    # Rates anywhere in [0, 1], seeds of any size, and shots on either side
+    # of a counter word's carry, up to the last shot index.
     rates = Rates(*(scale * f for f in fractions))
     _assert_oracle_hits(seed, range(start, start + n), R, get_layout(d), rates)
 
 
+@pytest.mark.parametrize("first", [0, 2**64 - 20, surface_sim.SHOT_LIMIT - 40])
+def test_draw_noise_is_independent_of_batch_splits(first):
+    # Each shot draws the hits the scalar rule gives it, whatever batch it
+    # is drawn in: the batches of a split, relabelled to rows of the whole
+    # run, are the oracle's hits of the run.
+    layout, rates, seed, R = get_layout(4), Rates(5e-3, 2e-3, 4e-3, 1e-3, 6e-3), 2**70 + 3, 9
+    want = draw_noise(seed, range(first, first + 40), R, layout, rates)
+    for size in (1, 3, 7, 16, 40):
+        parts = []
+        for lo in range(0, 40, size):
+            row, cycle, fid = surface_sim._draw_noise(
+                seed, range(first + lo, first + min(lo + size, 40)), R, layout, rates
+            )
+            parts.append((row + lo, cycle, fid))
+        for got, w in zip(zip(*parts), want):
+            np.testing.assert_array_equal(np.concatenate(got), w)
+
+
+@pytest.mark.parametrize("n, q", [
+    (1, 1.0), (5, 1.0), (7, 0.5), (60, 0.05), (200, 0.7), (500, 0.083), (3600, 3e-3),
+    (13200, 2e-4),
+])
+def test_binomial_cdf_table_is_the_binomial_cdf(n, q):
+    # Entry k is P(X <= k) to within 1e-12 of the exact sum, the entries
+    # never fall, and the last is exactly 1, so every double below 1 counts
+    # at most the table's last k, and at most n.
+    cdf = surface_sim._binomial_cdf(n, q)
+    assert 1 <= len(cdf) <= n + 1 and cdf[-1] == 1.0 and (np.diff(cdf) >= 0).all()
+    # q = a / den exactly, so P(X <= k) is an integer sum over den**n.
+    a, den = q.as_integer_ratio()
+    exact = 0
+    for k, got in enumerate(cdf.tolist()):
+        exact += math.comb(n, k) * a**k * (den - a) ** (n - k)
+        if k < len(cdf) - 1:
+            assert abs(got - exact / den**n) <= 1e-12, (k, got)
+    assert 1 - exact / den**n <= 1e-12
+    u = np.array([0.0, 0.5, 1.0 - 2.0**-53])
+    assert np.searchsorted(cdf, u, side="right").max() == len(cdf) - 1
+
+
+_MASK64 = 2**64 - 1
+
+
+@settings(max_examples=60, deadline=None)
 @given(
-    seed=st.one_of(
-        st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1, 2**64]),
-        st.integers(0, 2**130 - 1),
+    key=st.integers(0, 2**128 - 1),
+    counter=st.one_of(
+        st.integers(0, 2**256 - 1),
+        # Just below a carry out of counter word 0, 1 or 2, or the top.
+        st.builds(lambda word, back: (1 << (64 * word)) - back,
+                  st.sampled_from((1, 2, 3, 4)), st.integers(1, 3)),
     ),
-    start=st.one_of(
-        st.integers(0, 2**70),
-        st.builds(
-            lambda edge, back: edge - back, st.sampled_from(_WORD_BOUNDARIES), st.integers(0, 40)
-        ),
-    ),
-    n=st.integers(1, 40),
 )
-@example(seed=0, start=0, n=1)
-@example(seed=2**32 - 1, start=2**32 - 3, n=6)
-@example(seed=2**32, start=2**64 - 3, n=6)
-@example(seed=2**64 - 1, start=2**32 - 1, n=2)
-@example(seed=2**64, start=2**64 - 1, n=2)
-def test_shot_keys_equal_seed_sequence_state(seed, start, n):
-    shots = range(start, start + n)
-    want = [np.random.SeedSequence((seed, shot)).generate_state(2, np.uint64) for shot in shots]
-    keys = surface_sim._shot_keys(seed, shots)
-    assert keys.dtype == np.uint64 and keys.shape == (n, 2)
-    np.testing.assert_array_equal(keys, np.array(want))
+@example(key=0, counter=0)
+@example(key=2**128 - 1, counter=2**64 - 2)
+@example(key=1, counter=2**192 - 1)
+def test_philox_equals_numpy_raw_stream(key, counter):
+    # numpy's Philox steps its 256-bit counter before each block, so the
+    # blocks it gives after counter c - 1 are the package's at c, c + 1, ...,
+    # and its carries run from word 0 up.
+    blocks = 4
+    want = np.random.Philox(counter=(counter - 1) % 2**256, key=key).random_raw(
+        4 * blocks
+    ).reshape(blocks, 4)
+    counters = [(counter + j) % 2**256 for j in range(blocks)]
+    words = np.array(
+        [[(c >> (64 * w)) & _MASK64 for c in counters] for w in range(4)], dtype=np.uint64
+    )
+    got = surface_sim._philox(words, np.array([key & _MASK64, key >> 64], dtype=np.uint64))
+    assert got.dtype == np.uint64
+    np.testing.assert_array_equal(got.T, want)
 
 
 # (d, rates, shots, rounds, seed, first_shot_index) -> (fails_x, fails_z),
 # recorded with the by-count fault draw (binomial hit counts per class, then
 # Floyd's algorithm for the sites) and footprint XOR of this version.
 _PINNED_COUNTS = [
-    ((3, Rates(1e-2, 1e-2, 1e-2, 1e-2, 1e-2), 300, 3, 7, 0), (34, 38)),
-    ((5, Rates(3e-3, 3e-3, 3e-3, 3e-3, 3e-3), 300, 5, 7, 0), (3, 1)),
-    ((4, Rates(2e-3, 5e-4, 1e-3, 3e-4, 6e-3), 200, 8, 5, 1000), (14, 5)),
-    ((6, Rates(4e-3, 4e-3, 4e-3, 4e-3, 1e-2), 64, 12, 3, 0), (14, 6)),
-    ((3, Rates(2e-2, 1e-2, 5e-3, 5e-3, 0.0), 100, 10, 11, 17), (5, 3)),
-    ((3, Rates(1e-3, 1e-3, 1e-3, 1e-3, 2e-3), 600, 6, 2, 300), (8, 1)),
-    # Large clusters: blossom inputs of up to 117 events.
-    ((6, Rates(5e-3, 5e-3, 5e-3, 5e-3, 5e-3), 64, 30, 1, 0), (22, 11)),
-    # Shot indices that cross 2**32, where a shot's key gains an entropy word.
-    ((3, Rates(1e-2, 1e-2, 1e-2, 1e-2, 1e-2), 300, 3, 7, 2**32 - 150), (34, 29)),
+    ((3, Rates(1e-2, 1e-2, 1e-2, 1e-2, 1e-2), 300, 3, 7, 0), (35, 34)),
+    ((5, Rates(3e-3, 3e-3, 3e-3, 3e-3, 3e-3), 300, 5, 7, 0), (1, 3)),
+    ((4, Rates(2e-3, 5e-4, 1e-3, 3e-4, 6e-3), 200, 8, 5, 1000), (9, 4)),
+    ((6, Rates(4e-3, 4e-3, 4e-3, 4e-3, 1e-2), 64, 12, 3, 0), (17, 10)),
+    ((3, Rates(2e-2, 1e-2, 5e-3, 5e-3, 0.0), 100, 10, 11, 17), (11, 6)),
+    ((3, Rates(1e-3, 1e-3, 1e-3, 1e-3, 2e-3), 600, 6, 2, 300), (7, 6)),
+    # Large clusters: blossom inputs of up to 122 events.
+    ((6, Rates(5e-3, 5e-3, 5e-3, 5e-3, 5e-3), 64, 30, 1, 0), (17, 11)),
+    # Shot indices that cross 2**64, where a shot index carries into the
+    # next counter word.
+    ((3, Rates(1e-2, 1e-2, 1e-2, 1e-2, 1e-2), 300, 3, 7, 2**64 - 150), (34, 36)),
 ]
 
 
@@ -788,8 +832,9 @@ def test_monte_carlo_with_graphs_built_in_another_process(tmp_path):
 
 def test_monte_carlo_rejects_graphs_built_for_another_point():
     # Graphs of another distance or other rates would decode every shot
-    # against the wrong weights (d=5 graphs at d=3 gave 16/12 fails where
-    # the run's own give 1/3), so a run refuses them, also once pickled.
+    # against the wrong weights (with polyest 0.2.0's draw, d=5 graphs at
+    # d=3 gave 16/12 fails where the run's own gave 1/3), so a run refuses
+    # them, also once pickled.
     layout = get_layout(3)
     rates = Rates(*(3e-3,) * 5)
     d5 = matcher.build_graphs(enumerate_single_faults(get_layout(5)), rates, get_layout(5))
@@ -802,7 +847,7 @@ def test_monte_carlo_rejects_graphs_built_for_another_point():
             run_monte_carlo(layout, rates, 64, 5, 1, graphs=graphs)
     result = run_monte_carlo(layout, rates, 64, 5, 1, graphs=own)
     assert result == run_monte_carlo(layout, rates, 64, 5, 1)
-    assert (result.fails_x, result.fails_z) == (1, 3)
+    assert (result.fails_x, result.fails_z) == (1, 1)
 
 
 def test_monte_carlo_rejects_graphs_built_from_part_of_the_fault_table():
@@ -912,14 +957,33 @@ def test_monte_carlo_is_deterministic_and_batch_independent():
 
 
 def test_monte_carlo_chunks_across_a_key_word_boundary_merge_to_the_run():
+    # Shot indices address Philox counters: a run across 2**64, where a
+    # shot index carries into the next counter word, and a run that ends at
+    # the last shot index each merge from two chunks split at the edge.
     layout = get_layout(3)
     rates = Rates(1e-2, 1e-2, 1e-2, 1e-2, 1e-2)
-    full = run_monte_carlo(layout, rates, 300, 3, 7, first_shot_index=2**32 - 150)
-    chunks = [
-        run_monte_carlo(layout, rates, 150, 3, 7, first_shot_index=first)
-        for first in (2**32 - 150, 2**32)
-    ]
-    assert chunks[0].merged(chunks[1]) == full
+    for edge in (2**64, surface_sim.SHOT_LIMIT - 150):
+        full = run_monte_carlo(layout, rates, 300, 3, 7, first_shot_index=edge - 150)
+        chunks = [
+            run_monte_carlo(layout, rates, 150, 3, 7, first_shot_index=first)
+            for first in (edge - 150, edge)
+        ]
+        assert chunks[0].merged(chunks[1]) == full
+
+
+def test_run_monte_carlo_refuses_shots_past_the_counter_space():
+    # A shot index fills two 64-bit counter words, so the last shot is
+    # 2**128 - 1; seeds of any size hash to a key.
+    layout, rates = get_layout(3), Rates(1e-2, 1e-2, 1e-2, 1e-2, 1e-2)
+    limit = surface_sim.SHOT_LIMIT
+    assert run_monte_carlo(layout, rates, 2, 2, 2**300, first_shot_index=limit - 2).shots == 2
+    assert run_monte_carlo(layout, rates, 0, 2, 7, first_shot_index=limit).shots == 0
+    refusal = r"first_shot_index \+ shots must be at most 2\*\*128"
+    for first, shots in ((limit - 1, 2), (limit, 1), (2**130, 0)):
+        with pytest.raises(ValueError, match=refusal):
+            run_monte_carlo(layout, rates, shots, 2, 7, first_shot_index=first)
+        with pytest.raises(ValueError, match=refusal):
+            check_run_args(shots, 2, 7, first)
 
 
 def test_monte_carlo_split_accumulation_matches_single_run():
